@@ -23,9 +23,9 @@ from .keystore import Keystore, PublicKeyInfo
 from .matrix_profile import (
     MatrixProfile,
     ProfileConfig,
-    append_and_update,
     compute_brute_force,
     compute_fast,
+    compute_many,
     top_discords,
     znorm_distance,
 )
@@ -66,7 +66,6 @@ __all__ = [
     "TimestampAuthority",
     "TimestampToken",
     "Verdict",
-    "append_and_update",
     "apply_update",
     "boot",
     "bucketize",
@@ -74,6 +73,7 @@ __all__ = [
     "calibrate",
     "compute_brute_force",
     "compute_fast",
+    "compute_many",
     "decode_token",
     "detect",
     "detect_fleet",

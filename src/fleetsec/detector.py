@@ -96,20 +96,17 @@ def reports_from_profile(
     series: TelemetrySeries, profile: MatrixProfile, threshold: float
 ) -> list[AnomalyReport]:
     """Turn an already computed profile into sorted anomaly reports."""
-    reports = []
-    for i, score in enumerate(profile.distances):
-        if score > threshold:
-            reports.append(
-                AnomalyReport(
-                    device_id=series.device_id,
-                    metric=series.metric.value,
-                    window_index=i,
-                    time=series.start_time + i * series.interval,
-                    score=float(score),
-                    threshold=float(threshold),
-                )
-            )
-    return reports
+    return [
+        AnomalyReport(
+            device_id=series.device_id,
+            metric=series.metric.value,
+            window_index=i,
+            time=series.start_time + i * series.interval,
+            score=float(profile.distances[i]),
+            threshold=float(threshold),
+        )
+        for i in np.flatnonzero(profile.distances > threshold).tolist()
+    ]
 
 
 def detect_fleet(

@@ -24,6 +24,8 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from ..deception import (
     Alert,
     CanaryToken,
@@ -34,11 +36,11 @@ from ..deception import (
     mtd_rotate,
     plant_canary,
 )
-from ..detector import DetectorConfig, calibrate, detect
+from ..detector import DetectorConfig, reports_from_profile, threshold_from_distances
 from ..errors import FleetsecError
 from ..identity import BlacklistedError, ClaimRequest, DeviceRegistry, SecretMismatchError, Status
 from ..keystore import Keystore
-from ..matrix_profile import ProfileConfig, default_exclusion
+from ..matrix_profile import ProfileConfig, compute_many, default_exclusion
 from ..telemetry import ConnectionEvent, Direction, EventKind, Metric, bucketize
 from ..tsa import TimestampAuthority
 from ..update_protocol import (
@@ -70,6 +72,12 @@ ATTACK_KINDS = (
     "traffic_flood",
     "canary_probe",
 )
+
+
+# Devices whose series the detector pass profiles together. Batching pays
+# off within a few dozen series; larger blocks only hold more series and
+# profiles alive at the run's memory peak.
+_DETECTOR_BLOCK = 64
 
 
 class ConfigError(FleetsecError):
@@ -299,7 +307,9 @@ def _parse_detector(obj: dict, path: str, duration: int) -> DetectorSpec:
     if window < 2:
         raise ConfigError(f"{path}.window", "must be at least 2")
     exclusion = obj.get("exclusion")
-    if exclusion is not None and (not isinstance(exclusion, int) or exclusion < 1):
+    if exclusion is not None and (
+        not isinstance(exclusion, int) or isinstance(exclusion, bool) or exclusion < 1
+    ):
         raise ConfigError(f"{path}.exclusion", "must be a positive integer or null")
     quantile = _field(obj, path, "quantile", float, 0.99)
     if not 0 < quantile <= 1:
@@ -449,6 +459,9 @@ def _parse_deception(obj: dict, path: str, devices: tuple[DeviceSpec, ...]) -> D
         if interval < 1:
             raise ConfigError(f"{path}.mtd.rotation_interval", "must be positive")
         pool = _field(mobj, f"{path}.mtd", "address_pool", list)
+        for i, address in enumerate(pool):
+            if not isinstance(address, str):
+                raise ConfigError(f"{path}.mtd.address_pool[{i}]", "expected an address string")
         if not pool or len(set(pool)) != len(pool):
             raise ConfigError(f"{path}.mtd.address_pool", "must be non-empty and unique")
         if len(pool) < len(devices):
@@ -1069,20 +1082,34 @@ class FleetSimulation:
         by_device: dict[str, list[ConnectionEvent]] = {d.id: [] for d in self.cfg.devices}
         for ev in self.report.telemetry:
             by_device[ev.device_id].append(ev)
-        for dev in sorted(by_device):
+        devices = sorted(by_device)
+        for first in range(0, len(devices), _DETECTOR_BLOCK):
+            block = devices[first : first + _DETECTOR_BLOCK]
+            found: dict[tuple[str, Metric], list] = {}
             for metric in det.metrics:
-                series = bucketize(
-                    by_device[dev], dev, metric, det.interval, 0, self.cfg.duration
+                series = [
+                    bucketize(by_device[dev], dev, metric, det.interval, 0, self.cfg.duration)
+                    for dev in block
+                ]
+                baselines = compute_many(
+                    np.stack([s.values[:baseline_buckets] for s in series]), config.profile_config
                 )
-                threshold = calibrate(series.prefix(baseline_buckets), config)
-                reports = detect(series, threshold, config)
-                self.report.anomalies.extend(reports)
-                if reports:
-                    self.event(
-                        "detector",
-                        "anomalies_found",
-                        {"device": dev, "metric": metric.value, "count": len(reports)},
+                profiles = compute_many(np.stack([s.values for s in series]), config.profile_config)
+                for s, base, profile in zip(series, baselines, profiles):
+                    threshold = threshold_from_distances(
+                        base.distances, config.quantile, config.margin
                     )
+                    found[s.device_id, metric] = reports_from_profile(s, profile, threshold)
+            for dev in block:
+                for metric in det.metrics:
+                    reports = found[dev, metric]
+                    self.report.anomalies.extend(reports)
+                    if reports:
+                        self.event(
+                            "detector",
+                            "anomalies_found",
+                            {"device": dev, "metric": metric.value, "count": len(reports)},
+                        )
 
     def _clone_pass(self) -> list[str]:
         flagged = self.registry.detect_credential_clone(self.observations)

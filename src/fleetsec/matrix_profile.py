@@ -7,18 +7,27 @@ index of that nearest neighbor. Recurring behavior yields low distances;
 a window with no similar counterpart anywhere (a discord) yields a high
 one, which is what flags an intrusion in otherwise periodic telemetry.
 
-Two interchangeable implementations are provided: an all-pairs
+Two independent implementations satisfy the same contract: an all-pairs
 `compute_brute_force` that evaluates every window pair directly, and
-`compute_fast`, which reuses sliding dot products between consecutive
-windows (one O(n) pass per row instead of O(n*m)). They satisfy the same
-contract and agree elementwise to float precision; tests hold them to
-1e-9.
+`compute_many`, a tiled matrix multiply over a stack of equal-length
+series (STOMP written as a GEMM; Zhu et al., ICDM 2016). The kernel
+z-normalizes every window and scales it by 1/sqrt(m), so the dot product
+of two windows is their Pearson correlation r, and the distance follows
+from d = sqrt(2m(1 - r)). Each tile of correlations covers several whole
+series when they are short, or a block of rows of one series when it is
+long. `compute_fast` is the kernel on a single series. The routes agree
+elementwise to float precision; tests hold distances to 1e-9 and require
+the same neighbor indices.
 
 Degenerate (near-constant) windows cannot be z-normalized, so the
 distance rule is fixed here: two constant windows are identical (distance
 0), a constant against a non-constant window is maximally distant
 (sqrt(2m)). Flat telemetry is therefore self-similar, while flat-to-active
 transitions stand out.
+
+The nearest neighbor is the smallest admissible index whose distance is
+within `NEIGHBOR_TIE_TOL` of the row minimum, in every route, so float
+residue between equally near candidates cannot pick different twins.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from .errors import FleetsecError
 DEFAULT_EPSILON_STD = 1e-12
 
 # Window pairs whose correlation is within this of exactly 1 count as exact
-# matches and get distance 0. Without the snap, the dot-product recurrence
+# matches and get distance 0. Without the snap, the correlation identity
 # leaves float residue on exactly recurring windows, which would turn the
 # zero threshold of a perfectly periodic baseline into a tiny positive one.
 # Residues stay below ~1e-12 even when a large burst sits between the
@@ -42,6 +51,18 @@ DEFAULT_EPSILON_STD = 1e-12
 # Applied identically by every route so they still agree elementwise.
 EXACT_MATCH_EPS = 1e-10
 
+# Candidates whose distances differ by less than this tie for nearest
+# neighbor, and the smallest index wins. Residue between equally near
+# candidates peaks just above the snap, where sqrt(2m(1 - r)) magnifies
+# the correlation's rounding to ~1e-11; distinct candidates sit orders of
+# magnitude further apart.
+NEIGHBOR_TIE_TOL = 1e-9
+
+# Bytes of correlations per kernel tile. A few MB keeps peak memory flat
+# at any fleet size or series length, and tiles that stay in cache ran
+# faster than 32 MB ones on long series.
+_TILE_BYTES = 2 << 20
+
 
 class LengthMismatchError(FleetsecError):
     """Subsequences of different lengths cannot be compared."""
@@ -49,10 +70,6 @@ class LengthMismatchError(FleetsecError):
 
 class InsufficientLengthError(FleetsecError):
     """Series too short to give every window an admissible neighbor."""
-
-
-class ConfigMismatchError(FleetsecError):
-    """Incremental update called with a different config than the profile."""
 
 
 def default_exclusion(window_m: int) -> int:
@@ -127,18 +144,6 @@ def znorm_distance(a, b, epsilon_std: float = DEFAULT_EPSILON_STD) -> float:
     return d
 
 
-def _window_stats(values: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and population std of every length-m window.
-
-    Computed per window over a sliding view rather than by differencing
-    cumulative sums: the cumsum shortcut cancels catastrophically once the
-    running totals have passed through a large burst, and those stats
-    errors land directly on the correlation of every later window pair.
-    """
-    windows = np.lib.stride_tricks.sliding_window_view(values, m)
-    return windows.mean(axis=1), windows.std(axis=1)
-
-
 def _validate_length(n: int, config: ProfileConfig) -> int:
     if n < config.window_m + config.exclusion + 1:
         raise InsufficientLengthError(
@@ -151,7 +156,7 @@ def _validate_length(n: int, config: ProfileConfig) -> int:
 def compute_brute_force(values, config: ProfileConfig) -> MatrixProfile:
     """All-pairs profile: for each window, scan every admissible other window.
 
-    Serves as the independent reference implementation; `compute_fast`
+    Serves as the independent reference implementation; `compute_many`
     must reproduce it elementwise.
     """
     values = np.asarray(values, dtype=np.float64)
@@ -179,140 +184,93 @@ def compute_brute_force(values, config: ProfileConfig) -> MatrixProfile:
             d[const] = sqrt2m
         d[d * d <= snap] = 0.0
         d[max(0, i - excl) : i + excl + 1] = np.inf
-        j = int(np.argmin(d))
-        distances[i] = d[j]
-        neighbors[i] = j
+        distances[i] = d.min()
+        neighbors[i] = int(np.argmax(d <= distances[i] + NEIGHBOR_TIE_TOL))
     return MatrixProfile(distances, neighbors, config)
 
 
-# Rows at which the sliding dot product is recomputed from scratch to stop
-# float error from the recurrence accumulating over long series.
-_REANCHOR_EVERY = 64
+def _znormalized(values: np.ndarray, m: int, epsilon_std: float):
+    """Every window of every row, z-normalized and scaled by 1/sqrt(m).
+
+    Returns (z, const) of shapes (rows, w, m) and (rows, w). Constant
+    windows get z = 0, so they correlate 0 with everything. Statistics
+    are taken per window over a sliding view rather than by differencing
+    cumulative sums, which cancel catastrophically once the running totals
+    have passed through a large burst.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(values, m, axis=-1)
+    mu = windows.mean(axis=-1, keepdims=True)
+    sigma = windows.std(axis=-1, keepdims=True)
+    const = sigma < epsilon_std
+    z = (windows - mu) / (np.where(const, 1.0, sigma) * math.sqrt(m))
+    const = const[..., 0]
+    z[const] = 0.0
+    return z, const
 
 
-def _sliding_dot(values: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Dot product of `query` against every window of `values`."""
-    return np.convolve(values, query[::-1], mode="valid")
+def _nearest(corr: np.ndarray, const: np.ndarray, r0: int, config: ProfileConfig):
+    """Distances and neighbors of rows r0.. from their correlations.
+
+    `corr` is (series, rows, w), the correlations of rows r0.. with every
+    window of the same series, and is overwritten. `const` marks the
+    constant windows of those series.
+    """
+    m, excl = config.window_m, config.exclusion
+    n_rows, w = corr.shape[1:]
+    # A constant row correlates 1 with constant windows and 0 with the
+    # rest: the snap and the identity below then give 0 and sqrt(2m).
+    ks, rs = np.nonzero(const[:, r0 : r0 + n_rows])
+    corr[ks, rs] = const[ks]
+    lo, hi = max(0, r0 - excl), min(w, r0 + n_rows + excl)
+    band = np.abs(np.arange(r0, r0 + n_rows)[:, None] - np.arange(lo, hi)) <= excl
+    np.copyto(corr[..., lo:hi], -np.inf, where=band)
+
+    best = corr.max(axis=-1)
+    exact = best >= 1.0 - EXACT_MATCH_EPS
+    d = np.sqrt(np.maximum(0.0, 2.0 * m * (1.0 - best)))
+    d[exact] = 0.0
+    # the first j with d_j <= d + NEIGHBOR_TIE_TOL, as a floor on r_j
+    floor = np.minimum(best, 1.0 - (d + NEIGHBOR_TIE_TOL) ** 2 / (2.0 * m))
+    floor[exact] = 1.0 - EXACT_MATCH_EPS
+    return d, np.argmax(corr >= floor[..., None], axis=-1)
 
 
-def _pair_distances(
-    qt: np.ndarray,
-    i: int,
-    mu: np.ndarray,
-    sigma: np.ndarray,
-    const: np.ndarray,
-    m: int,
-    sqrt2m: float,
-) -> np.ndarray:
-    """Distances from window i to all windows, given their dot products."""
-    if const[i]:
-        return np.where(const, 0.0, sqrt2m)
-    safe = np.where(const, 1.0, sigma)
-    r = (qt - m * mu[i] * mu) / (m * sigma[i] * safe)
-    np.clip(r, -1.0, 1.0, out=r)
-    d = np.sqrt(2.0 * m * (1.0 - r))
-    d[const] = sqrt2m
-    d[d * d <= 2.0 * m * EXACT_MATCH_EPS] = 0.0
-    return d
+def compute_many(values_2d, config: ProfileConfig) -> list[MatrixProfile]:
+    """Profiles of D equal-length series stacked as a (D, n) array.
+
+    One matrix multiply per tile gives the correlations of a block of
+    windows with every window of its series; the exclusion band is masked
+    and the row maximum is the nearest neighbor. Tiles hold whole series
+    when they are short and blocks of rows of one series when it is long,
+    and z-normalization runs per block of series, so memory stays bounded.
+    Same contract as `compute_brute_force`, series by series.
+    """
+    values = np.asarray(values_2d, dtype=np.float64)
+    if values.ndim != 2:
+        raise ValueError(f"expected a (series, time) array, got shape {values.shape}")
+    n_series, n = values.shape
+    w = _validate_length(n, config)
+    rows = min(w, max(1, _TILE_BYTES // (8 * w)))
+    per_tile = max(1, _TILE_BYTES // (8 * w * rows))
+    buf = np.empty(min(per_tile, n_series) * rows * w)
+    distances = np.empty((n_series, w))
+    neighbors = np.empty((n_series, w), dtype=np.int64)
+    for a in range(0, n_series, per_tile):
+        z, const = _znormalized(values[a : a + per_tile], config.window_m, config.epsilon_std)
+        zt = np.ascontiguousarray(z.transpose(0, 2, 1))  # a strided view misses BLAS
+        for r0 in range(0, w, rows):
+            block = z[:, r0 : r0 + rows]
+            corr = buf[: block.shape[0] * block.shape[1] * w].reshape(*block.shape[:2], w)
+            np.matmul(block, zt, out=corr)
+            d, j = _nearest(corr, const, r0, config)
+            distances[a : a + len(z), r0 : r0 + rows] = d
+            neighbors[a : a + len(z), r0 : r0 + rows] = j
+    return [MatrixProfile(distances[k], neighbors[k], config) for k in range(n_series)]
 
 
 def compute_fast(values, config: ProfileConfig) -> MatrixProfile:
-    """Profile via cached dot-product recurrences, O(n^2) total.
-
-    Same contract as compute_brute_force: the dot product of window i
-    against window j is derived from that of window i-1 against j-1, and
-    the z-normalized distance follows from the Pearson correlation
-    identity d = sqrt(2m(1 - r)).
-    """
-    values = np.asarray(values, dtype=np.float64)
-    w = _validate_length(values.size, config)
-    m = config.window_m
-    excl = config.exclusion
-    sqrt2m = math.sqrt(2.0 * m)
-
-    _, sigma_raw = _window_stats(values, m)
-    const = sigma_raw < config.epsilon_std
-    # Per-window z-normalization ignores global offset and scale, so the
-    # recurrence runs on a standardized copy; x and a*x + b then share the
-    # same numerical footing instead of drifting apart through the dot
-    # products. Constant windows were already classified in raw units above.
-    spread = float(values.std())
-    if spread > 0.0:
-        values = (values - float(values.mean())) / spread
-    mu, sigma = _window_stats(values, m)
-
-    distances = np.empty(w)
-    neighbors = np.empty(w, dtype=np.int64)
-    qt = _sliding_dot(values, values[:m])
-    qt_first = qt.copy()  # column 0 equals row 0 by symmetry
-    for i in range(w):
-        if i > 0:
-            if i % _REANCHOR_EVERY == 0:
-                qt = _sliding_dot(values, values[i : i + m])
-            else:
-                qt[1:] = (
-                    qt[:-1]
-                    - values[: w - 1] * values[i - 1]
-                    + values[m : m + w - 1] * values[i + m - 1]
-                )
-                qt[0] = qt_first[i]
-        d = _pair_distances(qt, i, mu, sigma, const, m, sqrt2m)
-        d[max(0, i - excl) : i + excl + 1] = np.inf
-        j = int(np.argmin(d))
-        distances[i] = d[j]
-        neighbors[i] = j
-    return MatrixProfile(distances, neighbors, config)
-
-
-def append_and_update(
-    profile: MatrixProfile, values, new_value: float, config: ProfileConfig
-) -> MatrixProfile:
-    """Profile of values + [new_value], reusing the existing profile.
-
-    Old distances can only decrease (the new window is one more neighbor
-    candidate); one entry is appended for the new window. The result
-    equals recomputing from scratch.
-    """
-    if config != profile.config:
-        raise ConfigMismatchError(
-            f"profile was computed with {profile.config}, got {config}"
-        )
-    values = np.asarray(values, dtype=np.float64)
-    extended = np.append(values, float(new_value))
-    m = config.window_m
-    excl = config.exclusion
-    w_old = len(profile)
-    j_new = extended.size - m  # index of the appended window
-    sqrt2m = math.sqrt(2.0 * m)
-
-    _, sigma_raw = _window_stats(extended, m)
-    const = sigma_raw < config.epsilon_std
-    # Same standardized anchoring as compute_fast, for the same reason.
-    spread = float(extended.std())
-    if spread > 0.0:
-        extended = (extended - float(extended.mean())) / spread
-    mu, sigma = _window_stats(extended, m)
-    qt = _sliding_dot(extended, extended[j_new:])
-    d_new = _pair_distances(qt, j_new, mu, sigma, const, m, sqrt2m)
-
-    distances = profile.distances.copy()
-    neighbors = profile.neighbor_index.copy()
-    cutoff = j_new - excl  # windows with |i - j_new| > exclusion
-    improved = np.nonzero(d_new[:cutoff] < distances[:cutoff])[0] if cutoff > 0 else []
-    distances[improved] = d_new[improved]
-    neighbors[improved] = j_new
-
-    candidates = d_new[:cutoff].copy() if cutoff > 0 else np.array([])
-    if candidates.size == 0:
-        raise InsufficientLengthError(
-            "appended window has no admissible neighbor; profile precondition broken"
-        )
-    nb = int(np.argmin(candidates))
-    return MatrixProfile(
-        np.append(distances, candidates[nb]),
-        np.append(neighbors, nb),
-        config,
-    )
+    """Profile of one series by the `compute_many` kernel."""
+    return compute_many(np.asarray(values, dtype=np.float64)[np.newaxis], config)[0]
 
 
 def top_discords(profile: MatrixProfile, k: int, exclusion: int) -> list[int]:

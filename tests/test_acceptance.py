@@ -154,6 +154,16 @@ def test_criterion_2_fast_matches_brute_force_and_affine_invariance():
         assert elapsed < 30, f"took {elapsed:.2f}s, budget 30s"
 
 
+def test_profile_routes_pick_the_same_neighbors():
+    rng = np.random.default_rng(42)
+    for i in range(100):
+        series = _corpus_series(rng, i)
+        config = ProfileConfig(window_m=(4, 8, 16)[i % 3])
+        fast = compute_fast(series, config)
+        brute = compute_brute_force(series, config)
+        assert np.array_equal(fast.neighbor_index, brute.neighbor_index), i
+
+
 # --- 3: correlation identity ------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -318,6 +319,22 @@ def test_mp_compute_fast_and_brute_agree_exactly(telemetry_files, tmp_path, caps
     capsys.readouterr()
 
 
+def test_mp_compute_fast_and_brute_pick_the_same_neighbors(tmp_path, capsys):
+    # low packet counts repeat windows exactly, so nearest neighbors tie
+    rng = random.Random(3)
+    write_telemetry(tmp_path / "low.csv", "dev-1", [rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(240)])
+    args = ["mp", "compute", "--input", str(tmp_path / "low.csv"), "--device", "dev-1", "--window", "8"]
+    rows = {}
+    for route, flag in (("fast", []), ("brute", ["--brute"])):
+        out = tmp_path / f"{route}.csv"
+        assert main(args + flag + ["--output", str(out)]) == 0
+        rows[route] = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [r[2] for r in rows["fast"]] == [r[2] for r in rows["brute"]]
+    for fast, brute in zip(rows["fast"], rows["brute"]):
+        assert abs(float(fast[1]) - float(brute[1])) <= 1e-9
+    capsys.readouterr()
+
+
 def test_mp_discords_prints_json_indices(telemetry_files, capsys):
     code = main(["mp", "discords", "--input", str(telemetry_files / "baseline.csv"),
                  "--device", "dev-1", "--window", "16", "--k", "3"])
@@ -355,6 +372,27 @@ def test_simulate_bad_scenario_is_config_error(tmp_path, capsys):
     code = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "keys, value",
+    [
+        (("detector", "exclusion"), True),
+        (("deception", "mtd", "address_pool"), [[1], [2], [3]]),
+    ],
+)
+def test_simulate_mistyped_field_is_config_error(tmp_path, capsys, keys, value):
+    obj = json.loads((SCENARIO_DIR / "canary_probe.json").read_text())
+    obj["detector"] = {"window": 16}
+    target = obj
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert ".".join(keys) in capsys.readouterr().err
 
 
 def test_simulate_missing_file_is_an_error(tmp_path, capsys):

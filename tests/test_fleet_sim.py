@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from fleetsec.detector import calibrate, detect
 from fleetsec.fleet_sim.report import REPORT_FILES
 from fleetsec.fleet_sim.scenario import (
     ConfigError,
@@ -15,6 +16,7 @@ from fleetsec.fleet_sim.scenario import (
     run_scenario,
     simulate_to_dir,
 )
+from fleetsec.telemetry import bucketize
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -236,6 +238,44 @@ def test_rollback_attack_before_any_acceptance_is_a_noop():
     assert events_of(report, "attack_noop")
     assert events_of(report, "update_rejected") == []
     assert device_row(report, "dev-a")["active_version"] == 2
+
+
+def test_batched_detector_pass_matches_per_device_detection():
+    # criterion-1 traffic on three devices, one of them flooded, two metrics
+    traffic = {"period": 40, "base": 50.0, "amplitude": 20.0, "noise": 1.0}
+    cfg = parse_scenario(
+        {
+            "seed": 3,
+            "duration": 800,
+            "devices": [
+                {"id": f"dev-{k}", "secret": f"s-{k}", "owner": "ops", "traffic": traffic}
+                for k in range(3)
+            ],
+            "detector": {"baseline_ticks": 400, "window": 16,
+                         "metrics": ["packets_in", "packets_out"]},
+            "attacks": [{"kind": "traffic_flood", "at": 600, "device": "dev-1",
+                         "factor": 10, "buckets": 24}],
+        }
+    )
+    report = run_scenario(cfg)
+    config = cfg.detector.to_config()
+    want = []
+    for dev in ("dev-0", "dev-1", "dev-2"):
+        for metric in cfg.detector.metrics:
+            series = bucketize(report.telemetry, dev, metric, 1, 0, cfg.duration)
+            threshold = calibrate(series.prefix(cfg.detector.baseline_ticks), config)
+            want.extend(detect(series, threshold, config))
+    assert any(a.device_id == "dev-1" for a in want)
+
+    def key(a):
+        return (a.device_id, a.metric, a.window_index, a.time)
+
+    assert [key(a) for a in report.anomalies] == [key(a) for a in want]
+    for got, exp in zip(report.anomalies, want):
+        assert got.score == pytest.approx(exp.score, abs=1e-9)
+        assert got.threshold == pytest.approx(exp.threshold, abs=1e-9)
+    found = [e.detail for e in events_of(report, "anomalies_found")]
+    assert [(p["device"], p["metric"]) for p in found] == sorted({key(a)[:2] for a in want})
 
 
 # --- config validation -----------------------------------------------------------

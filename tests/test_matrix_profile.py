@@ -4,15 +4,15 @@ import statistics
 import numpy as np
 import pytest
 
+from fleetsec import matrix_profile
 from fleetsec.matrix_profile import (
-    ConfigMismatchError,
     InsufficientLengthError,
     LengthMismatchError,
     MatrixProfile,
     ProfileConfig,
-    append_and_update,
     compute_brute_force,
     compute_fast,
+    compute_many,
     default_exclusion,
     top_discords,
     znorm_distance,
@@ -157,6 +157,51 @@ class TestFastPath:
             assert abs(i - j) > cfg.exclusion
 
 
+def mixed_batch(rng, n):
+    """Equal-length series that between them reach every kernel branch."""
+    t = np.arange(n)
+    flat_middle = rng.normal(size=n)
+    flat_middle[n // 3 : 2 * n // 3] = 4.0
+    return np.stack(
+        [
+            np.full(n, 2.0),
+            flat_middle,
+            np.tile([0.0, 3.0, 1.0, 5.0, 2.0], n // 5 + 1)[:n],  # the snap fires
+            rng.poisson(0.7, n).astype(float),  # low counts: many exact ties
+            rng.normal(size=n).cumsum(),
+            10 + 4 * np.sin(2 * np.pi * t / 25) + rng.normal(0, 0.5, n),
+            rng.poisson(20, n).astype(float),
+        ]
+    )
+
+
+class TestComputeMany:
+    # n = 60 and m = 8 give 53 windows: 70,000 bytes are tiles of 3 whole
+    # series over 7, and 4,300 bytes tiles of 10 rows of one series
+    @pytest.mark.parametrize("tile_bytes", [70_000, 4_300, None])
+    def test_equals_brute_force_per_series(self, rng_np, monkeypatch, tile_bytes):
+        if tile_bytes is not None:
+            monkeypatch.setattr(matrix_profile, "_TILE_BYTES", tile_bytes)
+        batch = mixed_batch(rng_np, 60)
+        cfg = ProfileConfig(8)
+        many = compute_many(batch, cfg)
+        assert len(many) == len(batch)
+        assert np.all(many[0].distances == 0.0) and np.all(many[2].distances == 0.0)
+        for values, got in zip(batch, many):
+            want = compute_brute_force(values, cfg)
+            assert np.allclose(got.distances, want.distances, atol=1e-9)
+            assert got.neighbor_index.tolist() == want.neighbor_index.tolist()
+
+    def test_rejects_bad_shapes(self):
+        cfg = ProfileConfig(4)
+        with pytest.raises(ValueError):
+            compute_many(np.zeros(20), cfg)
+        with pytest.raises(ValueError):
+            compute_many(np.zeros((2, 3, 20)), cfg)
+        with pytest.raises(InsufficientLengthError):
+            compute_many(np.zeros((2, 6)), cfg)
+
+
 def test_affine_invariance(rng_np):
     values = rng_np.normal(size=150).cumsum()
     cfg = ProfileConfig(8)
@@ -171,36 +216,6 @@ def test_distance_bound(rng_np):
     finite = p.distances[np.isfinite(p.distances)]
     assert np.all(finite >= 0)
     assert np.all(finite <= 2 * math.sqrt(16) + 1e-9)
-
-
-class TestAppendAndUpdate:
-    def test_equals_recompute(self, rng_np):
-        values = list(rng_np.normal(size=60).cumsum())
-        cfg = ProfileConfig(5)
-        profile = compute_fast(values[:40], cfg)
-        for k in range(40, 60):
-            profile = append_and_update(profile, values[:k], values[k], cfg)
-            fresh = compute_brute_force(values[: k + 1], cfg)
-            assert np.allclose(profile.distances, fresh.distances, atol=1e-9)
-
-    def test_old_distances_never_increase(self, rng_np):
-        values = list(rng_np.normal(size=50))
-        cfg = ProfileConfig(4)
-        before = compute_fast(values, cfg)
-        after = append_and_update(before, values, 3.7, cfg)
-        assert np.all(after.distances[: len(before)] <= before.distances + 1e-12)
-
-    def test_constant_series_stays_zero(self):
-        values = [2.0] * 12
-        cfg = ProfileConfig(3, 1)
-        p = append_and_update(compute_fast(values, cfg), values, 2.0, cfg)
-        assert np.allclose(p.distances, 0.0, atol=1e-12)
-
-    def test_config_mismatch_rejected(self):
-        values = list(range(20))
-        p = compute_fast(values, ProfileConfig(4))
-        with pytest.raises(ConfigMismatchError):
-            append_and_update(p, values, 1.0, ProfileConfig(5))
 
 
 class TestTopDiscords:
