@@ -282,25 +282,29 @@ def test_criterion_8_bundled_scenarios_are_deterministic(tmp_path):
 # --- 9: fleet scale ----------------------------------------------------------------------
 
 
+def fleet_scenario() -> dict:
+    return {
+        "seed": 99,
+        "duration": 240,
+        "devices": [
+            {
+                "id": f"dev-{i:04d}",
+                "secret": f"s-{i:04d}",
+                "owner": f"user-{i % 40}",
+                "traffic": {"period": 40, "base": 5.0, "amplitude": 2.0, "noise": 0.5},
+            }
+            for i in range(1000)
+        ],
+        "detector": {"baseline_ticks": 120, "window": 16},
+        "updates": [
+            {"at": 40, "version": 2, "expiry": 600, "firmware_id": "fleet-v2", "size": 1024}
+        ],
+    }
+
+
 def test_criterion_9_thousand_device_fleet():
     with criterion(9, "1,000 devices: provision + update campaign + detector pass < 60 s"):
-        obj = {
-            "seed": 99,
-            "duration": 240,
-            "devices": [
-                {
-                    "id": f"dev-{i:04d}",
-                    "secret": f"s-{i:04d}",
-                    "owner": f"user-{i % 40}",
-                    "traffic": {"period": 40, "base": 5.0, "amplitude": 2.0, "noise": 0.5},
-                }
-                for i in range(1000)
-            ],
-            "detector": {"baseline_ticks": 120, "window": 16},
-            "updates": [
-                {"at": 40, "version": 2, "expiry": 600, "firmware_id": "fleet-v2", "size": 1024}
-            ],
-        }
+        obj = fleet_scenario()
         started = time.perf_counter()
         report = run_scenario(parse_scenario(obj))
         elapsed = time.perf_counter() - started

@@ -1,0 +1,64 @@
+"""Pinned report digests: the simulator's output, byte for byte.
+
+Each file under golden/ holds, for one config, the sha256 of every report
+file and of telemetry.csv's data rows sorted, so a change of row order
+alone shows as a changed file digest over an unchanged row multiset.
+After a deliberate report change, regenerate the pins with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and say in CHANGES.md which digests moved and why.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from fleetsec.fleet_sim.report import REPORT_FILES, TELEMETRY_FILE
+from fleetsec.fleet_sim.scenario import load_scenario, parse_scenario, simulate_to_dir
+from test_acceptance import fleet_scenario, flood_scenario
+
+TESTS_DIR = Path(__file__).resolve().parent
+GOLDEN_DIR = TESTS_DIR / "golden"
+SCENARIO_DIR = TESTS_DIR.parent / "scenarios"
+
+CONFIGS = {
+    **{p.stem: (lambda p=p: load_scenario(p)) for p in sorted(SCENARIO_DIR.glob("*.json"))},
+    "criterion1_seed1": lambda: parse_scenario(flood_scenario(1)),
+    "criterion9": lambda: parse_scenario(fleet_scenario()),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(out_dir: Path) -> dict:
+    files = {name: _sha256((out_dir / name).read_bytes()) for name in REPORT_FILES}
+    header, *rows = (out_dir / TELEMETRY_FILE).read_bytes().splitlines(keepends=True)
+    sorted_rows = _sha256(header + b"".join(sorted(rows)))
+    return {"files": files, "telemetry_sorted_rows": sorted_rows}
+
+
+def pin_path(name: str) -> Path:
+    return GOLDEN_DIR / f"{name}.json"
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_report_digests_match_the_pins(name, tmp_path):
+    simulate_to_dir(CONFIGS[name](), tmp_path)
+    assert digests(tmp_path) == json.loads(pin_path(name).read_text(encoding="utf-8"))
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, build in sorted(CONFIGS.items()):
+        with tempfile.TemporaryDirectory() as tmp:
+            simulate_to_dir(build(), tmp)
+            text = json.dumps(digests(Path(tmp)), indent=2, sort_keys=True) + "\n"
+        pin_path(name).write_text(text, encoding="utf-8")
+        print(f"pinned {name}")
