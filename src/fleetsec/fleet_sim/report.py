@@ -5,6 +5,8 @@ telemetry.csv (raw connection events in the telemetry module's format),
 anomalies.jsonl (detector output), alerts.jsonl (deception alerts), and
 devices.json (final per-device state). Writers iterate deterministic
 structures only, so the same report always serializes to the same bytes.
+telemetry.csv rows run by tick, then device in config order, with a
+device's packet rows before its session open/close pairs.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from ..deception import Alert, write_alerts_jsonl
 from ..detector import AnomalyReport, write_reports_jsonl
-from ..telemetry import ConnectionEvent, events_to_csv
+from ..telemetry import TelemetryCounts
 
 if TYPE_CHECKING:
     from .scenario import ScenarioConfig
@@ -46,8 +48,8 @@ class EventRow:
 @dataclass
 class ScenarioReport:
     config: "ScenarioConfig"
+    telemetry: TelemetryCounts
     events: list[EventRow] = field(default_factory=list)
-    telemetry: list[ConnectionEvent] = field(default_factory=list)
     anomalies: list[AnomalyReport] = field(default_factory=list)
     alerts: list[Alert] = field(default_factory=list)
     devices: list[dict] = field(default_factory=list)
@@ -60,7 +62,7 @@ def write_report(report: ScenarioReport, out_dir: str | Path) -> Path:
         for row in report.events:
             fh.write(row.to_json() + "\n")
     with open(out / TELEMETRY_FILE, "w", encoding="utf-8", newline="") as fh:
-        events_to_csv(report.telemetry, fh)
+        report.telemetry.to_csv(fh)
     with open(out / ANOMALIES_FILE, "w", encoding="utf-8", newline="") as fh:
         write_reports_jsonl(report.anomalies, fh)
     with open(out / ALERTS_FILE, "w", encoding="utf-8", newline="") as fh:

@@ -12,6 +12,9 @@ update campaigns over a lossy fragmenting link, and suffer scripted
 attacks. At the end of the run the detector is calibrated per device on
 a clean prefix and swept over the full series, and credential-clone
 detection runs over all observed sessions.
+
+Telemetry is per-device, per-tick count arrays filled before the event
+loop, so the queue holds deliveries, attacks, admin and MTD events only.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from pathlib import Path
 import numpy as np
 
 from ..deception import (
-    Alert,
     CanaryToken,
     PortCanaries,
     attach_feint_patch,
@@ -41,7 +43,7 @@ from ..errors import FleetsecError
 from ..identity import BlacklistedError, ClaimRequest, DeviceRegistry, SecretMismatchError, Status
 from ..keystore import Keystore
 from ..matrix_profile import ProfileConfig, compute_many, default_exclusion
-from ..telemetry import ConnectionEvent, Direction, EventKind, Metric, bucketize
+from ..telemetry import Metric, TelemetryCounts, TelemetrySeries
 from ..tsa import TimestampAuthority
 from ..update_protocol import (
     DeviceMode,
@@ -62,7 +64,6 @@ from .transport import MAX_FRAGMENTS, SimLink, fragment, reassemble
 _MASK64 = 2**64 - 1
 
 HEARTBEAT_PERIOD = 20
-PACKET_SIZE = 64
 
 ATTACK_KINDS = (
     "rollback_replay",
@@ -605,8 +606,11 @@ class FleetSimulation:
         self._heap: list = []
         self._seq = 0
         self._mid = 0  # rolling fragment message id
+        self._row = {d.id: row for row, d in enumerate(config.devices)}  # telemetry row
 
-        self.report = ScenarioReport(config=config)
+        shape = (len(config.devices), config.duration)
+        counts = TelemetryCounts(tuple(self._row), np.zeros(shape, int), np.zeros(shape, int))
+        self.report = ScenarioReport(config, counts)
         seed = config.seed
         self.keystore = Keystore(seed)
         self.keystore.generate_key("publisher")
@@ -617,7 +621,6 @@ class FleetSimulation:
         self.link = SimLink(
             config.link.mtu, config.link.latency, config.link.drop_rate, rng_stream(seed, "link")
         )
-        self._device_rng = {d.id: rng_stream(seed, f"device:{d.id}") for d in config.devices}
         self._interrupt_rng = rng_stream(seed, "interrupts")
         self._canary_rng = rng_stream(seed, "deception:canary")
         self._mtd_rng = rng_stream(seed, "deception:mtd")
@@ -639,7 +642,6 @@ class FleetSimulation:
         self.update_states: dict[str, DeviceUpdateState] = {}
         self.ports: dict[str, PortCanaries] = {}
         self.observations: list[tuple[str, str, int]] = []
-        self.floods: dict[str, list[tuple[int, int, int]]] = {}
         self.campaigns: list[_Campaign] = []
         self.last_accepted: dict[str, tuple[FirmwareManifest, bytes]] = {}
         self.mtd_schedule = None
@@ -664,8 +666,7 @@ class FleetSimulation:
 
     def run(self) -> ScenarioReport:
         self._provision_all()
-        for dev in self.cfg.devices:
-            self.schedule(0, self._tick_device, dev)
+        self._fill_traffic()
         for index, update in enumerate(self.cfg.updates):
             self.schedule(update.at, self._run_campaign, index)
         for index, attack in enumerate(self.cfg.attacks):
@@ -751,35 +752,23 @@ class FleetSimulation:
         for t in range(mtd.rotation_interval, self.cfg.duration, mtd.rotation_interval):
             self.schedule(t, self._rotate_mtd)
 
-    # - per-tick device behavior -
+    # - device traffic -
 
-    def _tick_device(self, dev: DeviceSpec) -> None:
-        t = self.now
-        if self._on_grid[dev.id][t]:
-            rng = self._device_rng[dev.id]
+    def _fill_traffic(self) -> None:
+        telemetry = self.report.telemetry
+        for row, dev in enumerate(self.cfg.devices):
+            rng = rng_stream(self.cfg.seed, f"device:{dev.id}")
             traffic = dev.traffic
-            count = traffic.base + traffic.amplitude * math.sin(
-                2 * math.pi * (t % traffic.period) / traffic.period
-            )
-            if traffic.noise > 0:
-                count += rng.gauss(0, traffic.noise)
-            count = max(0, round(count))
-            for start, end, factor in self.floods.get(dev.id, ()):
-                if start <= t < end:
-                    count *= factor
-            for _ in range(count):
-                self.report.telemetry.append(
-                    ConnectionEvent(dev.id, t, Direction.INBOUND, EventKind.PACKET, PACKET_SIZE)
+            for t in np.flatnonzero(self._on_grid[dev.id]).tolist():
+                count = traffic.base + traffic.amplitude * math.sin(
+                    2 * math.pi * (t % traffic.period) / traffic.period
                 )
-            if t % HEARTBEAT_PERIOD == 0:
-                self.report.telemetry.append(
-                    ConnectionEvent(dev.id, t, Direction.INBOUND, EventKind.SESSION_OPEN)
-                )
-                self.report.telemetry.append(
-                    ConnectionEvent(dev.id, t, Direction.INBOUND, EventKind.SESSION_CLOSE)
-                )
-                self.observations.append((dev.id, "home", t))
-        self.schedule(t + 1, self._tick_device, dev)
+                if traffic.noise > 0:
+                    count += rng.gauss(0, traffic.noise)
+                telemetry.packets[row, t] = max(0, round(count))
+                if t % HEARTBEAT_PERIOD == 0:
+                    telemetry.sessions[row, t] = 1
+                    self.observations.append((dev.id, "home", t))
 
     # - update campaigns -
 
@@ -978,9 +967,7 @@ class FleetSimulation:
         rng = self._attack_rng[index]
         lo, hi = attack.params["rate"]
         attempts = rng.randint(lo, hi)
-        true_secret = next(
-            d.secret.encode("utf-8") for d in self.cfg.devices if d.id == attack.device
-        )
+        true_secret = self.cfg.devices[self._row[attack.device]].secret.encode("utf-8")
         actor = f"attacker:dictionary_attack:{index}"
         mismatches = 0
         for _ in range(attempts):
@@ -999,12 +986,7 @@ class FleetSimulation:
                 )
             except SecretMismatchError:
                 mismatches += 1
-            self.report.telemetry.append(
-                ConnectionEvent(attack.device, t, Direction.INBOUND, EventKind.SESSION_OPEN)
-            )
-            self.report.telemetry.append(
-                ConnectionEvent(attack.device, t, Direction.INBOUND, EventKind.SESSION_CLOSE)
-            )
+            self.report.telemetry.sessions[self._row[attack.device], t] += 1
         if attempts:
             self.event(
                 actor,
@@ -1019,7 +1001,7 @@ class FleetSimulation:
         interval = self.cfg.detector.interval if self.cfg.detector else 1
         start = attack.at
         end = attack.at + attack.params["buckets"] * interval
-        self.floods.setdefault(attack.device, []).append((start, end, attack.params["factor"]))
+        self.report.telemetry.packets[self._row[attack.device], start:end] *= attack.params["factor"]
         self.event(
             actor,
             "traffic_flood_started",
@@ -1079,27 +1061,22 @@ class FleetSimulation:
             return
         config = det.to_config()
         baseline_buckets = det.baseline_ticks // det.interval
-        by_device: dict[str, list[ConnectionEvent]] = {d.id: [] for d in self.cfg.devices}
-        for ev in self.report.telemetry:
-            by_device[ev.device_id].append(ev)
-        devices = sorted(by_device)
+        starts = np.arange(0, self.cfg.duration, det.interval)
+        devices = sorted(self._row)
         for first in range(0, len(devices), _DETECTOR_BLOCK):
             block = devices[first : first + _DETECTOR_BLOCK]
             found: dict[tuple[str, Metric], list] = {}
             for metric in det.metrics:
-                series = [
-                    bucketize(by_device[dev], dev, metric, det.interval, 0, self.cfg.duration)
-                    for dev in block
-                ]
-                baselines = compute_many(
-                    np.stack([s.values[:baseline_buckets] for s in series]), config.profile_config
-                )
-                profiles = compute_many(np.stack([s.values for s in series]), config.profile_config)
-                for s, base, profile in zip(series, baselines, profiles):
+                counts = self.report.telemetry.counts(metric)[[self._row[dev] for dev in block]]
+                values = np.add.reduceat(counts, starts, axis=1).astype(np.float64)
+                baselines = compute_many(values[:, :baseline_buckets], config.profile_config)
+                profiles = compute_many(values, config.profile_config)
+                for dev, row, base, profile in zip(block, values, baselines, profiles):
+                    series = TelemetrySeries(dev, metric, det.interval, tuple(row.tolist()), 0)
                     threshold = threshold_from_distances(
                         base.distances, config.quantile, config.margin
                     )
-                    found[s.device_id, metric] = reports_from_profile(s, profile, threshold)
+                    found[dev, metric] = reports_from_profile(series, profile, threshold)
             for dev in block:
                 for metric in det.metrics:
                     reports = found[dev, metric]

@@ -244,12 +244,6 @@ class DeviceRegistry:
         self._records[device_id] = rec
         return rec
 
-    def mark_needs_reprovision(self, device_id: str) -> DeviceRecord:
-        """Factory recovery wipes identity; flag the record for re-enrollment."""
-        rec = replace(self.record(device_id), needs_reprovision=True)
-        self._records[device_id] = rec
-        return rec
-
     def detect_credential_clone(
         self, observations: Iterable[tuple[str, str, int]]
     ) -> list[str]:
@@ -312,29 +306,32 @@ class DeviceRegistry:
     def from_json_obj(cls, obj: dict) -> DeviceRegistry:
         if not isinstance(obj, dict) or obj.get("format") != _FILE_FORMAT:
             raise ValueError("missing or unsupported registry format tag")
-        registry = cls(obj["seed"])
-        registry._next_session = obj["next_session"]
-        for entry in obj["devices"]:
-            rec = DeviceRecord(
-                device_id=entry["device_id"],
-                claim_hash=b64d(entry["claim_hash"]),
-                owner=entry["owner"],
-                device_pub=None
-                if entry["device_pub"] is None
-                else PublicKeyInfo.from_json_obj(entry["device_pub"]),
-                status=Status(entry["status"]),
-                needs_reprovision=entry["needs_reprovision"],
-            )
-            registry._records[rec.device_id] = rec
-            registry._generation[rec.device_id] = entry["generation"]
-            if rec.device_pub is not None:
-                # keys are seed-derived, so regenerating reproduces them;
-                # mismatch means the snapshot was edited or the seed lies
-                regenerated = registry._keystore.generate_key(rec.device_pub.key_id)
-                if regenerated.public_bytes != rec.device_pub.public_bytes:
-                    raise ValueError(
-                        f"device key for {rec.device_id!r} does not match registry seed"
-                    )
+        try:
+            registry = cls(obj["seed"])
+            registry._next_session = obj["next_session"]
+            for entry in obj["devices"]:
+                rec = DeviceRecord(
+                    device_id=entry["device_id"],
+                    claim_hash=b64d(entry["claim_hash"]),
+                    owner=entry["owner"],
+                    device_pub=None
+                    if entry["device_pub"] is None
+                    else PublicKeyInfo.from_json_obj(entry["device_pub"]),
+                    status=Status(entry["status"]),
+                    needs_reprovision=entry["needs_reprovision"],
+                )
+                registry._records[rec.device_id] = rec
+                registry._generation[rec.device_id] = entry["generation"]
+                if rec.device_pub is not None:
+                    # keys are seed-derived, so regenerating reproduces them;
+                    # mismatch means the snapshot was edited or the seed lies
+                    regenerated = registry._keystore.generate_key(rec.device_pub.key_id)
+                    if regenerated.public_bytes != rec.device_pub.public_bytes:
+                        raise ValueError(
+                            f"device key for {rec.device_id!r} does not match registry seed"
+                        )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed registry file: {exc!r}") from None
         return registry
 
     @classmethod

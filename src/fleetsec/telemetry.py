@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import bisect
 import csv
+import io
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, TextIO
+
+import numpy as np
 
 from .errors import FleetsecError
 
@@ -53,6 +56,11 @@ _COUNTING = {
     Metric.SESSIONS_IN: (EventKind.SESSION_OPEN, Direction.INBOUND),
     Metric.SESSIONS_OUT: (EventKind.SESSION_OPEN, Direction.OUTBOUND),
 }
+
+# TelemetryCounts column behind each metric. The others read zero: the
+# simulator sends nothing outbound, and no session outlives its tick.
+_COLUMNS = {Metric.PACKETS_IN: "packets", Metric.SESSIONS_IN: "sessions"}
+PACKET_SIZE = 64
 
 
 class EmptyRangeError(FleetsecError):
@@ -218,3 +226,43 @@ def events_to_csv(events: Iterable[ConnectionEvent], stream: TextIO) -> None:
     writer.writerow(CSV_HEADER)
     for e in events:
         writer.writerow([e.time, e.device_id, e.direction.value, e.kind.value, e.size])
+
+
+@dataclass(frozen=True, eq=False)
+class TelemetryCounts:
+    """The simulator's telemetry: inbound packets and sessions per device and tick.
+
+    Row i of each (devices, ticks) array is device_ids[i]. A packet is one
+    CSV row; a session is an open and a close row in the same tick.
+    """
+
+    device_ids: tuple[str, ...]
+    packets: np.ndarray
+    sessions: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.packets.sum() + 2 * self.sessions.sum())
+
+    def counts(self, metric: Metric) -> np.ndarray:
+        """Per-tick counts behind a metric, as `bucketize` counts the CSV's events."""
+        column = _COLUMNS.get(metric)
+        return np.zeros_like(self.packets) if column is None else getattr(self, column)
+
+    def to_csv(self, stream: TextIO) -> None:
+        """The ingest_csv format by tick, then row; a device's packets before its sessions."""
+        stream.write(",".join(CSV_HEADER) + "\n")
+        kinds = (EventKind.PACKET, EventKind.SESSION_OPEN, EventKind.SESSION_CLOSE)
+        tails = [[_row_tail(d, kind) for kind in kinds] for d in self.device_ids]
+        for t, (packets, sessions) in enumerate(zip(self.packets.T.tolist(), self.sessions.T.tolist())):
+            stream.write("".join(
+                f"{t}{packet}" * n_packets + f"{t}{opened}{t}{closed}" * n_sessions
+                for (packet, opened, closed), n_packets, n_sessions in zip(tails, packets, sessions)
+            ))
+
+
+def _row_tail(device_id: str, kind: EventKind) -> str:
+    """An inbound CSV row after its time column, quoted as events_to_csv quotes it."""
+    size = PACKET_SIZE if kind is EventKind.PACKET else 0
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(["", device_id, "inbound", kind.value, size])
+    return buf.getvalue()

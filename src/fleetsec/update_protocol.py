@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
+from typing import Iterator
 
 from .errors import FleetsecError
 from .keystore import KeyHandle, PublicKeyInfo, verify
@@ -261,16 +262,19 @@ class DeviceUpdateState:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> DeviceUpdateState:
-        return cls(
-            active_slot=Slot(obj["active_slot"]),
-            slot_a=SlotState.from_json_obj(obj["slots"]["A"]),
-            slot_b=SlotState.from_json_obj(obj["slots"]["B"]),
-            trust_anchor_tsa=PublicKeyInfo.from_json_obj(obj["trust_anchor_tsa"]),
-            trust_anchor_publisher=PublicKeyInfo.from_json_obj(
-                obj["trust_anchor_publisher"]
-            ),
-            mode=DeviceMode(obj["mode"]),
-        )
+        try:
+            return cls(
+                active_slot=Slot(obj["active_slot"]),
+                slot_a=SlotState.from_json_obj(obj["slots"]["A"]),
+                slot_b=SlotState.from_json_obj(obj["slots"]["B"]),
+                trust_anchor_tsa=PublicKeyInfo.from_json_obj(obj["trust_anchor_tsa"]),
+                trust_anchor_publisher=PublicKeyInfo.from_json_obj(
+                    obj["trust_anchor_publisher"]
+                ),
+                mode=DeviceMode(obj["mode"]),
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed device state file: {exc!r}") from None
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(
@@ -308,6 +312,35 @@ class RejectionRecord:
     reason: str
 
 
+def _failed_checks(
+    state: DeviceUpdateState,
+    manifest: FirmwareManifest,
+    firmware: bytes,
+    now: int,
+    freshness: bool = True,
+) -> Iterator[RejectReason]:
+    """The verification order, walked by install and by factory recovery.
+
+    Yields the reason of each failing check, lazily: a caller that takes
+    the first reason runs no check after it.
+    """
+    if not verify(state.trust_anchor_publisher, manifest.signed_body(), manifest.publisher_sig):
+        yield RejectReason.BAD_PUBLISHER_SIG
+    try:
+        verify_token(manifest.token, manifest.digest, state.trust_anchor_tsa)
+    except (UntrustedSignerError, MismatchedImprintError):
+        yield RejectReason.UNTRUSTED_TIMESTAMP
+    if hashlib.sha256(firmware).digest() != manifest.digest:
+        yield RejectReason.DIGEST_MISMATCH
+    active = state.active()
+    if freshness and not (
+        manifest.version > active.version and manifest.token.gen_time > active.gen_time
+    ):
+        yield RejectReason.ROLLBACK
+    if not now < manifest.expiry:
+        yield RejectReason.EXPIRED
+
+
 def device_verify(
     state: DeviceUpdateState, manifest: FirmwareManifest, firmware: bytes, now: int
 ) -> Verdict:
@@ -318,20 +351,8 @@ def device_verify(
     expiry. Authenticity before freshness keeps reasons deterministic and
     stops an attacker from probing version state with unsigned junk.
     """
-    if not verify(state.trust_anchor_publisher, manifest.signed_body(), manifest.publisher_sig):
-        return Verdict.reject(RejectReason.BAD_PUBLISHER_SIG)
-    try:
-        verify_token(manifest.token, manifest.digest, state.trust_anchor_tsa)
-    except (UntrustedSignerError, MismatchedImprintError):
-        return Verdict.reject(RejectReason.UNTRUSTED_TIMESTAMP)
-    if hashlib.sha256(firmware).digest() != manifest.digest:
-        return Verdict.reject(RejectReason.DIGEST_MISMATCH)
-    active = state.active()
-    if not (manifest.version > active.version and manifest.token.gen_time > active.gen_time):
-        return Verdict.reject(RejectReason.ROLLBACK)
-    if not now < manifest.expiry:
-        return Verdict.reject(RejectReason.EXPIRED)
-    return Verdict.accept()
+    reason = next(_failed_checks(state, manifest, firmware, now), None)
+    return Verdict.accept() if reason is None else Verdict.reject(reason)
 
 
 def apply_update(
@@ -417,20 +438,10 @@ def recover_to_trusted(
     """
     if state.mode is not DeviceMode.FAIL_STATE:
         raise NotInFailStateError(f"device mode is {state.mode.value}")
-    if not verify(
-        state.trust_anchor_publisher,
-        factory_manifest.signed_body(),
-        factory_manifest.publisher_sig,
-    ):
-        raise RecoveryRefusedError(RejectReason.BAD_PUBLISHER_SIG)
-    try:
-        verify_token(factory_manifest.token, factory_manifest.digest, state.trust_anchor_tsa)
-    except (UntrustedSignerError, MismatchedImprintError):
-        raise RecoveryRefusedError(RejectReason.UNTRUSTED_TIMESTAMP) from None
-    if hashlib.sha256(factory_firmware).digest() != factory_manifest.digest:
-        raise RecoveryRefusedError(RejectReason.DIGEST_MISMATCH)
-    if not now < factory_manifest.expiry:
-        raise RecoveryRefusedError(RejectReason.EXPIRED)
+    failed = _failed_checks(state, factory_manifest, factory_firmware, now, freshness=False)
+    reason = next(failed, None)
+    if reason is not None:
+        raise RecoveryRefusedError(reason)
     recovered = SlotState(
         image_digest=factory_manifest.digest,
         version=factory_manifest.version,

@@ -252,6 +252,37 @@ def test_identity_missing_registry_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda obj: obj.pop("seed"),
+        lambda obj: obj.update(devices=[1]),
+    ],
+    ids=["no-seed", "non-object-device"],
+)
+def test_identity_malformed_registry_is_a_format_error(tmp_path, capsys, edit):
+    reg = tmp_path / "registry.json"
+    assert main(["identity", "register", "--registry", str(reg), "--device", "dev-1",
+                 "--secret", "box-99"]) == 0
+    obj = json.loads(reg.read_text())
+    edit(obj)
+    reg.write_text(json.dumps(obj))
+    code = main(["identity", "blacklist", "--registry", str(reg), "--device", "dev-1"])
+    assert code == 2
+    assert "malformed registry" in capsys.readouterr().err
+
+
+def test_verify_malformed_state_is_a_format_error(workdir, tmp_path, capsys):
+    obj = json.loads((workdir / "state.json").read_text())
+    del obj["slots"]
+    bad = tmp_path / "state.json"
+    bad.write_text(json.dumps(obj))
+    code = main(["manifest", "verify", "--manifest", str(workdir / "m2.bin"),
+                 "--firmware", str(workdir / "fw2.bin"), "--state", str(bad), "--now", "50"])
+    assert code == 2
+    assert "malformed device state" in capsys.readouterr().err
+
+
 # --- detect and mp -----------------------------------------------------------------
 
 

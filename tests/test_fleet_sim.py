@@ -7,6 +7,7 @@ from fleetsec.detector import calibrate, detect
 from fleetsec.fleet_sim.report import REPORT_FILES
 from fleetsec.fleet_sim.scenario import (
     ConfigError,
+    FleetSimulation,
     ScenarioConfig,
     UnknownAttackKindError,
     load_scenario,
@@ -16,7 +17,7 @@ from fleetsec.fleet_sim.scenario import (
     run_scenario,
     simulate_to_dir,
 )
-from fleetsec.telemetry import bucketize
+from fleetsec.telemetry import bucketize, ingest_csv
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -54,9 +55,17 @@ def test_empty_scenario_completes_immediately():
     report = run_scenario(parse_scenario({"seed": 1, "duration": 10, "devices": [],
                                           "detector": None}))
     assert report.events == []
-    assert report.telemetry == []
+    assert len(report.telemetry) == 0
     assert report.anomalies == []
     assert report.devices == []
+
+
+def test_device_traffic_needs_no_scheduled_events(monkeypatch):
+    scheduled = []
+    monkeypatch.setattr(FleetSimulation, "schedule", lambda self, *args: scheduled.append(args))
+    report = run_scenario(parse_scenario(base_config()))
+    assert scheduled == []
+    assert len(report.telemetry) > 0
 
 
 def test_event_times_never_decrease():
@@ -192,6 +201,21 @@ def test_traffic_flood_anomalies_overlap_the_flood():
         assert anomaly.window_index + window > start
 
 
+@pytest.mark.parametrize("at", [0, 7])
+def test_traffic_flood_multiplies_exactly_its_ticks(at):
+    def packets(attacks):
+        return run_scenario(parse_scenario(base_config(attacks=attacks))).telemetry.packets
+
+    clean = packets([])
+    flooded = packets(
+        [{"kind": "traffic_flood", "at": at, "device": "dev-a", "factor": 10, "buckets": 5}]
+    )
+    want = clean.copy()
+    want[0, at : at + 5] *= 10
+    assert clean[0, at] > 0
+    assert flooded.tolist() == want.tolist()
+
+
 def test_canary_probe_alerts_are_attributable():
     report = run_scenario(scenario("canary_probe"))
     assert report.alerts
@@ -240,7 +264,7 @@ def test_rollback_attack_before_any_acceptance_is_a_noop():
     assert device_row(report, "dev-a")["active_version"] == 2
 
 
-def test_batched_detector_pass_matches_per_device_detection():
+def test_batched_detector_pass_matches_per_device_detection(tmp_path):
     # criterion-1 traffic on three devices, one of them flooded, two metrics
     traffic = {"period": 40, "base": 50.0, "amplitude": 20.0, "noise": 1.0}
     cfg = parse_scenario(
@@ -257,12 +281,15 @@ def test_batched_detector_pass_matches_per_device_detection():
                          "factor": 10, "buckets": 24}],
         }
     )
-    report = run_scenario(cfg)
+    report = simulate_to_dir(cfg, tmp_path)
+    # the oracle reads the written telemetry back as events
+    with open(tmp_path / "telemetry.csv", encoding="utf-8") as fh:
+        events = ingest_csv(fh)
     config = cfg.detector.to_config()
     want = []
     for dev in ("dev-0", "dev-1", "dev-2"):
         for metric in cfg.detector.metrics:
-            series = bucketize(report.telemetry, dev, metric, 1, 0, cfg.duration)
+            series = bucketize(events, dev, metric, 1, 0, cfg.duration)
             threshold = calibrate(series.prefix(cfg.detector.baseline_ticks), config)
             want.extend(detect(series, threshold, config))
     assert any(a.device_id == "dev-1" for a in want)

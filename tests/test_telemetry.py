@@ -1,11 +1,13 @@
 import io
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from fleetsec.telemetry import (
     CSV_HEADER,
+    PACKET_SIZE,
     ConnectionEvent,
     Direction,
     EmptyRangeError,
@@ -13,6 +15,7 @@ from fleetsec.telemetry import (
     Metric,
     NegativeIntervalError,
     ParseError,
+    TelemetryCounts,
     TelemetrySeries,
     UnknownEnumError,
     bucketize,
@@ -165,3 +168,49 @@ def test_series_prefix():
     series = TelemetrySeries("d", Metric.PACKETS_IN, 1, (1.0, 2.0, 3.0, 4.0), 0)
     assert list(series.prefix(2).values) == [1.0, 2.0]
     assert series.prefix(2).device_id == "d"
+
+
+class TestTelemetryCounts:
+    # awkward ids: the CSV must quote them as events_to_csv does
+    IDS = ("plain", 'co,mma "quoted"')
+
+    def counts(self):
+        rng = np.random.default_rng(5)
+        return TelemetryCounts(
+            self.IDS, rng.integers(0, 4, size=(2, 11)), rng.integers(0, 2, size=(2, 11))
+        )
+
+    def events(self, counts):
+        """The same telemetry as events, in the canonical row order."""
+        events = []
+        for t in range(counts.packets.shape[1]):
+            for row, device in enumerate(counts.device_ids):
+                events += [ev(t, EventKind.PACKET, device=device, size=PACKET_SIZE)] * int(
+                    counts.packets[row, t]
+                )
+                events += [
+                    ev(t, EventKind.SESSION_OPEN, device=device),
+                    ev(t, EventKind.SESSION_CLOSE, device=device),
+                ] * int(counts.sessions[row, t])
+        return events
+
+    def test_csv_is_the_event_writers_output(self):
+        counts = self.counts()
+        events = self.events(counts)
+        got, want = io.StringIO(), io.StringIO()
+        counts.to_csv(got)
+        events_to_csv(events, want)
+        assert got.getvalue() == want.getvalue()
+        assert ingest_csv(io.StringIO(got.getvalue())) == events
+        assert len(counts) == len(events)
+
+    @pytest.mark.parametrize("interval", [1, 3, 11])
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_counts_bucket_as_bucketize_does(self, metric, interval):
+        counts = self.counts()
+        events = self.events(counts)
+        starts = np.arange(0, 11, interval)
+        got = np.add.reduceat(counts.counts(metric), starts, axis=1)
+        for row, device in enumerate(self.IDS):
+            want = bucketize(events, device, metric, interval, 0, 11).values
+            assert got[row].tolist() == list(want)

@@ -324,6 +324,26 @@ def test_recover_refuses_expired_factory_manifest(env):
     assert exc.value.reason is RejectReason.EXPIRED
 
 
+@pytest.mark.parametrize(
+    "fault, reason",
+    [("rogue_tsa", RejectReason.UNTRUSTED_TIMESTAMP), ("tampered", RejectReason.DIGEST_MISMATCH)],
+)
+def test_recover_names_the_same_first_failure_as_install(env, fault, reason):
+    # each fault comes with an expired manifest; both paths name the earlier check
+    store, tsa, state, _, fw1, _ = env
+    failed = _failed_state(env)
+    if fault == "rogue_tsa":
+        rogue = Keystore(408)
+        rogue.generate_key("tsa-root")
+        tsa = TimestampAuthority(rogue, "tsa-root")
+    factory = build_manifest(fw1, "factory", 2, 80, store.handle("publisher"), tsa, now=60)
+    image = fw1[:-1] + bytes([fw1[-1] ^ 1]) if fault == "tampered" else fw1
+    assert device_verify(state, factory, image, now=90) == Verdict.reject(reason)
+    with pytest.raises(RecoveryRefusedError) as exc:
+        recover_to_trusted(failed, factory, image, now=90)
+    assert exc.value.reason is reason
+
+
 def test_recover_requires_fail_state(env):
     store, tsa, state, _, fw1, _ = env
     factory = build_manifest(fw1, "factory", 1, 10_000, store.handle("publisher"), tsa, now=60)
