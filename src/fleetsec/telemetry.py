@@ -228,7 +228,7 @@ def events_to_csv(events: Iterable[ConnectionEvent], stream: TextIO) -> None:
         writer.writerow([e.time, e.device_id, e.direction.value, e.kind.value, e.size])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class TelemetryCounts:
     """The simulator's telemetry: inbound packets and sessions per device and tick.
 
