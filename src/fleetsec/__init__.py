@@ -29,7 +29,7 @@ from .matrix_profile import (
     top_discords,
     znorm_distance,
 )
-from .telemetry import ConnectionEvent, Metric, TelemetrySeries, bucketize, ingest_csv
+from .telemetry import Metric, TelemetryCounts, TelemetrySeries, bucketize, ingest_csv
 from .tsa import TimestampAuthority, TimestampToken, decode_token, verify_token
 from .update_protocol import (
     DeviceUpdateState,
@@ -49,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnomalyReport",
     "ClaimRequest",
-    "ConnectionEvent",
     "DetectorConfig",
     "DeviceRecord",
     "DeviceRegistry",
@@ -62,6 +61,7 @@ __all__ = [
     "ProfileConfig",
     "PublicKeyInfo",
     "RejectReason",
+    "TelemetryCounts",
     "TelemetrySeries",
     "TimestampAuthority",
     "TimestampToken",

@@ -29,7 +29,7 @@ from .identity import (
 )
 from .keystore import Keystore
 from .matrix_profile import ProfileConfig, compute_brute_force, compute_fast, top_discords
-from .telemetry import Metric, bucketize, ingest_csv
+from .telemetry import Metric, TelemetryCounts, bucketize, ingest_csv
 from .tsa import (
     MismatchedImprintError,
     TimestampAuthority,
@@ -58,19 +58,17 @@ _SECURITY_NEGATIVE = (
 )
 
 
-def _load_events(path: str):
+def _load_telemetry(path: str) -> TelemetryCounts:
     with open(path, encoding="utf-8", newline="") as fh:
         return ingest_csv(fh)
 
 
-def _series_for(events, device_id, metric, interval, start=None, end=None):
-    if start is None or end is None:
-        if not events:
-            raise ValueError("input has no events; pass --start and --end explicitly")
-        times = [e.time for e in events]
-        start = min(times) if start is None else start
-        end = max(times) + 1 if end is None else end
-    return bucketize(events, device_id, metric, interval, start, end)
+def _series_for(path, telemetry, device_id, metric, interval, start=None, end=None):
+    if device_id not in telemetry.device_ids:
+        raise ValueError(f"{path}: no telemetry for device {device_id!r}")
+    start = int(telemetry.ticks[0]) if start is None else start
+    end = int(telemetry.ticks[-1]) + 1 if end is None else end
+    return bucketize(telemetry, device_id, metric, interval, start, end)
 
 
 def _profile_args(sub: argparse.ArgumentParser) -> None:
@@ -85,9 +83,9 @@ def _profile_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _cmd_mp_compute(args) -> int:
-    events = _load_events(args.input)
+    telemetry = _load_telemetry(args.input)
     series = _series_for(
-        events, args.device, Metric(args.metric), args.interval, args.start, args.end
+        args.input, telemetry, args.device, Metric(args.metric), args.interval, args.start, args.end
     )
     config = ProfileConfig(window_m=args.window, exclusion=args.exclusion)
     compute = compute_brute_force if args.brute else compute_fast
@@ -104,9 +102,9 @@ def _cmd_mp_compute(args) -> int:
 
 
 def _cmd_mp_discords(args) -> int:
-    events = _load_events(args.input)
+    telemetry = _load_telemetry(args.input)
     series = _series_for(
-        events, args.device, Metric(args.metric), args.interval, args.start, args.end
+        args.input, telemetry, args.device, Metric(args.metric), args.interval, args.start, args.end
     )
     config = ProfileConfig(window_m=args.window, exclusion=args.exclusion)
     profile = compute_fast(series.values, config)
@@ -121,18 +119,17 @@ def _cmd_detect(args) -> int:
         margin=args.margin,
     )
     metric = Metric(args.metric)
-    baseline_events = _load_events(args.baseline)
-    input_events = _load_events(args.input)
-    devices = sorted({e.device_id for e in input_events})
+    baseline = _load_telemetry(args.baseline)
+    telemetry = _load_telemetry(args.input)
+    devices = sorted(telemetry.device_ids)
     series_by_device = {}
     thresholds = {}
     for device_id in devices:
-        if not any(e.device_id == device_id for e in baseline_events):
-            print(f"error: no baseline telemetry for device {device_id!r}", file=sys.stderr)
-            return 2
-        baseline = _series_for(baseline_events, device_id, metric, args.interval)
-        thresholds[device_id] = calibrate(baseline, config)
-        series_by_device[device_id] = _series_for(input_events, device_id, metric, args.interval)
+        baseline_series = _series_for(args.baseline, baseline, device_id, metric, args.interval)
+        thresholds[device_id] = calibrate(baseline_series, config)
+        series_by_device[device_id] = _series_for(
+            args.input, telemetry, device_id, metric, args.interval
+        )
     reports = detect_fleet(series_by_device, thresholds, config)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_reports_jsonl(reports, fh)

@@ -1,12 +1,13 @@
 """Scenario report bundle and its on-disk form.
 
 A report directory holds five files: events.jsonl (the event log),
-telemetry.csv (raw connection events in the telemetry module's format),
-anomalies.jsonl (detector output), alerts.jsonl (deception alerts), and
-devices.json (final per-device state). Writers iterate deterministic
-structures only, so the same report always serializes to the same bytes.
-telemetry.csv rows run by tick, then device in config order, with a
-device's packet rows before its session open/close pairs.
+telemetry.csv (the run's `TelemetryCounts`, one row per event, in the
+format `ingest_csv` reads), anomalies.jsonl (detector output),
+alerts.jsonl (deception alerts), and devices.json (final per-device
+state). Writers iterate deterministic structures only, so the same report
+always serializes to the same bytes. telemetry.csv rows run by tick, then
+device in config order, then column: a device's packets, then its
+session opens, then its session closes.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ from ..errors import FleetsecError
 from ..identity import BlacklistedError, ClaimRequest, DeviceRegistry, SecretMismatchError, Status
 from ..keystore import Keystore
 from ..matrix_profile import ProfileConfig, compute_many, default_exclusion
-from ..telemetry import Metric, TelemetryCounts, TelemetrySeries
+from ..telemetry import Direction, EventKind, Metric, TelemetryCounts, TelemetrySeries
 from ..tsa import TimestampAuthority
 from ..update_protocol import (
     DeviceMode,
@@ -79,6 +79,11 @@ ATTACK_KINDS = (
 # off within a few dozen series; larger blocks only hold more series and
 # profiles alive at the run's memory peak.
 _DETECTOR_BLOCK = 64
+
+# Bounds on traffic parameters and on the flood factor covering any one
+# tick: with them a tick's packet count stays far inside int64.
+MAX_TRAFFIC = 1e6
+MAX_FLOOD_FACTOR = 10**6
 
 
 class ConfigError(FleetsecError):
@@ -243,8 +248,9 @@ def _parse_traffic(obj: dict, path: str) -> TrafficSpec:
     )
     if spec.period < 2:
         raise ConfigError(f"{path}.period", "must be at least 2")
-    if spec.base < 0 or spec.amplitude < 0 or spec.noise < 0:
-        raise ConfigError(path, "traffic parameters must be non-negative")
+    for name in ("base", "amplitude", "noise"):
+        if not 0 <= getattr(spec, name) <= MAX_TRAFFIC:  # NaN fails too
+            raise ConfigError(f"{path}.{name}", f"must be in [0, {MAX_TRAFFIC:g}]")
     return spec
 
 
@@ -432,12 +438,28 @@ def _parse_attack(obj: dict, path: str, duration: int, device_ids: set[str]) -> 
         params["rate"] = (rate[0], rate[1])
     elif kind == "traffic_flood":
         params["factor"] = _field(obj, path, "factor", int, 10)
-        if params["factor"] < 2:
-            raise ConfigError(f"{path}.factor", "must be at least 2")
+        if not 2 <= params["factor"] <= MAX_FLOOD_FACTOR:
+            raise ConfigError(f"{path}.factor", f"must be in [2, {MAX_FLOOD_FACTOR}]")
         params["buckets"] = _field(obj, path, "buckets", int, 20)
         if params["buckets"] < 1:
             raise ConfigError(f"{path}.buckets", "must be positive")
     return AttackSpec(kind=kind, at=at, device=device, params=params)
+
+
+def _check_flood_overlap(attacks: list[AttackSpec], interval: int, source: str) -> None:
+    """Floods on one tick multiply; the product peaks at some flood's first tick."""
+    floods = [(i, a) for i, a in enumerate(attacks) if a.kind == "traffic_flood"]
+    for i, flood in floods:
+        product = math.prod(
+            other.params["factor"]
+            for _, other in floods
+            if other.device == flood.device
+            and other.at <= flood.at < other.at + other.params["buckets"] * interval
+        )
+        if product > MAX_FLOOD_FACTOR:
+            raise ConfigError(
+                f"{source}.attacks[{i}].factor", f"overlapping floods multiply past {MAX_FLOOD_FACTOR}"
+            )
 
 
 def _parse_deception(obj: dict, path: str, devices: tuple[DeviceSpec, ...]) -> DeceptionSpec:
@@ -528,6 +550,7 @@ def parse_scenario(obj: dict, source: str = "scenario") -> ScenarioConfig:
             if not (has_image or has_port):
                 raise ConfigError(path, "canary_probe needs a planted canary or canary ports")
         attacks.append(attack)
+    _check_flood_overlap(attacks, detector.interval if detector else 1, source)
 
     admin = []
     for i, adm_obj in enumerate(_field(obj, source, "admin", list, [])):
@@ -608,8 +631,16 @@ class FleetSimulation:
         self._mid = 0  # rolling fragment message id
         self._row = {d.id: row for row, d in enumerate(config.devices)}  # telemetry row
 
+        # inbound packets and sessions per device and tick; a session opens
+        # and closes in its tick, so one array is both of those columns
         shape = (len(config.devices), config.duration)
-        counts = TelemetryCounts(tuple(self._row), np.zeros(shape, int), np.zeros(shape, int))
+        self._packets = np.zeros(shape, np.int64)
+        self._sessions = np.zeros(shape, np.int64)
+        counts = TelemetryCounts(tuple(self._row), np.arange(config.duration), {
+            (EventKind.PACKET, Direction.INBOUND): self._packets,
+            (EventKind.SESSION_OPEN, Direction.INBOUND): self._sessions,
+            (EventKind.SESSION_CLOSE, Direction.INBOUND): self._sessions,
+        })
         self.report = ScenarioReport(config, counts)
         seed = config.seed
         self.keystore = Keystore(seed)
@@ -755,7 +786,6 @@ class FleetSimulation:
     # - device traffic -
 
     def _fill_traffic(self) -> None:
-        telemetry = self.report.telemetry
         for row, dev in enumerate(self.cfg.devices):
             rng = rng_stream(self.cfg.seed, f"device:{dev.id}")
             traffic = dev.traffic
@@ -765,9 +795,9 @@ class FleetSimulation:
                 )
                 if traffic.noise > 0:
                     count += rng.gauss(0, traffic.noise)
-                telemetry.packets[row, t] = max(0, round(count))
+                self._packets[row, t] = max(0, round(count))
                 if t % HEARTBEAT_PERIOD == 0:
-                    telemetry.sessions[row, t] = 1
+                    self._sessions[row, t] = 1
                     self.observations.append((dev.id, "home", t))
 
     # - update campaigns -
@@ -986,7 +1016,7 @@ class FleetSimulation:
                 )
             except SecretMismatchError:
                 mismatches += 1
-            self.report.telemetry.sessions[self._row[attack.device], t] += 1
+            self._sessions[self._row[attack.device], t] += 1
         if attempts:
             self.event(
                 actor,
@@ -1001,7 +1031,7 @@ class FleetSimulation:
         interval = self.cfg.detector.interval if self.cfg.detector else 1
         start = attack.at
         end = attack.at + attack.params["buckets"] * interval
-        self.report.telemetry.packets[self._row[attack.device], start:end] *= attack.params["factor"]
+        self._packets[self._row[attack.device], start:end] *= attack.params["factor"]
         self.event(
             actor,
             "traffic_flood_started",
@@ -1061,14 +1091,13 @@ class FleetSimulation:
             return
         config = det.to_config()
         baseline_buckets = det.baseline_ticks // det.interval
-        starts = np.arange(0, self.cfg.duration, det.interval)
         devices = sorted(self._row)
         for first in range(0, len(devices), _DETECTOR_BLOCK):
             block = devices[first : first + _DETECTOR_BLOCK]
+            rows = [self._row[dev] for dev in block]
             found: dict[tuple[str, Metric], list] = {}
             for metric in det.metrics:
-                counts = self.report.telemetry.counts(metric)[[self._row[dev] for dev in block]]
-                values = np.add.reduceat(counts, starts, axis=1).astype(np.float64)
+                values = self.report.telemetry.bucket(rows, metric, det.interval, 0, self.cfg.duration)
                 baselines = compute_many(values[:, :baseline_buckets], config.profile_config)
                 profiles = compute_many(values, config.profile_config)
                 for dev, row, base, profile in zip(block, values, baselines, profiles):

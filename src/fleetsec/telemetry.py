@@ -1,9 +1,11 @@
 """Network event ingestion and per-device telemetry series construction.
 
-Raw connection events (packets, session opens/closes) are reduced to
-uniformly sampled per-device time series, the input the anomaly detector
-expects. Time is integer ticks throughout, never wall clock, so simulator
-runs and tests stay deterministic.
+Telemetry is held as `TelemetryCounts`, event counts per device and tick
+for each (kind, direction); the simulator fills one, and `ingest_csv`
+reads one from CSV. `bucketize` reduces a device's counts to the
+uniformly sampled series the anomaly detector expects. Time is integer
+ticks throughout, never wall clock, so simulator runs and tests stay
+deterministic.
 
 Sampling semantics, fixed by the series format:
 
@@ -16,12 +18,13 @@ Sampling semantics, fixed by the series format:
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -47,20 +50,32 @@ class Metric(str, Enum):
     SESSIONS_OUT = "sessions_out"
 
 
+Column = tuple[EventKind, Direction]
+
 CSV_HEADER = ["time", "device_id", "direction", "kind", "size"]
+PACKET_SIZE = 64  # the size column of every packet row written
 
-# (kind, direction) selector for each counting metric.
-_COUNTING = {
-    Metric.PACKETS_IN: (EventKind.PACKET, Direction.INBOUND),
-    Metric.PACKETS_OUT: (EventKind.PACKET, Direction.OUTBOUND),
-    Metric.SESSIONS_IN: (EventKind.SESSION_OPEN, Direction.INBOUND),
-    Metric.SESSIONS_OUT: (EventKind.SESSION_OPEN, Direction.OUTBOUND),
+# Every column, in the order a device's rows in one tick are written.
+CSV_ORDER: tuple[Column, ...] = tuple(
+    (kind, direction)
+    for kind in (EventKind.PACKET, EventKind.SESSION_OPEN, EventKind.SESSION_CLOSE)
+    for direction in Direction
+)
+
+# The signed columns whose running total each metric reads: a counting
+# metric is the total's rise over a bucket, open_connections its value at
+# each bucket start.
+_TERMS: dict[Metric, dict[Column, int]] = {
+    Metric.PACKETS_IN: {(EventKind.PACKET, Direction.INBOUND): 1},
+    Metric.PACKETS_OUT: {(EventKind.PACKET, Direction.OUTBOUND): 1},
+    Metric.SESSIONS_IN: {(EventKind.SESSION_OPEN, Direction.INBOUND): 1},
+    Metric.SESSIONS_OUT: {(EventKind.SESSION_OPEN, Direction.OUTBOUND): 1},
+    Metric.OPEN_CONNECTIONS: {
+        (kind, direction): sign
+        for kind, sign in ((EventKind.SESSION_OPEN, 1), (EventKind.SESSION_CLOSE, -1))
+        for direction in Direction
+    },
 }
-
-# TelemetryCounts column behind each metric. The others read zero: the
-# simulator sends nothing outbound, and no session outlives its tick.
-_COLUMNS = {Metric.PACKETS_IN: "packets", Metric.SESSIONS_IN: "sessions"}
-PACKET_SIZE = 64
 
 
 class EmptyRangeError(FleetsecError):
@@ -72,7 +87,7 @@ class NegativeIntervalError(FleetsecError):
 
 
 class ParseError(FleetsecError):
-    """A CSV row could not be turned into a ConnectionEvent."""
+    """A telemetry CSV row could not be parsed."""
 
     def __init__(self, row: int, message: str):
         super().__init__(f"row {row}: {message}")
@@ -81,25 +96,6 @@ class ParseError(FleetsecError):
 
 class UnknownEnumError(ParseError):
     """A direction or kind column holds an unknown value."""
-
-
-@dataclass(frozen=True)
-class ConnectionEvent:
-    """One observed network event attributed to a device."""
-
-    device_id: str
-    time: int
-    direction: Direction
-    kind: EventKind
-    size: int = 0
-
-    def __post_init__(self):
-        if self.time < 0:
-            raise ValueError(f"event time must be non-negative, got {self.time}")
-        if self.size < 0:
-            raise ValueError(f"event size must be non-negative, got {self.size}")
-        if self.kind is not EventKind.PACKET and self.size != 0:
-            raise ValueError("size must be 0 for session events")
 
 
 @dataclass(frozen=True)
@@ -127,62 +123,93 @@ class TelemetrySeries:
         )
 
 
+@dataclass(eq=False)
+class TelemetryCounts:
+    """Event counts per device and tick, one int64 array per (kind, direction) column.
+
+    Row i of each (devices, ticks) array is device_ids[i], and array
+    column j is tick ticks[j]; `ticks` is sorted and distinct. A column
+    missing from `columns` reads zero. len() is the number of events,
+    one CSV row each.
+    """
+
+    device_ids: tuple[str, ...]
+    ticks: np.ndarray
+    columns: dict[Column, np.ndarray]
+
+    def __len__(self) -> int:
+        return sum(int(counts.sum()) for counts in self.columns.values())
+
+    def bucket(self, rows: list[int], metric: Metric, interval: int, start: int, end: int) -> np.ndarray:
+        """The metric per bucket over [start, end) for the given device rows, as (rows, buckets)."""
+        if interval <= 0:
+            raise NegativeIntervalError(f"interval must be > 0, got {interval}")
+        if start >= end:
+            raise EmptyRangeError(f"empty range [{start}, {end})")
+        # total[:, i] sums the signed columns over the first i ticks
+        total = np.zeros((len(rows), len(self.ticks) + 1), np.int64)
+        for column, sign in _TERMS[metric].items():
+            if column in self.columns:
+                total[:, 1:] += sign * self.columns[column][rows]
+        np.cumsum(total, axis=1, out=total)
+        edges = np.arange(start, end, interval)
+        if metric is Metric.OPEN_CONNECTIONS:
+            values = total[:, np.searchsorted(self.ticks, edges, side="right")]
+        else:
+            values = np.diff(total[:, np.searchsorted(self.ticks, np.append(edges, end))], axis=1)
+        return values.astype(np.float64)
+
+    def to_csv(self, stream: TextIO) -> None:
+        """The ingest_csv format by tick, then device in row order, then column."""
+        stream.write(",".join(CSV_HEADER) + "\n")
+        order = [column for column in CSV_ORDER if column in self.columns]
+        tails = [_row_tail(device_id, *column) for device_id in self.device_ids for column in order]
+        arrays = [self.columns[column] for column in order]
+        if not arrays:
+            return
+        for j, t in enumerate(self.ticks.tolist()):
+            # one tick's counts, device-major like tails
+            counts = np.column_stack([array[:, j] for array in arrays]).ravel().tolist()
+            stream.write("".join([f"{t}{tail}" * n for tail, n in zip(tails, counts) if n]))
+
+
+def _row_tail(device_id: str, kind: EventKind, direction: Direction) -> str:
+    """A CSV row after its time column, quoted as csv.writer quotes it."""
+    size = PACKET_SIZE if kind is EventKind.PACKET else 0
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(["", device_id, direction.value, kind.value, size])
+    return buf.getvalue()
+
+
 def bucketize(
-    events: Iterable[ConnectionEvent],
+    telemetry: TelemetryCounts,
     device_id: str,
     metric: Metric | str,
     interval: int,
     start: int,
     end: int,
 ) -> TelemetrySeries:
-    """Reduce events to one value per bucket over [start, end).
+    """Reduce one device's counts to one value per bucket over [start, end).
 
-    Events need not be sorted. Counting metrics sum matching events per
-    bucket; open_connections reports the open-session count at each bucket
-    start boundary. Events outside the range are ignored, except that
-    opens/closes at or before a boundary feed the open count.
+    Counting metrics sum matching events per bucket; open_connections
+    reports the open-session count at each bucket start boundary. Events
+    outside the range are ignored, except that opens/closes at or before a
+    boundary feed the open count. A device without events reads zero.
     """
     metric = Metric(metric)
-    if interval <= 0:
-        raise NegativeIntervalError(f"interval must be > 0, got {interval}")
-    if start >= end:
-        raise EmptyRangeError(f"empty range [{start}, {end})")
-
-    n_buckets = (end - start + interval - 1) // interval
-    mine = [e for e in events if e.device_id == device_id]
-
-    if metric is Metric.OPEN_CONNECTIONS:
-        deltas = sorted(
-            (e.time, 1 if e.kind is EventKind.SESSION_OPEN else -1)
-            for e in mine
-            if e.kind in (EventKind.SESSION_OPEN, EventKind.SESSION_CLOSE)
-        )
-        times = [t for t, _ in deltas]
-        running = 0
-        prefix = []
-        for _, d in deltas:
-            running += d
-            prefix.append(running)
-        values = []
-        for k in range(n_buckets):
-            boundary = start + k * interval
-            idx = bisect.bisect_right(times, boundary)
-            values.append(float(prefix[idx - 1]) if idx else 0.0)
-        return TelemetrySeries(device_id, metric, interval, tuple(values), start)
-
-    kind, direction = _COUNTING[metric]
-    counts = [0.0] * n_buckets
-    for e in mine:
-        if e.kind is kind and e.direction is direction and start <= e.time < end:
-            counts[(e.time - start) // interval] += 1.0
-    return TelemetrySeries(device_id, metric, interval, tuple(counts), start)
+    rows = [i for i, known in enumerate(telemetry.device_ids) if known == device_id]
+    values = telemetry.bucket(rows, metric, interval, start, end).sum(axis=0)  # of 0 or 1 rows
+    return TelemetrySeries(device_id, metric, interval, tuple(values.tolist()), start)
 
 
-def ingest_csv(stream: TextIO) -> list[ConnectionEvent]:
-    """Parse a `time,device_id,direction,kind,size` CSV into events.
+def ingest_csv(stream: TextIO) -> TelemetryCounts:
+    """Parse a `time,device_id,direction,kind,size` CSV into counts.
 
-    Rows are preserved in file order. Data rows are numbered from 1 for
-    error reporting; `size` may be empty or absent on session rows.
+    Each distinct row is parsed once. Data rows are numbered from 1, and
+    an error names the first bad row in file order. `size` may be empty or
+    absent on session rows; it is checked, then dropped, as no metric
+    reads it. Devices keep the order of their first row; `ticks` holds
+    the file's distinct times.
     """
     reader = csv.reader(stream)
     try:
@@ -192,77 +219,51 @@ def ingest_csv(stream: TextIO) -> list[ConnectionEvent]:
     if [h.strip() for h in header] != CSV_HEADER:
         raise ParseError(0, f"bad header {header!r}, expected {CSV_HEADER!r}")
 
-    events = []
-    for row_no, row in enumerate(reader, start=1):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) not in (4, 5):
-            raise ParseError(row_no, f"expected 4 or 5 columns, got {len(row)}")
-        time_s, device_id, direction_s, kind_s = (c.strip() for c in row[:4])
-        size_s = row[4].strip() if len(row) == 5 else ""
-
-        try:
-            direction = Direction(direction_s)
-        except ValueError:
-            raise UnknownEnumError(row_no, f"unknown direction {direction_s!r}") from None
-        try:
-            kind = EventKind(kind_s)
-        except ValueError:
-            raise UnknownEnumError(row_no, f"unknown kind {kind_s!r}") from None
-
-        try:
-            time = int(time_s)
-            size = int(size_s) if size_s else 0
-            event = ConnectionEvent(device_id, time, direction, kind, size)
-        except ValueError as exc:
-            raise ParseError(row_no, str(exc)) from None
-        events.append(event)
-    return events
+    # the number of each distinct row's first occurrence, and how many rows repeat it
+    first_row: dict[tuple[str, ...], int] = {}
+    repeats = Counter(map(first_row.setdefault, map(tuple, reader), itertools.count(1)))
+    events = [
+        (*_parse_row(row, row_no), repeats[row_no])
+        for row, row_no in first_row.items()
+        if any(c.strip() for c in row)  # blank rows are skipped
+    ]
+    device_row = {device_id: i for i, device_id in enumerate(dict.fromkeys(e[1] for e in events))}
+    tick_col = {time: j for j, time in enumerate(sorted({e[2] for e in events}))}
+    columns: dict[Column, np.ndarray] = {}
+    for column, device_id, time, n in events:
+        if column not in columns:
+            columns[column] = np.zeros((len(device_row), len(tick_col)), np.int64)
+        columns[column][device_row[device_id], tick_col[time]] += n
+    return TelemetryCounts(tuple(device_row), np.array(list(tick_col), np.int64), columns)
 
 
-def events_to_csv(events: Iterable[ConnectionEvent], stream: TextIO) -> None:
-    """Write events in the ingest_csv format, one row per event."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for e in events:
-        writer.writerow([e.time, e.device_id, e.direction.value, e.kind.value, e.size])
+def _parse_row(row: tuple[str, ...], row_no: int) -> tuple[Column, str, int]:
+    """One non-blank CSV row as (column, device_id, time)."""
+    if len(row) not in (4, 5):
+        raise ParseError(row_no, f"expected 4 or 5 columns, got {len(row)}")
+    time_s, device_id, direction_s, kind_s = (c.strip() for c in row[:4])
+    size_s = row[4].strip() if len(row) == 5 else ""
 
+    try:
+        direction = Direction(direction_s)
+    except ValueError:
+        raise UnknownEnumError(row_no, f"unknown direction {direction_s!r}") from None
+    try:
+        kind = EventKind(kind_s)
+    except ValueError:
+        raise UnknownEnumError(row_no, f"unknown kind {kind_s!r}") from None
 
-@dataclass(eq=False)
-class TelemetryCounts:
-    """The simulator's telemetry: inbound packets and sessions per device and tick.
-
-    Row i of each (devices, ticks) array is device_ids[i]. A packet is one
-    CSV row; a session is an open and a close row in the same tick.
-    """
-
-    device_ids: tuple[str, ...]
-    packets: np.ndarray
-    sessions: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.packets.sum() + 2 * self.sessions.sum())
-
-    def counts(self, metric: Metric) -> np.ndarray:
-        """Per-tick counts behind a metric, as `bucketize` counts the CSV's events."""
-        column = _COLUMNS.get(metric)
-        return np.zeros_like(self.packets) if column is None else getattr(self, column)
-
-    def to_csv(self, stream: TextIO) -> None:
-        """The ingest_csv format by tick, then row; a device's packets before its sessions."""
-        stream.write(",".join(CSV_HEADER) + "\n")
-        kinds = (EventKind.PACKET, EventKind.SESSION_OPEN, EventKind.SESSION_CLOSE)
-        tails = [[_row_tail(d, kind) for kind in kinds] for d in self.device_ids]
-        for t, (packets, sessions) in enumerate(zip(self.packets.T.tolist(), self.sessions.T.tolist())):
-            stream.write("".join(
-                f"{t}{packet}" * n_packets + f"{t}{opened}{t}{closed}" * n_sessions
-                for (packet, opened, closed), n_packets, n_sessions in zip(tails, packets, sessions)
-            ))
-
-
-def _row_tail(device_id: str, kind: EventKind) -> str:
-    """An inbound CSV row after its time column, quoted as events_to_csv quotes it."""
-    size = PACKET_SIZE if kind is EventKind.PACKET else 0
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(["", device_id, "inbound", kind.value, size])
-    return buf.getvalue()
+    try:
+        time = int(time_s)
+        size = int(size_s) if size_s else 0
+    except ValueError as exc:
+        raise ParseError(row_no, str(exc)) from None
+    if time < 0:
+        raise ParseError(row_no, f"event time must be non-negative, got {time}")
+    if time >= 2**63:  # ticks are int64
+        raise ParseError(row_no, f"event time must be below 2**63, got {time}")
+    if size < 0:
+        raise ParseError(row_no, f"event size must be non-negative, got {size}")
+    if kind is not EventKind.PACKET and size != 0:
+        raise ParseError(row_no, "size must be 0 for session events")
+    return (kind, direction), device_id, time

@@ -1,17 +1,34 @@
 """Builders shared across protocol tests.
 
 A tiny two-key PKI, deterministic firmware images, an independent
-re-derivation of the device verification order, and a randomized
-adversarial trace runner for the update state machine.
+re-derivation of the device verification order, a randomized
+adversarial trace runner for the update state machine, and a per-event
+telemetry reference: one `ConnectionEvent` per CSV row, bucketed one
+event at a time, against which the library's columnar counts are
+checked.
 """
 
 from __future__ import annotations
 
+import bisect
+import csv
 import hashlib
 import random
 from dataclasses import dataclass, field
+from typing import Iterable, TextIO
 
 from fleetsec.keystore import Keystore, verify
+from fleetsec.telemetry import (
+    CSV_HEADER,
+    Direction,
+    EmptyRangeError,
+    EventKind,
+    Metric,
+    NegativeIntervalError,
+    ParseError,
+    TelemetrySeries,
+    UnknownEnumError,
+)
 from fleetsec.tsa import (
     MismatchedImprintError,
     TimestampAuthority,
@@ -336,3 +353,134 @@ def run_lifecycle_ops(n_ops: int, seed: int = 0, n_devices: int = 12) -> Lifecyc
 
 # acceptance criterion verdicts, collected for the end-of-run summary
 CRITERION_LINES: list[str] = []
+
+
+# --- per-event telemetry reference --------------------------------------------
+
+# (kind, direction) selector for each counting metric.
+_COUNTING = {
+    Metric.PACKETS_IN: (EventKind.PACKET, Direction.INBOUND),
+    Metric.PACKETS_OUT: (EventKind.PACKET, Direction.OUTBOUND),
+    Metric.SESSIONS_IN: (EventKind.SESSION_OPEN, Direction.INBOUND),
+    Metric.SESSIONS_OUT: (EventKind.SESSION_OPEN, Direction.OUTBOUND),
+}
+
+
+@dataclass(frozen=True)
+class ConnectionEvent:
+    """One observed network event attributed to a device."""
+
+    device_id: str
+    time: int
+    direction: Direction
+    kind: EventKind
+    size: int = 0
+
+    def __post_init__(self):
+        if self.time < 0:
+            raise ValueError(f"event time must be non-negative, got {self.time}")
+        if self.size < 0:
+            raise ValueError(f"event size must be non-negative, got {self.size}")
+        if self.kind is not EventKind.PACKET and self.size != 0:
+            raise ValueError("size must be 0 for session events")
+
+
+def bucketize_events(
+    events: Iterable[ConnectionEvent],
+    device_id: str,
+    metric: Metric | str,
+    interval: int,
+    start: int,
+    end: int,
+) -> TelemetrySeries:
+    """Reduce events to one value per bucket over [start, end), one event at a time.
+
+    Events need not be sorted. Counting metrics sum matching events per
+    bucket; open_connections reports the open-session count at each bucket
+    start boundary. Events outside the range are ignored, except that
+    opens/closes at or before a boundary feed the open count.
+    """
+    metric = Metric(metric)
+    if interval <= 0:
+        raise NegativeIntervalError(f"interval must be > 0, got {interval}")
+    if start >= end:
+        raise EmptyRangeError(f"empty range [{start}, {end})")
+
+    n_buckets = (end - start + interval - 1) // interval
+    mine = [e for e in events if e.device_id == device_id]
+
+    if metric is Metric.OPEN_CONNECTIONS:
+        deltas = sorted(
+            (e.time, 1 if e.kind is EventKind.SESSION_OPEN else -1)
+            for e in mine
+            if e.kind in (EventKind.SESSION_OPEN, EventKind.SESSION_CLOSE)
+        )
+        times = [t for t, _ in deltas]
+        running = 0
+        prefix = []
+        for _, d in deltas:
+            running += d
+            prefix.append(running)
+        values = []
+        for k in range(n_buckets):
+            boundary = start + k * interval
+            idx = bisect.bisect_right(times, boundary)
+            values.append(float(prefix[idx - 1]) if idx else 0.0)
+        return TelemetrySeries(device_id, metric, interval, tuple(values), start)
+
+    kind, direction = _COUNTING[metric]
+    counts = [0.0] * n_buckets
+    for e in mine:
+        if e.kind is kind and e.direction is direction and start <= e.time < end:
+            counts[(e.time - start) // interval] += 1.0
+    return TelemetrySeries(device_id, metric, interval, tuple(counts), start)
+
+
+def ingest_events(stream: TextIO) -> list[ConnectionEvent]:
+    """Parse a `time,device_id,direction,kind,size` CSV into events.
+
+    Rows are preserved in file order. Data rows are numbered from 1 for
+    error reporting; `size` may be empty or absent on session rows.
+    """
+    reader = csv.reader(stream)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(0, "missing header") from None
+    if [h.strip() for h in header] != CSV_HEADER:
+        raise ParseError(0, f"bad header {header!r}, expected {CSV_HEADER!r}")
+
+    events = []
+    for row_no, row in enumerate(reader, start=1):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) not in (4, 5):
+            raise ParseError(row_no, f"expected 4 or 5 columns, got {len(row)}")
+        time_s, device_id, direction_s, kind_s = (c.strip() for c in row[:4])
+        size_s = row[4].strip() if len(row) == 5 else ""
+
+        try:
+            direction = Direction(direction_s)
+        except ValueError:
+            raise UnknownEnumError(row_no, f"unknown direction {direction_s!r}") from None
+        try:
+            kind = EventKind(kind_s)
+        except ValueError:
+            raise UnknownEnumError(row_no, f"unknown kind {kind_s!r}") from None
+
+        try:
+            time = int(time_s)
+            size = int(size_s) if size_s else 0
+            event = ConnectionEvent(device_id, time, direction, kind, size)
+        except ValueError as exc:
+            raise ParseError(row_no, str(exc)) from None
+        events.append(event)
+    return events
+
+
+def events_to_csv(events: Iterable[ConnectionEvent], stream: TextIO) -> None:
+    """Write events in the ingest_csv format, one row per event."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for e in events:
+        writer.writerow([e.time, e.device_id, e.direction.value, e.kind.value, e.size])

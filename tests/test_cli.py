@@ -7,11 +7,11 @@ import pytest
 
 from fleetsec.cli import main
 from fleetsec.keystore import Keystore
-from fleetsec.telemetry import ConnectionEvent, Direction, EventKind, events_to_csv
+from fleetsec.telemetry import Direction, EventKind
 from fleetsec.tsa import TimestampAuthority
 from fleetsec.update_protocol import build_manifest, initial_state
 
-from helpers import firmware_image
+from helpers import ConnectionEvent, events_to_csv, firmware_image
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 PASSPHRASE = "hunter2"
@@ -382,6 +382,16 @@ def test_mp_compute_unknown_metric_is_config_error(telemetry_files, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [["compute"], ["discords", "--k", "3"]])
+def test_mp_absent_device_is_an_error(telemetry_files, capsys, command):
+    code = main(["mp", *command, "--input", str(telemetry_files / "baseline.csv"),
+                 "--device", "dev-l", "--window", "16"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "no telemetry for device 'dev-l'" in captured.err
+    assert captured.out == ""
+
+
 # --- simulate ------------------------------------------------------------------------
 
 
@@ -424,6 +434,26 @@ def test_simulate_mistyped_field_is_config_error(tmp_path, capsys, keys, value):
     code = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "out")])
     assert code == 2
     assert ".".join(keys) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda obj: obj["attacks"][0].update(factor=10**21),
+        lambda obj: obj["attacks"][0].update(factor=2**62),
+        lambda obj: obj["devices"][0]["traffic"].update(base=1e20),
+        lambda obj: obj["devices"][0]["traffic"].update(base=float("inf")),
+    ],
+    ids=["factor-1e21", "factor-2^62", "base-1e20", "base-Infinity"],
+)
+def test_simulate_unbounded_traffic_is_config_error(tmp_path, capsys, edit):
+    obj = json.loads((SCENARIO_DIR / "baseline_flood.json").read_text())
+    edit(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))  # writes the infinity as Infinity
+    code = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_simulate_missing_file_is_an_error(tmp_path, capsys):

@@ -17,7 +17,7 @@ from fleetsec.fleet_sim.scenario import (
     run_scenario,
     simulate_to_dir,
 )
-from fleetsec.telemetry import bucketize, ingest_csv
+from fleetsec.telemetry import Direction, EventKind, bucketize, ingest_csv
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -204,7 +204,8 @@ def test_traffic_flood_anomalies_overlap_the_flood():
 @pytest.mark.parametrize("at", [0, 7])
 def test_traffic_flood_multiplies_exactly_its_ticks(at):
     def packets(attacks):
-        return run_scenario(parse_scenario(base_config(attacks=attacks))).telemetry.packets
+        telemetry = run_scenario(parse_scenario(base_config(attacks=attacks))).telemetry
+        return telemetry.columns[EventKind.PACKET, Direction.INBOUND]
 
     clean = packets([])
     flooded = packets(
@@ -339,6 +340,16 @@ def test_rollback_requires_a_prior_campaign():
     obj = base_config(attacks=[{"kind": "rollback_replay", "at": 10, "device": "dev-a"}])
     with pytest.raises(ConfigError, match="update campaign"):
         parse_scenario(obj)
+
+
+def test_overlapping_floods_must_not_multiply_past_the_bound():
+    def floods(second_at):
+        flood = {"kind": "traffic_flood", "device": "dev-a", "factor": 10**4, "buckets": 5}
+        return base_config(attacks=[{**flood, "at": 10}, {**flood, "at": second_at}])
+
+    parse_scenario(floods(15))  # back to back: no tick sees both
+    with pytest.raises(ConfigError, match=r"attacks\[1\]\.factor"):
+        parse_scenario(floods(14))
 
 
 def test_canary_probe_requires_some_canary():

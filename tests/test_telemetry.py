@@ -1,14 +1,15 @@
 import io
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fleetsec.telemetry import (
     CSV_HEADER,
+    CSV_ORDER,
     PACKET_SIZE,
-    ConnectionEvent,
     Direction,
     EmptyRangeError,
     EventKind,
@@ -19,18 +20,43 @@ from fleetsec.telemetry import (
     TelemetrySeries,
     UnknownEnumError,
     bucketize,
-    events_to_csv,
     ingest_csv,
 )
+
+from helpers import ConnectionEvent, bucketize_events, events_to_csv, ingest_events
 
 
 def ev(time, kind, direction=Direction.INBOUND, device="d", size=0):
     return ConnectionEvent(device, time, direction, kind, size)
 
 
+def csv_text(events) -> str:
+    out = io.StringIO()
+    events_to_csv(events, out)
+    return out.getvalue()
+
+
+def telemetry(events) -> TelemetryCounts:
+    """Events as the library holds them: written as CSV, then ingested."""
+    return ingest_csv(io.StringIO(csv_text(events)))
+
+
+def cells(counts: TelemetryCounts) -> Counter:
+    """Nonzero counts keyed by (device, column, tick), whatever the layout."""
+    out = Counter()
+    for column, array in counts.columns.items():
+        for row, j in zip(*np.nonzero(array)):
+            out[counts.device_ids[row], column, int(counts.ticks[j])] += int(array[row, j])
+    return out
+
+
+def event_cells(events) -> Counter:
+    return Counter((e.device_id, (e.kind, e.direction), e.time) for e in events)
+
+
 class TestBucketize:
     def test_no_events_gives_zero_buckets(self):
-        series = bucketize([], "d", Metric.PACKETS_IN, 1, 0, 5)
+        series = bucketize(telemetry([]), "d", Metric.PACKETS_IN, 1, 0, 5)
         assert list(series.values) == [0.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_open_connections_sampled_at_bucket_boundaries(self):
@@ -39,13 +65,13 @@ class TestBucketize:
             ev(3, EventKind.SESSION_OPEN),
             ev(7, EventKind.SESSION_CLOSE),
         ]
-        series = bucketize(events, "d", Metric.OPEN_CONNECTIONS, 5, 0, 10)
+        series = bucketize(telemetry(events), "d", Metric.OPEN_CONNECTIONS, 5, 0, 10)
         # 1 open at t=0; both open at t=5, the close at t=7 lands after
         assert list(series.values) == [1.0, 2.0]
 
     def test_packet_counts_per_bucket(self):
         events = [ev(t, EventKind.PACKET, size=64) for t in (1, 2, 9)]
-        series = bucketize(events, "d", Metric.PACKETS_IN, 5, 0, 10)
+        series = bucketize(telemetry(events), "d", Metric.PACKETS_IN, 5, 0, 10)
         assert list(series.values) == [2.0, 1.0]
 
     def test_direction_filter(self):
@@ -53,36 +79,36 @@ class TestBucketize:
             ev(0, EventKind.PACKET, Direction.INBOUND, size=1),
             ev(0, EventKind.PACKET, Direction.OUTBOUND, size=1),
         ]
-        inbound = bucketize(events, "d", Metric.PACKETS_IN, 1, 0, 1)
-        outbound = bucketize(events, "d", Metric.PACKETS_OUT, 1, 0, 1)
+        inbound = bucketize(telemetry(events), "d", Metric.PACKETS_IN, 1, 0, 1)
+        outbound = bucketize(telemetry(events), "d", Metric.PACKETS_OUT, 1, 0, 1)
         assert list(inbound.values) == [1.0]
         assert list(outbound.values) == [1.0]
 
     def test_other_devices_ignored(self):
         events = [ev(0, EventKind.PACKET, size=9, device="other")]
-        series = bucketize(events, "d", Metric.PACKETS_IN, 1, 0, 2)
+        series = bucketize(telemetry(events), "d", Metric.PACKETS_IN, 1, 0, 2)
         assert list(series.values) == [0.0, 0.0]
 
     def test_opens_before_start_prime_the_open_count(self):
         events = [ev(0, EventKind.SESSION_OPEN), ev(1, EventKind.SESSION_OPEN)]
-        series = bucketize(events, "d", Metric.OPEN_CONNECTIONS, 2, 4, 8)
+        series = bucketize(telemetry(events), "d", Metric.OPEN_CONNECTIONS, 2, 4, 8)
         assert list(series.values) == [2.0, 2.0]
 
     def test_events_outside_range_do_not_count(self):
         events = [ev(99, EventKind.PACKET, size=1)]
-        series = bucketize(events, "d", Metric.PACKETS_IN, 1, 0, 3)
+        series = bucketize(telemetry(events), "d", Metric.PACKETS_IN, 1, 0, 3)
         assert sum(series.values) == 0.0
 
     def test_empty_range_rejected(self):
         with pytest.raises(EmptyRangeError):
-            bucketize([], "d", Metric.PACKETS_IN, 1, 5, 5)
+            bucketize(telemetry([]), "d", Metric.PACKETS_IN, 1, 5, 5)
 
     def test_bad_interval_rejected(self):
         with pytest.raises(NegativeIntervalError):
-            bucketize([], "d", Metric.PACKETS_IN, 0, 0, 5)
+            bucketize(telemetry([]), "d", Metric.PACKETS_IN, 0, 0, 5)
 
     def test_series_metadata(self):
-        series = bucketize([], "dev-7", Metric.SESSIONS_OUT, 3, 6, 12)
+        series = bucketize(telemetry([]), "dev-7", Metric.SESSIONS_OUT, 3, 6, 12)
         assert series.device_id == "dev-7"
         assert series.metric is Metric.SESSIONS_OUT
         assert series.interval == 3
@@ -95,7 +121,7 @@ class TestBucketize:
 )
 def test_counting_metrics_conserve_event_totals(times, interval):
     events = [ev(t, EventKind.PACKET, size=1) for t in times]
-    series = bucketize(events, "d", Metric.PACKETS_IN, interval, 0, 100)
+    series = bucketize(telemetry(events), "d", Metric.PACKETS_IN, interval, 0, 100)
     assert sum(series.values) == sum(1 for t in times if t < 100)
 
 
@@ -104,8 +130,8 @@ def test_bucketize_is_permutation_invariant(times):
     events = [ev(t, EventKind.PACKET, size=1) for t in times]
     shuffled = list(events)
     random.Random(11).shuffle(shuffled)
-    a = bucketize(events, "d", Metric.PACKETS_IN, 5, 0, 55)
-    b = bucketize(shuffled, "d", Metric.PACKETS_IN, 5, 0, 55)
+    a = bucketize(telemetry(events), "d", Metric.PACKETS_IN, 5, 0, 55)
+    b = bucketize(telemetry(shuffled), "d", Metric.PACKETS_IN, 5, 0, 55)
     assert a == b
 
 
@@ -115,19 +141,23 @@ def test_open_connections_never_negative_with_wellformed_sessions():
     for t in range(0, 200, 2):
         events.append(ev(t, EventKind.SESSION_OPEN))
         events.append(ev(t + rng.randrange(1, 40), EventKind.SESSION_CLOSE))
-    series = bucketize(events, "d", Metric.OPEN_CONNECTIONS, 7, 0, 250)
+    series = bucketize(telemetry(events), "d", Metric.OPEN_CONNECTIONS, 7, 0, 250)
     assert all(v >= 0 for v in series.values)
 
 
 class TestIngestCsv:
     def test_header_only_gives_empty_list(self):
-        assert ingest_csv(io.StringIO(",".join(CSV_HEADER) + "\n")) == []
+        counts = ingest_csv(io.StringIO(",".join(CSV_HEADER) + "\n"))
+        assert len(counts) == 0
+        assert cells(counts) == Counter()
 
     def test_row_maps_to_event_fields(self):
         rows = ingest_csv(
             io.StringIO("time,device_id,direction,kind,size\n5,dev1,inbound,packet,64\n")
         )
-        assert rows == [ConnectionEvent("dev1", 5, Direction.INBOUND, EventKind.PACKET, 64)]
+        assert cells(rows) == event_cells(
+            [ConnectionEvent("dev1", 5, Direction.INBOUND, EventKind.PACKET, 64)]
+        )
 
     def test_malformed_time_names_the_row(self):
         stream = io.StringIO("time,device_id,direction,kind,size\nx,dev1,inbound,packet,64\n")
@@ -144,7 +174,7 @@ class TestIngestCsv:
         rows = ingest_csv(
             io.StringIO("time,device_id,direction,kind,size\n2,dev1,inbound,session_open,\n")
         )
-        assert rows[0].size == 0
+        assert cells(rows) == event_cells([ev(2, EventKind.SESSION_OPEN, device="dev1")])
 
     def test_round_trip_through_writer(self):
         events = [
@@ -152,9 +182,7 @@ class TestIngestCsv:
             ev(2, EventKind.SESSION_OPEN, Direction.OUTBOUND),
             ev(3, EventKind.SESSION_CLOSE),
         ]
-        out = io.StringIO()
-        events_to_csv(events, out)
-        assert ingest_csv(io.StringIO(out.getvalue())) == events
+        assert cells(telemetry(events)) == event_cells(events)
 
 
 def test_event_validation():
@@ -170,28 +198,31 @@ def test_series_prefix():
     assert series.prefix(2).device_id == "d"
 
 
+
+
 class TestTelemetryCounts:
     # awkward ids: the CSV must quote them as events_to_csv does
     IDS = ("plain", 'co,mma "quoted"')
+    PACKETS_IN = (EventKind.PACKET, Direction.INBOUND)
 
     def counts(self):
+        """Simulator-shaped counts: a session opens and closes in its tick."""
         rng = np.random.default_rng(5)
-        return TelemetryCounts(
-            self.IDS, rng.integers(0, 4, size=(2, 11)), rng.integers(0, 2, size=(2, 11))
-        )
+        sessions = rng.integers(0, 3, size=(2, 11))
+        return TelemetryCounts(self.IDS, np.arange(11), {
+            self.PACKETS_IN: rng.integers(0, 4, size=(2, 11)),
+            (EventKind.SESSION_OPEN, Direction.INBOUND): sessions,
+            (EventKind.SESSION_CLOSE, Direction.INBOUND): sessions,
+        })
 
     def events(self, counts):
         """The same telemetry as events, in the canonical row order."""
         events = []
-        for t in range(counts.packets.shape[1]):
+        for j, t in enumerate(counts.ticks.tolist()):
             for row, device in enumerate(counts.device_ids):
-                events += [ev(t, EventKind.PACKET, device=device, size=PACKET_SIZE)] * int(
-                    counts.packets[row, t]
-                )
-                events += [
-                    ev(t, EventKind.SESSION_OPEN, device=device),
-                    ev(t, EventKind.SESSION_CLOSE, device=device),
-                ] * int(counts.sessions[row, t])
+                for (kind, direction), array in counts.columns.items():
+                    size = PACKET_SIZE if kind is EventKind.PACKET else 0
+                    events += [ev(t, kind, direction, device, size)] * int(array[row, j])
         return events
 
     def test_csv_is_the_event_writers_output(self):
@@ -201,7 +232,7 @@ class TestTelemetryCounts:
         counts.to_csv(got)
         events_to_csv(events, want)
         assert got.getvalue() == want.getvalue()
-        assert ingest_csv(io.StringIO(got.getvalue())) == events
+        assert cells(ingest_csv(io.StringIO(got.getvalue()))) == event_cells(events)
         assert len(counts) == len(events)
 
     @pytest.mark.parametrize("interval", [1, 3, 11])
@@ -209,8 +240,110 @@ class TestTelemetryCounts:
     def test_counts_bucket_as_bucketize_does(self, metric, interval):
         counts = self.counts()
         events = self.events(counts)
-        starts = np.arange(0, 11, interval)
-        got = np.add.reduceat(counts.counts(metric), starts, axis=1)
+        got = counts.bucket([0, 1], metric, interval, 0, 11)
         for row, device in enumerate(self.IDS):
-            want = bucketize(events, device, metric, interval, 0, 11).values
+            want = bucketize_events(events, device, metric, interval, 0, 11).values
             assert got[row].tolist() == list(want)
+
+    def test_csv_round_trips_every_column_over_sparse_ticks(self):
+        rng = np.random.default_rng(9)
+        ticks = np.array([0, 3, 4, 17, 1000])
+        counts = TelemetryCounts(
+            ("a", 'b "q"', "c,d", "e\nf"),
+            ticks,
+            {column: rng.integers(0, 3, size=(4, len(ticks))) for column in CSV_ORDER},
+        )
+        out = io.StringIO()
+        counts.to_csv(out)
+        again = ingest_csv(io.StringIO(out.getvalue()))
+        assert cells(again) == cells(counts)
+        assert len(again) == len(counts)
+        assert sum(1 for _ in ingest_events(io.StringIO(out.getvalue()))) == len(counts)
+
+    def test_one_row_far_out_is_one_tick(self):
+        t = 10**12
+        counts = ingest_csv(io.StringIO(f"time,device_id,direction,kind,size\n{t},d,inbound,packet,64\n"))
+        assert counts.ticks.tolist() == [t]
+        assert counts.columns[self.PACKETS_IN].shape == (1, 1)
+        series = bucketize(counts, "d", Metric.PACKETS_IN, 2, t - 3, t + 3)
+        assert series.values == (0.0, 1.0, 0.0)
+        series = bucketize(counts, "d", Metric.PACKETS_IN, 1, 0, 5)
+        assert series.values == (0.0,) * 5
+
+    def test_absent_device_reads_zero(self):
+        counts = telemetry([ev(1, EventKind.PACKET, size=1)])
+        assert bucketize(counts, "other", Metric.PACKETS_IN, 1, 0, 3).values == (0.0,) * 3
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,d,inbound,packet,64", None),
+        (f"{2**63 - 1},d,inbound,packet,64", None),
+        (f"{2**63},d,inbound,packet,64", "row 2: event time must be below 2**63"),
+        (f"{10**30},d,outbound,session_close,", "row 2: event time must be below 2**63"),
+        ("-1,d,inbound,packet,64", "row 2: event time must be non-negative, got -1"),
+        ("1,d,inbound,packet,-4", "row 2: event size must be non-negative, got -4"),
+        ("1,d,inbound,session_open,4", "row 2: size must be 0 for session events"),
+        ("1,d,sideways,packet,64", "row 2: unknown direction 'sideways'"),
+        ("x,d,inbound,packet,64", "row 2: invalid literal for int() with base 10: 'x'"),
+        ("1,d,inbound", "row 2: expected 4 or 5 columns, got 3"),
+    ],
+)
+def test_ingest_names_the_first_bad_row(row, message):
+    # the bad row sits between good ones and repeats later, as a second bad row does
+    text = f"time,device_id,direction,kind,size\n5,d,inbound,packet,64\n{row}\n5,d,inbound,packet,64\n"
+    text += f"0,d,inbound,nope,\n{row}\n"
+    with pytest.raises(ParseError) as exc:
+        ingest_csv(io.StringIO(text))
+    want = message or "row 4: unknown kind 'nope'"
+    assert str(exc.value).startswith(want)
+    if not str(exc.value).startswith("row 2: event time must be below"):
+        # the per-event reference knows no 2**63 limit
+        with pytest.raises(ParseError) as ref:
+            ingest_events(io.StringIO(text))
+        assert str(ref.value) == str(exc.value)
+
+
+# Device ids that need CSV quoting, and a time grid with room on both sides.
+_IDS = ("d0", "co,mma", 'qu"ote', "new\nline")
+_event = st.tuples(
+    st.sampled_from(_IDS),
+    st.integers(min_value=0, max_value=60),
+    st.sampled_from(list(EventKind)),
+    st.sampled_from(list(Direction)),
+)
+_session = st.tuples(
+    st.sampled_from(_IDS),
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=0, max_value=25),
+    st.sampled_from(list(Direction)),
+)
+
+
+@settings(derandomize=True, max_examples=225, deadline=None)
+@given(
+    events=st.lists(_event, max_size=40),
+    sessions=st.lists(_session, max_size=15),
+    repeat=st.integers(min_value=1, max_value=3),
+    start=st.integers(min_value=-10, max_value=50),
+    length=st.integers(min_value=1, max_value=90),
+)
+def test_columnar_bucketize_matches_the_per_event_reference(events, sessions, repeat, start, length):
+    rows = [
+        ev(t, kind, direction, device, PACKET_SIZE if kind is EventKind.PACKET else 0)
+        for device, t, kind, direction in events
+    ]
+    for device, t, lasts, direction in sessions:
+        rows.append(ev(t, EventKind.SESSION_OPEN, direction, device))
+        rows.append(ev(t + lasts, EventKind.SESSION_CLOSE, direction, device))
+    text = csv_text(rows * repeat)
+    counts = ingest_csv(io.StringIO(text))
+    reference = ingest_events(io.StringIO(text))
+    assert len(counts) == len(reference)
+    for interval in (1, 2, 7, 25):
+        for device in _IDS:
+            for metric in Metric:
+                got = bucketize(counts, device, metric, interval, start, start + length)
+                want = bucketize_events(reference, device, metric, interval, start, start + length)
+                assert got == want
