@@ -80,10 +80,10 @@ ATTACK_KINDS = (
 # profiles alive at the run's memory peak.
 _DETECTOR_BLOCK = 64
 
-# Bounds on traffic parameters and on the flood factor covering any one
-# tick: with them a tick's packet count stays far inside int64.
-MAX_TRAFFIC = 1e6
-MAX_FLOOD_FACTOR = 10**6
+# The most rows a scenario's telemetry.csv may reach (about 0.5 GB). It
+# keeps every count and running total far inside int64 and the file
+# writable; _check_telemetry_rows holds scenarios to it.
+MAX_TELEMETRY_ROWS = 10**7
 
 
 class ConfigError(FleetsecError):
@@ -249,8 +249,8 @@ def _parse_traffic(obj: dict, path: str) -> TrafficSpec:
     if spec.period < 2:
         raise ConfigError(f"{path}.period", "must be at least 2")
     for name in ("base", "amplitude", "noise"):
-        if not 0 <= getattr(spec, name) <= MAX_TRAFFIC:  # NaN fails too
-            raise ConfigError(f"{path}.{name}", f"must be in [0, {MAX_TRAFFIC:g}]")
+        if not 0 <= getattr(spec, name) < math.inf:  # NaN fails too
+            raise ConfigError(f"{path}.{name}", "must be finite and non-negative")
     return spec
 
 
@@ -438,28 +438,49 @@ def _parse_attack(obj: dict, path: str, duration: int, device_ids: set[str]) -> 
         params["rate"] = (rate[0], rate[1])
     elif kind == "traffic_flood":
         params["factor"] = _field(obj, path, "factor", int, 10)
-        if not 2 <= params["factor"] <= MAX_FLOOD_FACTOR:
-            raise ConfigError(f"{path}.factor", f"must be in [2, {MAX_FLOOD_FACTOR}]")
+        if params["factor"] < 2:
+            raise ConfigError(f"{path}.factor", "must be at least 2")
         params["buckets"] = _field(obj, path, "buckets", int, 20)
         if params["buckets"] < 1:
             raise ConfigError(f"{path}.buckets", "must be positive")
     return AttackSpec(kind=kind, at=at, device=device, params=params)
 
 
-def _check_flood_overlap(attacks: list[AttackSpec], interval: int, source: str) -> None:
-    """Floods on one tick multiply; the product peaks at some flood's first tick."""
-    floods = [(i, a) for i, a in enumerate(attacks) if a.kind == "traffic_flood"]
-    for i, flood in floods:
-        product = math.prod(
-            other.params["factor"]
-            for _, other in floods
-            if other.device == flood.device
-            and other.at <= flood.at < other.at + other.params["buckets"] * interval
+def _check_telemetry_rows(config: ScenarioConfig, source: str) -> None:
+    """Reject a scenario whose telemetry.csv could pass MAX_TELEMETRY_ROWS rows.
+
+    A device writes at most base + amplitude + 9 * noise + 1 packet rows a
+    tick (random.gauss stays within 8.6 standard deviations), times the
+    factors of the floods on that tick, and an open and a close row per
+    heartbeat and per dictionary attempt. The + 1 counts every device
+    tick, so the bound caps the simulator's (devices, ticks) arrays too.
+    A factor or rate past the cap is rejected whatever its size, so it is
+    clamped to just over the cap before it meets a float.
+    """
+    over = MAX_TELEMETRY_ROWS + 1
+    if len(config.devices) * config.duration > MAX_TELEMETRY_ROWS:
+        raise ConfigError(
+            source, f"devices x duration passes the telemetry cap of {MAX_TELEMETRY_ROWS:.0e} rows"
         )
-        if product > MAX_FLOOD_FACTOR:
-            raise ConfigError(
-                f"{source}.attacks[{i}].factor", f"overlapping floods multiply past {MAX_FLOOD_FACTOR}"
-            )
+    interval = config.detector.interval if config.detector else 1
+    floods: dict[str, list[AttackSpec]] = {}
+    rows = 0.0
+    for attack in config.attacks:
+        if attack.kind == "traffic_flood":
+            floods.setdefault(attack.device, []).append(attack)
+        elif attack.kind == "dictionary_attack":
+            rows += 2 * min(attack.params["rate"][1] * attack.params["duration"], over)
+    for dev in config.devices:
+        traffic = dev.traffic
+        per_tick = np.full(config.duration, traffic.base + traffic.amplitude + 9 * traffic.noise + 1)
+        for flood in floods.get(dev.id, []):
+            end = flood.at + flood.params["buckets"] * interval
+            per_tick[flood.at : end] *= min(flood.params["factor"], over)
+        rows += per_tick.sum() + 2 * -(-config.duration // HEARTBEAT_PERIOD)
+    if rows > MAX_TELEMETRY_ROWS:
+        raise ConfigError(
+            source, f"telemetry could reach {rows:.3g} rows, past the cap of {MAX_TELEMETRY_ROWS:.0e}"
+        )
 
 
 def _parse_deception(obj: dict, path: str, devices: tuple[DeviceSpec, ...]) -> DeceptionSpec:
@@ -550,7 +571,6 @@ def parse_scenario(obj: dict, source: str = "scenario") -> ScenarioConfig:
             if not (has_image or has_port):
                 raise ConfigError(path, "canary_probe needs a planted canary or canary ports")
         attacks.append(attack)
-    _check_flood_overlap(attacks, detector.interval if detector else 1, source)
 
     admin = []
     for i, adm_obj in enumerate(_field(obj, source, "admin", list, [])):
@@ -597,6 +617,7 @@ def parse_scenario(obj: dict, source: str = "scenario") -> ScenarioConfig:
                 f"{source}.updates[{i}].size",
                 f"firmware needs ~{frames_needed} fragments at mtu {link.mtu}, cap is {MAX_FRAGMENTS}",
             )
+    _check_telemetry_rows(config, source)
     return config
 
 
@@ -636,7 +657,7 @@ class FleetSimulation:
         shape = (len(config.devices), config.duration)
         self._packets = np.zeros(shape, np.int64)
         self._sessions = np.zeros(shape, np.int64)
-        counts = TelemetryCounts(tuple(self._row), np.arange(config.duration), {
+        counts = TelemetryCounts.dense(tuple(self._row), np.arange(config.duration), {
             (EventKind.PACKET, Direction.INBOUND): self._packets,
             (EventKind.SESSION_OPEN, Direction.INBOUND): self._sessions,
             (EventKind.SESSION_CLOSE, Direction.INBOUND): self._sessions,

@@ -1,8 +1,10 @@
 """Network event ingestion and per-device telemetry series construction.
 
 Telemetry is held as `TelemetryCounts`, event counts per device and tick
-for each (kind, direction); the simulator fills one, and `ingest_csv`
-reads one from CSV. `bucketize` reduces a device's counts to the
+for each (kind, direction), kept only for the (device, tick) cells that
+hold events; the simulator fills one with a cell for every device and
+tick, and `ingest_csv` reads one from CSV in memory that grows with the
+file's rows. `bucketize` reduces a device's counts to the
 uniformly sampled series the anomaly detector expects. Time is integer
 ticks throughout, never wall clock, so simulator runs and tests stay
 deterministic.
@@ -54,6 +56,8 @@ Column = tuple[EventKind, Direction]
 
 CSV_HEADER = ["time", "device_id", "direction", "kind", "size"]
 PACKET_SIZE = 64  # the size column of every packet row written
+_CSV_CELLS = 1024  # cells to_csv formats at a time
+_BLOCK_ROWS = 8192  # CSV rows ingest_csv holds at a time
 
 # Every column, in the order a device's rows in one tick are written.
 CSV_ORDER: tuple[Column, ...] = tuple(
@@ -125,52 +129,94 @@ class TelemetrySeries:
 
 @dataclass(eq=False)
 class TelemetryCounts:
-    """Event counts per device and tick, one int64 array per (kind, direction) column.
+    """Event counts per device and tick, one cell per (device, tick) that has events.
 
-    Row i of each (devices, ticks) array is device_ids[i], and array
-    column j is tick ticks[j]; `ticks` is sorted and distinct. A column
-    missing from `columns` reads zero. len() is the number of events,
-    one CSV row each.
+    `ticks` is sorted and distinct. Device i's cells are positions
+    starts[i]:starts[i + 1]; cells[p] is the index into `ticks` of cell p,
+    ascending within a device, and columns[c][p] its count for column c.
+    A column missing from `columns` reads zero. Memory grows with the
+    cells, not with devices x ticks. len() is the number of events, one
+    CSV row each.
     """
 
     device_ids: tuple[str, ...]
     ticks: np.ndarray
+    starts: np.ndarray
+    cells: np.ndarray
     columns: dict[Column, np.ndarray]
+
+    @classmethod
+    def dense(
+        cls, device_ids: tuple[str, ...], ticks: np.ndarray, columns: dict[Column, np.ndarray]
+    ) -> "TelemetryCounts":
+        """A cell for every device and tick.
+
+        Each column is a C-contiguous (devices, ticks) array, kept as a
+        view, so writes to it show in the counts.
+        """
+        n, width = len(device_ids), len(ticks)
+        return cls(
+            device_ids,
+            ticks,
+            np.arange(0, n * width + 1, width) if width else np.zeros(n + 1, np.int64),
+            np.tile(np.arange(width, dtype=np.min_scalar_type(width)), n),
+            {column: counts.reshape(-1) for column, counts in columns.items()},
+        )
 
     def __len__(self) -> int:
         return sum(int(counts.sum()) for counts in self.columns.values())
 
-    def bucket(self, rows: list[int], metric: Metric, interval: int, start: int, end: int) -> np.ndarray:
+    def bucket(
+        self, rows: list[int], metric: Metric, interval: int, start: int, end: int
+    ) -> np.ndarray:
         """The metric per bucket over [start, end) for the given device rows, as (rows, buckets)."""
         if interval <= 0:
             raise NegativeIntervalError(f"interval must be > 0, got {interval}")
         if start >= end:
             raise EmptyRangeError(f"empty range [{start}, {end})")
-        # total[:, i] sums the signed columns over the first i ticks
-        total = np.zeros((len(rows), len(self.ticks) + 1), np.int64)
-        for column, sign in _TERMS[metric].items():
-            if column in self.columns:
-                total[:, 1:] += sign * self.columns[column][rows]
-        np.cumsum(total, axis=1, out=total)
         edges = np.arange(start, end, interval)
-        if metric is Metric.OPEN_CONNECTIONS:
-            values = total[:, np.searchsorted(self.ticks, edges, side="right")]
+        gauge = metric is Metric.OPEN_CONNECTIONS
+        # each boundary as the number of ticks before it: a bucket's count
+        # ends before the next edge, an open count takes in its edge's tick
+        if gauge:
+            bounds = np.searchsorted(self.ticks, edges, side="right")
         else:
-            values = np.diff(total[:, np.searchsorted(self.ticks, np.append(edges, end))], axis=1)
-        return values.astype(np.float64)
+            bounds = np.searchsorted(self.ticks, np.append(edges, end), side="left")
+        terms = [
+            (self.columns[column], sign)
+            for column, sign in _TERMS[metric].items()
+            if column in self.columns
+        ]
+        values = np.zeros((len(rows), len(bounds)), np.int64)
+        for i, row in enumerate(rows):
+            lo, hi = self.starts[row], self.starts[row + 1]
+            # total[k] sums the signed columns over the device's first k cells
+            total = np.zeros(hi - lo + 1, np.int64)
+            for counts, sign in terms:
+                total[1:] += sign * counts[lo:hi]
+            np.cumsum(total, out=total)
+            values[i] = total[np.searchsorted(self.cells[lo:hi], bounds)]
+        return (values if gauge else np.diff(values, axis=1)).astype(np.float64)
 
     def to_csv(self, stream: TextIO) -> None:
         """The ingest_csv format by tick, then device in row order, then column."""
         stream.write(",".join(CSV_HEADER) + "\n")
         order = [column for column in CSV_ORDER if column in self.columns]
-        tails = [_row_tail(device_id, *column) for device_id in self.device_ids for column in order]
-        arrays = [self.columns[column] for column in order]
-        if not arrays:
+        if not order:
             return
-        for j, t in enumerate(self.ticks.tolist()):
-            # one tick's counts, device-major like tails
-            counts = np.column_stack([array[:, j] for array in arrays]).ravel().tolist()
-            stream.write("".join([f"{t}{tail}" * n for tail, n in zip(tails, counts) if n]))
+        tails = [_row_tail(device_id, *column) for device_id in self.device_ids for column in order]
+        # a stable sort by tick keeps the cells of one tick in device order
+        by_tick = np.argsort(self.cells, kind="stable")
+        for first in range(0, len(by_tick), _CSV_CELLS):
+            cells = by_tick[first : first + _CSV_CELLS]
+            counts = np.stack([self.columns[column][cells] for column in order], axis=1)
+            nonzero = np.flatnonzero(counts)  # into counts, cell-major like tails
+            cell, column = np.divmod(nonzero, len(order))
+            row = np.searchsorted(self.starts, cells[cell], side="right") - 1
+            tail = row * len(order) + column
+            times = self.ticks[self.cells[cells[cell]]]
+            rows = zip(times.tolist(), tail.tolist(), counts.ravel()[nonzero].tolist())
+            stream.write("".join([f"{t}{tails[i]}" * n for t, i, n in rows]))
 
 
 def _row_tail(device_id: str, kind: EventKind, direction: Direction) -> str:
@@ -205,11 +251,12 @@ def bucketize(
 def ingest_csv(stream: TextIO) -> TelemetryCounts:
     """Parse a `time,device_id,direction,kind,size` CSV into counts.
 
-    Each distinct row is parsed once. Data rows are numbered from 1, and
-    an error names the first bad row in file order. `size` may be empty or
-    absent on session rows; it is checked, then dropped, as no metric
-    reads it. Devices keep the order of their first row; `ticks` holds
-    the file's distinct times.
+    Each distinct row in a block of rows is parsed once, and memory grows
+    with the distinct (column, device, time) cells, not with the rows.
+    Data rows are numbered from 1, and an error names the first bad row in
+    file order. `size` may be empty or absent on session rows; it is
+    checked, then dropped, as no metric reads it. Devices keep the order
+    of their first row; `ticks` holds the file's distinct times.
     """
     reader = csv.reader(stream)
     try:
@@ -219,22 +266,37 @@ def ingest_csv(stream: TextIO) -> TelemetryCounts:
     if [h.strip() for h in header] != CSV_HEADER:
         raise ParseError(0, f"bad header {header!r}, expected {CSV_HEADER!r}")
 
-    # the number of each distinct row's first occurrence, and how many rows repeat it
-    first_row: dict[tuple[str, ...], int] = {}
-    repeats = Counter(map(first_row.setdefault, map(tuple, reader), itertools.count(1)))
-    events = [
-        (*_parse_row(row, row_no), repeats[row_no])
-        for row, row_no in first_row.items()
-        if any(c.strip() for c in row)  # blank rows are skipped
-    ]
+    # rows repeat in runs (one per event in a tick), so each block's
+    # distinct rows are parsed once, in order of their first row number
+    cell_counts: Counter[tuple[Column, str, int]] = Counter()
+    row_numbers = itertools.count(1)
+    for block in iter(lambda: list(itertools.islice(reader, _BLOCK_ROWS)), []):
+        first_row: dict[tuple[str, ...], int] = {}
+        repeats = Counter(map(first_row.setdefault, map(tuple, block), row_numbers))
+        for row, row_no in first_row.items():
+            if any(c.strip() for c in row):  # blank rows are skipped
+                cell_counts[_parse_row(row, row_no)] += repeats[row_no]
+    events = [(*cell, n) for cell, n in cell_counts.items()]
     device_row = {device_id: i for i, device_id in enumerate(dict.fromkeys(e[1] for e in events))}
-    tick_col = {time: j for j, time in enumerate(sorted({e[2] for e in events}))}
+    column_code = {column: k for k, column in enumerate(CSV_ORDER)}
+    device = np.array([device_row[e[1]] for e in events], np.int64)
+    kind = np.array([column_code[e[0]] for e in events], np.int64)
+    n = np.array([e[3] for e in events], np.int64)
+    ticks, tick = np.unique(np.array([e[2] for e in events], np.int64), return_inverse=True)
+    # one cell per distinct (device, tick), ordered by device, then tick
+    _, first, cell = np.unique(device * len(ticks) + tick, return_index=True, return_inverse=True)
     columns: dict[Column, np.ndarray] = {}
-    for column, device_id, time, n in events:
-        if column not in columns:
-            columns[column] = np.zeros((len(device_row), len(tick_col)), np.int64)
-        columns[column][device_row[device_id], tick_col[time]] += n
-    return TelemetryCounts(tuple(device_row), np.array(list(tick_col), np.int64), columns)
+    for column, code in column_code.items():
+        if (mask := kind == code).any():
+            columns[column] = np.zeros(len(first), np.int64)
+            columns[column][cell[mask]] = n[mask]  # a column meets each cell once
+    return TelemetryCounts(
+        tuple(device_row),
+        ticks,
+        np.searchsorted(device[first], np.arange(len(device_row) + 1)),
+        tick[first].astype(np.min_scalar_type(len(ticks))),
+        columns,
+    )
 
 
 def _parse_row(row: tuple[str, ...], row_no: int) -> tuple[Column, str, int]:

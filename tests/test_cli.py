@@ -443,8 +443,14 @@ def test_simulate_mistyped_field_is_config_error(tmp_path, capsys, keys, value):
         lambda obj: obj["attacks"][0].update(factor=2**62),
         lambda obj: obj["devices"][0]["traffic"].update(base=1e20),
         lambda obj: obj["devices"][0]["traffic"].update(base=float("inf")),
+        lambda obj: obj["devices"][0]["traffic"].update(base=1.7e308, amplitude=1.7e308, noise=1.7e308),
+        lambda obj: obj["attacks"].extend([obj["attacks"][0]] * 60),
+        lambda obj: obj["attacks"].append(
+            {"kind": "dictionary_attack", "at": 0, "device": "sensor-a", "rate": [1, 10**30]}
+        ),
     ],
-    ids=["factor-1e21", "factor-2^62", "base-1e20", "base-Infinity"],
+    ids=["factor-1e21", "factor-2^62", "base-1e20", "base-Infinity", "largest-floats",
+         "overlapping-floods", "dictionary-rate"],
 )
 def test_simulate_unbounded_traffic_is_config_error(tmp_path, capsys, edit):
     obj = json.loads((SCENARIO_DIR / "baseline_flood.json").read_text())

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from fleetsec.detector import calibrate, detect
+from fleetsec.fleet_sim import scenario as scenario_module
 from fleetsec.fleet_sim.report import REPORT_FILES
 from fleetsec.fleet_sim.scenario import (
     ConfigError,
@@ -17,7 +18,7 @@ from fleetsec.fleet_sim.scenario import (
     run_scenario,
     simulate_to_dir,
 )
-from fleetsec.telemetry import Direction, EventKind, bucketize, ingest_csv
+from fleetsec.telemetry import Metric, bucketize, ingest_csv
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -204,8 +205,9 @@ def test_traffic_flood_anomalies_overlap_the_flood():
 @pytest.mark.parametrize("at", [0, 7])
 def test_traffic_flood_multiplies_exactly_its_ticks(at):
     def packets(attacks):
-        telemetry = run_scenario(parse_scenario(base_config(attacks=attacks))).telemetry
-        return telemetry.columns[EventKind.PACKET, Direction.INBOUND]
+        config = parse_scenario(base_config(attacks=attacks))
+        telemetry = run_scenario(config).telemetry
+        return telemetry.bucket(range(len(config.devices)), Metric.PACKETS_IN, 1, 0, config.duration)
 
     clean = packets([])
     flooded = packets(
@@ -342,14 +344,23 @@ def test_rollback_requires_a_prior_campaign():
         parse_scenario(obj)
 
 
-def test_overlapping_floods_must_not_multiply_past_the_bound():
-    def floods(second_at):
-        flood = {"kind": "traffic_flood", "device": "dev-a", "factor": 10**4, "buckets": 5}
-        return base_config(attacks=[{**flood, "at": 10}, {**flood, "at": second_at}])
+def test_telemetry_row_cap_holds_at_its_edge(monkeypatch):
+    # one device: at most (8 + 3 + 9 * 0.8 + 1) rows a tick, times the flood
+    # on ticks 10-14, plus an open and a close row per heartbeat
+    monkeypatch.setattr(scenario_module, "MAX_TELEMETRY_ROWS", 2000)
 
-    parse_scenario(floods(15))  # back to back: no tick sees both
-    with pytest.raises(ConfigError, match=r"attacks\[1\]\.factor"):
-        parse_scenario(floods(14))
+    def flooded(factor):
+        return base_config(
+            devices=[{"id": "dev-a", "secret": "s-a"}],
+            attacks=[{"kind": "traffic_flood", "at": 10, "device": "dev-a", "factor": factor, "buckets": 5}],
+        )
+
+    rows = len(run_scenario(parse_scenario(flooded(9))).telemetry)  # bound 19.2 * (55 + 45) + 6
+    assert 0 < rows <= 2000
+    with pytest.raises(ConfigError, match="telemetry could reach"):
+        parse_scenario(flooded(10))  # bound 2022
+    with pytest.raises(ConfigError, match="devices x duration"):
+        parse_scenario(base_config(duration=1001))  # two devices
 
 
 def test_canary_probe_requires_some_canary():

@@ -1,11 +1,13 @@
 import io
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fleetsec.telemetry as telemetry_module
 from fleetsec.telemetry import (
     CSV_HEADER,
     CSV_ORDER,
@@ -42,11 +44,13 @@ def telemetry(events) -> TelemetryCounts:
 
 
 def cells(counts: TelemetryCounts) -> Counter:
-    """Nonzero counts keyed by (device, column, tick), whatever the layout."""
+    """Nonzero counts keyed by (device, column, tick)."""
     out = Counter()
-    for column, array in counts.columns.items():
-        for row, j in zip(*np.nonzero(array)):
-            out[counts.device_ids[row], column, int(counts.ticks[j])] += int(array[row, j])
+    for row, device in enumerate(counts.device_ids):
+        for p in range(counts.starts[row], counts.starts[row + 1]):
+            for column, array in counts.columns.items():
+                if array[p]:
+                    out[device, column, int(counts.ticks[counts.cells[p]])] += int(array[p])
     return out
 
 
@@ -185,6 +189,19 @@ class TestIngestCsv:
         assert cells(telemetry(events)) == event_cells(events)
 
 
+@pytest.mark.parametrize("block", [1, 3, 8192])
+def test_row_blocks_change_neither_counts_nor_row_numbers(monkeypatch, block):
+    monkeypatch.setattr(telemetry_module, "_BLOCK_ROWS", block)
+    good = ",".join(CSV_HEADER) + "\n" + "5,d,inbound,packet,64\n" * 4 + "\n"
+    good += "6,e,outbound,session_open,\n" * 3
+    assert cells(ingest_csv(io.StringIO(good))) == Counter({
+        ("d", (EventKind.PACKET, Direction.INBOUND), 5): 4,
+        ("e", (EventKind.SESSION_OPEN, Direction.OUTBOUND), 6): 3,
+    })
+    with pytest.raises(ParseError, match=r"^row 9: unknown kind 'nope'"):
+        ingest_csv(io.StringIO(good + "7,d,inbound,nope,\nx,d,inbound,packet,64\n"))
+
+
 def test_event_validation():
     with pytest.raises(ValueError):
         ConnectionEvent("d", -1, Direction.INBOUND, EventKind.PACKET)
@@ -209,20 +226,21 @@ class TestTelemetryCounts:
         """Simulator-shaped counts: a session opens and closes in its tick."""
         rng = np.random.default_rng(5)
         sessions = rng.integers(0, 3, size=(2, 11))
-        return TelemetryCounts(self.IDS, np.arange(11), {
+        return TelemetryCounts.dense(self.IDS, np.arange(11), {
             self.PACKETS_IN: rng.integers(0, 4, size=(2, 11)),
             (EventKind.SESSION_OPEN, Direction.INBOUND): sessions,
             (EventKind.SESSION_CLOSE, Direction.INBOUND): sessions,
         })
 
     def events(self, counts):
-        """The same telemetry as events, in the canonical row order."""
+        """The same dense telemetry as events, in the canonical row order."""
+        width = len(counts.ticks)
         events = []
         for j, t in enumerate(counts.ticks.tolist()):
             for row, device in enumerate(counts.device_ids):
                 for (kind, direction), array in counts.columns.items():
                     size = PACKET_SIZE if kind is EventKind.PACKET else 0
-                    events += [ev(t, kind, direction, device, size)] * int(array[row, j])
+                    events += [ev(t, kind, direction, device, size)] * int(array[row * width + j])
         return events
 
     def test_csv_is_the_event_writers_output(self):
@@ -248,7 +266,7 @@ class TestTelemetryCounts:
     def test_csv_round_trips_every_column_over_sparse_ticks(self):
         rng = np.random.default_rng(9)
         ticks = np.array([0, 3, 4, 17, 1000])
-        counts = TelemetryCounts(
+        counts = TelemetryCounts.dense(
             ("a", 'b "q"', "c,d", "e\nf"),
             ticks,
             {column: rng.integers(0, 3, size=(4, len(ticks))) for column in CSV_ORDER},
@@ -264,11 +282,50 @@ class TestTelemetryCounts:
         t = 10**12
         counts = ingest_csv(io.StringIO(f"time,device_id,direction,kind,size\n{t},d,inbound,packet,64\n"))
         assert counts.ticks.tolist() == [t]
-        assert counts.columns[self.PACKETS_IN].shape == (1, 1)
+        assert counts.cells.tolist() == [0]
         series = bucketize(counts, "d", Metric.PACKETS_IN, 2, t - 3, t + 3)
         assert series.values == (0.0, 1.0, 0.0)
         series = bucketize(counts, "d", Metric.PACKETS_IN, 1, 0, 5)
         assert series.values == (0.0,) * 5
+
+    def test_sparse_csv_round_trips(self):
+        rows = [ev(t, kind, direction, device, PACKET_SIZE if kind is EventKind.PACKET else 0)
+                for device, t, kind, direction in [
+                    ("b", 7, EventKind.PACKET, Direction.OUTBOUND),
+                    ("a", 7, EventKind.SESSION_CLOSE, Direction.INBOUND),
+                    ("a", 2, EventKind.SESSION_OPEN, Direction.INBOUND),
+                    ("c", 10**12, EventKind.PACKET, Direction.INBOUND),
+                    ("b", 2, EventKind.PACKET, Direction.OUTBOUND),
+                ]] * 2
+        counts = telemetry(rows)
+        out = io.StringIO()
+        counts.to_csv(out)
+        assert cells(ingest_csv(io.StringIO(out.getvalue()))) == cells(counts) == event_cells(rows)
+        # tick 2: devices in first-row order, b before a
+        assert out.getvalue().splitlines()[1:5] == [
+            "2,b,outbound,packet,64", "2,b,outbound,packet,64",
+            "2,a,inbound,session_open,0", "2,a,inbound,session_open,0",
+        ]
+
+    def test_memory_grows_with_rows_not_devices_times_ticks(self):
+        # 4,000 devices, each at two ticks of its own: 8,000 distinct ticks
+        devices = 4000
+        text = "".join(
+            f"{t},dev-{d},inbound,packet,64\n" for d in range(devices) for t in (2 * d, 2 * d + 1)
+        )
+        text = ",".join(CSV_HEADER) + "\n" + text
+        tracemalloc.start()
+        try:
+            counts = ingest_csv(io.StringIO(text))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = 2 * devices
+        held = sum(a.nbytes for a in (counts.ticks, counts.starts, counts.cells, *counts.columns.values()))
+        assert held <= 32 * rows
+        assert peak <= 2000 * rows  # a devices x ticks array would take 32 times that
+        series = bucketize(counts, "dev-3999", Metric.PACKETS_IN, 1, 7996, 8000)
+        assert series.values == (0.0, 0.0, 1.0, 1.0)
 
     def test_absent_device_reads_zero(self):
         counts = telemetry([ev(1, EventKind.PACKET, size=1)])
