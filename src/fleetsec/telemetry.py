@@ -26,7 +26,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -57,6 +57,7 @@ Column = tuple[EventKind, Direction]
 CSV_HEADER = ["time", "device_id", "direction", "kind", "size"]
 PACKET_SIZE = 64  # the size column of every packet row written
 _CSV_CELLS = 1024  # cells to_csv formats at a time
+_CSV_WINDOWS = 16  # tick windows to_csv sorts one at a time
 _BLOCK_ROWS = 8192  # CSV rows ingest_csv holds at a time
 
 # Every column, in the order a device's rows in one tick are written.
@@ -205,10 +206,7 @@ class TelemetryCounts:
         if not order:
             return
         tails = [_row_tail(device_id, *column) for device_id in self.device_ids for column in order]
-        # a stable sort by tick keeps the cells of one tick in device order
-        by_tick = np.argsort(self.cells, kind="stable")
-        for first in range(0, len(by_tick), _CSV_CELLS):
-            cells = by_tick[first : first + _CSV_CELLS]
+        for cells in self._by_tick():
             counts = np.stack([self.columns[column][cells] for column in order], axis=1)
             nonzero = np.flatnonzero(counts)  # into counts, cell-major like tails
             cell, column = np.divmod(nonzero, len(order))
@@ -217,6 +215,19 @@ class TelemetryCounts:
             times = self.ticks[self.cells[cells[cell]]]
             rows = zip(times.tolist(), tail.tolist(), counts.ravel()[nonzero].tolist())
             stream.write("".join([f"{t}{tails[i]}" * n for t, i, n in rows]))
+
+    def _by_tick(self) -> Iterator[np.ndarray]:
+        """Cell positions by tick, then device, _CSV_CELLS at a time.
+
+        The ticks are taken in _CSV_WINDOWS windows, so no one sort holds
+        every cell; a stable sort keeps each tick's cells in device order.
+        """
+        edges = np.linspace(0, len(self.ticks), _CSV_WINDOWS + 1).astype(np.int64)
+        for low, high in zip(edges[:-1].tolist(), edges[1:].tolist()):
+            picked = np.flatnonzero((self.cells >= low) & (self.cells < high))
+            picked = picked[np.argsort(self.cells[picked], kind="stable")]
+            for first in range(0, len(picked), _CSV_CELLS):
+                yield picked[first : first + _CSV_CELLS]
 
 
 def _row_tail(device_id: str, kind: EventKind, direction: Direction) -> str:

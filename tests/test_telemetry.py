@@ -323,7 +323,7 @@ class TestTelemetryCounts:
         rows = 2 * devices
         held = sum(a.nbytes for a in (counts.ticks, counts.starts, counts.cells, *counts.columns.values()))
         assert held <= 32 * rows
-        assert peak <= 2000 * rows  # a devices x ticks array would take 32 times that
+        assert peak <= 2000 * rows  # one devices x ticks column would take 16 times that
         series = bucketize(counts, "dev-3999", Metric.PACKETS_IN, 1, 7996, 8000)
         assert series.values == (0.0, 0.0, 1.0, 1.0)
 
