@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from fleetsec.cli import main
+from fleetsec.fleet_sim import scenario as scenario_module
 from fleetsec.keystore import Keystore
 from fleetsec.telemetry import Direction, EventKind
 from fleetsec.tsa import TimestampAuthority
@@ -460,6 +461,30 @@ def test_simulate_unbounded_traffic_is_config_error(tmp_path, capsys, edit):
     code = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_at_the_telemetry_row_cap(tmp_path, capsys, monkeypatch):
+    # one device: at most (8 + 3 + 9 * 0.8 + 1) rows a tick, times the flood
+    # on ticks 10-14, plus an open and a close row per heartbeat
+    monkeypatch.setattr(scenario_module, "MAX_TELEMETRY_ROWS", 2000)
+
+    def simulate(name, **fields):
+        obj = {"seed": 7, "duration": 60, "detector": None, **fields}
+        obj["devices"] = [{"id": "dev-a", "secret": "s-a"}]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        return main(["simulate", "--scenario", str(path), "--out", str(tmp_path / name)])
+
+    def flood(factor):
+        return [{"kind": "traffic_flood", "at": 10, "device": "dev-a", "factor": factor, "buckets": 5}]
+
+    assert simulate("edge", attacks=flood(9)) == 0  # bound 19.2 * (55 + 45) + 6
+    with open(tmp_path / "edge" / "telemetry.csv") as fh:
+        assert 0 < sum(1 for _ in fh) - 1 <= 2000
+    assert simulate("past", attacks=flood(10)) == 2  # bound 2022
+    assert "telemetry could reach" in capsys.readouterr().err
+    assert simulate("long", duration=2001) == 2
+    assert "devices x duration" in capsys.readouterr().err
 
 
 def test_simulate_missing_file_is_an_error(tmp_path, capsys):

@@ -4,7 +4,6 @@ from pathlib import Path
 import pytest
 
 from fleetsec.detector import calibrate, detect
-from fleetsec.fleet_sim import scenario as scenario_module
 from fleetsec.fleet_sim.report import REPORT_FILES
 from fleetsec.fleet_sim.scenario import (
     ConfigError,
@@ -342,25 +341,6 @@ def test_rollback_requires_a_prior_campaign():
     obj = base_config(attacks=[{"kind": "rollback_replay", "at": 10, "device": "dev-a"}])
     with pytest.raises(ConfigError, match="update campaign"):
         parse_scenario(obj)
-
-
-def test_telemetry_row_cap_holds_at_its_edge(monkeypatch):
-    # one device: at most (8 + 3 + 9 * 0.8 + 1) rows a tick, times the flood
-    # on ticks 10-14, plus an open and a close row per heartbeat
-    monkeypatch.setattr(scenario_module, "MAX_TELEMETRY_ROWS", 2000)
-
-    def flooded(factor):
-        return base_config(
-            devices=[{"id": "dev-a", "secret": "s-a"}],
-            attacks=[{"kind": "traffic_flood", "at": 10, "device": "dev-a", "factor": factor, "buckets": 5}],
-        )
-
-    rows = len(run_scenario(parse_scenario(flooded(9))).telemetry)  # bound 19.2 * (55 + 45) + 6
-    assert 0 < rows <= 2000
-    with pytest.raises(ConfigError, match="telemetry could reach"):
-        parse_scenario(flooded(10))  # bound 2022
-    with pytest.raises(ConfigError, match="devices x duration"):
-        parse_scenario(base_config(duration=1001))  # two devices
 
 
 def test_canary_probe_requires_some_canary():
