@@ -5,7 +5,8 @@ re-derivation of the device verification order, a randomized
 adversarial trace runner for the update state machine, and a per-event
 telemetry reference: one `ConnectionEvent` per CSV row, bucketed one
 event at a time, against which the library's columnar counts are
-checked.
+checked; and a flooded-fleet scenario with a runner that feeds a
+simulate run's telemetry to `fleetsec detect`.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import csv
 import hashlib
 import random
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, TextIO
 
+from fleetsec.cli import main
 from fleetsec.keystore import Keystore, verify
 from fleetsec.telemetry import (
     CSV_HEADER,
@@ -484,3 +487,39 @@ def events_to_csv(events: Iterable[ConnectionEvent], stream: TextIO) -> None:
     writer.writerow(CSV_HEADER)
     for e in events:
         writer.writerow([e.time, e.device_id, e.direction.value, e.kind.value, e.size])
+
+
+def flooded_fleet(devices: int, duration: int, seed: int = 5) -> dict:
+    """Criterion-1 traffic on `devices` devices; the last one is flooded at 3/4 of the run."""
+    traffic = {"period": 40, "base": 50.0, "amplitude": 20.0, "noise": 1.0}
+    ids = [f"dev-{k:02d}" for k in range(devices)]
+    return {
+        "seed": seed,
+        "duration": duration,
+        "devices": [
+            {"id": dev, "secret": f"s-{dev}", "owner": "ops", "traffic": traffic} for dev in ids
+        ],
+        "detector": {"baseline_ticks": duration // 2, "window": 16},
+        "attacks": [{"kind": "traffic_flood", "at": duration * 3 // 4, "device": ids[-1],
+                     "factor": 10, "buckets": 24}],
+    }
+
+
+def detect_on_run(run_dir: Path, detector, out: Path) -> int:
+    """`fleetsec detect` on a simulate run's telemetry.csv, with its rows
+    before `detector.baseline_ticks` as the baseline; returns the exit code.
+
+    `detector` is the run's `DetectorSpec`; its settings become the flags.
+    """
+    (metric,) = detector.metrics  # detect profiles one metric
+    header, *rows = (run_dir / "telemetry.csv").read_text(encoding="utf-8").splitlines(True)
+    baseline = out.parent / f"{out.stem}-baseline.csv"
+    early = [row for row in rows if int(row.split(",", 1)[0]) < detector.baseline_ticks]
+    baseline.write_text(header + "".join(early), encoding="utf-8")
+    flags = ["--metric", metric.value, "--window", str(detector.window),
+             "--quantile", repr(detector.quantile), "--margin", repr(detector.margin),
+             "--interval", str(detector.interval)]
+    if detector.exclusion is not None:
+        flags += ["--exclusion", str(detector.exclusion)]
+    return main(["detect", "--baseline", str(baseline), "--input", str(run_dir / "telemetry.csv"),
+                 *flags, "--out", str(out)])

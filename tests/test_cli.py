@@ -12,7 +12,7 @@ from fleetsec.telemetry import Direction, EventKind
 from fleetsec.tsa import TimestampAuthority
 from fleetsec.update_protocol import build_manifest, initial_state
 
-from helpers import ConnectionEvent, events_to_csv, firmware_image
+from helpers import ConnectionEvent, detect_on_run, events_to_csv, firmware_image, flooded_fleet
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 PASSPHRASE = "hunter2"
@@ -332,6 +332,19 @@ def test_detect_requires_baseline_for_every_device(telemetry_files, tmp_path, ca
                  "--input", str(other), "--out", str(tmp_path / "a.jsonl")])
     assert code == 2
     assert "dev-9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("devices,duration", [(3, 800), (20, 240)])
+def test_detect_on_a_simulate_run_writes_its_anomalies(devices, duration, tmp_path, capsys):
+    scenario = tmp_path / "fleet.json"
+    scenario.write_text(json.dumps(flooded_fleet(devices, duration)), encoding="utf-8")
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "run")]) == 0
+    config = scenario_module.load_scenario(scenario)
+    assert detect_on_run(tmp_path / "run", config.detector, tmp_path / "detect.jsonl") == 1
+    simulated = (tmp_path / "run" / "anomalies.jsonl").read_bytes()
+    assert simulated
+    assert (tmp_path / "detect.jsonl").read_bytes() == simulated
+    capsys.readouterr()
 
 
 def test_mp_compute_fast_and_brute_agree_exactly(telemetry_files, tmp_path, capsys):
