@@ -17,13 +17,13 @@ from fleetsec import (
     DetectorConfig,
     Metric,
     ProfileConfig,
-    TelemetrySeries,
-    calibrate,
+    TelemetryCounts,
     compute_brute_force,
     compute_fast,
-    detect,
+    detect_counts,
     top_discords,
 )
+from fleetsec.telemetry import Direction, EventKind
 
 rng = np.random.default_rng(7)
 
@@ -52,11 +52,17 @@ print(f"top discords: {discords} (flood occupies [500, 524))")
 
 # Detector flow: calibrate a threshold on the attack-free prefix, then
 # score the full series against it. Scores are profile distances, so the
-# threshold transfers between runs of the same device.
-series = TelemetrySeries("sensor-a", Metric.PACKETS_IN, 1, tuple(map(float, counts)), 0)
-det_config = DetectorConfig(config)
-threshold = calibrate(series.prefix(400), det_config)
-reports = detect(series, threshold, det_config)
+# threshold transfers between runs of the same device. detect_counts is
+# the pass `fleetsec simulate` and `fleetsec detect` both run: here it
+# reads one device's counts (row 0), ticks [0, 400) as the baseline.
+packets = {(EventKind.PACKET, Direction.INBOUND): counts.astype(np.int64)[np.newaxis]}
+telemetry = TelemetryCounts.dense(("sensor-a",), t, packets)
+reports = detect_counts(
+    DetectorConfig(config), [Metric.PACKETS_IN], 1,
+    telemetry, [0], (0, n),
+    telemetry, [0], (0, 400),
+)
+threshold = reports[0].threshold
 
 print(f"threshold {threshold:.3f}, {len(reports)} anomalous windows")
 first, last = reports[0], reports[-1]

@@ -12,9 +12,7 @@ the lot.
 from .detector import (
     AnomalyReport,
     DetectorConfig,
-    calibrate,
-    detect,
-    detect_fleet,
+    detect_counts,
     threshold_from_distances,
 )
 from .errors import FleetsecError
@@ -70,13 +68,11 @@ __all__ = [
     "boot",
     "bucketize",
     "build_manifest",
-    "calibrate",
     "compute_brute_force",
     "compute_fast",
     "compute_many",
     "decode_token",
-    "detect",
-    "detect_fleet",
+    "detect_counts",
     "device_verify",
     "ingest_csv",
     "initial_state",

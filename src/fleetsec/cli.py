@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .detector import DetectorConfig, calibrate, detect_fleet, write_reports_jsonl
+from .detector import DetectorConfig, detect_counts, write_reports_jsonl
 from .errors import FleetsecError
 from .fleet_sim import ConfigError, load_scenario, simulate_to_dir
 from .identity import (
@@ -63,11 +63,27 @@ def _load_telemetry(path: str) -> TelemetryCounts:
         return ingest_csv(fh)
 
 
+def _rows(path, telemetry: TelemetryCounts, device_ids: list[str]) -> list[int]:
+    """Each device's row in the telemetry read from path; a device without one is an error."""
+    row = {device_id: i for i, device_id in enumerate(telemetry.device_ids)}
+    for device_id in device_ids:
+        if device_id not in row:
+            raise ValueError(f"{path}: no telemetry for device {device_id!r}")
+    return [row[device_id] for device_id in device_ids]
+
+
+def _span(telemetry: TelemetryCounts) -> tuple[int, int]:
+    """From the first tick with events to one past the last; empty without events."""
+    if not len(telemetry.ticks):
+        return 0, 0
+    return int(telemetry.ticks[0]), int(telemetry.ticks[-1]) + 1
+
+
 def _series_for(path, telemetry, device_id, metric, interval, start=None, end=None):
-    if device_id not in telemetry.device_ids:
-        raise ValueError(f"{path}: no telemetry for device {device_id!r}")
-    start = int(telemetry.ticks[0]) if start is None else start
-    end = int(telemetry.ticks[-1]) + 1 if end is None else end
+    _rows(path, telemetry, [device_id])  # the device must have telemetry
+    first, last = _span(telemetry)
+    start = first if start is None else start
+    end = last if end is None else end
     return bucketize(telemetry, device_id, metric, interval, start, end)
 
 
@@ -122,15 +138,11 @@ def _cmd_detect(args) -> int:
     baseline = _load_telemetry(args.baseline)
     telemetry = _load_telemetry(args.input)
     devices = sorted(telemetry.device_ids)
-    series_by_device = {}
-    thresholds = {}
-    for device_id in devices:
-        baseline_series = _series_for(args.baseline, baseline, device_id, metric, args.interval)
-        thresholds[device_id] = calibrate(baseline_series, config)
-        series_by_device[device_id] = _series_for(
-            args.input, telemetry, device_id, metric, args.interval
-        )
-    reports = detect_fleet(series_by_device, thresholds, config)
+    reports = detect_counts(
+        config, [metric], args.interval,
+        telemetry, _rows(args.input, telemetry, devices), _span(telemetry),
+        baseline, _rows(args.baseline, baseline, devices), _span(baseline),
+    )
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_reports_jsonl(reports, fh)
     print(f"{len(reports)} anomalies across {len(devices)} devices -> {args.out}")
@@ -274,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     discords.add_argument("--k", type=int, required=True)
     discords.set_defaults(func=_cmd_mp_discords)
 
-    detect_p = commands.add_parser("detect", help="calibrate on a baseline, flag anomalies")
+    detect_p = commands.add_parser("detect", help="threshold on a baseline, flag anomalies")
     detect_p.add_argument("--baseline", required=True)
     detect_p.add_argument("--input", required=True)
     detect_p.add_argument("--metric", default="packets_in")

@@ -1,34 +1,31 @@
 """Per-device anomaly detection on telemetry series.
 
-A device's profile distances on an attack-free baseline calibrate a
+A device's profile distances on an attack-free baseline set its
 threshold (quantile of the empirical distribution times a safety margin);
 any window of later telemetry whose profile distance exceeds it is
 reported. Calibrating per device keeps a heterogeneous fleet comparable:
-every device gets its own score scale.
+every device gets its own score scale. `detect_counts` is the one
+detection pass, used by the fleet simulator and by `fleetsec detect`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .errors import FleetsecError
-from .matrix_profile import MatrixProfile, ProfileConfig, compute_fast
-from .telemetry import TelemetrySeries
+from .matrix_profile import ProfileConfig, compute_many
+from .telemetry import Metric, TelemetryCounts
 
 DEFAULT_QUANTILE = 0.99
 DEFAULT_MARGIN = 2.0
 
-
-class MissingThresholdError(FleetsecError):
-    """A device has a series but no calibrated threshold."""
-
-    def __init__(self, device_id: str):
-        super().__init__(f"no threshold for device {device_id!r}")
-        self.device_id = device_id
+# Devices whose series one pass profiles together. Batching pays off
+# within a few dozen series; larger blocks only hold more series and
+# profiles alive at the run's memory peak.
+_DETECTOR_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -40,7 +37,7 @@ class DetectorConfig:
     def __post_init__(self):
         if not 0.0 < self.quantile <= 1.0:
             raise ValueError(f"quantile must be in (0, 1], got {self.quantile}")
-        if self.margin < 1.0:
+        if not self.margin >= 1.0:  # NaN fails it too
             raise ValueError(f"margin must be >= 1, got {self.margin}")
 
 
@@ -73,53 +70,47 @@ def threshold_from_distances(distances, quantile: float, margin: float) -> float
     return float(margin * np.quantile(np.asarray(distances, dtype=np.float64), quantile))
 
 
-def calibrate(baseline: TelemetrySeries, config: DetectorConfig) -> float:
-    """Threshold from an attack-free baseline series.
-
-    Assumes the baseline captures the device's recurring behavior; with a
-    margin above 1 the baseline itself never exceeds its own threshold at
-    the calibration quantile.
-    """
-    profile = compute_fast(baseline.values, config.profile_config)
-    return threshold_from_distances(profile.distances, config.quantile, config.margin)
-
-
-def detect(
-    series: TelemetrySeries, threshold: float, config: DetectorConfig
-) -> list[AnomalyReport]:
-    """Reports for every window whose profile distance exceeds threshold."""
-    profile = compute_fast(series.values, config.profile_config)
-    return reports_from_profile(series, profile, threshold)
-
-
-def reports_from_profile(
-    series: TelemetrySeries, profile: MatrixProfile, threshold: float
-) -> list[AnomalyReport]:
-    """Turn an already computed profile into sorted anomaly reports."""
-    return [
-        AnomalyReport(
-            device_id=series.device_id,
-            metric=series.metric.value,
-            window_index=i,
-            time=series.start_time + i * series.interval,
-            score=float(profile.distances[i]),
-            threshold=float(threshold),
-        )
-        for i in np.flatnonzero(profile.distances > threshold).tolist()
-    ]
-
-
-def detect_fleet(
-    series_by_device: Mapping[str, TelemetrySeries],
-    thresholds: Mapping[str, float],
+def detect_counts(
     config: DetectorConfig,
+    metrics: Sequence[Metric],
+    interval: int,
+    telemetry: TelemetryCounts,
+    rows: Sequence[int],
+    span: tuple[int, int],
+    baseline: TelemetryCounts,
+    baseline_rows: Sequence[int],
+    baseline_span: tuple[int, int],
 ) -> list[AnomalyReport]:
-    """Concatenated per-device detection, ordered by (device_id, window)."""
+    """Reports for every window whose profile distance exceeds its device's threshold.
+
+    Device k is telemetry row rows[k] and baseline row baseline_rows[k];
+    each side is bucketed at `interval` over its span, [start, end). Its
+    baseline series sets the threshold for its telemetry series, metric
+    by metric. Reports are ordered by device as `rows` orders them, then
+    metric as `metrics` does, then window.
+    """
     reports = []
-    for device_id in sorted(series_by_device):
-        if device_id not in thresholds:
-            raise MissingThresholdError(device_id)
-        reports.extend(detect(series_by_device[device_id], thresholds[device_id], config))
+    for first in range(0, len(rows), _DETECTOR_BLOCK):
+        block = slice(first, first + _DETECTOR_BLOCK)
+        scored = []
+        for metric in metrics:
+            base = baseline.bucket(baseline_rows[block], metric, interval, *baseline_span)
+            thresholds = [
+                threshold_from_distances(p.distances, config.quantile, config.margin)
+                for p in compute_many(base, config.profile_config)
+            ]
+            values = telemetry.bucket(rows[block], metric, interval, *span)
+            scored.append((metric.value, thresholds, compute_many(values, config.profile_config)))
+        for k, row in enumerate(rows[block]):
+            device_id = telemetry.device_ids[row]
+            for metric, thresholds, profiles in scored:
+                distances, threshold = profiles[k].distances, thresholds[k]
+                reports.extend(
+                    AnomalyReport(
+                        device_id, metric, i, span[0] + i * interval, float(distances[i]), threshold
+                    )
+                    for i in np.flatnonzero(distances > threshold).tolist()
+                )
     return reports
 
 

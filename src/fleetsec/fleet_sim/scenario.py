@@ -9,8 +9,8 @@ produces byte-identical reports.
 A scenario wires together the whole toolkit: devices are registered and
 claimed at t=0, generate periodic telemetry while on-grid, receive
 update campaigns over a lossy fragmenting link, and suffer scripted
-attacks. At the end of the run the detector is calibrated per device on
-a clean prefix and swept over the full series, and credential-clone
+attacks. At the end of the run the detector sets each device's threshold
+on a clean prefix and sweeps the full series, and credential-clone
 detection runs over all observed sessions.
 
 Telemetry is per-device, per-tick count arrays filled before the event
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import json
 import math
 import random
@@ -38,12 +39,12 @@ from ..deception import (
     mtd_rotate,
     plant_canary,
 )
-from ..detector import DetectorConfig, reports_from_profile, threshold_from_distances
+from ..detector import DetectorConfig, detect_counts
 from ..errors import FleetsecError
 from ..identity import BlacklistedError, ClaimRequest, DeviceRegistry, SecretMismatchError, Status
 from ..keystore import Keystore
-from ..matrix_profile import ProfileConfig, compute_many, default_exclusion
-from ..telemetry import Direction, EventKind, Metric, TelemetryCounts, TelemetrySeries
+from ..matrix_profile import ProfileConfig, default_exclusion
+from ..telemetry import Direction, EventKind, Metric, TelemetryCounts
 from ..tsa import TimestampAuthority
 from ..update_protocol import (
     DeviceMode,
@@ -74,11 +75,6 @@ ATTACK_KINDS = (
     "canary_probe",
 )
 
-
-# Devices whose series the detector pass profiles together. Batching pays
-# off within a few dozen series; larger blocks only hold more series and
-# profiles alive at the run's memory peak.
-_DETECTOR_BLOCK = 64
 
 # The most rows a scenario's telemetry.csv may reach (about 0.5 GB). It
 # keeps every count and running total far inside int64 and the file
@@ -322,7 +318,7 @@ def _parse_detector(obj: dict, path: str, duration: int) -> DetectorSpec:
     if not 0 < quantile <= 1:
         raise ConfigError(f"{path}.quantile", "must be in (0, 1]")
     margin = _field(obj, path, "margin", float, 2.0)
-    if margin < 1:
+    if not margin >= 1:  # NaN fails it too
         raise ConfigError(f"{path}.margin", "must be at least 1")
     interval = _field(obj, path, "interval", int, 1)
     if interval < 1:
@@ -1108,35 +1104,23 @@ class FleetSimulation:
 
     def _detector_pass(self) -> None:
         det = self.cfg.detector
-        if det is None or not self.cfg.devices:
+        if det is None:
             return
-        config = det.to_config()
-        baseline_buckets = det.baseline_ticks // det.interval
-        devices = sorted(self._row)
-        for first in range(0, len(devices), _DETECTOR_BLOCK):
-            block = devices[first : first + _DETECTOR_BLOCK]
-            rows = [self._row[dev] for dev in block]
-            found: dict[tuple[str, Metric], list] = {}
-            for metric in det.metrics:
-                values = self.report.telemetry.bucket(rows, metric, det.interval, 0, self.cfg.duration)
-                baselines = compute_many(values[:, :baseline_buckets], config.profile_config)
-                profiles = compute_many(values, config.profile_config)
-                for dev, row, base, profile in zip(block, values, baselines, profiles):
-                    series = TelemetrySeries(dev, metric, det.interval, tuple(row.tolist()), 0)
-                    threshold = threshold_from_distances(
-                        base.distances, config.quantile, config.margin
-                    )
-                    found[dev, metric] = reports_from_profile(series, profile, threshold)
-            for dev in block:
-                for metric in det.metrics:
-                    reports = found[dev, metric]
-                    self.report.anomalies.extend(reports)
-                    if reports:
-                        self.event(
-                            "detector",
-                            "anomalies_found",
-                            {"device": dev, "metric": metric.value, "count": len(reports)},
-                        )
+        telemetry = self.report.telemetry
+        rows = [self._row[dev] for dev in sorted(self._row)]
+        baseline_span = (0, det.baseline_ticks // det.interval * det.interval)
+        reports = detect_counts(
+            det.to_config(), det.metrics, det.interval,
+            telemetry, rows, (0, self.cfg.duration),
+            telemetry, rows, baseline_span,
+        )
+        self.report.anomalies.extend(reports)
+        for (dev, metric), found in itertools.groupby(reports, lambda r: (r.device_id, r.metric)):
+            self.event(
+                "detector",
+                "anomalies_found",
+                {"device": dev, "metric": metric, "count": sum(1 for _ in found)},
+            )
 
     def _clone_pass(self) -> list[str]:
         flagged = self.registry.detect_credential_clone(self.observations)

@@ -39,7 +39,8 @@ import numpy as np
 
 from .errors import FleetsecError
 
-DEFAULT_EPSILON_STD = 1e-12
+# A window whose population standard deviation is below this is constant.
+CONSTANT_STD = 1e-12
 
 # Window pairs whose correlation is within this of exactly 1 count as exact
 # matches and get distance 0. Without the snap, the correlation identity
@@ -79,7 +80,7 @@ def default_exclusion(window_m: int) -> int:
 
 @dataclass(frozen=True)
 class ProfileConfig:
-    """Window length, exclusion radius and constant-window threshold.
+    """Window length and exclusion radius.
 
     `exclusion` defaults to half the window length; matches with
     |i - j| <= exclusion are considered trivial self-matches and skipped.
@@ -87,7 +88,6 @@ class ProfileConfig:
 
     window_m: int
     exclusion: int | None = None
-    epsilon_std: float = DEFAULT_EPSILON_STD
 
     def __post_init__(self):
         if self.window_m < 2:
@@ -96,8 +96,6 @@ class ProfileConfig:
             object.__setattr__(self, "exclusion", default_exclusion(self.window_m))
         if self.exclusion < 1:
             raise ValueError(f"exclusion must be >= 1, got {self.exclusion}")
-        if self.epsilon_std <= 0:
-            raise ValueError("epsilon_std must be positive")
 
 
 @dataclass(frozen=True)
@@ -112,7 +110,7 @@ class MatrixProfile:
         return len(self.distances)
 
 
-def znorm_distance(a, b, epsilon_std: float = DEFAULT_EPSILON_STD) -> float:
+def znorm_distance(a, b) -> float:
     """Euclidean distance between z-normalized copies of a and b.
 
     Both inputs are shifted to zero mean and scaled by their population
@@ -130,8 +128,8 @@ def znorm_distance(a, b, epsilon_std: float = DEFAULT_EPSILON_STD) -> float:
 
     sa = float(np.std(a))
     sb = float(np.std(b))
-    a_const = sa < epsilon_std
-    b_const = sb < epsilon_std
+    a_const = sa < CONSTANT_STD
+    b_const = sb < CONSTANT_STD
     if a_const and b_const:
         return 0.0
     if a_const or b_const:
@@ -167,7 +165,7 @@ def compute_brute_force(values, config: ProfileConfig) -> MatrixProfile:
     windows = np.lib.stride_tricks.sliding_window_view(values, m)
     mu = windows.mean(axis=1)
     sigma = windows.std(axis=1)
-    const = sigma < config.epsilon_std
+    const = sigma < CONSTANT_STD
     safe_sigma = np.where(const, 1.0, sigma)
     z = (windows - mu[:, None]) / safe_sigma[:, None]
     z[const] = 0.0
@@ -189,7 +187,7 @@ def compute_brute_force(values, config: ProfileConfig) -> MatrixProfile:
     return MatrixProfile(distances, neighbors, config)
 
 
-def _znormalized(values: np.ndarray, m: int, epsilon_std: float):
+def _znormalized(values: np.ndarray, m: int):
     """Every window of every row, z-normalized and scaled by 1/sqrt(m).
 
     Returns (z, const) of shapes (rows, w, m) and (rows, w). Constant
@@ -201,7 +199,7 @@ def _znormalized(values: np.ndarray, m: int, epsilon_std: float):
     windows = np.lib.stride_tricks.sliding_window_view(values, m, axis=-1)
     mu = windows.mean(axis=-1, keepdims=True)
     sigma = windows.std(axis=-1, keepdims=True)
-    const = sigma < epsilon_std
+    const = sigma < CONSTANT_STD
     z = (windows - mu) / (np.where(const, 1.0, sigma) * math.sqrt(m))
     const = const[..., 0]
     z[const] = 0.0
@@ -256,7 +254,7 @@ def compute_many(values_2d, config: ProfileConfig) -> list[MatrixProfile]:
     distances = np.empty((n_series, w))
     neighbors = np.empty((n_series, w), dtype=np.int64)
     for a in range(0, n_series, per_tile):
-        z, const = _znormalized(values[a : a + per_tile], config.window_m, config.epsilon_std)
+        z, const = _znormalized(values[a : a + per_tile], config.window_m)
         zt = np.ascontiguousarray(z.transpose(0, 2, 1))  # a strided view misses BLAS
         for r0 in range(0, w, rows):
             block = z[:, r0 : r0 + rows]

@@ -117,16 +117,6 @@ class TelemetrySeries:
         if self.interval <= 0:
             raise ValueError("interval must be positive")
 
-    def prefix(self, n_buckets: int) -> "TelemetrySeries":
-        """First n_buckets of the series, e.g. a calibration window."""
-        return TelemetrySeries(
-            device_id=self.device_id,
-            metric=self.metric,
-            interval=self.interval,
-            values=self.values[:n_buckets],
-            start_time=self.start_time,
-        )
-
 
 @dataclass(eq=False)
 class TelemetryCounts:
@@ -281,12 +271,22 @@ def ingest_csv(stream: TextIO) -> TelemetryCounts:
     # distinct rows are parsed once, in order of their first row number
     cell_counts: Counter[tuple[Column, str, int]] = Counter()
     row_numbers = itertools.count(1)
-    for block in iter(lambda: list(itertools.islice(reader, _BLOCK_ROWS)), []):
+    while True:
+        block: list[list[str]] = []
+        try:
+            block.extend(itertools.islice(reader, _BLOCK_ROWS))  # keeps the rows read
+            failure = None
+        except csv.Error as exc:  # e.g. a field past csv's size limit
+            failure = exc
         first_row: dict[tuple[str, ...], int] = {}
         repeats = Counter(map(first_row.setdefault, map(tuple, block), row_numbers))
         for row, row_no in first_row.items():
             if any(c.strip() for c in row):  # blank rows are skipped
                 cell_counts[_parse_row(row, row_no)] += repeats[row_no]
+        if failure is not None:  # the rows before it parsed, so it is the first bad row
+            raise ParseError(next(row_numbers), str(failure)) from None
+        if len(block) < _BLOCK_ROWS:
+            break
     events = [(*cell, n) for cell, n in cell_counts.items()]
     device_row = {device_id: i for i, device_id in enumerate(dict.fromkeys(e[1] for e in events))}
     column_code = {column: k for k, column in enumerate(CSV_ORDER)}

@@ -5,8 +5,10 @@ re-derivation of the device verification order, a randomized
 adversarial trace runner for the update state machine, and a per-event
 telemetry reference: one `ConnectionEvent` per CSV row, bucketed one
 event at a time, against which the library's columnar counts are
-checked; and a flooded-fleet scenario with a runner that feeds a
-simulate run's telemetry to `fleetsec detect`.
+checked; a per-series detector (`calibrate`, `detect`), against which
+the library's batched `detect_counts` is checked; and a flooded-fleet
+scenario with a runner that feeds a simulate run's telemetry to
+`fleetsec detect`.
 """
 
 from __future__ import annotations
@@ -19,8 +21,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, TextIO
 
+import numpy as np
+
 from fleetsec.cli import main
+from fleetsec.detector import AnomalyReport, DetectorConfig, threshold_from_distances
 from fleetsec.keystore import Keystore, verify
+from fleetsec.matrix_profile import compute_fast
 from fleetsec.telemetry import (
     CSV_HEADER,
     Direction,
@@ -487,6 +493,35 @@ def events_to_csv(events: Iterable[ConnectionEvent], stream: TextIO) -> None:
     writer.writerow(CSV_HEADER)
     for e in events:
         writer.writerow([e.time, e.device_id, e.direction.value, e.kind.value, e.size])
+
+
+def calibrate(baseline: TelemetrySeries, config: DetectorConfig) -> float:
+    """Threshold from an attack-free baseline series.
+
+    Assumes the baseline captures the device's recurring behavior; with a
+    margin above 1 the baseline itself never exceeds its own threshold at
+    the calibration quantile.
+    """
+    profile = compute_fast(baseline.values, config.profile_config)
+    return threshold_from_distances(profile.distances, config.quantile, config.margin)
+
+
+def detect(
+    series: TelemetrySeries, threshold: float, config: DetectorConfig
+) -> list[AnomalyReport]:
+    """Reports for every window of one series whose profile distance exceeds threshold."""
+    profile = compute_fast(series.values, config.profile_config)
+    return [
+        AnomalyReport(
+            device_id=series.device_id,
+            metric=series.metric.value,
+            window_index=i,
+            time=series.start_time + i * series.interval,
+            score=float(profile.distances[i]),
+            threshold=float(threshold),
+        )
+        for i in np.flatnonzero(profile.distances > threshold).tolist()
+    ]
 
 
 def flooded_fleet(devices: int, duration: int, seed: int = 5) -> dict:

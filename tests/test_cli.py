@@ -347,6 +347,27 @@ def test_detect_on_a_simulate_run_writes_its_anomalies(devices, duration, tmp_pa
     capsys.readouterr()
 
 
+def test_detect_nan_margin_is_an_error(telemetry_files, tmp_path, capsys):
+    code = main(["detect", "--baseline", str(telemetry_files / "baseline.csv"),
+                 "--input", str(telemetry_files / "burst.csv"), "--margin", "nan",
+                 "--out", str(tmp_path / "a.jsonl")])
+    assert code == 2
+    assert "margin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["mp", "detect"])
+def test_field_past_the_csv_limit_is_a_parse_error(tmp_path, capsys, command):
+    # csv refuses fields over 131,072 characters
+    big = str(tmp_path / "big.csv")
+    Path(big).write_text(f"time,device_id,direction,kind,size\n1,{'d' * 200_000},inbound,packet,64\n")
+    args = {
+        "mp": ["mp", "compute", "--input", big, "--device", "dev-1", "--window", "16"],
+        "detect": ["detect", "--baseline", big, "--input", big, "--out", str(tmp_path / "a.jsonl")],
+    }
+    assert main(args[command]) == 2
+    assert "row 1: field larger than field limit" in capsys.readouterr().err
+
+
 def test_mp_compute_fast_and_brute_agree_exactly(telemetry_files, tmp_path, capsys):
     args = ["mp", "compute", "--input", str(telemetry_files / "baseline.csv"),
             "--device", "dev-1", "--window", "16"]
@@ -448,6 +469,16 @@ def test_simulate_mistyped_field_is_config_error(tmp_path, capsys, keys, value):
     code = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "out")])
     assert code == 2
     assert ".".join(keys) in capsys.readouterr().err
+
+
+def test_simulate_nan_margin_is_config_error(tmp_path, capsys):
+    obj = json.loads((SCENARIO_DIR / "baseline_flood.json").read_text())
+    obj["detector"]["margin"] = math.nan
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))  # written as NaN, which json reads back
+    code = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "detector.margin" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -5,29 +5,58 @@ import math
 import numpy as np
 import pytest
 
+from fleetsec import detector
 from fleetsec.detector import (
     AnomalyReport,
     DetectorConfig,
-    MissingThresholdError,
-    calibrate,
-    detect,
-    detect_fleet,
+    detect_counts,
     threshold_from_distances,
     write_reports_jsonl,
 )
 from fleetsec.matrix_profile import ProfileConfig, compute_brute_force
-from fleetsec.telemetry import Metric, TelemetrySeries
+from fleetsec.telemetry import Direction, EventKind, Metric, TelemetryCounts, TelemetrySeries
 
+from helpers import calibrate, detect
 
-def series_of(values, device="d", metric=Metric.PACKETS_IN, interval=1, start=0):
-    return TelemetrySeries(device, metric, interval, tuple(float(v) for v in values), start)
+PACKETS = {Metric.PACKETS_IN: (EventKind.PACKET, Direction.INBOUND),
+           Metric.PACKETS_OUT: (EventKind.PACKET, Direction.OUTBOUND)}
 
 
 def periodic(n, period=8):
     return [float(i % period) for i in range(n)]
 
 
+def walk(rng, n):
+    """Random-walk packet counts."""
+    return np.round(10_000 + 100 * rng.normal(size=n).cumsum())
+
+
+def counts_of(series, ids, start=0, interval=1, metric=Metric.PACKETS_IN):
+    """Counts where device ids[k] sends series[k][i] packets at tick start + i * interval,
+    and the span that covers them. `series` may map metrics to such lists."""
+    by_metric = series if isinstance(series, dict) else {metric: series}
+    columns = {PACKETS[m]: np.array(v, dtype=np.int64) for m, v in by_metric.items()}
+    n = next(iter(columns.values())).shape[1]
+    ticks = start + interval * np.arange(n)
+    return TelemetryCounts.dense(tuple(ids), ticks, columns), (start, start + n * interval)
+
+
+def run(baselines, inputs, config=None, *, start=0, interval=1):
+    """detect_counts for device "d{k}", calibrated on baselines[k], over inputs[k]."""
+    ids = [f"d{k}" for k in range(len(inputs))]
+    baseline, baseline_span = counts_of(baselines, ids, 0, interval)
+    telemetry, span = counts_of(inputs, ids, start, interval)
+    rows = list(range(len(ids)))
+    return detect_counts(
+        config or CFG, [Metric.PACKETS_IN], interval,
+        telemetry, rows, span, baseline, rows, baseline_span,
+    )
+
+
 CFG = DetectorConfig(profile_config=ProfileConfig(4, 2), quantile=0.99, margin=2.0)
+# twice the 99th percentile lies above every distance of a short random
+# walk; its median flags about half the windows of another walk
+LOW = DetectorConfig(profile_config=ProfileConfig(4, 2), quantile=0.5, margin=1.0)
 
 
 class TestThresholdRule:
@@ -45,94 +74,113 @@ class TestThresholdRule:
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_exactly_periodic_baseline_calibrates_to_zero(self):
-        threshold = calibrate(series_of(periodic(64)), CFG)
-        assert threshold == 0.0
+        burst = periodic(64)
+        burst[40] = 50.0
+        reports = run([periodic(64)], [burst])
+        assert reports
+        assert {r.threshold for r in reports} == {0.0}
 
     def test_random_walk_baseline(self, rng_np):
-        values = rng_np.normal(size=80).cumsum()
-        threshold = calibrate(series_of(values), CFG)
+        # the median keeps the threshold below the largest distance, so
+        # reports show it: margin times the baseline profile's quantile
+        values = walk(rng_np, 80)
+        config = DetectorConfig(CFG.profile_config, quantile=0.5, margin=2.0)
+        reports = run([values], [values], config)
         profile = compute_brute_force(values, CFG.profile_config)
-        finite = [float(d) for d in profile.distances if math.isfinite(d)]
-        assert threshold == pytest.approx(2.0 * float(np.quantile(finite, 0.99)))
+        want = 2.0 * float(np.quantile(profile.distances, 0.5))
+        assert reports
+        for r in reports:
+            assert r.threshold == pytest.approx(want)
+        flagged = np.flatnonzero(profile.distances > want).tolist()
+        assert [r.window_index for r in reports] == flagged
 
 
 class TestDetect:
     def test_clean_series_with_own_calibration_is_quiet(self):
-        base = series_of(periodic(96))
-        assert detect(base, calibrate(base, CFG), CFG) == []
+        assert run([periodic(96)], [periodic(96)]) == []
 
     def test_burst_is_flagged_near_the_burst_only(self):
         burst_at = 66  # sawtooth value 2 there, scaled to 50
         values = periodic(128)
         values[burst_at] = 50.0
-        series = series_of(values)
-        threshold = calibrate(series_of(periodic(128)), CFG)
-        reports = detect(series, threshold, CFG)
+        reports = run([periodic(128)], [values])
         assert reports, "burst went undetected"
         m = CFG.profile_config.window_m
         for r in reports:
             assert r.window_index <= burst_at < r.window_index + 2 * m
 
     def test_infinite_threshold_silences_everything(self, rng_np):
-        series = series_of(rng_np.normal(size=60).cumsum())
-        assert detect(series, math.inf, CFG) == []
+        config = DetectorConfig(CFG.profile_config, quantile=0.99, margin=math.inf)
+        assert run([walk(rng_np, 60)], [walk(rng_np, 60)], config) == []
 
     def test_report_fields(self):
         values = periodic(40)
         values[20] = 99.0
-        series = series_of(values, interval=3, start=600)
-        reports = detect(series, 0.5, CFG)
+        reports = run([periodic(40)], [values], start=600, interval=3)
         assert reports
         r = reports[0]
         assert r.time == 600 + r.window_index * 3
-        assert r.score > r.threshold == 0.5
-        assert r.device_id == "d"
+        assert r.score > r.threshold == 0.0
+        assert r.device_id == "d0"
         assert r.metric == "packets_in"
 
     def test_reports_sorted_and_strictly_above_threshold(self, rng_np):
-        series = series_of(rng_np.normal(size=100).cumsum())
-        reports = detect(series, 0.1, CFG)
+        reports = run([walk(rng_np, 100)], [walk(rng_np, 100)], LOW)
+        assert reports
         idx = [r.window_index for r in reports]
         assert idx == sorted(idx)
-        assert all(r.score > 0.1 for r in reports)
+        assert all(r.score > r.threshold for r in reports)
 
     def test_monotone_in_threshold(self, rng_np):
-        series = series_of(rng_np.normal(size=90).cumsum())
-        low = {r.window_index for r in detect(series, 0.2, CFG)}
-        high = {r.window_index for r in detect(series, 0.8, CFG)}
-        assert high <= low
+        baseline, series = walk(rng_np, 90), walk(rng_np, 90)
+        low = {r.window_index for r in run([baseline], [series], LOW)}
+        high_margin = DetectorConfig(LOW.profile_config, quantile=0.5, margin=1.5)
+        high = {r.window_index for r in run([baseline], [series], high_margin)}
+        assert high
+        assert high < low
 
 
 class TestDetectFleet:
     def test_empty_fleet(self):
-        assert detect_fleet({}, {}, CFG) == []
+        telemetry, span = counts_of([periodic(64)], ["a"])
+        assert detect_counts(CFG, [Metric.PACKETS_IN], 1, telemetry, [], span,
+                             telemetry, [], span) == []
 
     def test_only_the_bursting_device_reports(self):
-        quiet = periodic(96)
         noisy = periodic(96)
         noisy[50] = 70.0
-        fleet = {"a": series_of(quiet, "a"), "b": series_of(noisy, "b")}
-        thresholds = {"a": 0.5, "b": 0.5}
-        reports = detect_fleet(fleet, thresholds, CFG)
+        reports = run([periodic(96)] * 2, [periodic(96), noisy])
         assert reports
-        assert {r.device_id for r in reports} == {"b"}
+        assert {r.device_id for r in reports} == {"d1"}
 
-    def test_missing_threshold_is_an_error(self):
-        fleet = {"a": series_of(periodic(64), "a")}
-        with pytest.raises(MissingThresholdError):
-            detect_fleet(fleet, {}, CFG)
-
-    def test_matches_independent_per_device_calls(self, rng_np):
-        fleet, thresholds = {}, {}
-        for name in ("a", "b", "c"):
-            values = rng_np.normal(size=70).cumsum()
-            fleet[name] = series_of(values, name)
-            thresholds[name] = 0.3
-        combined = detect_fleet(fleet, thresholds, CFG)
-        singles = []
-        for name in sorted(fleet):
-            singles.extend(detect(fleet[name], thresholds[name], CFG))
-        assert combined == singles
+    def test_matches_independent_per_device_calls(self, rng_np, monkeypatch):
+        # devices sit in different rows of the two sides; two metrics
+        metrics = [Metric.PACKETS_OUT, Metric.PACKETS_IN]
+        names = ["c", "a", "b"]
+        base = {m: [walk(rng_np, 70) for _ in names] for m in metrics}
+        data = {m: [walk(rng_np, 90) for _ in names] for m in metrics}
+        flipped = names[::-1]
+        baseline, baseline_span = counts_of(base, names)
+        telemetry, span = counts_of({m: v[::-1] for m, v in data.items()}, flipped, start=5)
+        order = sorted(names)
+        got = {}
+        for block in (1, 2, 64):  # devices profiled together
+            monkeypatch.setattr(detector, "_DETECTOR_BLOCK", block)
+            got[block] = detect_counts(
+                LOW, metrics, 1,
+                telemetry, [flipped.index(d) for d in order], span,
+                baseline, [names.index(d) for d in order], baseline_span,
+            )
+        want = []
+        for name in order:
+            for metric in metrics:
+                k = names.index(name)
+                baseline_series = TelemetrySeries(name, metric, 1, tuple(base[metric][k]), 0)
+                series = TelemetrySeries(name, metric, 1, tuple(data[metric][k]), 5)
+                want.extend(detect(series, calibrate(baseline_series, LOW), LOW))
+        pairs = {(d, m.value) for d in names for m in metrics}
+        assert {(r.device_id, r.metric) for r in want} == pairs
+        assert got == {1: want, 2: want, 64: want}
 
 
 def test_jsonl_export_key_order():
@@ -154,7 +202,6 @@ def test_jsonl_export_key_order():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        DetectorConfig(profile_config=ProfileConfig(4), quantile=0.0)
-    with pytest.raises(ValueError):
-        DetectorConfig(profile_config=ProfileConfig(4), margin=0.5)
+    for fields in ({"quantile": 0.0}, {"margin": 0.5}, {"margin": math.nan}):
+        with pytest.raises(ValueError):
+            DetectorConfig(profile_config=ProfileConfig(4), **fields)

@@ -3,7 +3,6 @@ from pathlib import Path
 
 import pytest
 
-from fleetsec.detector import calibrate, detect
 from fleetsec.fleet_sim.report import REPORT_FILES
 from fleetsec.fleet_sim.scenario import (
     ConfigError,
@@ -18,6 +17,8 @@ from fleetsec.fleet_sim.scenario import (
     simulate_to_dir,
 )
 from fleetsec.telemetry import Metric, bucketize, ingest_csv
+
+from helpers import calibrate, detect
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -292,7 +293,8 @@ def test_batched_detector_pass_matches_per_device_detection(tmp_path):
     for dev in ("dev-0", "dev-1", "dev-2"):
         for metric in cfg.detector.metrics:
             series = bucketize(events, dev, metric, 1, 0, cfg.duration)
-            threshold = calibrate(series.prefix(cfg.detector.baseline_ticks), config)
+            baseline = bucketize(events, dev, metric, 1, 0, cfg.detector.baseline_ticks)
+            threshold = calibrate(baseline, config)
             want.extend(detect(series, threshold, config))
     assert any(a.device_id == "dev-1" for a in want)
 

@@ -19,7 +19,6 @@ from fleetsec.telemetry import (
     NegativeIntervalError,
     ParseError,
     TelemetryCounts,
-    TelemetrySeries,
     UnknownEnumError,
     bucketize,
     ingest_csv,
@@ -202,19 +201,23 @@ def test_row_blocks_change_neither_counts_nor_row_numbers(monkeypatch, block):
         ingest_csv(io.StringIO(good + "7,d,inbound,nope,\nx,d,inbound,packet,64\n"))
 
 
+@pytest.mark.parametrize("block", [1, 3, 8192])
+def test_csv_errors_name_the_first_bad_row(monkeypatch, block):
+    monkeypatch.setattr(telemetry_module, "_BLOCK_ROWS", block)
+    head = ",".join(CSV_HEADER) + "\n" + "5,d,inbound,packet,64\n" * 2
+    too_long = f"5,{'d' * 200_000},inbound,packet,64\n"  # past csv's field limit
+    with pytest.raises(ParseError, match=r"^row 3: field larger than field limit"):
+        ingest_csv(io.StringIO(head + too_long))
+    # a bad row before it, in the same block of rows or an earlier one, wins
+    with pytest.raises(ParseError, match=r"^row 3: unknown kind 'nope'"):
+        ingest_csv(io.StringIO(head + "7,d,inbound,nope,\n" + too_long))
+
+
 def test_event_validation():
     with pytest.raises(ValueError):
         ConnectionEvent("d", -1, Direction.INBOUND, EventKind.PACKET)
     with pytest.raises(ValueError):
         ConnectionEvent("d", 0, Direction.INBOUND, EventKind.SESSION_OPEN, size=4)
-
-
-def test_series_prefix():
-    series = TelemetrySeries("d", Metric.PACKETS_IN, 1, (1.0, 2.0, 3.0, 4.0), 0)
-    assert list(series.prefix(2).values) == [1.0, 2.0]
-    assert series.prefix(2).device_id == "d"
-
-
 
 
 class TestTelemetryCounts:
