@@ -264,6 +264,8 @@ def ingest_csv(stream: TextIO) -> TelemetryCounts:
         header = next(reader)
     except StopIteration:
         raise ParseError(0, "missing header") from None
+    except csv.Error as exc:
+        raise ParseError(0, str(exc)) from None
     if [h.strip() for h in header] != CSV_HEADER:
         raise ParseError(0, f"bad header {header!r}, expected {CSV_HEADER!r}")
 
@@ -273,9 +275,9 @@ def ingest_csv(stream: TextIO) -> TelemetryCounts:
     row_numbers = itertools.count(1)
     while True:
         block: list[list[str]] = []
+        failure = None
         try:
             block.extend(itertools.islice(reader, _BLOCK_ROWS))  # keeps the rows read
-            failure = None
         except csv.Error as exc:  # e.g. a field past csv's size limit
             failure = exc
         first_row: dict[tuple[str, ...], int] = {}

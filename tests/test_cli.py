@@ -347,6 +347,17 @@ def test_detect_on_a_simulate_run_writes_its_anomalies(devices, duration, tmp_pa
     capsys.readouterr()
 
 
+def test_detect_on_a_header_only_input_finds_nothing(telemetry_files, tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("time,device_id,direction,kind,size\n")
+    out = tmp_path / "a.jsonl"
+    code = main(["detect", "--baseline", str(telemetry_files / "baseline.csv"),
+                 "--input", str(empty), "--out", str(out)])
+    assert code == 0
+    assert out.read_text() == ""
+    assert "0 anomalies across 0 devices" in capsys.readouterr().out
+
+
 def test_detect_nan_margin_is_an_error(telemetry_files, tmp_path, capsys):
     code = main(["detect", "--baseline", str(telemetry_files / "baseline.csv"),
                  "--input", str(telemetry_files / "burst.csv"), "--margin", "nan",
@@ -359,7 +370,8 @@ def test_detect_nan_margin_is_an_error(telemetry_files, tmp_path, capsys):
 def test_field_past_the_csv_limit_is_a_parse_error(tmp_path, capsys, command):
     # csv refuses fields over 131,072 characters
     big = str(tmp_path / "big.csv")
-    Path(big).write_text(f"time,device_id,direction,kind,size\n1,{'d' * 200_000},inbound,packet,64\n")
+    row = f"1,{'d' * 200_000},inbound,packet,64\n"
+    Path(big).write_text("time,device_id,direction,kind,size\n" + row)
     args = {
         "mp": ["mp", "compute", "--input", big, "--device", "dev-1", "--window", "16"],
         "detect": ["detect", "--baseline", big, "--input", big, "--out", str(tmp_path / "a.jsonl")],

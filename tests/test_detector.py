@@ -31,10 +31,10 @@ def walk(rng, n):
     return np.round(10_000 + 100 * rng.normal(size=n).cumsum())
 
 
-def counts_of(series, ids, start=0, interval=1, metric=Metric.PACKETS_IN):
+def counts_of(series, ids, start=0, interval=1):
     """Counts where device ids[k] sends series[k][i] packets at tick start + i * interval,
     and the span that covers them. `series` may map metrics to such lists."""
-    by_metric = series if isinstance(series, dict) else {metric: series}
+    by_metric = series if isinstance(series, dict) else {Metric.PACKETS_IN: series}
     columns = {PACKETS[m]: np.array(v, dtype=np.int64) for m, v in by_metric.items()}
     n = next(iter(columns.values())).shape[1]
     ticks = start + interval * np.arange(n)

@@ -211,6 +211,8 @@ def test_csv_errors_name_the_first_bad_row(monkeypatch, block):
     # a bad row before it, in the same block of rows or an earlier one, wins
     with pytest.raises(ParseError, match=r"^row 3: unknown kind 'nope'"):
         ingest_csv(io.StringIO(head + "7,d,inbound,nope,\n" + too_long))
+    with pytest.raises(ParseError, match=r"^row 0: field larger than field limit"):
+        ingest_csv(io.StringIO(too_long))  # as the header
 
 
 def test_event_validation():
