@@ -11,6 +11,7 @@ detection pass, used by the fleet simulator and by `fleetsec detect`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -37,8 +38,8 @@ class DetectorConfig:
     def __post_init__(self):
         if not 0.0 < self.quantile <= 1.0:
             raise ValueError(f"quantile must be in (0, 1], got {self.quantile}")
-        if not self.margin >= 1.0:  # NaN fails it too
-            raise ValueError(f"margin must be >= 1, got {self.margin}")
+        if not 1.0 <= self.margin < math.inf:  # NaN fails it too
+            raise ValueError(f"margin must be finite and >= 1, got {self.margin}")
 
 
 @dataclass(frozen=True)
@@ -84,11 +85,13 @@ def detect_counts(
     """Reports for every window whose profile distance exceeds its device's threshold.
 
     Device k is telemetry row rows[k] and baseline row baseline_rows[k];
-    each side is bucketed at `interval` over its span, [start, end). Its
+    each side is bucketed at `interval` over its span, [start, end), cut
+    to whole intervals from start, so no short last bucket is scored. Its
     baseline series sets the threshold for its telemetry series, metric
     by metric. Reports are ordered by device as `rows` orders them, then
     metric as `metrics` does, then window.
     """
+    span, baseline_span = _whole_buckets(span, interval), _whole_buckets(baseline_span, interval)
     reports = []
     for first in range(0, len(rows), _DETECTOR_BLOCK):
         block = slice(first, first + _DETECTOR_BLOCK)
@@ -112,6 +115,14 @@ def detect_counts(
                     for i in np.flatnonzero(distances > threshold).tolist()
                 )
     return reports
+
+
+def _whole_buckets(span: tuple[int, int], interval: int) -> tuple[int, int]:
+    """span cut to whole intervals from its start; `bucket` rejects an empty one."""
+    start, end = span
+    if interval > 0 and end > start:
+        end -= (end - start) % interval
+    return start, end
 
 
 def write_reports_jsonl(reports: Iterable[AnomalyReport], stream: IO[str]) -> None:

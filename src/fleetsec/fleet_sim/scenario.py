@@ -318,8 +318,8 @@ def _parse_detector(obj: dict, path: str, duration: int) -> DetectorSpec:
     if not 0 < quantile <= 1:
         raise ConfigError(f"{path}.quantile", "must be in (0, 1]")
     margin = _field(obj, path, "margin", float, 2.0)
-    if not margin >= 1:  # NaN fails it too
-        raise ConfigError(f"{path}.margin", "must be at least 1")
+    if not 1 <= margin < math.inf:  # NaN fails it too
+        raise ConfigError(f"{path}.margin", "must be finite and at least 1")
     interval = _field(obj, path, "interval", int, 1)
     if interval < 1:
         raise ConfigError(f"{path}.interval", "must be positive")
@@ -635,6 +635,7 @@ class _Campaign:
     firmware: bytes
     canary: CanaryToken | None
     debug_meta: dict
+    payload: bytes  # what the link carries: the encoded manifest, then the image
 
 
 class FleetSimulation:
@@ -756,6 +757,8 @@ class FleetSimulation:
     # - setup phases -
 
     def _provision_all(self) -> None:
+        versions = {dev.firmware_version for dev in self.cfg.devices}
+        factory_digests = {v: hashlib.sha256(make_firmware(v, 4096)).digest() for v in versions}
         for dev in self.cfg.devices:
             self.registry.register_device(dev.id, dev.secret.encode("utf-8"))
             self.event("registry", "device_registered", {"device": dev.id})
@@ -766,9 +769,8 @@ class FleetSimulation:
             self.event("registry", "device_claimed", {"device": dev.id, "owner": dev.owner})
             self.observations.append((dev.id, "home", 0))
 
-            image = make_firmware(dev.firmware_version, 4096)
             self.update_states[dev.id] = initial_state(
-                image_digest=hashlib.sha256(image).digest(),
+                image_digest=factory_digests[dev.firmware_version],
                 version=dev.firmware_version,
                 trust_anchor_tsa=self.tsa.public_key,
                 trust_anchor_publisher=self.publisher.public,
@@ -842,7 +844,8 @@ class FleetSimulation:
                 "feint_patches_attached",
                 {"firmware_id": spec.firmware_id, "count": len(spec.feint_regions)},
             )
-        self.campaigns.append(_Campaign(spec, manifest, firmware, canary, debug_meta))
+        payload = lp(manifest.encode()) + lp(firmware)
+        self.campaigns.append(_Campaign(spec, manifest, firmware, canary, debug_meta, payload))
         self.event(
             "publisher",
             "manifest_published",
@@ -872,8 +875,7 @@ class FleetSimulation:
             )
             return
 
-        payload = lp(campaign.manifest.encode()) + lp(campaign.firmware)
-        frames = fragment(payload, self.link.mtu, self._next_mid())
+        frames = fragment(campaign.payload, self.link.mtu, self._next_mid())
         arrived = self.link.deliver(frames)
         if len(arrived) < len(frames):
             self.event(
@@ -1108,11 +1110,10 @@ class FleetSimulation:
             return
         telemetry = self.report.telemetry
         rows = [self._row[dev] for dev in sorted(self._row)]
-        baseline_span = (0, det.baseline_ticks // det.interval * det.interval)
         reports = detect_counts(
             det.to_config(), det.metrics, det.interval,
             telemetry, rows, (0, self.cfg.duration),
-            telemetry, rows, baseline_span,
+            telemetry, rows, (0, det.baseline_ticks),
         )
         self.report.anomalies.extend(reports)
         for (dev, metric), found in itertools.groupby(reports, lambda r: (r.device_id, r.metric)):

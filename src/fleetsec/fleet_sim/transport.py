@@ -17,6 +17,8 @@ HEADER_LEN = 4
 MAX_FRAGMENTS = 256
 MAX_MESSAGE_ID = 2**16 - 1
 
+_OCTETS = [bytes((i,)) for i in range(MAX_FRAGMENTS)]  # header index and total bytes
+
 
 class MtuTooSmallError(FleetsecError):
     pass
@@ -48,39 +50,39 @@ def fragment(payload: bytes, mtu: int, message_id: int = 0) -> list[bytes]:
         raise PayloadTooLargeError(
             f"{len(payload)} bytes need {total} fragments, cap is {MAX_FRAGMENTS}"
         )
-    frames = []
-    for index in range(total):
-        header = message_id.to_bytes(2, "big") + bytes([index, total - 1])
-        frames.append(header + payload[index * chunk : (index + 1) * chunk])
-    return frames
+    mid, last = message_id.to_bytes(2, "big"), _OCTETS[total - 1]
+    return [
+        b"".join((mid, _OCTETS[index], last, payload[index * chunk : (index + 1) * chunk]))
+        for index in range(total)
+    ]
 
 
 def reassemble(frames: Iterable[bytes]) -> bytes:
     got: dict[int, bytes] = {}
-    message_id: int | None = None
-    total: int | None = None
+    mid: bytes | None = None  # header bytes every frame must repeat
     for frame in frames:
         if len(frame) < HEADER_LEN:
             raise ReassemblyError(f"frame shorter than {HEADER_LEN}-byte header")
-        mid = int.from_bytes(frame[:2], "big")
-        index, last = frame[2], frame[3]
-        if message_id is None:
-            message_id, total = mid, last + 1
-        elif mid != message_id:
-            raise ReassemblyError(f"mixed messages: {message_id} and {mid}")
-        elif last + 1 != total:
-            raise ReassemblyError(f"conflicting totals: {total} and {last + 1}")
+        if mid is None:
+            mid, last = frame[:2], frame[3]
+            total = last + 1
+        elif frame[:2] != mid:
+            raise ReassemblyError(
+                f"mixed messages: {int.from_bytes(mid, 'big')} and {int.from_bytes(frame[:2], 'big')}"
+            )
+        elif frame[3] != last:
+            raise ReassemblyError(f"conflicting totals: {total} and {frame[3] + 1}")
+        index, body = frame[2], frame[HEADER_LEN:]
         if index >= total:
             raise ReassemblyError(f"fragment index {index} beyond total {total}")
-        if index in got and got[index] != frame[HEADER_LEN:]:
+        if got.setdefault(index, body) != body:
             raise ReassemblyError(f"conflicting duplicates of fragment {index}")
-        got[index] = frame[HEADER_LEN:]
-    if message_id is None:
+    if mid is None:
         raise ReassemblyError("no frames")
-    missing = sorted(set(range(total)) - set(got))
-    if missing:
-        raise MissingFragmentError(message_id, missing)
-    return b"".join(got[i] for i in range(total))
+    if len(got) != total:  # indices are below total, so a full dict misses none
+        missing = [i for i in range(total) if i not in got]
+        raise MissingFragmentError(int.from_bytes(mid, "big"), missing)
+    return b"".join([got[i] for i in range(total)])
 
 
 class SimLink:
@@ -102,4 +104,5 @@ class SimLink:
         """Frames surviving this hop; each is dropped independently."""
         if self.drop_rate == 0:
             return list(frames)
-        return [f for f in frames if self._rng.random() >= self.drop_rate]
+        draw, drop_rate = self._rng.random, self.drop_rate
+        return [f for f in frames if draw() >= drop_rate]

@@ -9,6 +9,7 @@ which keeps every signed artifact byte-reproducible under a fixed seed.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -31,6 +32,10 @@ PUBLIC_KEY_LEN = 32
 _DERIVE_DOMAIN = b"fleetsec.keystore.v1"
 _FILE_FORMAT = "fleetsec-keystore-v1"
 _MASK64 = 2**64 - 1
+
+# Verify outcomes remembered, keyed on every byte that was verified. A
+# fleet checks the same few manifests and tokens thousands of times.
+_VERIFY_MEMO_SIZE = 4096
 
 
 class DuplicateKeyError(FleetsecError):
@@ -75,12 +80,23 @@ def verify(pub: PublicKeyInfo, message: bytes, signature: bytes) -> bool:
     """True iff signature is valid for message under pub.
 
     Malformed signatures return False rather than raising: callers treat
-    every failure mode as "not authentic".
+    every failure mode as "not authentic". Outcomes, accept and reject
+    alike, are memoized on (algorithm, public key, message, signature),
+    so one differing byte is a fresh verify.
     """
+    parts = (pub.public_bytes, message, signature)
+    if not all(isinstance(part, (bytes, bytearray, memoryview)) for part in parts):
+        return False
+    return _verify_bytes(pub.algorithm, *map(bytes, parts))
+
+
+@functools.lru_cache(maxsize=_VERIFY_MEMO_SIZE)
+def _verify_bytes(algorithm: str, public_bytes: bytes, message: bytes, signature: bytes) -> bool:
+    if algorithm != ALGORITHM_ED25519:
+        return False
     try:
-        key = Ed25519PublicKey.from_public_bytes(pub.public_bytes)
-        key.verify(signature, message)
-    except (InvalidSignature, ValueError, TypeError):
+        Ed25519PublicKey.from_public_bytes(public_bytes).verify(signature, message)
+    except (InvalidSignature, ValueError):
         return False
     return True
 

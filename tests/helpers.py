@@ -25,7 +25,10 @@ import numpy as np
 
 from fleetsec.cli import main
 from fleetsec.detector import AnomalyReport, DetectorConfig, threshold_from_distances
-from fleetsec.keystore import Keystore, verify
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+
+from fleetsec.keystore import Keystore, PublicKeyInfo
 from fleetsec.matrix_profile import compute_fast
 from fleetsec.telemetry import (
     CSV_HEADER,
@@ -38,12 +41,7 @@ from fleetsec.telemetry import (
     TelemetrySeries,
     UnknownEnumError,
 )
-from fleetsec.tsa import (
-    MismatchedImprintError,
-    TimestampAuthority,
-    UntrustedSignerError,
-    verify_token,
-)
+from fleetsec.tsa import TimestampAuthority
 from fleetsec.update_protocol import (
     DeviceMode,
     DeviceUpdateState,
@@ -76,27 +74,42 @@ def firmware_image(version: int, size: int = 192) -> bytes:
     return bytes(out[:size])
 
 
+def _signature_valid(pub: PublicKeyInfo, message: bytes, signature: bytes) -> bool:
+    """One uncached Ed25519 verify."""
+    try:
+        Ed25519PublicKey.from_public_bytes(pub.public_bytes).verify(signature, message)
+    except (InvalidSignature, ValueError):
+        return False
+    return True
+
+
 def expected_reason(
     state: DeviceUpdateState, manifest: FirmwareManifest, firmware: bytes, now: int
 ) -> RejectReason | None:
     """First failing verification check, re-derived independently.
 
     Deliberately a second, dumber implementation, down to re-encoding the
-    signed body from wire primitives, so the production path has
-    something to disagree with.
+    signed bodies from wire primitives and verifying signatures with
+    `cryptography` directly, past the library's verify memo, so the
+    production path has something to disagree with.
     """
+    token = manifest.token
     body = (
         lp(manifest.firmware_id.encode("utf-8"))
         + u64(manifest.version)
         + lp(manifest.digest)
         + u64(manifest.expiry)
-        + lp(manifest.token.encode())
+        + lp(token.encode())
     )
-    if not verify(state.trust_anchor_publisher, body, manifest.publisher_sig):
+    if not _signature_valid(state.trust_anchor_publisher, body, manifest.publisher_sig):
         return RejectReason.BAD_PUBLISHER_SIG
-    try:
-        verify_token(manifest.token, manifest.digest, state.trust_anchor_tsa)
-    except (UntrustedSignerError, MismatchedImprintError):
+    anchor = state.trust_anchor_tsa
+    token_body = lp(token.imprint) + u64(token.gen_time) + u64(token.serial)
+    if (
+        token.tsa_key != anchor.key_id
+        or not _signature_valid(anchor, token_body, token.signature)
+        or token.imprint != manifest.digest
+    ):
         return RejectReason.UNTRUSTED_TIMESTAMP
     if hashlib.sha256(firmware).digest() != manifest.digest:
         return RejectReason.DIGEST_MISMATCH

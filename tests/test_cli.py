@@ -347,6 +347,21 @@ def test_detect_on_a_simulate_run_writes_its_anomalies(devices, duration, tmp_pa
     capsys.readouterr()
 
 
+def test_a_short_last_bucket_is_not_scored(tmp_path, capsys):
+    # 800 = 114 x 7 + 2 and 400 = 57 x 7 + 1: both spans end in a partial
+    # bucket, which once scored as an anomaly on every device
+    obj = flooded_fleet(3, 800)
+    obj["attacks"] = []
+    obj["detector"]["interval"] = 7
+    scenario = tmp_path / "fleet.json"
+    scenario.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "run")]) == 0
+    assert (tmp_path / "run" / "anomalies.jsonl").read_text() == ""
+    config = scenario_module.load_scenario(scenario)
+    assert detect_on_run(tmp_path / "run", config.detector, tmp_path / "detect.jsonl") == 0
+    capsys.readouterr()
+
+
 def test_detect_on_a_header_only_input_finds_nothing(telemetry_files, tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("time,device_id,direction,kind,size\n")
@@ -359,11 +374,22 @@ def test_detect_on_a_header_only_input_finds_nothing(telemetry_files, tmp_path, 
 
 
 def test_detect_nan_margin_is_an_error(telemetry_files, tmp_path, capsys):
+    # an infinite margin would silence the detector just as NaN does
+    for margin in ("nan", "inf"):
+        code = main(["detect", "--baseline", str(telemetry_files / "baseline.csv"),
+                     "--input", str(telemetry_files / "burst.csv"), "--margin", margin,
+                     "--out", str(tmp_path / "a.jsonl")])
+        assert code == 2, margin
+        assert "margin" in capsys.readouterr().err
+
+
+def test_detect_span_shorter_than_one_interval_is_an_error(telemetry_files, tmp_path, capsys):
+    # 240 ticks of input hold no whole 500-tick bucket
     code = main(["detect", "--baseline", str(telemetry_files / "baseline.csv"),
-                 "--input", str(telemetry_files / "burst.csv"), "--margin", "nan",
+                 "--input", str(telemetry_files / "burst.csv"), "--interval", "500",
                  "--out", str(tmp_path / "a.jsonl")])
     assert code == 2
-    assert "margin" in capsys.readouterr().err
+    assert "empty range" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["mp", "detect"])
@@ -484,13 +510,15 @@ def test_simulate_mistyped_field_is_config_error(tmp_path, capsys, keys, value):
 
 
 def test_simulate_nan_margin_is_config_error(tmp_path, capsys):
-    obj = json.loads((SCENARIO_DIR / "baseline_flood.json").read_text())
-    obj["detector"]["margin"] = math.nan
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(obj))  # written as NaN, which json reads back
-    code = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert "detector.margin" in capsys.readouterr().err
+    # an infinite margin would silence the detector just as NaN does
+    for margin in (math.nan, math.inf):
+        obj = json.loads((SCENARIO_DIR / "baseline_flood.json").read_text())
+        obj["detector"]["margin"] = margin
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))  # written as NaN or Infinity, which json reads back
+        code = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 2, margin
+        assert "detector.margin" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from fleetsec import keystore
 from fleetsec.keystore import (
     ALGORITHM_ED25519,
     DuplicateKeyError,
@@ -102,6 +103,64 @@ class TestVerifyNeverRaises:
         pub = store.generate_key("k")
         sig = store.sign("k", b"m")
         assert verify(pub, b"m", sig[:20]) is False
+
+
+def _flip(data: bytes, bit: int) -> bytes:
+    out = bytearray(data)
+    out[bit // 8] ^= 1 << bit % 8
+    return bytes(out)
+
+
+class TestVerifyMemo:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        keystore._verify_bytes.cache_clear()
+
+    def test_one_flipped_bit_misses_a_cached_accept(self):
+        store = Keystore(5)
+        pub = store.generate_key("k")
+        message = b"manifest body"
+        sig = store.sign("k", message)
+        assert verify(pub, message, sig) and verify(pub, message, sig)
+        assert keystore._verify_bytes.cache_info().hits == 1
+        for bit in range(len(pub.public_bytes) * 8):
+            flipped = PublicKeyInfo(pub.key_id, pub.algorithm, _flip(pub.public_bytes, bit))
+            assert verify(flipped, message, sig) is False
+        for bit in range(len(message) * 8):
+            assert verify(pub, _flip(message, bit), sig) is False
+        for bit in range(len(sig) * 8):
+            assert verify(pub, message, _flip(sig, bit)) is False
+        assert verify(pub, message, sig) is True
+
+    def test_cached_reject_under_the_wrong_key_leaves_the_right_key_valid(self):
+        # both keys are named "k": the memo must key on key bytes, not names
+        right_store = Keystore(1)
+        right = right_store.generate_key("k")
+        sig = right_store.sign("k", b"m")
+        wrong = Keystore(2).generate_key("k")
+        assert verify(wrong, b"m", sig) is False
+        assert verify(wrong, b"m", sig) is False
+        assert verify(right, b"m", sig) is True
+
+    def test_memo_stays_bounded(self):
+        pub = Keystore(1).generate_key("k")
+        bound = keystore._verify_bytes.cache_info().maxsize
+        assert bound == 4096
+        for i in range(bound + 1):
+            verify(pub, i.to_bytes(4, "big"), b"\x01" * 64)
+        assert keystore._verify_bytes.cache_info().currsize <= bound
+
+    @pytest.mark.parametrize("signature", [b"", b"\x00" * 20, "not bytes"])
+    def test_malformed_signature_is_false_every_time(self, signature):
+        pub = Keystore(1).generate_key("k")
+        assert verify(pub, b"m", signature) is False
+        assert verify(pub, b"m", signature) is False
+
+    def test_bytes_like_arguments_still_verify(self):
+        store = Keystore(1)
+        pub = store.generate_key("k")
+        sig = store.sign("k", b"m")
+        assert verify(pub, bytearray(b"m"), memoryview(sig)) is True
 
 
 def test_handle_binds_key_id():
