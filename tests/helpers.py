@@ -22,12 +22,11 @@ from pathlib import Path
 from typing import Iterable, TextIO
 
 import numpy as np
-
-from fleetsec.cli import main
-from fleetsec.detector import AnomalyReport, DetectorConfig, threshold_from_distances
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
+from fleetsec.cli import main
+from fleetsec.detector import AnomalyReport, DetectorConfig, threshold_from_distances
 from fleetsec.keystore import Keystore, PublicKeyInfo
 from fleetsec.matrix_profile import compute_fast
 from fleetsec.telemetry import (
