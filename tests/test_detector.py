@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -108,6 +109,14 @@ class TestDetect:
         m = CFG.profile_config.window_m
         for r in reports:
             assert r.window_index <= burst_at < r.window_index + 2 * m
+
+    def test_infinite_threshold_silences_everything(self, rng_np):
+        # an infinite margin is refused; the largest finite one overflows
+        # the threshold to infinity, above every distance
+        config = DetectorConfig(CFG.profile_config, quantile=0.99, margin=sys.float_info.max)
+        with np.errstate(over="ignore"):
+            reports = run([walk(rng_np, 60)], [walk(rng_np, 60)], config)
+        assert reports == []
 
     def test_report_fields(self):
         values = periodic(40)
