@@ -276,9 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     mp_sub = mp.add_subparsers(dest="mp_command", required=True)
     compute = mp_sub.add_parser("compute", help="profile as CSV (index, distance, neighbor)")
     _profile_args(compute)
-    group = compute.add_mutually_exclusive_group()
-    group.add_argument("--fast", action="store_true", default=True)
-    group.add_argument("--brute", action="store_true")
+    compute.add_argument("--brute", action="store_true")
     compute.add_argument("--output", default=None, help="write CSV here instead of stdout")
     compute.set_defaults(func=_cmd_mp_compute)
     discords = mp_sub.add_parser("discords", help="top discord indices as JSON")

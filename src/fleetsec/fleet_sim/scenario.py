@@ -33,7 +33,6 @@ import numpy as np
 from ..deception import (
     CanaryToken,
     PortCanaries,
-    attach_feint_patch,
     check_access,
     make_schedule,
     mtd_rotate,
@@ -620,7 +619,7 @@ def parse_scenario(obj: dict, source: str = "scenario") -> ScenarioConfig:
 def load_scenario(path: str | Path) -> ScenarioConfig:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(str(path), f"not valid JSON: {exc}") from exc
     return parse_scenario(obj, source=str(path))
 
@@ -634,7 +633,6 @@ class _Campaign:
     manifest: FirmwareManifest
     firmware: bytes
     canary: CanaryToken | None
-    debug_meta: dict
     payload: bytes  # what the link carries: the encoded manifest, then the image
 
 
@@ -836,16 +834,14 @@ class FleetSimulation:
             self.tsa,
             now=self.now,
         )
-        debug_meta = {"image_size": len(firmware)}
         if spec.feint_regions:
-            debug_meta = attach_feint_patch(debug_meta, spec.feint_regions)
             self.event(
                 "publisher",
                 "feint_patches_attached",
                 {"firmware_id": spec.firmware_id, "count": len(spec.feint_regions)},
             )
         payload = lp(manifest.encode()) + lp(firmware)
-        self.campaigns.append(_Campaign(spec, manifest, firmware, canary, debug_meta, payload))
+        self.campaigns.append(_Campaign(spec, manifest, firmware, canary, payload))
         self.event(
             "publisher",
             "manifest_published",

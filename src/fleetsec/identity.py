@@ -138,7 +138,8 @@ class DeviceRegistry:
         self._seed = int(seed)
         self._keystore = Keystore(seed)
         self._records: dict[str, DeviceRecord] = {}
-        self._sessions: dict[str, RendezvousSession] = {}
+        # open sessions by device, then session id; each is used by at most one claim
+        self._sessions: dict[str, dict[str, RendezvousSession]] = {}
         self._next_session = 1
         self._generation: dict[str, int] = {}
 
@@ -181,7 +182,7 @@ class DeviceRegistry:
             established_at=clock,
         )
         self._next_session += 1
-        self._sessions[session.session_id] = session
+        self._sessions.setdefault(device_id, {})[session.session_id] = session
         return session
 
     def claim(self, session: RendezvousSession, request: ClaimRequest) -> DeviceRecord:
@@ -189,11 +190,16 @@ class DeviceRegistry:
 
         The secret is checked before the claim-state gate so a guesser
         learns nothing about provisioning state from the error, and every
-        wrong guess surfaces as SecretMismatch regardless of target.
+        wrong guess surfaces as SecretMismatch regardless of target. The
+        session is used up by this claim, whether it succeeds or fails, so
+        each guess costs the guesser a fresh device_connect.
         """
-        stored = self._sessions.get(session.session_id)
-        if stored is None or stored != session:
+        open_sessions = self._sessions.get(session.device_id, {})
+        if open_sessions.get(session.session_id) != session:
             raise InvalidSessionError("session is not open in this registry")
+        del open_sessions[session.session_id]
+        if not open_sessions:
+            del self._sessions[session.device_id]
         if request.device_id != session.device_id:
             raise InvalidSessionError("claim request names a different device")
         rec = self.record(request.device_id)
@@ -228,9 +234,7 @@ class DeviceRegistry:
             )
         rec = replace(rec, status=Status.BLACKLISTED)
         self._records[device_id] = rec
-        self._sessions = {
-            sid: s for sid, s in self._sessions.items() if s.device_id != device_id
-        }
+        self._sessions.pop(device_id, None)
         return rec
 
     def deprovision(self, device_id: str) -> DeviceRecord:
@@ -336,4 +340,8 @@ class DeviceRegistry:
 
     @classmethod
     def load(cls, path: str | Path) -> DeviceRegistry:
-        return cls.from_json_obj(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        except RecursionError as exc:
+            raise ValueError(f"malformed registry file: {exc!r}") from None
+        return cls.from_json_obj(obj)

@@ -202,17 +202,20 @@ class Keystore:
     def load(cls, path: str | Path, passphrase: str | None = None) -> Keystore:
         try:
             obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise KeystoreFileError(f"not a keystore file: {exc}") from exc
         if not isinstance(obj, dict) or obj.get("format") != _FILE_FORMAT:
             raise KeystoreFileError("missing or unsupported keystore format tag")
+        keys = obj.get("keys", [])
+        if not isinstance(keys, list) or not all(isinstance(entry, dict) for entry in keys):
+            raise KeystoreFileError("keys must be a list of objects")
         fernet = Fernet(_fernet_key(passphrase)) if passphrase is not None else None
 
         store = cls(0)
         store._seed = None
         if fernet is not None and "seed_enc" in obj:
             store._seed = int.from_bytes(_decrypt(fernet, obj["seed_enc"]), "big")
-        for entry in obj.get("keys", []):
+        for entry in keys:
             try:
                 info = PublicKeyInfo.from_json_obj(entry)
             except (KeyError, ValueError) as exc:
@@ -230,6 +233,8 @@ class Keystore:
 
 
 def _decrypt(fernet: Fernet, token: str) -> bytes:
+    if not isinstance(token, str):
+        raise KeystoreFileError("encrypted fields must be strings")
     try:
         return fernet.decrypt(token.encode("ascii"))
     except (InvalidToken, ValueError) as exc:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -58,7 +57,6 @@ CSV_HEADER = ["time", "device_id", "direction", "kind", "size"]
 PACKET_SIZE = 64  # the size column of every packet row written
 _CSV_CELLS = 1024  # cells to_csv formats at a time
 _CSV_WINDOWS = 16  # tick windows to_csv sorts one at a time
-_BLOCK_ROWS = 8192  # CSV rows ingest_csv holds at a time
 
 # Every column, in the order a device's rows in one tick are written.
 CSV_ORDER: tuple[Column, ...] = tuple(
@@ -66,6 +64,8 @@ CSV_ORDER: tuple[Column, ...] = tuple(
     for kind in (EventKind.PACKET, EventKind.SESSION_OPEN, EventKind.SESSION_CLOSE)
     for direction in Direction
 )
+# Each column's index in CSV_ORDER, keyed by its CSV (kind, direction) values.
+_CSV_CODE = {(kind.value, direction.value): k for k, (kind, direction) in enumerate(CSV_ORDER)}
 
 # The signed columns whose running total each metric reads: a counting
 # metric is the total's rise over a bucket, open_connections its value at
@@ -252,7 +252,9 @@ def bucketize(
 def ingest_csv(stream: TextIO) -> TelemetryCounts:
     """Parse a `time,device_id,direction,kind,size` CSV into counts.
 
-    Each distinct row in a block of rows is parsed once, and memory grows
+    A row is parsed only when it differs from the row before it; a repeat
+    adds one more event to that row's cell, so a run of identical rows (to_csv
+    writes a cell's n events as n of them) is parsed once. Memory grows
     with the distinct (column, device, time) cells, not with the rows.
     Data rows are numbered from 1, and an error names the first bad row in
     file order. `size` may be empty or absent on session rows; it is
@@ -269,37 +271,27 @@ def ingest_csv(stream: TextIO) -> TelemetryCounts:
     if [h.strip() for h in header] != CSV_HEADER:
         raise ParseError(0, f"bad header {header!r}, expected {CSV_HEADER!r}")
 
-    # rows repeat in runs (one per event in a tick), so each block's
-    # distinct rows are parsed once, in order of their first row number
-    cell_counts: Counter[tuple[Column, str, int]] = Counter()
-    row_numbers = itertools.count(1)
-    while True:
-        block: list[list[str]] = []
-        failure = None
-        try:
-            block.extend(itertools.islice(reader, _BLOCK_ROWS))  # keeps the rows read
-        except csv.Error as exc:  # e.g. a field past csv's size limit
-            failure = exc
-        first_row: dict[tuple[str, ...], int] = {}
-        repeats = Counter(map(first_row.setdefault, map(tuple, block), row_numbers))
-        for row, row_no in first_row.items():
-            if any(c.strip() for c in row):  # blank rows are skipped
-                cell_counts[_parse_row(row, row_no)] += repeats[row_no]
-        if failure is not None:  # the rows before it parsed, so it is the first bad row
-            raise ParseError(next(row_numbers), str(failure)) from None
-        if len(block) < _BLOCK_ROWS:
-            break
+    cell_counts: Counter[tuple[int, str, int]] = Counter()
+    previous, parsed, row_no = None, None, 0
+    try:
+        for row_no, row in enumerate(reader, start=1):
+            if row != previous:
+                previous = row
+                parsed = _parse_row(row, row_no) if any(c.strip() for c in row) else None
+            if parsed is not None:  # blank rows are skipped
+                cell_counts[parsed] += 1
+    except csv.Error as exc:  # e.g. a field past csv's size limit
+        raise ParseError(row_no + 1, str(exc)) from None
     events = [(*cell, n) for cell, n in cell_counts.items()]
     device_row = {device_id: i for i, device_id in enumerate(dict.fromkeys(e[1] for e in events))}
-    column_code = {column: k for k, column in enumerate(CSV_ORDER)}
     device = np.array([device_row[e[1]] for e in events], np.int64)
-    kind = np.array([column_code[e[0]] for e in events], np.int64)
+    kind = np.array([e[0] for e in events], np.int64)
     n = np.array([e[3] for e in events], np.int64)
     ticks, tick = np.unique(np.array([e[2] for e in events], np.int64), return_inverse=True)
     # one cell per distinct (device, tick), ordered by device, then tick
     _, first, cell = np.unique(device * len(ticks) + tick, return_index=True, return_inverse=True)
     columns: dict[Column, np.ndarray] = {}
-    for column, code in column_code.items():
+    for code, column in enumerate(CSV_ORDER):
         if (mask := kind == code).any():
             columns[column] = np.zeros(len(first), np.int64)
             columns[column][cell[mask]] = n[mask]  # a column meets each cell once
@@ -312,21 +304,20 @@ def ingest_csv(stream: TextIO) -> TelemetryCounts:
     )
 
 
-def _parse_row(row: tuple[str, ...], row_no: int) -> tuple[Column, str, int]:
-    """One non-blank CSV row as (column, device_id, time)."""
+def _parse_row(row: list[str], row_no: int) -> tuple[int, str, int]:
+    """One non-blank CSV row as (index of its column in CSV_ORDER, device_id, time)."""
     if len(row) not in (4, 5):
         raise ParseError(row_no, f"expected 4 or 5 columns, got {len(row)}")
     time_s, device_id, direction_s, kind_s = (c.strip() for c in row[:4])
     size_s = row[4].strip() if len(row) == 5 else ""
 
-    try:
-        direction = Direction(direction_s)
-    except ValueError:
-        raise UnknownEnumError(row_no, f"unknown direction {direction_s!r}") from None
-    try:
-        kind = EventKind(kind_s)
-    except ValueError:
-        raise UnknownEnumError(row_no, f"unknown kind {kind_s!r}") from None
+    code = _CSV_CODE.get((kind_s, direction_s))
+    if code is None:
+        try:
+            Direction(direction_s)
+        except ValueError:
+            raise UnknownEnumError(row_no, f"unknown direction {direction_s!r}") from None
+        raise UnknownEnumError(row_no, f"unknown kind {kind_s!r}")
 
     try:
         time = int(time_s)
@@ -339,6 +330,6 @@ def _parse_row(row: tuple[str, ...], row_no: int) -> tuple[Column, str, int]:
         raise ParseError(row_no, f"event time must be below 2**63, got {time}")
     if size < 0:
         raise ParseError(row_no, f"event size must be non-negative, got {size}")
-    if kind is not EventKind.PACKET and size != 0:
+    if CSV_ORDER[code][0] is not EventKind.PACKET and size != 0:
         raise ParseError(row_no, "size must be 0 for session events")
-    return (kind, direction), device_id, time
+    return code, device_id, time

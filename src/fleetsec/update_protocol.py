@@ -220,9 +220,10 @@ class SlotState:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> SlotState:
-        return cls(
-            b64d(obj["image_digest"]), obj["version"], obj["gen_time"], obj["verified"]
-        )
+        version, gen_time, verified = obj["version"], obj["gen_time"], obj["verified"]
+        if not (type(version) is int and type(gen_time) is int and type(verified) is bool):
+            raise TypeError("slot version and gen_time must be integers, verified a boolean")
+        return cls(b64d(obj["image_digest"]), version, gen_time, verified)
 
 
 # version/gen_time -1 lose every freshness comparison against real manifests
@@ -283,7 +284,11 @@ class DeviceUpdateState:
 
     @classmethod
     def load(cls, path: str | Path) -> DeviceUpdateState:
-        return cls.from_json_obj(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        except RecursionError as exc:
+            raise ValueError(f"malformed device state file: {exc!r}") from None
+        return cls.from_json_obj(obj)
 
 
 def initial_state(

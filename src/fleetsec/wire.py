@@ -62,6 +62,8 @@ def b64e(data: bytes) -> str:
 
 
 def b64d(text: str) -> bytes:
+    if not isinstance(text, str):
+        raise DecodeError(f"bad base64url field: expected a string, got {type(text).__name__}")
     try:
         return base64.urlsafe_b64decode(text.encode("ascii"))
     except (ValueError, UnicodeEncodeError) as exc:

@@ -284,6 +284,56 @@ def test_verify_malformed_state_is_a_format_error(workdir, tmp_path, capsys):
     assert "malformed device state" in capsys.readouterr().err
 
 
+_DEEP = None  # a file of 100,000 nested "[" instead of an edited one
+
+
+@pytest.mark.parametrize(
+    "kind, edit",
+    [
+        ("keys", lambda obj: obj.update(keys=5)),
+        ("keys", lambda obj: obj.update(keys=[5])),
+        ("keys", lambda obj: obj["keys"][0].update(private_enc=5)),
+        ("keys", lambda obj: obj.update(seed_enc=5)),
+        ("state", lambda obj: obj["slots"]["A"].update(version="x")),
+        ("state", lambda obj: obj["trust_anchor_tsa"].update(public=5)),
+        ("registry", lambda obj: obj["devices"][0].update(claim_hash=5)),
+        ("keys", _DEEP),
+        ("state", _DEEP),
+        ("registry", _DEEP),
+        ("scenario", _DEEP),
+    ],
+    ids=[
+        "keys-not-a-list", "key-entry-not-an-object", "private-enc-not-a-string",
+        "seed-enc-not-a-string", "slot-version-not-an-int", "tsa-public-not-a-string",
+        "claim-hash-not-a-string", "deep-keys", "deep-state", "deep-registry", "deep-scenario",
+    ],
+)
+def test_malformed_input_file_exits_two(workdir, tmp_path, capsys, kind, edit):
+    bad = tmp_path / "bad.json"
+    if edit is _DEEP:
+        bad.write_text("[" * 100_000)
+    else:
+        source = {"keys": workdir / "keys.json", "state": workdir / "state.json",
+                  "registry": tmp_path / "registry.json"}[kind]
+        if kind == "registry":
+            assert main(["identity", "register", "--registry", str(source),
+                         "--device", "dev-1", "--secret", "box-99"]) == 0
+        obj = json.loads(source.read_text())
+        edit(obj)
+        bad.write_text(json.dumps(obj))
+    argv = {
+        "keys": ["tsa", "issue", "--keys", str(bad), "--passphrase", PASSPHRASE,
+                 "--imprint", "00" * 32, "--now", "1", "--out", str(tmp_path / "t.bin")],
+        "state": ["manifest", "verify", "--manifest", str(workdir / "m2.bin"),
+                  "--firmware", str(workdir / "fw2.bin"), "--state", str(bad), "--now", "50"],
+        "registry": ["identity", "blacklist", "--registry", str(bad), "--device", "dev-1"],
+        "scenario": ["simulate", "--scenario", str(bad), "--out", str(tmp_path / "out")],
+    }[kind]
+    capsys.readouterr()
+    assert main(argv) == 2  # an exception escaping main fails the test too
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # --- detect and mp -----------------------------------------------------------------
 
 

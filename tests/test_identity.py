@@ -124,6 +124,31 @@ def test_session_ids_are_unique_and_encrypted():
     assert all(s.encrypted for s in sessions)
 
 
+@pytest.mark.parametrize("secret", [b"guess", SECRET], ids=["failed", "succeeded"])
+def test_a_session_serves_one_claim(registry, secret):
+    session = registry.device_connect("dev-1", clock=0)
+    try:
+        registry.claim(session, ClaimRequest("alice", "dev-1", secret))
+    except SecretMismatchError:
+        assert secret != SECRET
+    # not even the right secret gets a second try on the same session
+    with pytest.raises(InvalidSessionError):
+        registry.claim(session, ClaimRequest("alice", "dev-1", SECRET))
+
+
+def test_claims_leave_no_open_sessions(registry):
+    registry.register_device("dev-2", SECRET)
+    for clock in range(50):
+        session = registry.device_connect(f"dev-{1 + clock % 2}", clock=clock)
+        with pytest.raises(SecretMismatchError):
+            registry.claim(session, ClaimRequest("eve", session.device_id, b"guess"))
+    _claim(registry)
+    assert registry._sessions == {}
+    registry.device_connect("dev-2", clock=99)
+    registry.blacklist("dev-2")
+    assert registry._sessions == {}
+
+
 def test_blacklist_blocks_connect_and_claim(registry):
     registry.blacklist("dev-1")
     with pytest.raises(BlacklistedError):
