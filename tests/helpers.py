@@ -570,3 +570,19 @@ def detect_on_run(run_dir: Path, detector, out: Path) -> int:
         flags += ["--exclusion", str(detector.exclusion)]
     return main(["detect", "--baseline", str(baseline), "--input", str(run_dir / "telemetry.csv"),
                  *flags, "--out", str(out)])
+
+
+# --- JSON edits -----------------------------------------------------------------
+
+DROP = object()  # set_path deletes the item instead of setting it
+
+
+def set_path(obj, path, value) -> None:
+    """Set the item at path (keys and list indices) inside obj to value, or delete it for DROP."""
+    *parents, last = path
+    for key in parents:
+        obj = obj[key]
+    if value is DROP:
+        del obj[last]
+    else:
+        obj[last] = value

@@ -1,3 +1,4 @@
+import copy
 import json
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from fleetsec.fleet_sim.scenario import (
 )
 from fleetsec.telemetry import Metric, bucketize, ingest_csv
 
-from helpers import calibrate, detect
+from helpers import DROP, calibrate, detect, set_path
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -400,3 +401,241 @@ def test_no_bundled_scenario_ends_in_fail_state_or_unverified_boot():
                 for e in events_of(report, "device_blacklisted")
             )
             assert not was_blacklisted_before, path.name
+
+
+# --- every scenario error, pinned by path and message -----------------------------
+
+# A scenario that sets every field of every section; each case below breaks
+# exactly one thing in a copy of it.
+FULL_SCENARIO = {
+    "seed": 5,
+    "duration": 200,
+    "devices": [
+        {"id": "dev-a", "secret": "s-a", "owner": "alice", "firmware_version": 1,
+         "duty_cycle": 1.0, "legitimate_ports": [443],
+         "traffic": {"period": 50, "base": 8.0, "amplitude": 3.0, "noise": 0.8}},
+        {"id": "dev-b", "secret": "s-b"},
+    ],
+    "links": {"mtu": 64, "latency": 1, "drop_rate": 0.1},
+    "detector": {"window": 8, "exclusion": 4, "quantile": 0.99, "margin": 2.0, "interval": 1,
+                 "baseline_ticks": 100, "metrics": ["packets_in"]},
+    "updates": [
+        {"at": 10, "version": 2, "expiry": 500, "firmware_id": "fw-2", "size": 512,
+         "plant_canary": True, "feint_regions": [[0, 16, "decoy"]], "retry_interval": 20},
+    ],
+    "attacks": [
+        {"kind": "rollback_replay", "at": 50, "device": "dev-a"},
+        {"kind": "tamper_firmware", "at": 51, "device": "dev-b"},
+        {"kind": "identity_theft", "at": 60, "device": "dev-a", "duration": 30},
+        {"kind": "dictionary_attack", "at": 70, "device": "dev-b", "duration": 20, "rate": [2, 6]},
+        {"kind": "traffic_flood", "at": 120, "device": "dev-a", "factor": 10, "buckets": 20},
+        {"kind": "canary_probe", "at": 150},
+    ],
+    "deception": {"canary_ports": [2323],
+                  "mtd": {"rotation_interval": 25, "address_pool": ["10.0.0.1", "10.0.0.2"]}},
+    "admin": [{"at": 180, "action": "blacklist", "device": "dev-b"}],
+}
+
+_D0, _T, _U, _A, _M = "devices[0]", "devices[0].traffic", "updates[0]", "attacks", "deception.mtd"
+
+# (where, value, error): where is a dotted key path into FULL_SCENARIO, and
+# error is what parse_scenario raises with source "scenario" after that name
+# and a dot, or after the name alone where the error is about the whole file
+SCENARIO_ERRORS = [
+    ("seed", DROP, "seed: missing required field"),
+    ("seed", "1", "seed: expected int"),
+    ("seed", True, "seed: expected int"),
+    ("duration", DROP, "duration: missing required field"),
+    ("duration", 1.5, "duration: expected int"),
+    ("duration", 0, "duration: must be positive"),
+    ("colour", 1, "colour: unknown field"),
+    ("devices", {}, "devices: expected list"),
+    ("devices.0", 1, "devices[0]: expected an object"),
+    ("devices.1.id", "dev-a", "devices[1].id: duplicate device id 'dev-a'"),
+    ("links", [], "links: expected dict"),
+    ("detector", [], "detector: expected dict"),
+    ("updates", {}, "updates: expected list"),
+    ("updates.0", "x", "updates[0]: expected an object"),
+    ("deception", [], "deception: expected dict"),
+    ("attacks", {}, "attacks: expected list"),
+    ("attacks.0", 1, "attacks[0]: expected an object"),
+    ("admin", {}, "admin: expected list"),
+    ("admin.0", [], "admin[0]: expected an object"),
+    ("duration", 5_000_001, ": devices x duration passes the telemetry cap of 1e+07 rows"),
+    ("attacks.4.factor", 10**6, ": telemetry could reach 3.84e+08 rows, past the cap of 1e+07"),
+    # devices[0]
+    ("devices.0.firmware", 3, f"{_D0}.firmware: unknown field"),
+    ("devices.0.id", DROP, f"{_D0}.id: missing required field"),
+    ("devices.0.id", 5, f"{_D0}.id: expected str"),
+    ("devices.0.id", "", f"{_D0}.id: must be non-empty"),
+    ("devices.0.secret", DROP, f"{_D0}.secret: missing required field"),
+    ("devices.0.secret", None, f"{_D0}.secret: expected str"),
+    ("devices.0.secret", "", f"{_D0}.secret: must be non-empty"),
+    ("devices.0.owner", 5, f"{_D0}.owner: expected str"),
+    ("devices.0.firmware_version", "1", f"{_D0}.firmware_version: expected int"),
+    ("devices.0.firmware_version", True, f"{_D0}.firmware_version: expected int"),
+    ("devices.0.firmware_version", -1, f"{_D0}.firmware_version: must be non-negative"),
+    ("devices.0.duty_cycle", "x", f"{_D0}.duty_cycle: expected float"),
+    ("devices.0.duty_cycle", False, f"{_D0}.duty_cycle: expected float"),
+    ("devices.0.duty_cycle", 0, f"{_D0}.duty_cycle: must be in (0, 1]"),
+    ("devices.0.duty_cycle", 1.5, f"{_D0}.duty_cycle: must be in (0, 1]"),
+    ("devices.0.legitimate_ports", {}, f"{_D0}.legitimate_ports: expected list"),
+    ("devices.0.legitimate_ports", [0], f"{_D0}.legitimate_ports[0]: expected a port number"),
+    ("devices.0.legitimate_ports", [443, True], f"{_D0}.legitimate_ports[1]: expected a port number"),
+    ("devices.0.legitimate_ports", [443, 65536], f"{_D0}.legitimate_ports[1]: expected a port number"),
+    ("devices.0.traffic", [], f"{_D0}.traffic: expected dict"),
+    # devices[0].traffic
+    ("devices.0.traffic.shape", "sine", f"{_T}.shape: unknown field"),
+    ("devices.0.traffic.period", 1.5, f"{_T}.period: expected int"),
+    ("devices.0.traffic.period", 1, f"{_T}.period: must be at least 2"),
+    ("devices.0.traffic.base", "8", f"{_T}.base: expected float"),
+    ("devices.0.traffic.base", -1.0, f"{_T}.base: must be finite and non-negative"),
+    ("devices.0.traffic.base", float("inf"), f"{_T}.base: must be finite and non-negative"),
+    ("devices.0.traffic.amplitude", None, f"{_T}.amplitude: expected float"),
+    ("devices.0.traffic.amplitude", -3, f"{_T}.amplitude: must be finite and non-negative"),
+    ("devices.0.traffic.noise", [], f"{_T}.noise: expected float"),
+    ("devices.0.traffic.noise", float("nan"), f"{_T}.noise: must be finite and non-negative"),
+    # links
+    ("links.bandwidth", 9, "links.bandwidth: unknown field"),
+    ("links.mtu", "64", "links.mtu: expected int"),
+    ("links.mtu", 4, "links.mtu: must exceed the 4-byte fragment header"),
+    ("links.latency", 0.5, "links.latency: expected int"),
+    ("links.latency", -1, "links.latency: must be non-negative"),
+    ("links.drop_rate", "x", "links.drop_rate: expected float"),
+    ("links.drop_rate", 1, "links.drop_rate: must be in [0, 1)"),
+    ("links.drop_rate", -0.1, "links.drop_rate: must be in [0, 1)"),
+    # detector
+    ("detector.mode", "x", "detector.mode: unknown field"),
+    ("detector.window", 8.0, "detector.window: expected int"),
+    ("detector.window", 1, "detector.window: must be at least 2"),
+    ("detector.exclusion", 0, "detector.exclusion: must be a positive integer or null"),
+    ("detector.exclusion", 1.5, "detector.exclusion: must be a positive integer or null"),
+    ("detector.exclusion", True, "detector.exclusion: must be a positive integer or null"),
+    ("detector.quantile", "x", "detector.quantile: expected float"),
+    ("detector.quantile", 0, "detector.quantile: must be in (0, 1]"),
+    ("detector.quantile", 1.01, "detector.quantile: must be in (0, 1]"),
+    ("detector.margin", "2", "detector.margin: expected float"),
+    ("detector.margin", 0.5, "detector.margin: must be finite and at least 1"),
+    ("detector.margin", float("inf"), "detector.margin: must be finite and at least 1"),
+    ("detector.margin", float("nan"), "detector.margin: must be finite and at least 1"),
+    ("detector.interval", 1.0, "detector.interval: expected int"),
+    ("detector.interval", 0, "detector.interval: must be positive"),
+    ("detector.baseline_ticks", "x", "detector.baseline_ticks: expected int"),
+    ("detector.baseline_ticks", 0, "detector.baseline_ticks: must be in (0, duration]"),
+    ("detector.baseline_ticks", 201, "detector.baseline_ticks: must be in (0, duration]"),
+    ("detector.baseline_ticks", 12,
+     "detector.baseline_ticks: too short for the profile window and exclusion zone"),
+    ("detector.metrics", "packets_in", "detector.metrics: expected list"),
+    ("detector.metrics", [], "detector.metrics: must name at least one metric"),
+    ("detector.metrics", ["packets_in", "bogus"], "detector.metrics[1]: unknown metric 'bogus'"),
+    ("detector.metrics", [5], "detector.metrics[0]: unknown metric 5"),
+    # updates[0]
+    ("updates.0.channel", "x", f"{_U}.channel: unknown field"),
+    ("updates.0.at", DROP, f"{_U}.at: missing required field"),
+    ("updates.0.at", "10", f"{_U}.at: expected int"),
+    ("updates.0.at", 0, f"{_U}.at: must be within [1, duration)"),
+    ("updates.0.at", 200, f"{_U}.at: must be within [1, duration)"),
+    ("updates.0.version", DROP, f"{_U}.version: missing required field"),
+    ("updates.0.version", 2.0, f"{_U}.version: expected int"),
+    ("updates.0.version", 0, f"{_U}.version: must be at least 1"),
+    ("updates.0.expiry", DROP, f"{_U}.expiry: missing required field"),
+    ("updates.0.expiry", None, f"{_U}.expiry: expected int"),
+    ("updates.0.expiry", 10, f"{_U}.expiry: must be after the publish tick"),
+    ("updates.0.firmware_id", 2, f"{_U}.firmware_id: expected str"),
+    ("updates.0.size", "512", f"{_U}.size: expected int"),
+    ("updates.0.size", 15, f"{_U}.size: must be at least 16 bytes"),
+    ("updates.0.size", 20_000, f"{_U}.size: firmware needs ~343 fragments at mtu 64, cap is 256"),
+    ("updates.0.plant_canary", 1, f"{_U}.plant_canary: expected bool"),
+    ("updates.0.retry_interval", 2.5, f"{_U}.retry_interval: expected int"),
+    ("updates.0.retry_interval", 0, f"{_U}.retry_interval: must be positive"),
+    ("updates.0.feint_regions", {}, f"{_U}.feint_regions: expected list"),
+    ("updates.0.feint_regions", [[0, 16]], f"{_U}.feint_regions[0]: expected [offset, length, note]"),
+    ("updates.0.feint_regions", [[0, 16, "n"], [0, 16, 5]],
+     f"{_U}.feint_regions[1]: expected [offset, length, note]"),
+    ("updates.0.feint_regions", [[-1, 16, "n"]], f"{_U}.feint_regions[0]: region outside image bounds"),
+    ("updates.0.feint_regions", [[0, 0, "n"]], f"{_U}.feint_regions[0]: region outside image bounds"),
+    ("updates.0.feint_regions", [[500, 16, "n"]], f"{_U}.feint_regions[0]: region outside image bounds"),
+    # attacks
+    ("attacks.0.kind", DROP, f"{_A}[0].kind: missing required field"),
+    ("attacks.0.kind", 5, f"{_A}[0].kind: expected str"),
+    ("attacks.0.kind", "ddos", f"{_A}[0].kind: unknown attack kind 'ddos'"),
+    ("attacks.0.factor", 10, f"{_A}[0].factor: unknown field"),
+    ("attacks.2.rate", [2, 6], f"{_A}[2].rate: unknown field"),
+    ("attacks.0.at", DROP, f"{_A}[0].at: missing required field"),
+    ("attacks.0.at", 50.0, f"{_A}[0].at: expected int"),
+    ("attacks.0.at", -1, f"{_A}[0].at: must be within [0, duration)"),
+    ("attacks.4.at", 200, f"{_A}[4].at: must be within [0, duration)"),
+    ("attacks.0.device", DROP, f"{_A}[0].device: missing required field"),
+    ("attacks.0.device", 5, f"{_A}[0].device: expected str"),
+    ("attacks.5.device", None, f"{_A}[5].device: expected str"),
+    ("attacks.0.device", "ghost", f"{_A}[0].device: unknown device 'ghost'"),
+    ("attacks.0.at", 10, f"{_A}[0]: rollback_replay needs an update campaign before it"),
+    ("attacks.1.at", 5, f"{_A}[1]: tamper_firmware needs an update campaign before it"),
+    ("updates.0.plant_canary", False, f"{_A}[5]: canary_probe needs a planted canary or canary ports"),
+    ("attacks.2.duration", "30", f"{_A}[2].duration: expected int"),
+    ("attacks.2.duration", 0, f"{_A}[2].duration: must be positive"),
+    ("attacks.3.duration", 0, f"{_A}[3].duration: must be positive"),
+    ("attacks.3.rate", "2-6", f"{_A}[3].rate: expected list"),
+    ("attacks.3.rate", [2], f"{_A}[3].rate: expected [lo, hi] with 1 <= lo <= hi"),
+    ("attacks.3.rate", [0, 2], f"{_A}[3].rate: expected [lo, hi] with 1 <= lo <= hi"),
+    ("attacks.3.rate", [3, 2], f"{_A}[3].rate: expected [lo, hi] with 1 <= lo <= hi"),
+    ("attacks.3.rate", [1.0, 2], f"{_A}[3].rate: expected [lo, hi] with 1 <= lo <= hi"),
+    ("attacks.4.factor", 10.0, f"{_A}[4].factor: expected int"),
+    ("attacks.4.factor", 1, f"{_A}[4].factor: must be at least 2"),
+    ("attacks.4.buckets", "20", f"{_A}[4].buckets: expected int"),
+    ("attacks.4.buckets", 0, f"{_A}[4].buckets: must be positive"),
+    # deception
+    ("deception.decoys", 1, "deception.decoys: unknown field"),
+    ("deception.canary_ports", 2323, "deception.canary_ports: expected list"),
+    ("deception.canary_ports", [2323, "23"], "deception.canary_ports[1]: expected a port number"),
+    ("deception.canary_ports", [443],
+     "deception.canary_ports[0]: port 443 is a legitimate service on 'dev-a'"),
+    ("deception.mtd", [], "deception.mtd: expected dict"),
+    ("deception.mtd.jitter", 1, f"{_M}.jitter: unknown field"),
+    ("deception.mtd.rotation_interval", DROP, f"{_M}.rotation_interval: missing required field"),
+    ("deception.mtd.rotation_interval", "25", f"{_M}.rotation_interval: expected int"),
+    ("deception.mtd.rotation_interval", 0, f"{_M}.rotation_interval: must be positive"),
+    ("deception.mtd.address_pool", DROP, f"{_M}.address_pool: missing required field"),
+    ("deception.mtd.address_pool", "10.0.0.1", f"{_M}.address_pool: expected list"),
+    ("deception.mtd.address_pool", ["10.0.0.1", 2], f"{_M}.address_pool[1]: expected an address string"),
+    ("deception.mtd.address_pool", [], f"{_M}.address_pool: must be non-empty and unique"),
+    ("deception.mtd.address_pool", ["a", "a"], f"{_M}.address_pool: must be non-empty and unique"),
+    ("deception.mtd.address_pool", ["a"], f"{_M}.address_pool: smaller than the device count"),
+    # admin
+    ("admin.0.reason", "x", "admin[0].reason: unknown field"),
+    ("admin.0.at", DROP, "admin[0].at: missing required field"),
+    ("admin.0.at", "180", "admin[0].at: expected int"),
+    ("admin.0.at", -1, "admin[0].at: must be within [0, duration)"),
+    ("admin.0.at", 200, "admin[0].at: must be within [0, duration)"),
+    ("admin.0.action", DROP, "admin[0].action: missing required field"),
+    ("admin.0.action", 5, "admin[0].action: expected str"),
+    ("admin.0.action", "delete", "admin[0].action: unknown action 'delete'"),
+    ("admin.0.device", DROP, "admin[0].device: missing required field"),
+    ("admin.0.device", ["dev-b"], "admin[0].device: expected str"),
+    ("admin.0.device", "ghost", "admin[0].device: unknown device 'ghost'"),
+]
+
+
+def _broken(where, value):
+    obj = copy.deepcopy(FULL_SCENARIO)
+    set_path(obj, [int(k) if k.isdigit() else k for k in where.split(".")], value)
+    return obj
+
+
+def test_full_scenario_is_valid_and_runs():
+    report = run_scenario(parse_scenario(copy.deepcopy(FULL_SCENARIO)))
+    assert {e.kind for e in report.events} >= {"update_applied", "canary_probe", "mtd_rotated"}
+
+
+def test_non_object_scenario_is_refused():
+    with pytest.raises(ConfigError, match="^scenario: top level must be an object$"):
+        parse_scenario([FULL_SCENARIO])
+
+
+@pytest.mark.parametrize(
+    "where, value, error", SCENARIO_ERRORS, ids=[f"{w}={'<drop>' if v is DROP else repr(v)}" for w, v, _ in SCENARIO_ERRORS]
+)
+def test_every_scenario_error_names_its_path_and_reason(where, value, error):
+    with pytest.raises(ConfigError) as exc:
+        parse_scenario(_broken(where, value))
+    assert str(exc.value) == "scenario" + ("" if error.startswith(":") else ".") + error
