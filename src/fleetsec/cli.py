@@ -13,9 +13,16 @@ import json
 import sys
 from pathlib import Path
 
-from .detector import DetectorConfig, detect_counts, write_reports_jsonl
+from .detector import (
+    DEFAULT_INTERVAL,
+    DEFAULT_MARGIN,
+    DEFAULT_QUANTILE,
+    DEFAULT_WINDOW,
+    DetectorConfig,
+    detect_counts,
+)
 from .errors import FleetsecError
-from .fleet_sim import ConfigError, load_scenario, simulate_to_dir
+from .fleet_sim import ConfigError, load_scenario, simulate_to_dir, write_jsonl
 from .identity import (
     AlreadyClaimedError,
     BlacklistedError,
@@ -144,7 +151,7 @@ def _cmd_detect(args) -> int:
         baseline, _rows(args.baseline, baseline, devices), _span(baseline),
     )
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        write_reports_jsonl(reports, fh)
+        write_jsonl(reports, fh)
     print(f"{len(reports)} anomalies across {len(devices)} devices -> {args.out}")
     return 1 if reports else 0
 
@@ -288,11 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     detect_p.add_argument("--baseline", required=True)
     detect_p.add_argument("--input", required=True)
     detect_p.add_argument("--metric", default="packets_in")
-    detect_p.add_argument("--window", type=int, default=16)
+    detect_p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     detect_p.add_argument("--exclusion", type=int, default=None)
-    detect_p.add_argument("--interval", type=int, default=1)
-    detect_p.add_argument("--quantile", type=float, default=0.99)
-    detect_p.add_argument("--margin", type=float, default=2.0)
+    detect_p.add_argument("--interval", type=int, default=DEFAULT_INTERVAL)
+    detect_p.add_argument("--quantile", type=float, default=DEFAULT_QUANTILE)
+    detect_p.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
     detect_p.add_argument("--out", default="anomalies.jsonl")
     detect_p.set_defaults(func=_cmd_detect)
 

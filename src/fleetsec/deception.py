@@ -11,10 +11,9 @@ pool on a fixed interval, keeping the assignment injective.
 from __future__ import annotations
 
 import copy
-import json
 import random
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import FleetsecError
 
@@ -44,22 +43,6 @@ class Alert:
     kind: str
     actor: str
     detail: str
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "time": self.time,
-                "device_id": self.device_id,
-                "kind": self.kind,
-                "actor": self.actor,
-                "detail": self.detail,
-            }
-        )
-
-
-def write_alerts_jsonl(alerts: Iterable[Alert], stream: IO[str]) -> None:
-    for alert in alerts:
-        stream.write(alert.to_json() + "\n")
 
 
 @dataclass

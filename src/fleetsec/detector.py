@@ -10,18 +10,20 @@ detection pass, used by the fleet simulator and by `fleetsec detect`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .matrix_profile import ProfileConfig, compute_many
 from .telemetry import Metric, TelemetryCounts
 
+# Defaults of the scenario detector section and of `fleetsec detect`.
+DEFAULT_WINDOW = 16
 DEFAULT_QUANTILE = 0.99
 DEFAULT_MARGIN = 2.0
+DEFAULT_INTERVAL = 1
 
 # Devices whose series one pass profiles together. Batching pays off
 # within a few dozen series; larger blocks only hold more series and
@@ -52,18 +54,6 @@ class AnomalyReport:
     time: int
     score: float
     threshold: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "device_id": self.device_id,
-                "metric": self.metric,
-                "window_index": self.window_index,
-                "time": self.time,
-                "score": self.score,
-                "threshold": self.threshold,
-            }
-        )
 
 
 def threshold_from_distances(distances, quantile: float, margin: float) -> float:
@@ -124,7 +114,3 @@ def _whole_buckets(span: tuple[int, int], interval: int) -> tuple[int, int]:
         end -= (end - start) % interval
     return start, end
 
-
-def write_reports_jsonl(reports: Iterable[AnomalyReport], stream: IO[str]) -> None:
-    for report in reports:
-        stream.write(report.to_json() + "\n")

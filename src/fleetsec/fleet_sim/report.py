@@ -15,14 +15,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import IO, Iterable
 
-from ..deception import Alert, write_alerts_jsonl
-from ..detector import AnomalyReport, write_reports_jsonl
+from ..deception import Alert
+from ..detector import AnomalyReport
 from ..telemetry import TelemetryCounts
-
-if TYPE_CHECKING:
-    from .scenario import ScenarioConfig
 
 EVENTS_FILE = "events.jsonl"
 TELEMETRY_FILE = "telemetry.csv"
@@ -40,15 +37,9 @@ class EventRow:
     kind: str
     detail: dict
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"time": self.time, "actor": self.actor, "kind": self.kind, "detail": self.detail}
-        )
-
 
 @dataclass
 class ScenarioReport:
-    config: "ScenarioConfig"
     telemetry: TelemetryCounts
     events: list[EventRow] = field(default_factory=list)
     anomalies: list[AnomalyReport] = field(default_factory=list)
@@ -56,18 +47,24 @@ class ScenarioReport:
     devices: list[dict] = field(default_factory=list)
 
 
+def write_jsonl(records: Iterable, stream: IO[str]) -> None:
+    """One JSON object a line: each record's fields, in declaration order."""
+    for record in records:
+        stream.write(json.dumps(vars(record)) + "\n")
+
+
 def write_report(report: ScenarioReport, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / EVENTS_FILE, "w", encoding="utf-8", newline="") as fh:
-        for row in report.events:
-            fh.write(row.to_json() + "\n")
+    for name, records in (
+        (EVENTS_FILE, report.events),
+        (ANOMALIES_FILE, report.anomalies),
+        (ALERTS_FILE, report.alerts),
+    ):
+        with open(out / name, "w", encoding="utf-8", newline="") as fh:
+            write_jsonl(records, fh)
     with open(out / TELEMETRY_FILE, "w", encoding="utf-8", newline="") as fh:
         report.telemetry.to_csv(fh)
-    with open(out / ANOMALIES_FILE, "w", encoding="utf-8", newline="") as fh:
-        write_reports_jsonl(report.anomalies, fh)
-    with open(out / ALERTS_FILE, "w", encoding="utf-8", newline="") as fh:
-        write_alerts_jsonl(report.alerts, fh)
     with open(out / DEVICES_FILE, "w", encoding="utf-8", newline="") as fh:
         json.dump({"devices": report.devices}, fh, indent=2)
         fh.write("\n")

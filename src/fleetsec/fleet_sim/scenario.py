@@ -25,7 +25,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,14 @@ from ..deception import (
     mtd_rotate,
     plant_canary,
 )
-from ..detector import DetectorConfig, detect_counts
+from ..detector import (
+    DEFAULT_INTERVAL,
+    DEFAULT_MARGIN,
+    DEFAULT_QUANTILE,
+    DEFAULT_WINDOW,
+    DetectorConfig,
+    detect_counts,
+)
 from ..errors import FleetsecError
 from ..identity import BlacklistedError, ClaimRequest, DeviceRegistry, SecretMismatchError, Status
 from ..keystore import Keystore
@@ -65,14 +72,17 @@ _MASK64 = 2**64 - 1
 
 HEARTBEAT_PERIOD = 20
 
-ATTACK_KINDS = (
-    "rollback_replay",
-    "tamper_firmware",
-    "identity_theft",
-    "dictionary_attack",
-    "traffic_flood",
-    "canary_probe",
-)
+# Each attack kind's params: name -> (default, least value). rate is a
+# [lo, hi] pair, and the least value is lo's.
+_ATTACK_PARAMS = {
+    "rollback_replay": {},
+    "tamper_firmware": {},
+    "identity_theft": {"duration": (30, 1)},
+    "dictionary_attack": {"duration": (20, 1), "rate": ((2, 6), 1)},
+    "traffic_flood": {"factor": (10, 2), "buckets": (20, 1)},
+    "canary_probe": {},
+}
+ATTACK_KINDS = tuple(_ATTACK_PARAMS)
 
 
 # The most rows a scenario's telemetry.csv may reach (about 0.5 GB). It
@@ -111,6 +121,12 @@ def make_firmware(version: int, size: int) -> bytes:
 
 
 # --- config model -----------------------------------------------------------
+#
+# Each spec is the schema of its JSON object: its fields are the allowed
+# keys, and `_read` reads each field typed int, float, str or bool as that
+# JSON type with the field's default, required where it has none. The
+# parser of the object reads its other fields, and the three fields whose
+# default comes from another field.
 
 
 @dataclass(frozen=True)
@@ -125,7 +141,7 @@ class TrafficSpec:
 class DeviceSpec:
     id: str
     secret: str
-    owner: str
+    owner: str  # default user-<id>
     firmware_version: int = 1
     duty_cycle: float = 1.0
     legitimate_ports: tuple[int, ...] = ()
@@ -141,12 +157,12 @@ class LinkSpec:
 
 @dataclass(frozen=True)
 class DetectorSpec:
-    baseline_ticks: int
-    window: int = 16
+    baseline_ticks: int  # default duration // 2
+    window: int = DEFAULT_WINDOW
     exclusion: int | None = None
-    quantile: float = 0.99
-    margin: float = 2.0
-    interval: int = 1
+    quantile: float = DEFAULT_QUANTILE
+    margin: float = DEFAULT_MARGIN
+    interval: int = DEFAULT_INTERVAL
     metrics: tuple[Metric, ...] = (Metric.PACKETS_IN,)
 
     def to_config(self) -> DetectorConfig:
@@ -162,7 +178,7 @@ class UpdateSpec:
     at: int
     version: int
     expiry: int
-    firmware_id: str
+    firmware_id: str  # default fw-v<version>
     size: int = 4096
     plant_canary: bool = False
     feint_regions: tuple[tuple[int, int, str], ...] = ()
@@ -211,12 +227,13 @@ class ScenarioConfig:
 
 # --- config parsing ---------------------------------------------------------
 
-_MISSING = object()
+# the JSON type of a scalar field, by its annotation (annotations are strings here)
+_SCALARS = {"int": int, "float": float, "str": str, "bool": bool}
 
 
-def _field(obj: dict, path: str, key: str, kind: type, default=_MISSING):
+def _field(obj: dict, path: str, key: str, kind: type, default=MISSING):
     if key not in obj:
-        if default is _MISSING:
+        if default is MISSING:
             raise ConfigError(f"{path}.{key}", "missing required field")
         return default
     value = obj[key]
@@ -233,14 +250,40 @@ def _check_keys(obj: dict, path: str, allowed: set[str]) -> None:
             raise ConfigError(f"{path}.{key}", "unknown field")
 
 
+def _read(spec: type, obj: dict, path: str, skip: tuple[str, ...] = ()) -> dict:
+    """spec's scalar fields read from obj, by name; a key of obj that is no field is an error.
+
+    Fields in skip, and fields of any type but int, float, str and bool,
+    are left to the caller.
+    """
+    specs = fields(spec)
+    _check_keys(obj, path, {f.name for f in specs})
+    return {
+        f.name: _field(obj, path, f.name, _SCALARS[f.type], f.default)
+        for f in specs
+        if f.type in _SCALARS and f.name not in skip
+    }
+
+
+def _objects(obj: dict, path: str, key: str):
+    """(path, item) for each item of the list obj[key], which may be absent."""
+    for i, item in enumerate(_field(obj, path, key, list, [])):
+        item_path = f"{path}.{key}[{i}]"
+        if not isinstance(item, dict):
+            raise ConfigError(item_path, "expected an object")
+        yield item_path, item
+
+
+def _ports(obj: dict, path: str, key: str) -> tuple[int, ...]:
+    ports = _field(obj, path, key, list, [])
+    for i, port in enumerate(ports):
+        if not isinstance(port, int) or isinstance(port, bool) or not 1 <= port <= 65535:
+            raise ConfigError(f"{path}.{key}[{i}]", "expected a port number")
+    return tuple(ports)
+
+
 def _parse_traffic(obj: dict, path: str) -> TrafficSpec:
-    _check_keys(obj, path, {"period", "base", "amplitude", "noise"})
-    spec = TrafficSpec(
-        period=_field(obj, path, "period", int, 50),
-        base=_field(obj, path, "base", float, 8.0),
-        amplitude=_field(obj, path, "amplitude", float, 3.0),
-        noise=_field(obj, path, "noise", float, 0.8),
-    )
+    spec = TrafficSpec(**_read(TrafficSpec, obj, path))
     if spec.period < 2:
         raise ConfigError(f"{path}.period", "must be at least 2")
     for name in ("base", "amplitude", "noise"):
@@ -250,46 +293,26 @@ def _parse_traffic(obj: dict, path: str) -> TrafficSpec:
 
 
 def _parse_device(obj: dict, path: str) -> DeviceSpec:
-    _check_keys(
-        obj,
-        path,
-        {"id", "secret", "owner", "firmware_version", "duty_cycle", "legitimate_ports", "traffic"},
-    )
-    device_id = _field(obj, path, "id", str)
-    if not device_id:
+    values = _read(DeviceSpec, obj, path, skip=("owner",))
+    owner = _field(obj, path, "owner", str, f"user-{values['id']}")
+    if not values["id"]:
         raise ConfigError(f"{path}.id", "must be non-empty")
-    secret = _field(obj, path, "secret", str)
-    if not secret:
+    if not values["secret"]:
         raise ConfigError(f"{path}.secret", "must be non-empty")
-    duty = _field(obj, path, "duty_cycle", float, 1.0)
-    if not 0 < duty <= 1:
+    if not 0 < values["duty_cycle"] <= 1:
         raise ConfigError(f"{path}.duty_cycle", "must be in (0, 1]")
-    version = _field(obj, path, "firmware_version", int, 1)
-    if version < 0:
+    if values["firmware_version"] < 0:
         raise ConfigError(f"{path}.firmware_version", "must be non-negative")
-    ports = _field(obj, path, "legitimate_ports", list, [])
-    for i, port in enumerate(ports):
-        if not isinstance(port, int) or isinstance(port, bool) or not 1 <= port <= 65535:
-            raise ConfigError(f"{path}.legitimate_ports[{i}]", "expected a port number")
-    traffic = _parse_traffic(_field(obj, path, "traffic", dict, {}), f"{path}.traffic")
     return DeviceSpec(
-        id=device_id,
-        secret=secret,
-        owner=_field(obj, path, "owner", str, f"user-{device_id}"),
-        firmware_version=version,
-        duty_cycle=duty,
-        legitimate_ports=tuple(ports),
-        traffic=traffic,
+        **values,
+        owner=owner,
+        legitimate_ports=_ports(obj, path, "legitimate_ports"),
+        traffic=_parse_traffic(_field(obj, path, "traffic", dict, {}), f"{path}.traffic"),
     )
 
 
 def _parse_link(obj: dict, path: str) -> LinkSpec:
-    _check_keys(obj, path, {"mtu", "latency", "drop_rate"})
-    spec = LinkSpec(
-        mtu=_field(obj, path, "mtu", int, 1024),
-        latency=_field(obj, path, "latency", int, 0),
-        drop_rate=_field(obj, path, "drop_rate", float, 0.0),
-    )
+    spec = LinkSpec(**_read(LinkSpec, obj, path))
     if spec.mtu <= 4:
         raise ConfigError(f"{path}.mtu", "must exceed the 4-byte fragment header")
     if spec.latency < 0:
@@ -300,34 +323,25 @@ def _parse_link(obj: dict, path: str) -> LinkSpec:
 
 
 def _parse_detector(obj: dict, path: str, duration: int) -> DetectorSpec:
-    _check_keys(
-        obj,
-        path,
-        {"window", "exclusion", "quantile", "margin", "interval", "baseline_ticks", "metrics"},
-    )
-    window = _field(obj, path, "window", int, 16)
-    if window < 2:
+    values = _read(DetectorSpec, obj, path, skip=("baseline_ticks",))
+    baseline_ticks = _field(obj, path, "baseline_ticks", int, duration // 2)
+    if values["window"] < 2:
         raise ConfigError(f"{path}.window", "must be at least 2")
     exclusion = obj.get("exclusion")
     if exclusion is not None and (
         not isinstance(exclusion, int) or isinstance(exclusion, bool) or exclusion < 1
     ):
         raise ConfigError(f"{path}.exclusion", "must be a positive integer or null")
-    quantile = _field(obj, path, "quantile", float, 0.99)
-    if not 0 < quantile <= 1:
+    if not 0 < values["quantile"] <= 1:
         raise ConfigError(f"{path}.quantile", "must be in (0, 1]")
-    margin = _field(obj, path, "margin", float, 2.0)
-    if not 1 <= margin < math.inf:  # NaN fails it too
+    if not 1 <= values["margin"] < math.inf:  # NaN fails it too
         raise ConfigError(f"{path}.margin", "must be finite and at least 1")
-    interval = _field(obj, path, "interval", int, 1)
-    if interval < 1:
+    if values["interval"] < 1:
         raise ConfigError(f"{path}.interval", "must be positive")
-    baseline_ticks = _field(obj, path, "baseline_ticks", int, duration // 2)
     if not 0 < baseline_ticks <= duration:
         raise ConfigError(f"{path}.baseline_ticks", "must be in (0, duration]")
-    raw_metrics = _field(obj, path, "metrics", list, ["packets_in"])
     metrics = []
-    for i, name in enumerate(raw_metrics):
+    for i, name in enumerate(_field(obj, path, "metrics", list, ["packets_in"])):
         try:
             metrics.append(Metric(name))
         except ValueError:
@@ -335,36 +349,23 @@ def _parse_detector(obj: dict, path: str, duration: int) -> DetectorSpec:
     if not metrics:
         raise ConfigError(f"{path}.metrics", "must name at least one metric")
     return DetectorSpec(
-        baseline_ticks=baseline_ticks,
-        window=window,
-        exclusion=exclusion,
-        quantile=quantile,
-        margin=margin,
-        interval=interval,
-        metrics=tuple(metrics),
+        **values, baseline_ticks=baseline_ticks, exclusion=exclusion, metrics=tuple(metrics)
     )
 
 
 def _parse_update(obj: dict, path: str, duration: int) -> UpdateSpec:
-    _check_keys(
-        obj,
-        path,
-        {"at", "version", "expiry", "firmware_id", "size", "plant_canary", "feint_regions", "retry_interval"},
-    )
-    at = _field(obj, path, "at", int)
+    values = _read(UpdateSpec, obj, path, skip=("firmware_id",))
+    firmware_id = _field(obj, path, "firmware_id", str, f"fw-v{values['version']}")
+    at, size = values["at"], values["size"]
     if not 1 <= at < duration:
         raise ConfigError(f"{path}.at", "must be within [1, duration)")
-    version = _field(obj, path, "version", int)
-    if version < 1:
+    if values["version"] < 1:
         raise ConfigError(f"{path}.version", "must be at least 1")
-    expiry = _field(obj, path, "expiry", int)
-    if expiry <= at:
+    if values["expiry"] <= at:
         raise ConfigError(f"{path}.expiry", "must be after the publish tick")
-    size = _field(obj, path, "size", int, 4096)
     if size < 16:
         raise ConfigError(f"{path}.size", "must be at least 16 bytes")
-    retry = _field(obj, path, "retry_interval", int, 20)
-    if retry < 1:
+    if values["retry_interval"] < 1:
         raise ConfigError(f"{path}.retry_interval", "must be positive")
     regions = []
     for i, region in enumerate(_field(obj, path, "feint_regions", list, [])):
@@ -379,33 +380,14 @@ def _parse_update(obj: dict, path: str, duration: int) -> UpdateSpec:
         if region[0] < 0 or region[1] < 1 or region[0] + region[1] > size:
             raise ConfigError(f"{path}.feint_regions[{i}]", "region outside image bounds")
         regions.append((region[0], region[1], region[2]))
-    return UpdateSpec(
-        at=at,
-        version=version,
-        expiry=expiry,
-        firmware_id=_field(obj, path, "firmware_id", str, f"fw-v{version}"),
-        size=size,
-        plant_canary=_field(obj, path, "plant_canary", bool, False),
-        feint_regions=tuple(regions),
-        retry_interval=retry,
-    )
-
-
-_ATTACK_PARAM_KEYS = {
-    "rollback_replay": set(),
-    "tamper_firmware": set(),
-    "identity_theft": {"duration"},
-    "dictionary_attack": {"duration", "rate"},
-    "traffic_flood": {"factor", "buckets"},
-    "canary_probe": set(),
-}
+    return UpdateSpec(**values, firmware_id=firmware_id, feint_regions=tuple(regions))
 
 
 def _parse_attack(obj: dict, path: str, duration: int, device_ids: set[str]) -> AttackSpec:
     kind = _field(obj, path, "kind", str)
-    if kind not in ATTACK_KINDS:
+    if kind not in _ATTACK_PARAMS:
         raise UnknownAttackKindError(f"{path}.kind", f"unknown attack kind {kind!r}")
-    _check_keys(obj, path, {"kind", "at", "device"} | _ATTACK_PARAM_KEYS[kind])
+    _check_keys(obj, path, {"kind", "at", "device", *_ATTACK_PARAMS[kind]})
     at = _field(obj, path, "at", int)
     if not 0 <= at < duration:
         raise ConfigError(f"{path}.at", "must be within [0, duration)")
@@ -415,29 +397,21 @@ def _parse_attack(obj: dict, path: str, duration: int, device_ids: set[str]) -> 
     if device is not None and device not in device_ids:
         raise ConfigError(f"{path}.device", f"unknown device {device!r}")
     params: dict = {}
-    if kind == "identity_theft":
-        params["duration"] = _field(obj, path, "duration", int, 30)
-        if params["duration"] < 1:
-            raise ConfigError(f"{path}.duration", "must be positive")
-    elif kind == "dictionary_attack":
-        params["duration"] = _field(obj, path, "duration", int, 20)
-        if params["duration"] < 1:
-            raise ConfigError(f"{path}.duration", "must be positive")
-        rate = _field(obj, path, "rate", list, [2, 6])
-        if (
-            len(rate) != 2
-            or not all(isinstance(r, int) and not isinstance(r, bool) for r in rate)
-            or not 1 <= rate[0] <= rate[1]
-        ):
-            raise ConfigError(f"{path}.rate", "expected [lo, hi] with 1 <= lo <= hi")
-        params["rate"] = (rate[0], rate[1])
-    elif kind == "traffic_flood":
-        params["factor"] = _field(obj, path, "factor", int, 10)
-        if params["factor"] < 2:
-            raise ConfigError(f"{path}.factor", "must be at least 2")
-        params["buckets"] = _field(obj, path, "buckets", int, 20)
-        if params["buckets"] < 1:
-            raise ConfigError(f"{path}.buckets", "must be positive")
+    for name, (default, least) in _ATTACK_PARAMS[kind].items():
+        if name == "rate":
+            rate = _field(obj, path, "rate", list, default)
+            if (
+                len(rate) != 2
+                or not all(isinstance(r, int) and not isinstance(r, bool) for r in rate)
+                or not least <= rate[0] <= rate[1]
+            ):
+                raise ConfigError(f"{path}.rate", "expected [lo, hi] with 1 <= lo <= hi")
+            params["rate"] = (rate[0], rate[1])
+            continue
+        params[name] = _field(obj, path, name, int, default)
+        if params[name] < least:
+            reason = "must be positive" if least == 1 else f"must be at least {least}"
+            raise ConfigError(f"{path}.{name}", reason)
     return AttackSpec(kind=kind, at=at, device=device, params=params)
 
 
@@ -479,11 +453,9 @@ def _check_telemetry_rows(config: ScenarioConfig, source: str) -> None:
 
 
 def _parse_deception(obj: dict, path: str, devices: tuple[DeviceSpec, ...]) -> DeceptionSpec:
-    _check_keys(obj, path, {"canary_ports", "mtd"})
-    ports = _field(obj, path, "canary_ports", list, [])
+    _read(DeceptionSpec, obj, path)  # checks the keys; neither field is a scalar
+    ports = _ports(obj, path, "canary_ports")
     for i, port in enumerate(ports):
-        if not isinstance(port, int) or isinstance(port, bool) or not 1 <= port <= 65535:
-            raise ConfigError(f"{path}.canary_ports[{i}]", "expected a port number")
         for device in devices:
             if port in device.legitimate_ports:
                 raise ConfigError(
@@ -492,21 +464,21 @@ def _parse_deception(obj: dict, path: str, devices: tuple[DeviceSpec, ...]) -> D
                 )
     mtd = None
     if obj.get("mtd") is not None:
+        mtd_path = f"{path}.mtd"
         mobj = _field(obj, path, "mtd", dict)
-        _check_keys(mobj, f"{path}.mtd", {"rotation_interval", "address_pool"})
-        interval = _field(mobj, f"{path}.mtd", "rotation_interval", int)
-        if interval < 1:
-            raise ConfigError(f"{path}.mtd.rotation_interval", "must be positive")
-        pool = _field(mobj, f"{path}.mtd", "address_pool", list)
+        values = _read(MtdSpec, mobj, mtd_path)
+        if values["rotation_interval"] < 1:
+            raise ConfigError(f"{mtd_path}.rotation_interval", "must be positive")
+        pool = _field(mobj, mtd_path, "address_pool", list)
         for i, address in enumerate(pool):
             if not isinstance(address, str):
-                raise ConfigError(f"{path}.mtd.address_pool[{i}]", "expected an address string")
+                raise ConfigError(f"{mtd_path}.address_pool[{i}]", "expected an address string")
         if not pool or len(set(pool)) != len(pool):
-            raise ConfigError(f"{path}.mtd.address_pool", "must be non-empty and unique")
+            raise ConfigError(f"{mtd_path}.address_pool", "must be non-empty and unique")
         if len(pool) < len(devices):
-            raise ConfigError(f"{path}.mtd.address_pool", "smaller than the device count")
-        mtd = MtdSpec(rotation_interval=interval, address_pool=tuple(pool))
-    return DeceptionSpec(canary_ports=tuple(ports), mtd=mtd)
+            raise ConfigError(f"{mtd_path}.address_pool", "smaller than the device count")
+        mtd = MtdSpec(**values, address_pool=tuple(pool))
+    return DeceptionSpec(canary_ports=ports, mtd=mtd)
 
 
 def parse_scenario(obj: dict, source: str = "scenario") -> ScenarioConfig:
@@ -524,12 +496,10 @@ def parse_scenario(obj: dict, source: str = "scenario") -> ScenarioConfig:
 
     devices = []
     seen_ids: set[str] = set()
-    for i, dev_obj in enumerate(_field(obj, source, "devices", list, [])):
-        if not isinstance(dev_obj, dict):
-            raise ConfigError(f"{source}.devices[{i}]", "expected an object")
-        spec = _parse_device(dev_obj, f"{source}.devices[{i}]")
+    for path, item in _objects(obj, source, "devices"):
+        spec = _parse_device(item, path)
         if spec.id in seen_ids:
-            raise ConfigError(f"{source}.devices[{i}].id", f"duplicate device id {spec.id!r}")
+            raise ConfigError(f"{path}.id", f"duplicate device id {spec.id!r}")
         seen_ids.add(spec.id)
         devices.append(spec)
 
@@ -541,22 +511,15 @@ def parse_scenario(obj: dict, source: str = "scenario") -> ScenarioConfig:
             _field(obj, source, "detector", dict, {}), f"{source}.detector", duration
         )
 
-    updates = []
-    for i, upd_obj in enumerate(_field(obj, source, "updates", list, [])):
-        if not isinstance(upd_obj, dict):
-            raise ConfigError(f"{source}.updates[{i}]", "expected an object")
-        updates.append(_parse_update(upd_obj, f"{source}.updates[{i}]", duration))
+    updates = [_parse_update(item, path, duration) for path, item in _objects(obj, source, "updates")]
 
     deception = _parse_deception(
         _field(obj, source, "deception", dict, {}), f"{source}.deception", tuple(devices)
     )
 
     attacks = []
-    for i, atk_obj in enumerate(_field(obj, source, "attacks", list, [])):
-        if not isinstance(atk_obj, dict):
-            raise ConfigError(f"{source}.attacks[{i}]", "expected an object")
-        path = f"{source}.attacks[{i}]"
-        attack = _parse_attack(atk_obj, path, duration, seen_ids)
+    for path, item in _objects(obj, source, "attacks"):
+        attack = _parse_attack(item, path, duration, seen_ids)
         if attack.kind in ("rollback_replay", "tamper_firmware"):
             if not any(u.at < attack.at for u in updates):
                 raise ConfigError(path, f"{attack.kind} needs an update campaign before it")
@@ -568,21 +531,15 @@ def parse_scenario(obj: dict, source: str = "scenario") -> ScenarioConfig:
         attacks.append(attack)
 
     admin = []
-    for i, adm_obj in enumerate(_field(obj, source, "admin", list, [])):
-        if not isinstance(adm_obj, dict):
-            raise ConfigError(f"{source}.admin[{i}]", "expected an object")
-        path = f"{source}.admin[{i}]"
-        _check_keys(adm_obj, path, {"at", "action", "device"})
-        at = _field(adm_obj, path, "at", int)
-        if not 0 <= at < duration:
+    for path, item in _objects(obj, source, "admin"):
+        action = AdminAction(**_read(AdminAction, item, path))
+        if not 0 <= action.at < duration:
             raise ConfigError(f"{path}.at", "must be within [0, duration)")
-        action = _field(adm_obj, path, "action", str)
-        if action not in ("blacklist", "deprovision"):
-            raise ConfigError(f"{path}.action", f"unknown action {action!r}")
-        device = _field(adm_obj, path, "device", str)
-        if device not in seen_ids:
-            raise ConfigError(f"{path}.device", f"unknown device {device!r}")
-        admin.append(AdminAction(at=at, action=action, device=device))
+        if action.action not in ("blacklist", "deprovision"):
+            raise ConfigError(f"{path}.action", f"unknown action {action.action!r}")
+        if action.device not in seen_ids:
+            raise ConfigError(f"{path}.device", f"unknown device {action.device!r}")
+        admin.append(action)
 
     config = ScenarioConfig(
         seed=seed,
@@ -633,7 +590,7 @@ class _Campaign:
     manifest: FirmwareManifest
     firmware: bytes
     canary: CanaryToken | None
-    payload: bytes  # what the link carries: the encoded manifest, then the image
+    frames: list[bytes]  # what the link carries: the encoded manifest, then the image
 
 
 class FleetSimulation:
@@ -644,7 +601,6 @@ class FleetSimulation:
         self.now = 0
         self._heap: list = []
         self._seq = 0
-        self._mid = 0  # rolling fragment message id
         self._row = {d.id: row for row, d in enumerate(config.devices)}  # telemetry row
 
         # inbound packets and sessions per device and tick; a session opens
@@ -657,7 +613,7 @@ class FleetSimulation:
             (EventKind.SESSION_OPEN, Direction.INBOUND): self._sessions,
             (EventKind.SESSION_CLOSE, Direction.INBOUND): self._sessions,
         })
-        self.report = ScenarioReport(config, counts)
+        self.report = ScenarioReport(counts)
         seed = config.seed
         self.keystore = Keystore(seed)
         self.keystore.generate_key("publisher")
@@ -703,11 +659,6 @@ class FleetSimulation:
             return
         heapq.heappush(self._heap, (time, self._seq, handler, args))
         self._seq += 1
-
-    def _next_mid(self) -> int:
-        mid = self._mid
-        self._mid = (self._mid + 1) % 65536
-        return mid
 
     # - run -
 
@@ -840,8 +791,9 @@ class FleetSimulation:
                 "feint_patches_attached",
                 {"firmware_id": spec.firmware_id, "count": len(spec.feint_regions)},
             )
-        payload = lp(manifest.encode()) + lp(firmware)
-        self.campaigns.append(_Campaign(spec, manifest, firmware, canary, payload))
+        campaign_index = len(self.campaigns)
+        frames = fragment(lp(manifest.encode()) + lp(firmware), self.link.mtu, campaign_index % 65536)
+        self.campaigns.append(_Campaign(spec, manifest, firmware, canary, frames))
         self.event(
             "publisher",
             "manifest_published",
@@ -853,7 +805,6 @@ class FleetSimulation:
                 "canary_planted": canary is not None,
             },
         )
-        campaign_index = len(self.campaigns) - 1
         for dev in self.cfg.devices:
             self.schedule(
                 self.now + self.link.latency, self._deliver_update, dev, campaign_index, 1
@@ -871,7 +822,7 @@ class FleetSimulation:
             )
             return
 
-        frames = fragment(campaign.payload, self.link.mtu, self._next_mid())
+        frames = campaign.frames
         arrived = self.link.deliver(frames)
         if len(arrived) < len(frames):
             self.event(

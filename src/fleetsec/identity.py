@@ -138,8 +138,8 @@ class DeviceRegistry:
         self._seed = int(seed)
         self._keystore = Keystore(seed)
         self._records: dict[str, DeviceRecord] = {}
-        # open sessions by device, then session id; each is used by at most one claim
-        self._sessions: dict[str, dict[str, RendezvousSession]] = {}
+        # each device's open session, if any: a connect replaces it and a claim uses it up
+        self._sessions: dict[str, RendezvousSession] = {}
         self._next_session = 1
         self._generation: dict[str, int] = {}
 
@@ -182,7 +182,7 @@ class DeviceRegistry:
             established_at=clock,
         )
         self._next_session += 1
-        self._sessions.setdefault(device_id, {})[session.session_id] = session
+        self._sessions[device_id] = session
         return session
 
     def claim(self, session: RendezvousSession, request: ClaimRequest) -> DeviceRecord:
@@ -192,14 +192,12 @@ class DeviceRegistry:
         learns nothing about provisioning state from the error, and every
         wrong guess surfaces as SecretMismatch regardless of target. The
         session is used up by this claim, whether it succeeds or fails, so
-        each guess costs the guesser a fresh device_connect.
+        each guess costs the guesser a fresh device_connect. Only a
+        device's latest session is open.
         """
-        open_sessions = self._sessions.get(session.device_id, {})
-        if open_sessions.get(session.session_id) != session:
+        if self._sessions.get(session.device_id) != session:
             raise InvalidSessionError("session is not open in this registry")
-        del open_sessions[session.session_id]
-        if not open_sessions:
-            del self._sessions[session.device_id]
+        del self._sessions[session.device_id]
         if request.device_id != session.device_id:
             raise InvalidSessionError("claim request names a different device")
         rec = self.record(request.device_id)
@@ -311,8 +309,8 @@ class DeviceRegistry:
         if not isinstance(obj, dict) or obj.get("format") != _FILE_FORMAT:
             raise ValueError("missing or unsupported registry format tag")
         try:
-            registry = cls(obj["seed"])
-            registry._next_session = obj["next_session"]
+            registry = cls(_int(obj["seed"]))
+            registry._next_session = _int(obj["next_session"])
             for entry in obj["devices"]:
                 rec = DeviceRecord(
                     device_id=entry["device_id"],
@@ -325,7 +323,7 @@ class DeviceRegistry:
                     needs_reprovision=entry["needs_reprovision"],
                 )
                 registry._records[rec.device_id] = rec
-                registry._generation[rec.device_id] = entry["generation"]
+                registry._generation[rec.device_id] = _int(entry["generation"])
                 if rec.device_pub is not None:
                     # keys are seed-derived, so regenerating reproduces them;
                     # mismatch means the snapshot was edited or the seed lies
@@ -345,3 +343,10 @@ class DeviceRegistry:
         except RecursionError as exc:
             raise ValueError(f"malformed registry file: {exc!r}") from None
         return cls.from_json_obj(obj)
+
+
+def _int(value) -> int:
+    """value if it is an int; JSON floats, bools and strings are not."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value

@@ -57,9 +57,9 @@ class PublicKeyInfo:
     public_bytes: bytes
 
     def __post_init__(self):
-        if not self.key_id:
-            raise ValueError("key_id must be non-empty")
-        if self.algorithm not in SUPPORTED_ALGORITHMS:
+        if not self.key_id or not isinstance(self.key_id, str):
+            raise ValueError("key_id must be a non-empty string")
+        if not isinstance(self.algorithm, str) or self.algorithm not in SUPPORTED_ALGORITHMS:
             raise ValueError(f"unsupported algorithm {self.algorithm!r}")
         if len(self.public_bytes) != PUBLIC_KEY_LEN:
             raise ValueError(f"public_bytes must be {PUBLIC_KEY_LEN} bytes")

@@ -14,6 +14,7 @@ scenario with a runner that feeds a simulate run's telemetry to
 from __future__ import annotations
 
 import bisect
+import copy
 import csv
 import hashlib
 import random
@@ -22,6 +23,7 @@ from pathlib import Path
 from typing import Iterable, TextIO
 
 import numpy as np
+from hypothesis import strategies as st
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
@@ -575,6 +577,41 @@ def detect_on_run(run_dir: Path, detector, out: Path) -> int:
 # --- JSON edits -----------------------------------------------------------------
 
 DROP = object()  # set_path deletes the item instead of setting it
+
+# any value json.loads can return, NaN and the infinities included
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def key_paths(obj, prefix=()) -> list[tuple]:
+    """The path of every item inside a JSON value, parents before children."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    paths = []
+    for key, value in items:
+        paths.append(prefix + (key,))
+        paths.extend(key_paths(value, prefix + (key,)))
+    return paths
+
+
+def json_edits(obj):
+    """Lists of one to three (path, value) edits of obj; a value is mostly a scalar, or DROP."""
+    values = json_scalars | json_values | st.just(DROP)
+    return st.lists(st.tuples(st.sampled_from(key_paths(obj)), values), min_size=1, max_size=3)
+
+
+def edited(obj, edits):
+    """A copy of obj with edits applied; an edit whose path an earlier one removed is skipped."""
+    obj = copy.deepcopy(obj)
+    for path, value in edits:
+        try:
+            set_path(obj, path, value)
+        except (KeyError, IndexError, TypeError):
+            pass
+    return obj
 
 
 def set_path(obj, path, value) -> None:

@@ -258,8 +258,13 @@ def test_identity_missing_registry_file(tmp_path, capsys):
     [
         lambda obj: obj.pop("seed"),
         lambda obj: obj.update(devices=[1]),
+        lambda obj: obj.update(seed=math.inf),
+        lambda obj: obj.update(seed=2.7),
+        lambda obj: obj.update(next_session="2"),
+        lambda obj: obj["devices"][0].update(generation=True),
     ],
-    ids=["no-seed", "non-object-device"],
+    ids=["no-seed", "non-object-device", "infinite-seed", "fractional-seed",
+         "string-next-session", "bool-generation"],
 )
 def test_identity_malformed_registry_is_a_format_error(tmp_path, capsys, edit):
     reg = tmp_path / "registry.json"
@@ -294,6 +299,8 @@ _DEEP = None  # a file of 100,000 nested "[" instead of an edited one
         ("keys", lambda obj: obj.update(keys=[5])),
         ("keys", lambda obj: obj["keys"][0].update(private_enc=5)),
         ("keys", lambda obj: obj.update(seed_enc=5)),
+        ("keys", lambda obj: obj["keys"][0].update(algorithm=[])),
+        ("keys", lambda obj: obj["keys"][0].update(key_id=5)),
         ("state", lambda obj: obj["slots"]["A"].update(version="x")),
         ("state", lambda obj: obj["trust_anchor_tsa"].update(public=5)),
         ("registry", lambda obj: obj["devices"][0].update(claim_hash=5)),
@@ -304,7 +311,8 @@ _DEEP = None  # a file of 100,000 nested "[" instead of an edited one
     ],
     ids=[
         "keys-not-a-list", "key-entry-not-an-object", "private-enc-not-a-string",
-        "seed-enc-not-a-string", "slot-version-not-an-int", "tsa-public-not-a-string",
+        "seed-enc-not-a-string", "algorithm-not-a-string", "key-id-not-a-string",
+        "slot-version-not-an-int", "tsa-public-not-a-string",
         "claim-hash-not-a-string", "deep-keys", "deep-state", "deep-registry", "deep-scenario",
     ],
 )

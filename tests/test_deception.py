@@ -19,8 +19,8 @@ from fleetsec.deception import (
     make_schedule,
     mtd_rotate,
     plant_canary,
-    write_alerts_jsonl,
 )
+from fleetsec.fleet_sim.report import write_jsonl
 from fleetsec.keystore import Keystore
 from fleetsec.tsa import TimestampAuthority
 from fleetsec.update_protocol import build_manifest, device_verify, initial_state
@@ -134,7 +134,7 @@ def test_alert_jsonl_round_trip():
             self.lines.append(text)
 
     sink = Sink()
-    write_alerts_jsonl(alerts, sink)
+    write_jsonl(alerts, sink)
     parsed = [json.loads(line) for line in sink.lines]
     assert parsed[0]["kind"] == "canary_token"
     assert parsed[1]["actor"] == "mallory"

@@ -12,8 +12,8 @@ from fleetsec.detector import (
     DetectorConfig,
     detect_counts,
     threshold_from_distances,
-    write_reports_jsonl,
 )
+from fleetsec.fleet_sim.report import write_jsonl
 from fleetsec.matrix_profile import ProfileConfig, compute_brute_force
 from fleetsec.telemetry import Direction, EventKind, Metric, TelemetryCounts, TelemetrySeries
 
@@ -191,7 +191,7 @@ class TestDetectFleet:
 def test_jsonl_export_key_order():
     report = AnomalyReport("dev", "packets_in", 3, 30, 2.5, 1.0)
     out = io.StringIO()
-    write_reports_jsonl([report], out)
+    write_jsonl([report], out)
     line = out.getvalue().strip()
     assert json.loads(line) == {
         "device_id": "dev",

@@ -3,7 +3,9 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+from fleetsec.errors import FleetsecError
 from fleetsec.fleet_sim.report import REPORT_FILES
 from fleetsec.fleet_sim.scenario import (
     ConfigError,
@@ -19,7 +21,7 @@ from fleetsec.fleet_sim.scenario import (
 )
 from fleetsec.telemetry import Metric, bucketize, ingest_csv
 
-from helpers import DROP, calibrate, detect, set_path
+from helpers import DROP, calibrate, detect, edited, json_edits, set_path
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -639,3 +641,12 @@ def test_every_scenario_error_names_its_path_and_reason(where, value, error):
     with pytest.raises(ConfigError) as exc:
         parse_scenario(_broken(where, value))
     assert str(exc.value) == "scenario" + ("" if error.startswith(":") else ".") + error
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(edits=json_edits(FULL_SCENARIO))
+def test_edited_scenarios_raise_only_fleetsec_or_value_errors(edits):
+    try:
+        parse_scenario(edited(FULL_SCENARIO, edits))
+    except (FleetsecError, ValueError):
+        pass

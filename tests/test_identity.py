@@ -4,7 +4,9 @@ import inspect
 import json
 
 import pytest
+from hypothesis import given, settings
 
+from fleetsec.errors import FleetsecError
 from fleetsec.identity import (
     AlreadyClaimedError,
     BlacklistedError,
@@ -23,7 +25,7 @@ from fleetsec.identity import (
     claim_hash,
 )
 
-from helpers import run_lifecycle_ops
+from helpers import edited, json_edits, run_lifecycle_ops
 
 SECRET = b"printed-on-the-box"
 
@@ -134,6 +136,19 @@ def test_a_session_serves_one_claim(registry, secret):
     # not even the right secret gets a second try on the same session
     with pytest.raises(InvalidSessionError):
         registry.claim(session, ClaimRequest("alice", "dev-1", SECRET))
+
+
+def test_a_new_connect_supersedes_the_open_session(registry):
+    first = registry.device_connect("dev-1", clock=0)
+    second = registry.device_connect("dev-1", clock=1)
+    with pytest.raises(InvalidSessionError):
+        registry.claim(first, ClaimRequest("alice", "dev-1", SECRET))
+    assert registry.claim(second, ClaimRequest("alice", "dev-1", SECRET)).owner == "alice"
+
+
+def test_unclaimed_connects_leave_one_open_session(registry):
+    sessions = [registry.device_connect("dev-1", clock=clock) for clock in range(1000)]
+    assert registry._sessions == {"dev-1": sessions[-1]}
 
 
 def test_claims_leave_no_open_sessions(registry):
@@ -339,3 +354,24 @@ def test_random_op_sequences_respect_the_lifecycle():
     assert stats.ops == 2000
     assert stats.claims > 20
     assert stats.rejections > 100
+
+
+def _saved_registry() -> dict:
+    registry = DeviceRegistry(seed=3)
+    for device_id in ("dev-1", "dev-2"):
+        registry.register_device(device_id, SECRET)
+    _claim(registry)
+    registry.blacklist("dev-2")
+    return json.loads(json.dumps(registry.to_json_obj()))
+
+
+SAVED_REGISTRY = _saved_registry()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(edits=json_edits(SAVED_REGISTRY))
+def test_edited_registry_files_raise_only_value_errors(edits):
+    try:
+        DeviceRegistry.from_json_obj(edited(SAVED_REGISTRY, edits))
+    except (FleetsecError, ValueError):
+        pass
