@@ -219,10 +219,6 @@ def _cmd_tsa_verify(args) -> int:
     return 0
 
 
-def _load_registry(args) -> DeviceRegistry:
-    return DeviceRegistry.load(args.registry)
-
-
 def _cmd_identity_register(args) -> int:
     path = Path(args.registry)
     registry = DeviceRegistry.load(path) if path.exists() else DeviceRegistry(args.seed)
@@ -233,7 +229,7 @@ def _cmd_identity_register(args) -> int:
 
 
 def _cmd_identity_claim(args) -> int:
-    registry = _load_registry(args)
+    registry = DeviceRegistry.load(args.registry)
     session = registry.device_connect(args.device, args.now)
     record = registry.claim(
         session,
@@ -250,7 +246,7 @@ def _cmd_identity_claim(args) -> int:
 
 
 def _cmd_identity_blacklist(args) -> int:
-    registry = _load_registry(args)
+    registry = DeviceRegistry.load(args.registry)
     record = registry.blacklist(args.device)
     registry.save(args.registry)
     print(f"{record.device_id}: {record.status.value}")
@@ -258,7 +254,7 @@ def _cmd_identity_blacklist(args) -> int:
 
 
 def _cmd_identity_deprovision(args) -> int:
-    registry = _load_registry(args)
+    registry = DeviceRegistry.load(args.registry)
     record = registry.deprovision(args.device)
     registry.save(args.registry)
     print(f"{record.device_id}: {record.status.value}")

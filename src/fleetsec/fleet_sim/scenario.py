@@ -22,10 +22,9 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
-import json
 import math
 import random
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +45,6 @@ from ..detector import (
     DetectorConfig,
     detect_counts,
 )
-from ..errors import FleetsecError
 from ..identity import BlacklistedError, ClaimRequest, DeviceRegistry, SecretMismatchError, Status
 from ..keystore import Keystore
 from ..matrix_profile import ProfileConfig, default_exclusion
@@ -64,7 +62,7 @@ from ..update_protocol import (
     initial_state,
     interrupt_update,
 )
-from ..wire import Reader, lp
+from ..wire import ConfigError, Reader, check_keys, load_json, lp, read_field, read_spec
 from .report import EventRow, ScenarioReport, write_report
 from .transport import MAX_FRAGMENTS, SimLink, fragment, reassemble
 
@@ -89,12 +87,6 @@ ATTACK_KINDS = tuple(_ATTACK_PARAMS)
 # keeps every count and running total far inside int64 and the file
 # writable; _check_telemetry_rows holds scenarios to it.
 MAX_TELEMETRY_ROWS = 10**7
-
-
-class ConfigError(FleetsecError):
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
-        self.path = path
 
 
 class UnknownAttackKindError(ConfigError):
@@ -122,11 +114,10 @@ def make_firmware(version: int, size: int) -> bytes:
 
 # --- config model -----------------------------------------------------------
 #
-# Each spec is the schema of its JSON object: its fields are the allowed
-# keys, and `_read` reads each field typed int, float, str or bool as that
-# JSON type with the field's default, required where it has none. The
-# parser of the object reads its other fields, and the three fields whose
-# default comes from another field.
+# Each spec is the schema of its JSON object, read by `read_spec` (see
+# `fleetsec.wire`). The parser of the object reads its tuple fields, the
+# three fields whose default comes from another field, detector.exclusion
+# and deception.mtd, and checks every value's range.
 
 
 @dataclass(frozen=True)
@@ -227,47 +218,9 @@ class ScenarioConfig:
 
 # --- config parsing ---------------------------------------------------------
 
-# the JSON type of a scalar field, by its annotation (annotations are strings here)
-_SCALARS = {"int": int, "float": float, "str": str, "bool": bool}
-
-
-def _field(obj: dict, path: str, key: str, kind: type, default=MISSING):
-    if key not in obj:
-        if default is MISSING:
-            raise ConfigError(f"{path}.{key}", "missing required field")
-        return default
-    value = obj[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ConfigError(f"{path}.{key}", f"expected {kind.__name__}")
-    return value
-
-
-def _check_keys(obj: dict, path: str, allowed: set[str]) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}", "unknown field")
-
-
-def _read(spec: type, obj: dict, path: str, skip: tuple[str, ...] = ()) -> dict:
-    """spec's scalar fields read from obj, by name; a key of obj that is no field is an error.
-
-    Fields in skip, and fields of any type but int, float, str and bool,
-    are left to the caller.
-    """
-    specs = fields(spec)
-    _check_keys(obj, path, {f.name for f in specs})
-    return {
-        f.name: _field(obj, path, f.name, _SCALARS[f.type], f.default)
-        for f in specs
-        if f.type in _SCALARS and f.name not in skip
-    }
-
-
 def _objects(obj: dict, path: str, key: str):
     """(path, item) for each item of the list obj[key], which may be absent."""
-    for i, item in enumerate(_field(obj, path, key, list, [])):
+    for i, item in enumerate(read_field(obj, path, key, list, [])):
         item_path = f"{path}.{key}[{i}]"
         if not isinstance(item, dict):
             raise ConfigError(item_path, "expected an object")
@@ -275,26 +228,16 @@ def _objects(obj: dict, path: str, key: str):
 
 
 def _ports(obj: dict, path: str, key: str) -> tuple[int, ...]:
-    ports = _field(obj, path, key, list, [])
+    ports = read_field(obj, path, key, list, [])
     for i, port in enumerate(ports):
         if not isinstance(port, int) or isinstance(port, bool) or not 1 <= port <= 65535:
             raise ConfigError(f"{path}.{key}[{i}]", "expected a port number")
     return tuple(ports)
 
 
-def _parse_traffic(obj: dict, path: str) -> TrafficSpec:
-    spec = TrafficSpec(**_read(TrafficSpec, obj, path))
-    if spec.period < 2:
-        raise ConfigError(f"{path}.period", "must be at least 2")
-    for name in ("base", "amplitude", "noise"):
-        if not 0 <= getattr(spec, name) < math.inf:  # NaN fails too
-            raise ConfigError(f"{path}.{name}", "must be finite and non-negative")
-    return spec
-
-
 def _parse_device(obj: dict, path: str) -> DeviceSpec:
-    values = _read(DeviceSpec, obj, path, skip=("owner",))
-    owner = _field(obj, path, "owner", str, f"user-{values['id']}")
+    values = read_spec(DeviceSpec, obj, path, skip=("owner",))
+    owner = read_field(obj, path, "owner", str, f"user-{values['id']}")
     if not values["id"]:
         raise ConfigError(f"{path}.id", "must be non-empty")
     if not values["secret"]:
@@ -303,16 +246,17 @@ def _parse_device(obj: dict, path: str) -> DeviceSpec:
         raise ConfigError(f"{path}.duty_cycle", "must be in (0, 1]")
     if values["firmware_version"] < 0:
         raise ConfigError(f"{path}.firmware_version", "must be non-negative")
-    return DeviceSpec(
-        **values,
-        owner=owner,
-        legitimate_ports=_ports(obj, path, "legitimate_ports"),
-        traffic=_parse_traffic(_field(obj, path, "traffic", dict, {}), f"{path}.traffic"),
-    )
+    legitimate_ports = _ports(obj, path, "legitimate_ports")
+    if values["traffic"].period < 2:
+        raise ConfigError(f"{path}.traffic.period", "must be at least 2")
+    for name in ("base", "amplitude", "noise"):
+        if not 0 <= getattr(values["traffic"], name) < math.inf:  # NaN fails too
+            raise ConfigError(f"{path}.traffic.{name}", "must be finite and non-negative")
+    return DeviceSpec(**values, owner=owner, legitimate_ports=legitimate_ports)
 
 
 def _parse_link(obj: dict, path: str) -> LinkSpec:
-    spec = LinkSpec(**_read(LinkSpec, obj, path))
+    spec = LinkSpec(**read_spec(LinkSpec, obj, path))
     if spec.mtu <= 4:
         raise ConfigError(f"{path}.mtu", "must exceed the 4-byte fragment header")
     if spec.latency < 0:
@@ -323,8 +267,8 @@ def _parse_link(obj: dict, path: str) -> LinkSpec:
 
 
 def _parse_detector(obj: dict, path: str, duration: int) -> DetectorSpec:
-    values = _read(DetectorSpec, obj, path, skip=("baseline_ticks",))
-    baseline_ticks = _field(obj, path, "baseline_ticks", int, duration // 2)
+    values = read_spec(DetectorSpec, obj, path, skip=("baseline_ticks", "exclusion"))
+    baseline_ticks = read_field(obj, path, "baseline_ticks", int, duration // 2)
     if values["window"] < 2:
         raise ConfigError(f"{path}.window", "must be at least 2")
     exclusion = obj.get("exclusion")
@@ -341,7 +285,7 @@ def _parse_detector(obj: dict, path: str, duration: int) -> DetectorSpec:
     if not 0 < baseline_ticks <= duration:
         raise ConfigError(f"{path}.baseline_ticks", "must be in (0, duration]")
     metrics = []
-    for i, name in enumerate(_field(obj, path, "metrics", list, ["packets_in"])):
+    for i, name in enumerate(read_field(obj, path, "metrics", list, ["packets_in"])):
         try:
             metrics.append(Metric(name))
         except ValueError:
@@ -354,8 +298,8 @@ def _parse_detector(obj: dict, path: str, duration: int) -> DetectorSpec:
 
 
 def _parse_update(obj: dict, path: str, duration: int) -> UpdateSpec:
-    values = _read(UpdateSpec, obj, path, skip=("firmware_id",))
-    firmware_id = _field(obj, path, "firmware_id", str, f"fw-v{values['version']}")
+    values = read_spec(UpdateSpec, obj, path, skip=("firmware_id",))
+    firmware_id = read_field(obj, path, "firmware_id", str, f"fw-v{values['version']}")
     at, size = values["at"], values["size"]
     if not 1 <= at < duration:
         raise ConfigError(f"{path}.at", "must be within [1, duration)")
@@ -368,7 +312,7 @@ def _parse_update(obj: dict, path: str, duration: int) -> UpdateSpec:
     if values["retry_interval"] < 1:
         raise ConfigError(f"{path}.retry_interval", "must be positive")
     regions = []
-    for i, region in enumerate(_field(obj, path, "feint_regions", list, [])):
+    for i, region in enumerate(read_field(obj, path, "feint_regions", list, [])):
         if (
             not isinstance(region, list)
             or len(region) != 3
@@ -384,14 +328,14 @@ def _parse_update(obj: dict, path: str, duration: int) -> UpdateSpec:
 
 
 def _parse_attack(obj: dict, path: str, duration: int, device_ids: set[str]) -> AttackSpec:
-    kind = _field(obj, path, "kind", str)
+    kind = read_field(obj, path, "kind", str)
     if kind not in _ATTACK_PARAMS:
         raise UnknownAttackKindError(f"{path}.kind", f"unknown attack kind {kind!r}")
-    _check_keys(obj, path, {"kind", "at", "device", *_ATTACK_PARAMS[kind]})
-    at = _field(obj, path, "at", int)
+    check_keys(obj, path, {"kind", "at", "device", *_ATTACK_PARAMS[kind]})
+    at = read_field(obj, path, "at", int)
     if not 0 <= at < duration:
         raise ConfigError(f"{path}.at", "must be within [0, duration)")
-    device = _field(obj, path, "device", str, None)
+    device = read_field(obj, path, "device", str, None)
     if kind != "canary_probe" and device is None:
         raise ConfigError(f"{path}.device", "missing required field")
     if device is not None and device not in device_ids:
@@ -399,7 +343,7 @@ def _parse_attack(obj: dict, path: str, duration: int, device_ids: set[str]) -> 
     params: dict = {}
     for name, (default, least) in _ATTACK_PARAMS[kind].items():
         if name == "rate":
-            rate = _field(obj, path, "rate", list, default)
+            rate = read_field(obj, path, "rate", list, default)
             if (
                 len(rate) != 2
                 or not all(isinstance(r, int) and not isinstance(r, bool) for r in rate)
@@ -408,7 +352,7 @@ def _parse_attack(obj: dict, path: str, duration: int, device_ids: set[str]) -> 
                 raise ConfigError(f"{path}.rate", "expected [lo, hi] with 1 <= lo <= hi")
             params["rate"] = (rate[0], rate[1])
             continue
-        params[name] = _field(obj, path, name, int, default)
+        params[name] = read_field(obj, path, name, int, default)
         if params[name] < least:
             reason = "must be positive" if least == 1 else f"must be at least {least}"
             raise ConfigError(f"{path}.{name}", reason)
@@ -453,7 +397,7 @@ def _check_telemetry_rows(config: ScenarioConfig, source: str) -> None:
 
 
 def _parse_deception(obj: dict, path: str, devices: tuple[DeviceSpec, ...]) -> DeceptionSpec:
-    _read(DeceptionSpec, obj, path)  # checks the keys; neither field is a scalar
+    read_spec(DeceptionSpec, obj, path, skip=("mtd",))  # checks the keys
     ports = _ports(obj, path, "canary_ports")
     for i, port in enumerate(ports):
         for device in devices:
@@ -465,11 +409,11 @@ def _parse_deception(obj: dict, path: str, devices: tuple[DeviceSpec, ...]) -> D
     mtd = None
     if obj.get("mtd") is not None:
         mtd_path = f"{path}.mtd"
-        mobj = _field(obj, path, "mtd", dict)
-        values = _read(MtdSpec, mobj, mtd_path)
+        mobj = read_field(obj, path, "mtd", dict)
+        values = read_spec(MtdSpec, mobj, mtd_path)
         if values["rotation_interval"] < 1:
             raise ConfigError(f"{mtd_path}.rotation_interval", "must be positive")
-        pool = _field(mobj, mtd_path, "address_pool", list)
+        pool = read_field(mobj, mtd_path, "address_pool", list)
         for i, address in enumerate(pool):
             if not isinstance(address, str):
                 raise ConfigError(f"{mtd_path}.address_pool[{i}]", "expected an address string")
@@ -484,13 +428,13 @@ def _parse_deception(obj: dict, path: str, devices: tuple[DeviceSpec, ...]) -> D
 def parse_scenario(obj: dict, source: str = "scenario") -> ScenarioConfig:
     if not isinstance(obj, dict):
         raise ConfigError(source, "top level must be an object")
-    _check_keys(
+    check_keys(
         obj,
         source,
         {"seed", "duration", "devices", "links", "detector", "updates", "attacks", "deception", "admin"},
     )
-    seed = _field(obj, source, "seed", int)
-    duration = _field(obj, source, "duration", int)
+    seed = read_field(obj, source, "seed", int)
+    duration = read_field(obj, source, "duration", int)
     if duration < 1:
         raise ConfigError(f"{source}.duration", "must be positive")
 
@@ -503,18 +447,18 @@ def parse_scenario(obj: dict, source: str = "scenario") -> ScenarioConfig:
         seen_ids.add(spec.id)
         devices.append(spec)
 
-    link = _parse_link(_field(obj, source, "links", dict, {}), f"{source}.links")
+    link = _parse_link(read_field(obj, source, "links", dict, {}), f"{source}.links")
 
     detector = None
     if obj.get("detector", {}) is not None:
         detector = _parse_detector(
-            _field(obj, source, "detector", dict, {}), f"{source}.detector", duration
+            read_field(obj, source, "detector", dict, {}), f"{source}.detector", duration
         )
 
     updates = [_parse_update(item, path, duration) for path, item in _objects(obj, source, "updates")]
 
     deception = _parse_deception(
-        _field(obj, source, "deception", dict, {}), f"{source}.deception", tuple(devices)
+        read_field(obj, source, "deception", dict, {}), f"{source}.deception", tuple(devices)
     )
 
     attacks = []
@@ -532,7 +476,7 @@ def parse_scenario(obj: dict, source: str = "scenario") -> ScenarioConfig:
 
     admin = []
     for path, item in _objects(obj, source, "admin"):
-        action = AdminAction(**_read(AdminAction, item, path))
+        action = AdminAction(**read_spec(AdminAction, item, path))
         if not 0 <= action.at < duration:
             raise ConfigError(f"{path}.at", "must be within [0, duration)")
         if action.action not in ("blacklist", "deprovision"):
@@ -574,11 +518,7 @@ def parse_scenario(obj: dict, source: str = "scenario") -> ScenarioConfig:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ConfigError(str(path), f"not valid JSON: {exc}") from exc
-    return parse_scenario(obj, source=str(path))
+    return parse_scenario(load_json(path), source=str(path))
 
 
 # --- engine -----------------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import Iterable
 
 from .errors import FleetsecError
 from .keystore import Keystore, PublicKeyInfo
-from .wire import b64d, b64e
+from .wire import ConfigError, b64e, check_keys, load_json, read_field, read_spec
 
 _FILE_FORMAT = "fleetsec-registry-v1"
 
@@ -308,45 +308,29 @@ class DeviceRegistry:
     def from_json_obj(cls, obj: dict) -> DeviceRegistry:
         if not isinstance(obj, dict) or obj.get("format") != _FILE_FORMAT:
             raise ValueError("missing or unsupported registry format tag")
-        try:
-            registry = cls(_int(obj["seed"]))
-            registry._next_session = _int(obj["next_session"])
-            for entry in obj["devices"]:
-                rec = DeviceRecord(
-                    device_id=entry["device_id"],
-                    claim_hash=b64d(entry["claim_hash"]),
-                    owner=entry["owner"],
-                    device_pub=None
-                    if entry["device_pub"] is None
-                    else PublicKeyInfo.from_json_obj(entry["device_pub"]),
-                    status=Status(entry["status"]),
-                    needs_reprovision=entry["needs_reprovision"],
-                )
-                registry._records[rec.device_id] = rec
-                registry._generation[rec.device_id] = _int(entry["generation"])
-                if rec.device_pub is not None:
-                    # keys are seed-derived, so regenerating reproduces them;
-                    # mismatch means the snapshot was edited or the seed lies
-                    regenerated = registry._keystore.generate_key(rec.device_pub.key_id)
-                    if regenerated.public_bytes != rec.device_pub.public_bytes:
-                        raise ValueError(
-                            f"device key for {rec.device_id!r} does not match registry seed"
-                        )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed registry file: {exc!r}") from None
+        check_keys(obj, "registry", {"format", "seed", "next_session", "devices"})
+        registry = cls(read_field(obj, "registry", "seed", int))
+        registry._next_session = read_field(obj, "registry", "next_session", int)
+        for i, entry in enumerate(read_field(obj, "registry", "devices", list)):
+            path = f"registry.devices[{i}]"
+            rec = DeviceRecord(**read_spec(DeviceRecord, entry, path, skip=("generation",)))
+            if rec.device_id in registry._records:
+                raise ConfigError(f"{path}.device_id", f"duplicate device id {rec.device_id!r}")
+            registry._records[rec.device_id] = rec
+            registry._generation[rec.device_id] = read_field(entry, path, "generation", int)
+            if rec.device_pub is not None:
+                # keys are seed-derived, so regenerating reproduces them;
+                # mismatch means the snapshot was edited or the seed lies
+                regenerated = registry._keystore.generate_key(rec.device_pub.key_id)
+                if regenerated.public_bytes != rec.device_pub.public_bytes:
+                    raise ValueError(
+                        f"device key for {rec.device_id!r} does not match registry seed"
+                    )
         return registry
 
     @classmethod
     def load(cls, path: str | Path) -> DeviceRegistry:
         try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except RecursionError as exc:
-            raise ValueError(f"malformed registry file: {exc!r}") from None
-        return cls.from_json_obj(obj)
-
-
-def _int(value) -> int:
-    """value if it is an int; JSON floats, bools and strings are not."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
+            return cls.from_json_obj(load_json(path))
+        except ConfigError as exc:
+            raise ValueError(f"malformed registry file: {exc}") from None

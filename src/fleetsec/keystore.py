@@ -23,7 +23,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 
 from .errors import FleetsecError
-from .wire import b64d, b64e
+from .wire import ConfigError, b64e, check_keys, load_json, read_field, read_spec
 
 ALGORITHM_ED25519 = "Ed25519"
 SUPPORTED_ALGORITHMS = frozenset({ALGORITHM_ED25519})
@@ -57,9 +57,9 @@ class PublicKeyInfo:
     public_bytes: bytes
 
     def __post_init__(self):
-        if not self.key_id or not isinstance(self.key_id, str):
+        if not self.key_id:
             raise ValueError("key_id must be a non-empty string")
-        if not isinstance(self.algorithm, str) or self.algorithm not in SUPPORTED_ALGORITHMS:
+        if self.algorithm not in SUPPORTED_ALGORITHMS:
             raise ValueError(f"unsupported algorithm {self.algorithm!r}")
         if len(self.public_bytes) != PUBLIC_KEY_LEN:
             raise ValueError(f"public_bytes must be {PUBLIC_KEY_LEN} bytes")
@@ -72,8 +72,10 @@ class PublicKeyInfo:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> PublicKeyInfo:
-        return cls(obj["key_id"], obj["algorithm"], b64d(obj["public"]))
+    def from_json_obj(cls, obj: dict, path: str) -> PublicKeyInfo:
+        """The key in obj, whose public bytes sit under "public"; path names obj in errors."""
+        values = read_spec(cls, obj, path, skip=("public_bytes", "public"))
+        return cls(**values, public_bytes=read_field(obj, path, "public", bytes))
 
 
 def verify(pub: PublicKeyInfo, message: bytes, signature: bytes) -> bool:
@@ -201,28 +203,32 @@ class Keystore:
     @classmethod
     def load(cls, path: str | Path, passphrase: str | None = None) -> Keystore:
         try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, RecursionError) as exc:
+            obj = load_json(path)
+            if not isinstance(obj, dict) or obj.get("format") != _FILE_FORMAT:
+                raise KeystoreFileError("missing or unsupported keystore format tag")
+            check_keys(obj, "keystore", {"format", "keys", "seed_enc"})
+            keys = read_field(obj, "keystore", "keys", list, [])
+        except ConfigError as exc:
             raise KeystoreFileError(f"not a keystore file: {exc}") from exc
-        if not isinstance(obj, dict) or obj.get("format") != _FILE_FORMAT:
-            raise KeystoreFileError("missing or unsupported keystore format tag")
-        keys = obj.get("keys", [])
-        if not isinstance(keys, list) or not all(isinstance(entry, dict) for entry in keys):
-            raise KeystoreFileError("keys must be a list of objects")
         fernet = Fernet(_fernet_key(passphrase)) if passphrase is not None else None
 
         store = cls(0)
         store._seed = None
         if fernet is not None and "seed_enc" in obj:
             store._seed = int.from_bytes(_decrypt(fernet, obj["seed_enc"]), "big")
-        for entry in keys:
+        for i, entry in enumerate(keys):
+            path = f"keystore.keys[{i}]"
+            # the one key of an entry that is no PublicKeyInfo field
+            private_enc = entry.pop("private_enc", None) if isinstance(entry, dict) else None
             try:
-                info = PublicKeyInfo.from_json_obj(entry)
-            except (KeyError, ValueError) as exc:
+                info = PublicKeyInfo.from_json_obj(entry, path)
+                if info.key_id in store._public:
+                    raise ConfigError(f"{path}.key_id", f"duplicate key id {info.key_id!r}")
+            except ValueError as exc:  # a ConfigError, or PublicKeyInfo's own checks
                 raise KeystoreFileError(f"bad key entry: {exc}") from exc
             store._public[info.key_id] = info
-            if fernet is not None and "private_enc" in entry:
-                raw = _decrypt(fernet, entry["private_enc"])
+            if fernet is not None and private_enc is not None:
+                raw = _decrypt(fernet, private_enc)
                 private = Ed25519PrivateKey.from_private_bytes(raw)
                 if private.public_key().public_bytes_raw() != info.public_bytes:
                     raise KeystoreFileError(

@@ -32,7 +32,7 @@ from .tsa import (
     decode_token,
     verify_token,
 )
-from .wire import Reader, b64d, b64e, lp, u64
+from .wire import ConfigError, Reader, b64e, check_keys, load_json, lp, read_field, read_spec, u64
 
 DIGEST_LEN = 32
 
@@ -142,17 +142,6 @@ class FirmwareManifest:
             obj["debug"] = debug
         return obj
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> FirmwareManifest:
-        return cls(
-            firmware_id=obj["firmware_id"],
-            version=obj["version"],
-            digest=b64d(obj["digest"]),
-            expiry=obj["expiry"],
-            token=decode_token(b64d(obj["token"])),
-            publisher_sig=b64d(obj["publisher_sig"]),
-        )
-
 
 def decode_manifest(data: bytes) -> FirmwareManifest:
     reader = Reader(data)
@@ -218,13 +207,6 @@ class SlotState:
             "verified": self.verified,
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> SlotState:
-        version, gen_time, verified = obj["version"], obj["gen_time"], obj["verified"]
-        if not (type(version) is int and type(gen_time) is int and type(verified) is bool):
-            raise TypeError("slot version and gen_time must be integers, verified a boolean")
-        return cls(b64d(obj["image_digest"]), version, gen_time, verified)
-
 
 # version/gen_time -1 lose every freshness comparison against real manifests
 EMPTY_SLOT = SlotState(image_digest=b"\x00" * DIGEST_LEN, version=-1, gen_time=-1, verified=False)
@@ -263,19 +245,11 @@ class DeviceUpdateState:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> DeviceUpdateState:
-        try:
-            return cls(
-                active_slot=Slot(obj["active_slot"]),
-                slot_a=SlotState.from_json_obj(obj["slots"]["A"]),
-                slot_b=SlotState.from_json_obj(obj["slots"]["B"]),
-                trust_anchor_tsa=PublicKeyInfo.from_json_obj(obj["trust_anchor_tsa"]),
-                trust_anchor_publisher=PublicKeyInfo.from_json_obj(
-                    obj["trust_anchor_publisher"]
-                ),
-                mode=DeviceMode(obj["mode"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed device state file: {exc!r}") from None
+        values = read_spec(cls, obj, "state", skip=("slot_a", "slot_b", "slots"))
+        slots = read_field(obj, "state", "slots", dict)
+        check_keys(slots, "state.slots", {"A", "B"})
+        slot_a, slot_b = (read_field(slots, "state.slots", name, SlotState) for name in "AB")
+        return cls(**values, slot_a=slot_a, slot_b=slot_b)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(
@@ -285,10 +259,9 @@ class DeviceUpdateState:
     @classmethod
     def load(cls, path: str | Path) -> DeviceUpdateState:
         try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except RecursionError as exc:
-            raise ValueError(f"malformed device state file: {exc!r}") from None
-        return cls.from_json_obj(obj)
+            return cls.from_json_obj(load_json(path))
+        except ConfigError as exc:
+            raise ValueError(f"malformed device state file: {exc}") from None
 
 
 def initial_state(

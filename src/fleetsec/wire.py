@@ -1,13 +1,23 @@
-"""Canonical binary encoding shared by timestamp tokens and manifests.
+"""Canonical encodings: the binary one of tokens and manifests, and the JSON schema reader.
 
-Convention: fixed field order, unsigned 64-bit big-endian integers,
+Binary: fixed field order, unsigned 64-bit big-endian integers,
 length-prefixed byte strings (32-bit big-endian length prefix). Decoding
 is strict: truncated fields or trailing bytes raise DecodeError.
+
+JSON: a dataclass is the schema of its object (read_spec), and every
+mistake in a file is a ConfigError naming its path.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
+import json
+import types
+import typing
+from dataclasses import MISSING, fields, is_dataclass
+from enum import Enum
+from pathlib import Path
 
 from .errors import FleetsecError
 
@@ -61,10 +71,97 @@ def b64e(data: bytes) -> str:
     return base64.urlsafe_b64encode(data).decode("ascii")
 
 
-def b64d(text: str) -> bytes:
-    if not isinstance(text, str):
-        raise DecodeError(f"bad base64url field: expected a string, got {type(text).__name__}")
+class ConfigError(FleetsecError, ValueError):
+    """A JSON input file breaks its schema at path."""
+
+    def __init__(self, path: str, message: str):
+        super().__init__(f"{path}: {message}")
+        self.path = path
+
+
+def load_json(path: str | Path):
+    """The JSON value in the file at path; text that is not JSON is a ConfigError."""
     try:
-        return base64.urlsafe_b64decode(text.encode("ascii"))
-    except (ValueError, UnicodeEncodeError) as exc:
-        raise DecodeError(f"bad base64url field: {exc}") from exc
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ConfigError(str(path), f"not valid JSON: {exc}") from exc
+
+
+def check_keys(obj: dict, path: str, allowed) -> None:
+    for key in obj:
+        if key not in allowed:
+            raise ConfigError(f"{path}.{key}", "unknown field")
+
+
+def read_field(obj: dict, path: str, key: str, kind, default=MISSING):
+    """obj[key] read as kind, or default where obj has no key (required without one)."""
+    if key not in obj:
+        if default is MISSING:
+            raise ConfigError(f"{path}.{key}", "missing required field")
+        return default
+    value = obj[key]
+    if type(value) is kind:  # nearly every value: the JSON type itself
+        return value
+    return _value(kind, value, f"{path}.{key}")
+
+
+def read_spec(spec: type, obj, path: str, skip: tuple[str, ...] = ()) -> dict:
+    """The fields of dataclass spec read from the object obj, by name, with their defaults.
+
+    int, float, str and bool fields are read as those JSON types, bytes
+    fields from base64url strings, Enum fields by value, X | None fields
+    as X or null, and dataclass fields as objects of their own schema.
+    Names in skip, and tuple fields, are the caller's: they are not read,
+    and they are allowed as keys, so skip may also name keys that are no
+    field. Any other key is an error.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(path, "expected dict")
+    names, readable = _schema(spec)
+    check_keys(obj, path, names.union(skip))
+    return {
+        name: read_field(obj, path, name, kind, default)
+        for name, kind, default in readable
+        if name not in skip
+    }
+
+
+@functools.cache
+def _schema(spec: type) -> tuple[frozenset[str], tuple[tuple[str, type, object], ...]]:
+    """spec's field names, and (name, type, default) of each field but the tuples."""
+    hints, specs = typing.get_type_hints(spec), fields(spec)
+    return frozenset(f.name for f in specs), tuple(
+        (f.name, hints[f.name], f.default)
+        for f in specs
+        if not isinstance(hints[f.name], types.GenericAlias)
+    )
+
+
+def _value(kind, value, path: str):
+    if isinstance(kind, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (kind,) = set(kind.__args__) - {type(None)}
+    if is_dataclass(kind):
+        # a schema whose keys differ from its fields reads itself
+        if hasattr(kind, "from_json_obj"):
+            return kind.from_json_obj(value, path)
+        return kind(**read_spec(kind, value, path))
+    if issubclass(kind, Enum):
+        try:
+            return kind(value)
+        except ValueError:
+            raise ConfigError(path, f"expected one of {[m.value for m in kind]}") from None
+    if kind is bytes:
+        try:
+            return base64.urlsafe_b64decode(str.encode(value, "ascii"))
+        except (TypeError, ValueError):  # not a str, not ASCII, or not base64url
+            raise ConfigError(path, "expected a base64url string") from None
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(path, "out of float range") from None
+    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise ConfigError(path, f"expected {kind.__name__}")

@@ -262,18 +262,27 @@ def test_identity_missing_registry_file(tmp_path, capsys):
         lambda obj: obj.update(seed=2.7),
         lambda obj: obj.update(next_session="2"),
         lambda obj: obj["devices"][0].update(generation=True),
+        lambda obj: obj["devices"][0].update(device_id=5),
+        lambda obj: obj["devices"][0].update(owner=5),
+        lambda obj: obj["devices"][0].update(needs_reprovision="yes"),
+        lambda obj: obj["devices"][0].update(device_id="dev-2"),
     ],
     ids=["no-seed", "non-object-device", "infinite-seed", "fractional-seed",
-         "string-next-session", "bool-generation"],
+         "string-next-session", "bool-generation", "int-device-id", "int-owner",
+         "string-needs-reprovision", "duplicate-device-id"],
 )
 def test_identity_malformed_registry_is_a_format_error(tmp_path, capsys, edit):
     reg = tmp_path / "registry.json"
-    assert main(["identity", "register", "--registry", str(reg), "--device", "dev-1",
-                 "--secret", "box-99"]) == 0
+    for device in ("dev-1", "dev-2"):
+        assert main(["identity", "register", "--registry", str(reg), "--device", device,
+                     "--secret", "box-99"]) == 0
+    assert main(["identity", "claim", "--registry", str(reg), "--device", "dev-1",
+                 "--user", "alice", "--secret", "box-99"]) == 0
     obj = json.loads(reg.read_text())
     edit(obj)
     reg.write_text(json.dumps(obj))
-    code = main(["identity", "blacklist", "--registry", str(reg), "--device", "dev-1"])
+    capsys.readouterr()
+    code = main(["identity", "blacklist", "--registry", str(reg), "--device", "dev-2"])
     assert code == 2
     assert "malformed registry" in capsys.readouterr().err
 
@@ -301,6 +310,7 @@ _DEEP = None  # a file of 100,000 nested "[" instead of an edited one
         ("keys", lambda obj: obj.update(seed_enc=5)),
         ("keys", lambda obj: obj["keys"][0].update(algorithm=[])),
         ("keys", lambda obj: obj["keys"][0].update(key_id=5)),
+        ("keys", lambda obj: obj["keys"][0].update(key_id="tsa-root")),
         ("state", lambda obj: obj["slots"]["A"].update(version="x")),
         ("state", lambda obj: obj["trust_anchor_tsa"].update(public=5)),
         ("registry", lambda obj: obj["devices"][0].update(claim_hash=5)),
@@ -312,6 +322,7 @@ _DEEP = None  # a file of 100,000 nested "[" instead of an edited one
     ids=[
         "keys-not-a-list", "key-entry-not-an-object", "private-enc-not-a-string",
         "seed-enc-not-a-string", "algorithm-not-a-string", "key-id-not-a-string",
+        "duplicate-key-id",
         "slot-version-not-an-int", "tsa-public-not-a-string",
         "claim-hash-not-a-string", "deep-keys", "deep-state", "deep-registry", "deep-scenario",
     ],
@@ -551,6 +562,7 @@ def test_simulate_bad_scenario_is_config_error(tmp_path, capsys):
     [
         (("detector", "exclusion"), True),
         (("deception", "mtd", "address_pool"), [[1], [2], [3]]),
+        (("detector", "margin"), 10**400),  # an int past every float
     ],
 )
 def test_simulate_mistyped_field_is_config_error(tmp_path, capsys, keys, value):

@@ -54,102 +54,102 @@ _R, _S, _K = "registry", "state", "keys"
 FILE_ERRORS = [
     # registry
     (_R, "", [], 'ValueError: missing or unsupported registry format tag'),
-    (_R, _TEXT, "{", 'JSONDecodeError: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)'),
-    (_R, _TEXT, _DEEP, "ValueError: malformed registry file: RecursionError('maximum recursion depth exceeded while decoding a JSON array from a unicode string')"),
+    (_R, _TEXT, "{", 'ValueError: malformed registry file: <file>: not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)'),
+    (_R, _TEXT, _DEEP, 'ValueError: malformed registry file: <file>: not valid JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string'),
     (_R, "format", DROP, 'ValueError: missing or unsupported registry format tag'),
     (_R, "format", "fleetsec-registry-v2", 'ValueError: missing or unsupported registry format tag'),
-    (_R, "extra", 1, 'loads'),
-    (_R, "seed", DROP, "ValueError: malformed registry file: KeyError('seed')"),
-    (_R, "seed", "3", 'ValueError: malformed registry file: TypeError("expected an integer, got \'3\'")'),
-    (_R, "seed", 2.7, "ValueError: malformed registry file: TypeError('expected an integer, got 2.7')"),
-    (_R, "seed", True, "ValueError: malformed registry file: TypeError('expected an integer, got True')"),
-    (_R, "seed", math.inf, "ValueError: malformed registry file: TypeError('expected an integer, got inf')"),
+    (_R, "extra", 1, 'ValueError: malformed registry file: registry.extra: unknown field'),
+    (_R, "seed", DROP, 'ValueError: malformed registry file: registry.seed: missing required field'),
+    (_R, "seed", "3", 'ValueError: malformed registry file: registry.seed: expected int'),
+    (_R, "seed", 2.7, 'ValueError: malformed registry file: registry.seed: expected int'),
+    (_R, "seed", True, 'ValueError: malformed registry file: registry.seed: expected int'),
+    (_R, "seed", math.inf, 'ValueError: malformed registry file: registry.seed: expected int'),
     (_R, "seed", 4, "ValueError: device key for 'dev-1' does not match registry seed"),
-    (_R, "next_session", DROP, "ValueError: malformed registry file: KeyError('next_session')"),
-    (_R, "next_session", "2", 'ValueError: malformed registry file: TypeError("expected an integer, got \'2\'")'),
-    (_R, "devices", DROP, "ValueError: malformed registry file: KeyError('devices')"),
-    (_R, "devices", {}, 'loads'),
-    (_R, "devices", 5, 'ValueError: malformed registry file: TypeError("\'int\' object is not iterable")'),
-    (_R, "devices.0", 1, 'ValueError: malformed registry file: TypeError("\'int\' object is not subscriptable")'),
-    (_R, "devices.0.extra", 1, 'loads'),
-    (_R, "devices.0.device_id", DROP, "ValueError: malformed registry file: KeyError('device_id')"),
-    (_R, "devices.0.device_id", 5, 'loads'),
-    (_R, "devices.1.device_id", "dev-1", 'loads'),
-    (_R, "devices.0.claim_hash", DROP, "ValueError: malformed registry file: KeyError('claim_hash')"),
-    (_R, "devices.0.claim_hash", 5, 'DecodeError: bad base64url field: expected a string, got int'),
-    (_R, "devices.0.claim_hash", "é", "DecodeError: bad base64url field: 'ascii' codec can't encode character '\\xe9' in position 0: ordinal not in range(128)"),
+    (_R, "next_session", DROP, 'ValueError: malformed registry file: registry.next_session: missing required field'),
+    (_R, "next_session", "2", 'ValueError: malformed registry file: registry.next_session: expected int'),
+    (_R, "devices", DROP, 'ValueError: malformed registry file: registry.devices: missing required field'),
+    (_R, "devices", {}, 'ValueError: malformed registry file: registry.devices: expected list'),
+    (_R, "devices", 5, 'ValueError: malformed registry file: registry.devices: expected list'),
+    (_R, "devices.0", 1, 'ValueError: malformed registry file: registry.devices[0]: expected dict'),
+    (_R, "devices.0.extra", 1, 'ValueError: malformed registry file: registry.devices[0].extra: unknown field'),
+    (_R, "devices.0.device_id", DROP, 'ValueError: malformed registry file: registry.devices[0].device_id: missing required field'),
+    (_R, "devices.0.device_id", 5, 'ValueError: malformed registry file: registry.devices[0].device_id: expected str'),
+    (_R, "devices.1.device_id", "dev-1", "ValueError: malformed registry file: registry.devices[1].device_id: duplicate device id 'dev-1'"),
+    (_R, "devices.0.claim_hash", DROP, 'ValueError: malformed registry file: registry.devices[0].claim_hash: missing required field'),
+    (_R, "devices.0.claim_hash", 5, 'ValueError: malformed registry file: registry.devices[0].claim_hash: expected a base64url string'),
+    (_R, "devices.0.claim_hash", "é", 'ValueError: malformed registry file: registry.devices[0].claim_hash: expected a base64url string'),
     (_R, "devices.0.claim_hash", "AAAA", 'ValueError: claim_hash must be 32 bytes'),
-    (_R, "devices.0.owner", DROP, "ValueError: malformed registry file: KeyError('owner')"),
-    (_R, "devices.0.owner", 5, 'loads'),
+    (_R, "devices.0.owner", DROP, 'ValueError: malformed registry file: registry.devices[0].owner: missing required field'),
+    (_R, "devices.0.owner", 5, 'ValueError: malformed registry file: registry.devices[0].owner: expected str'),
     (_R, "devices.0.owner", None, 'ValueError: claimed record must have an owner'),
     (_R, "devices.1.owner", None, 'loads'),
-    (_R, "devices.0.device_pub", DROP, "ValueError: malformed registry file: KeyError('device_pub')"),
-    (_R, "devices.0.device_pub", 5, 'ValueError: malformed registry file: TypeError("\'int\' object is not subscriptable")'),
+    (_R, "devices.0.device_pub", DROP, 'ValueError: malformed registry file: registry.devices[0].device_pub: missing required field'),
+    (_R, "devices.0.device_pub", 5, 'ValueError: malformed registry file: registry.devices[0].device_pub: expected dict'),
     (_R, "devices.0.device_pub", None, 'loads'),
-    (_R, "devices.0.device_pub", {}, "ValueError: malformed registry file: KeyError('key_id')"),
-    (_R, "devices.0.device_pub.extra", 1, 'loads'),
-    (_R, "devices.0.device_pub.key_id", 5, 'ValueError: key_id must be a non-empty string'),
+    (_R, "devices.0.device_pub", {}, 'ValueError: malformed registry file: registry.devices[0].device_pub.key_id: missing required field'),
+    (_R, "devices.0.device_pub.extra", 1, 'ValueError: malformed registry file: registry.devices[0].device_pub.extra: unknown field'),
+    (_R, "devices.0.device_pub.key_id", 5, 'ValueError: malformed registry file: registry.devices[0].device_pub.key_id: expected str'),
     (_R, "devices.0.device_pub.key_id", "", 'ValueError: key_id must be a non-empty string'),
     (_R, "devices.0.device_pub.key_id", "device:dev-1:g2", "ValueError: device key for 'dev-1' does not match registry seed"),
     (_R, "devices.0.device_pub.algorithm", "RSA", "ValueError: unsupported algorithm 'RSA'"),
-    (_R, "devices.0.device_pub.public", 5, 'DecodeError: bad base64url field: expected a string, got int'),
+    (_R, "devices.0.device_pub.public", 5, 'ValueError: malformed registry file: registry.devices[0].device_pub.public: expected a base64url string'),
     (_R, "devices.0.device_pub.public", "AAAA", 'ValueError: public_bytes must be 32 bytes'),
-    (_R, "devices.0.status", DROP, "ValueError: malformed registry file: KeyError('status')"),
-    (_R, "devices.0.status", "Bogus", "ValueError: 'Bogus' is not a valid Status"),
-    (_R, "devices.0.status", 5, 'ValueError: 5 is not a valid Status'),
-    (_R, "devices.0.needs_reprovision", DROP, "ValueError: malformed registry file: KeyError('needs_reprovision')"),
-    (_R, "devices.0.needs_reprovision", "yes", 'loads'),
-    (_R, "devices.0.generation", DROP, "ValueError: malformed registry file: KeyError('generation')"),
-    (_R, "devices.0.generation", True, "ValueError: malformed registry file: TypeError('expected an integer, got True')"),
-    (_R, "devices.0.generation", 1.5, "ValueError: malformed registry file: TypeError('expected an integer, got 1.5')"),
+    (_R, "devices.0.status", DROP, 'ValueError: malformed registry file: registry.devices[0].status: missing required field'),
+    (_R, "devices.0.status", "Bogus", "ValueError: malformed registry file: registry.devices[0].status: expected one of ['Unprovisioned', 'Claimed', 'Blacklisted', 'Deprovisioned']"),
+    (_R, "devices.0.status", 5, "ValueError: malformed registry file: registry.devices[0].status: expected one of ['Unprovisioned', 'Claimed', 'Blacklisted', 'Deprovisioned']"),
+    (_R, "devices.0.needs_reprovision", DROP, 'ValueError: malformed registry file: registry.devices[0].needs_reprovision: missing required field'),
+    (_R, "devices.0.needs_reprovision", "yes", 'ValueError: malformed registry file: registry.devices[0].needs_reprovision: expected bool'),
+    (_R, "devices.0.generation", DROP, 'ValueError: malformed registry file: registry.devices[0].generation: missing required field'),
+    (_R, "devices.0.generation", True, 'ValueError: malformed registry file: registry.devices[0].generation: expected int'),
+    (_R, "devices.0.generation", 1.5, 'ValueError: malformed registry file: registry.devices[0].generation: expected int'),
     # device state
-    (_S, "", [], "ValueError: malformed device state file: TypeError('list indices must be integers or slices, not str')"),
-    (_S, _TEXT, "{", 'JSONDecodeError: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)'),
-    (_S, _TEXT, _DEEP, "ValueError: malformed device state file: RecursionError('maximum recursion depth exceeded while decoding a JSON array from a unicode string')"),
-    (_S, "extra", 1, 'loads'),
-    (_S, "active_slot", DROP, "ValueError: malformed device state file: KeyError('active_slot')"),
-    (_S, "active_slot", "C", "ValueError: 'C' is not a valid Slot"),
-    (_S, "active_slot", 5, 'ValueError: 5 is not a valid Slot'),
-    (_S, "slots", DROP, "ValueError: malformed device state file: KeyError('slots')"),
-    (_S, "slots", [], "ValueError: malformed device state file: TypeError('list indices must be integers or slices, not str')"),
-    (_S, "slots.B", DROP, "ValueError: malformed device state file: KeyError('B')"),
-    (_S, "slots.C", {}, 'loads'),
-    (_S, "slots.A", 5, 'ValueError: malformed device state file: TypeError("\'int\' object is not subscriptable")'),
-    (_S, "slots.A.extra", 1, 'loads'),
-    (_S, "slots.A.image_digest", DROP, "ValueError: malformed device state file: KeyError('image_digest')"),
-    (_S, "slots.A.image_digest", 5, 'DecodeError: bad base64url field: expected a string, got int'),
+    (_S, "", [], 'ValueError: malformed device state file: state: expected dict'),
+    (_S, _TEXT, "{", 'ValueError: malformed device state file: <file>: not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)'),
+    (_S, _TEXT, _DEEP, 'ValueError: malformed device state file: <file>: not valid JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string'),
+    (_S, "extra", 1, 'ValueError: malformed device state file: state.extra: unknown field'),
+    (_S, "active_slot", DROP, 'ValueError: malformed device state file: state.active_slot: missing required field'),
+    (_S, "active_slot", "C", "ValueError: malformed device state file: state.active_slot: expected one of ['A', 'B']"),
+    (_S, "active_slot", 5, "ValueError: malformed device state file: state.active_slot: expected one of ['A', 'B']"),
+    (_S, "slots", DROP, 'ValueError: malformed device state file: state.slots: missing required field'),
+    (_S, "slots", [], 'ValueError: malformed device state file: state.slots: expected dict'),
+    (_S, "slots.B", DROP, 'ValueError: malformed device state file: state.slots.B: missing required field'),
+    (_S, "slots.C", {}, 'ValueError: malformed device state file: state.slots.C: unknown field'),
+    (_S, "slots.A", 5, 'ValueError: malformed device state file: state.slots.A: expected dict'),
+    (_S, "slots.A.extra", 1, 'ValueError: malformed device state file: state.slots.A.extra: unknown field'),
+    (_S, "slots.A.image_digest", DROP, 'ValueError: malformed device state file: state.slots.A.image_digest: missing required field'),
+    (_S, "slots.A.image_digest", 5, 'ValueError: malformed device state file: state.slots.A.image_digest: expected a base64url string'),
     (_S, "slots.A.image_digest", "AAAA", 'ValueError: image_digest must be 32 bytes'),
-    (_S, "slots.A.version", "x", "ValueError: malformed device state file: TypeError('slot version and gen_time must be integers, verified a boolean')"),
-    (_S, "slots.A.version", True, "ValueError: malformed device state file: TypeError('slot version and gen_time must be integers, verified a boolean')"),
-    (_S, "slots.A.gen_time", 1.5, "ValueError: malformed device state file: TypeError('slot version and gen_time must be integers, verified a boolean')"),
-    (_S, "slots.A.verified", DROP, "ValueError: malformed device state file: KeyError('verified')"),
-    (_S, "slots.A.verified", 1, "ValueError: malformed device state file: TypeError('slot version and gen_time must be integers, verified a boolean')"),
-    (_S, "trust_anchor_tsa", DROP, "ValueError: malformed device state file: KeyError('trust_anchor_tsa')"),
-    (_S, "trust_anchor_tsa", None, 'ValueError: malformed device state file: TypeError("\'NoneType\' object is not subscriptable")'),
-    (_S, "trust_anchor_tsa", 5, 'ValueError: malformed device state file: TypeError("\'int\' object is not subscriptable")'),
-    (_S, "trust_anchor_tsa.public", 5, 'DecodeError: bad base64url field: expected a string, got int'),
+    (_S, "slots.A.version", "x", 'ValueError: malformed device state file: state.slots.A.version: expected int'),
+    (_S, "slots.A.version", True, 'ValueError: malformed device state file: state.slots.A.version: expected int'),
+    (_S, "slots.A.gen_time", 1.5, 'ValueError: malformed device state file: state.slots.A.gen_time: expected int'),
+    (_S, "slots.A.verified", DROP, 'ValueError: malformed device state file: state.slots.A.verified: missing required field'),
+    (_S, "slots.A.verified", 1, 'ValueError: malformed device state file: state.slots.A.verified: expected bool'),
+    (_S, "trust_anchor_tsa", DROP, 'ValueError: malformed device state file: state.trust_anchor_tsa: missing required field'),
+    (_S, "trust_anchor_tsa", None, 'ValueError: malformed device state file: state.trust_anchor_tsa: expected dict'),
+    (_S, "trust_anchor_tsa", 5, 'ValueError: malformed device state file: state.trust_anchor_tsa: expected dict'),
+    (_S, "trust_anchor_tsa.public", 5, 'ValueError: malformed device state file: state.trust_anchor_tsa.public: expected a base64url string'),
     (_S, "trust_anchor_publisher.algorithm", "RSA", "ValueError: unsupported algorithm 'RSA'"),
     (_S, "trust_anchor_publisher.key_id", "", 'ValueError: key_id must be a non-empty string'),
-    (_S, "mode", DROP, "ValueError: malformed device state file: KeyError('mode')"),
-    (_S, "mode", "Bogus", "ValueError: 'Bogus' is not a valid DeviceMode"),
+    (_S, "mode", DROP, 'ValueError: malformed device state file: state.mode: missing required field'),
+    (_S, "mode", "Bogus", "ValueError: malformed device state file: state.mode: expected one of ['Running', 'Updating', 'FailState']"),
     # keystore, loaded with its passphrase
     (_K, "", [], 'KeystoreFileError: missing or unsupported keystore format tag'),
-    (_K, _TEXT, "{", 'KeystoreFileError: not a keystore file: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)'),
-    (_K, _TEXT, _DEEP, 'KeystoreFileError: not a keystore file: maximum recursion depth exceeded while decoding a JSON array from a unicode string'),
+    (_K, _TEXT, "{", 'KeystoreFileError: not a keystore file: <file>: not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)'),
+    (_K, _TEXT, _DEEP, 'KeystoreFileError: not a keystore file: <file>: not valid JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string'),
     (_K, "format", DROP, 'KeystoreFileError: missing or unsupported keystore format tag'),
-    (_K, "extra", 1, 'loads'),
+    (_K, "extra", 1, 'KeystoreFileError: not a keystore file: keystore.extra: unknown field'),
     (_K, "keys", DROP, 'loads'),
-    (_K, "keys", 5, 'KeystoreFileError: keys must be a list of objects'),
-    (_K, "keys", [5], 'KeystoreFileError: keys must be a list of objects'),
-    (_K, "keys.0.extra", 1, 'loads'),
-    (_K, "keys.0.key_id", DROP, "KeystoreFileError: bad key entry: 'key_id'"),
-    (_K, "keys.0.key_id", 5, 'KeystoreFileError: bad key entry: key_id must be a non-empty string'),
+    (_K, "keys", 5, 'KeystoreFileError: not a keystore file: keystore.keys: expected list'),
+    (_K, "keys", [5], 'KeystoreFileError: bad key entry: keystore.keys[0]: expected dict'),
+    (_K, "keys.0.extra", 1, 'KeystoreFileError: bad key entry: keystore.keys[0].extra: unknown field'),
+    (_K, "keys.0.key_id", DROP, 'KeystoreFileError: bad key entry: keystore.keys[0].key_id: missing required field'),
+    (_K, "keys.0.key_id", 5, 'KeystoreFileError: bad key entry: keystore.keys[0].key_id: expected str'),
     (_K, "keys.0.key_id", "", 'KeystoreFileError: bad key entry: key_id must be a non-empty string'),
-    (_K, "keys.1.key_id", "publisher", 'loads'),
-    (_K, "keys.0.algorithm", [], 'KeystoreFileError: bad key entry: unsupported algorithm []'),
+    (_K, "keys.1.key_id", "publisher", "KeystoreFileError: bad key entry: keystore.keys[1].key_id: duplicate key id 'publisher'"),
+    (_K, "keys.0.algorithm", [], 'KeystoreFileError: bad key entry: keystore.keys[0].algorithm: expected str'),
     (_K, "keys.0.algorithm", "RSA", "KeystoreFileError: bad key entry: unsupported algorithm 'RSA'"),
-    (_K, "keys.0.public", DROP, "KeystoreFileError: bad key entry: 'public'"),
-    (_K, "keys.0.public", 5, 'DecodeError: bad base64url field: expected a string, got int'),
+    (_K, "keys.0.public", DROP, 'KeystoreFileError: bad key entry: keystore.keys[0].public: missing required field'),
+    (_K, "keys.0.public", 5, 'KeystoreFileError: bad key entry: keystore.keys[0].public: expected a base64url string'),
     (_K, "keys.0.public", "AAAA", 'KeystoreFileError: bad key entry: public_bytes must be 32 bytes'),
     (_K, "keys.0.private_enc", 5, 'KeystoreFileError: encrypted fields must be strings'),
     (_K, "keys.0.private_enc", "garbage", 'KeystoreFileError: wrong passphrase or corrupted keystore file'),

@@ -371,7 +371,10 @@ SAVED_REGISTRY = _saved_registry()
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(edits=json_edits(SAVED_REGISTRY))
 def test_edited_registry_files_raise_only_value_errors(edits):
+    """An edited file is refused with a ValueError, or it loads and saves back to itself."""
     try:
-        DeviceRegistry.from_json_obj(edited(SAVED_REGISTRY, edits))
+        registry = DeviceRegistry.from_json_obj(edited(SAVED_REGISTRY, edits))
     except (FleetsecError, ValueError):
-        pass
+        return
+    saved = json.loads(json.dumps(registry.to_json_obj()))
+    assert DeviceRegistry.from_json_obj(saved).to_json_obj() == saved

@@ -1,9 +1,13 @@
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from fleetsec import keystore
+from fleetsec.errors import FleetsecError
 from fleetsec.keystore import (
     ALGORITHM_ED25519,
     DuplicateKeyError,
@@ -13,6 +17,8 @@ from fleetsec.keystore import (
     UnknownKeyError,
     verify,
 )
+
+from helpers import edited, json_edits
 
 
 def test_generate_returns_public_info():
@@ -228,5 +234,29 @@ class TestStateFile:
 
 def test_public_key_info_json_round_trip():
     info = Keystore(9).generate_key("root")
-    again = PublicKeyInfo.from_json_obj(info.to_json_obj())
+    again = PublicKeyInfo.from_json_obj(info.to_json_obj(), "key")
     assert again == info
+
+
+def _saved_keystore() -> dict:
+    store = Keystore(5)
+    store.generate_key("a")
+    store.generate_key("b")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ks.json"
+        store.save(path, passphrase="pw")
+        return json.loads(path.read_text())
+
+
+SAVED_KEYSTORE = _saved_keystore()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(edits=json_edits(SAVED_KEYSTORE))
+def test_edited_keystore_files_raise_only_value_errors(tmp_path_factory, edits):
+    path = tmp_path_factory.getbasetemp() / "edited-keystore.json"
+    path.write_text(json.dumps(edited(SAVED_KEYSTORE, edits)))
+    try:
+        Keystore.load(path, passphrase="pw")
+    except (FleetsecError, ValueError):
+        pass

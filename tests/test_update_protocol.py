@@ -1,15 +1,18 @@
+import base64
 import dataclasses
 import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
 
+from fleetsec.errors import FleetsecError
 from fleetsec.keystore import Keystore
 from fleetsec.tsa import TimestampAuthority
 from fleetsec.update_protocol import (
     DeviceMode,
+    DeviceUpdateState,
     ExpiryInPastError,
-    FirmwareManifest,
     NotInFailStateError,
     RecoveryRefusedError,
     RejectReason,
@@ -25,7 +28,14 @@ from fleetsec.update_protocol import (
     recover_to_trusted,
 )
 
-from helpers import expected_reason, firmware_image, make_pki, run_adversarial_traces
+from helpers import (
+    edited,
+    expected_reason,
+    firmware_image,
+    json_edits,
+    make_pki,
+    run_adversarial_traces,
+)
 
 
 @pytest.fixture()
@@ -408,8 +418,31 @@ def test_manifest_binary_round_trip(env):
 def test_manifest_json_round_trip(env):
     _, _, _, manifest, _, _ = env
     obj = json.loads(json.dumps(manifest.to_json_obj()))
-    assert FirmwareManifest.from_json_obj(obj) == manifest
     assert list(obj) == ["firmware_id", "version", "digest", "expiry", "token", "publisher_sig"]
+    assert base64.urlsafe_b64decode(obj["digest"]) == manifest.digest
+    assert base64.urlsafe_b64decode(obj["token"]) == manifest.token.encode()
+    assert base64.urlsafe_b64decode(obj["publisher_sig"]) == manifest.publisher_sig
+
+
+def _saved_state() -> dict:
+    store, _ = make_pki()
+    state = initial_state(hashlib.sha256(firmware_image(1)).digest(), 1,
+                          store.public_key("tsa-root"), store.public_key("publisher"))
+    return json.loads(json.dumps(state.to_json_obj()))
+
+
+SAVED_STATE = _saved_state()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(edits=json_edits(SAVED_STATE))
+def test_edited_state_files_raise_only_value_errors(edits):
+    """An edited file is refused with a ValueError, or it loads and saves back to itself."""
+    try:
+        state = DeviceUpdateState.from_json_obj(edited(SAVED_STATE, edits))
+    except (FleetsecError, ValueError):
+        return
+    assert DeviceUpdateState.from_json_obj(json.loads(json.dumps(state.to_json_obj()))) == state
 
 
 def test_manifest_invariants_hold_for_honest_builds(env):
