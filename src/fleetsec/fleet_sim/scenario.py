@@ -696,17 +696,22 @@ class FleetSimulation:
     def _fill_traffic(self) -> None:
         for row, dev in enumerate(self.cfg.devices):
             rng = rng_stream(self.cfg.seed, f"device:{dev.id}")
-            traffic = dev.traffic
-            for t in np.flatnonzero(self._on_grid[dev.id]).tolist():
-                count = traffic.base + traffic.amplitude * math.sin(
-                    2 * math.pi * (t % traffic.period) / traffic.period
-                )
-                if traffic.noise > 0:
-                    count += rng.gauss(0, traffic.noise)
-                self._packets[row, t] = max(0, round(count))
-                if t % HEARTBEAT_PERIOD == 0:
-                    self._sessions[row, t] = 1
-                    self.observations.append((dev.id, "home", t))
+            traffic, period = dev.traffic, dev.traffic.period
+            # one wave value per phase of the period that the run reaches
+            wave = [
+                traffic.base + traffic.amplitude * math.sin(2 * math.pi * p / period)
+                for p in range(min(period, self.cfg.duration))
+            ]
+            ticks = np.flatnonzero(self._on_grid[dev.id])
+            if traffic.noise > 0:  # one draw per on tick, in tick order
+                gauss, noise = rng.gauss, traffic.noise
+                counts = [max(0, round(wave[t % period] + gauss(0, noise))) for t in ticks.tolist()]
+            else:
+                counts = [max(0, round(wave[t % period])) for t in ticks.tolist()]
+            self._packets[row, ticks] = counts
+            beats = ticks[ticks % HEARTBEAT_PERIOD == 0]
+            self._sessions[row, beats] = 1
+            self.observations.extend((dev.id, "home", t) for t in beats.tolist())
 
     # - update campaigns -
 
@@ -733,6 +738,12 @@ class FleetSimulation:
             )
         campaign_index = len(self.campaigns)
         frames = fragment(lp(manifest.encode()) + lp(firmware), self.link.mtu, campaign_index % 65536)
+        # the link only drops frames, so every complete delivery decodes to these
+        reader = Reader(reassemble(frames))
+        decoded = (decode_manifest(reader.lp()), reader.lp())
+        reader.expect_end()
+        if decoded != (manifest, firmware):
+            raise AssertionError(f"campaign {campaign_index} frames do not decode to its update")
         self.campaigns.append(_Campaign(spec, manifest, firmware, canary, frames))
         self.event(
             "publisher",
@@ -773,14 +784,12 @@ class FleetSimulation:
             self._schedule_retry(dev, campaign_index, attempt, spec.retry_interval)
             return
 
-        reader = Reader(reassemble(arrived))
-        manifest = decode_manifest(reader.lp())
-        firmware = reader.lp()
-        reader.expect_end()
-
         if not self._on_grid[dev.id][t]:
             state = interrupt_update(
-                self.update_states[dev.id], manifest, firmware, self._interrupt_rng.random()
+                self.update_states[dev.id],
+                campaign.manifest,
+                campaign.firmware,
+                self._interrupt_rng.random(),
             )
             self.update_states[dev.id] = state
             self.event(
@@ -791,7 +800,7 @@ class FleetSimulation:
             self._schedule_retry(dev, campaign_index, attempt, spec.retry_interval)
             return
 
-        self._apply_manifest(dev.id, manifest, firmware, actor="fleet")
+        self._apply_manifest(dev.id, campaign.manifest, campaign.firmware, actor="fleet")
 
     def _schedule_retry(
         self, dev: DeviceSpec, campaign_index: int, attempt: int, retry_interval: int

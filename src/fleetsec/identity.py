@@ -97,6 +97,8 @@ class DeviceRecord:
     needs_reprovision: bool
 
     def __post_init__(self):
+        if not self.device_id:
+            raise ValueError("device_id must be non-empty")
         if len(self.claim_hash) != 32:
             raise ValueError("claim_hash must be 32 bytes")
         if self.status is Status.CLAIMED and self.owner is None:
@@ -153,14 +155,11 @@ class DeviceRegistry:
         return sorted(self._records)
 
     def register_device(self, device_id: str, claim_secret: bytes) -> DeviceRecord:
-        if not device_id:
-            raise ValueError("device_id must be non-empty")
         if not claim_secret:
             raise ValueError("claim secret must be non-empty")
         existing = self._records.get(device_id)
         if existing is not None and existing.status is not Status.DEPROVISIONED:
             raise DuplicateDeviceError(f"device {device_id!r} already registered")
-        self._generation[device_id] = self._generation.get(device_id, 0) + 1
         rec = DeviceRecord(
             device_id=device_id,
             claim_hash=claim_hash(device_id, claim_secret),
@@ -169,6 +168,7 @@ class DeviceRegistry:
             status=Status.UNPROVISIONED,
             needs_reprovision=False,
         )
+        self._generation[device_id] = self._generation.get(device_id, 0) + 1
         self._records[device_id] = rec
         return rec
 
@@ -313,7 +313,11 @@ class DeviceRegistry:
         registry._next_session = read_field(obj, "registry", "next_session", int)
         for i, entry in enumerate(read_field(obj, "registry", "devices", list)):
             path = f"registry.devices[{i}]"
-            rec = DeviceRecord(**read_spec(DeviceRecord, entry, path, skip=("generation",)))
+            values = read_spec(DeviceRecord, entry, path, extra={"generation": ()})
+            try:
+                rec = DeviceRecord(**values)
+            except ValueError as exc:
+                raise ConfigError(path, str(exc)) from None
             if rec.device_id in registry._records:
                 raise ConfigError(f"{path}.device_id", f"duplicate device id {rec.device_id!r}")
             registry._records[rec.device_id] = rec

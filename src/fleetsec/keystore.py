@@ -74,7 +74,7 @@ class PublicKeyInfo:
     @classmethod
     def from_json_obj(cls, obj: dict, path: str) -> PublicKeyInfo:
         """The key in obj, whose public bytes sit under "public"; path names obj in errors."""
-        values = read_spec(cls, obj, path, skip=("public_bytes", "public"))
+        values = read_spec(cls, obj, path, extra={"public": ("public_bytes",)})
         return cls(**values, public_bytes=read_field(obj, path, "public", bytes))
 
 

@@ -245,7 +245,7 @@ class DeviceUpdateState:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> DeviceUpdateState:
-        values = read_spec(cls, obj, "state", skip=("slot_a", "slot_b", "slots"))
+        values = read_spec(cls, obj, "state", extra={"slots": ("slot_a", "slot_b")})
         slots = read_field(obj, "state", "slots", dict)
         check_keys(slots, "state.slots", {"A", "B"})
         slot_a, slot_b = (read_field(slots, "state.slots", name, SlotState) for name in "AB")

@@ -105,24 +105,34 @@ def read_field(obj: dict, path: str, key: str, kind, default=MISSING):
     return _value(kind, value, f"{path}.{key}")
 
 
-def read_spec(spec: type, obj, path: str, skip: tuple[str, ...] = ()) -> dict:
+def read_spec(
+    spec: type,
+    obj,
+    path: str,
+    skip: tuple[str, ...] = (),
+    extra: dict[str, tuple[str, ...]] | None = None,
+) -> dict:
     """The fields of dataclass spec read from the object obj, by name, with their defaults.
 
     int, float, str and bool fields are read as those JSON types, bytes
     fields from base64url strings, Enum fields by value, X | None fields
     as X or null, and dataclass fields as objects of their own schema.
-    Names in skip, and tuple fields, are the caller's: they are not read,
-    and they are allowed as keys, so skip may also name keys that are no
-    field. Any other key is an error.
+    Fields named in skip, and tuple fields, are the caller's: they are not
+    read, and their names are allowed as keys. extra maps each key that
+    is no field to the fields the caller fills from it: those fields are
+    not read, and their names are not allowed as keys. Any other key is
+    an error.
     """
     if not isinstance(obj, dict):
         raise ConfigError(path, "expected dict")
     names, readable = _schema(spec)
-    check_keys(obj, path, names.union(skip))
+    extra = extra or {}
+    filled = {name for fields_ in extra.values() for name in fields_}
+    check_keys(obj, path, (names - filled).union(extra))
     return {
         name: read_field(obj, path, name, kind, default)
         for name, kind, default in readable
-        if name not in skip
+        if name not in skip and name not in filled
     }
 
 

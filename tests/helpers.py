@@ -6,9 +6,10 @@ adversarial trace runner for the update state machine, and a per-event
 telemetry reference: one `ConnectionEvent` per CSV row, bucketed one
 event at a time, against which the library's columnar counts are
 checked; a per-series detector (`calibrate`, `detect`), against which
-the library's batched `detect_counts` is checked; and a flooded-fleet
-scenario with a runner that feeds a simulate run's telemetry to
-`fleetsec detect`.
+the library's batched `detect_counts` is checked; a per-tick traffic
+fill, against which the simulator's per-device fill is checked; and a
+flooded-fleet scenario with a runner that feeds a simulate run's
+telemetry to `fleetsec detect`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import bisect
 import copy
 import csv
 import hashlib
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,6 +31,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
 from fleetsec.cli import main
 from fleetsec.detector import AnomalyReport, DetectorConfig, threshold_from_distances
+from fleetsec.fleet_sim.scenario import HEARTBEAT_PERIOD, FleetSimulation, rng_stream
 from fleetsec.keystore import Keystore, PublicKeyInfo
 from fleetsec.matrix_profile import compute_fast
 from fleetsec.telemetry import (
@@ -536,6 +539,30 @@ def detect(
         )
         for i in np.flatnonzero(profile.distances > threshold).tolist()
     ]
+
+
+# --- per-tick traffic fill reference --------------------------------------------
+
+
+def fill_traffic_per_tick(sim: FleetSimulation) -> tuple[np.ndarray, np.ndarray, list]:
+    """The packets, sessions and heartbeat observations of sim's device
+    traffic, computed one on-grid tick at a time in tick order; sim is not changed."""
+    packets, sessions = np.zeros_like(sim._packets), np.zeros_like(sim._sessions)
+    observations = []
+    for row, dev in enumerate(sim.cfg.devices):
+        rng = rng_stream(sim.cfg.seed, f"device:{dev.id}")
+        traffic = dev.traffic
+        for t in np.flatnonzero(sim._on_grid[dev.id]).tolist():
+            count = traffic.base + traffic.amplitude * math.sin(
+                2 * math.pi * (t % traffic.period) / traffic.period
+            )
+            if traffic.noise > 0:
+                count += rng.gauss(0, traffic.noise)
+            packets[row, t] = max(0, round(count))
+            if t % HEARTBEAT_PERIOD == 0:
+                sessions[row, t] = 1
+                observations.append((dev.id, "home", t))
+    return packets, sessions, observations
 
 
 def flooded_fleet(devices: int, duration: int, seed: int = 5) -> dict:

@@ -266,10 +266,11 @@ def test_identity_missing_registry_file(tmp_path, capsys):
         lambda obj: obj["devices"][0].update(owner=5),
         lambda obj: obj["devices"][0].update(needs_reprovision="yes"),
         lambda obj: obj["devices"][0].update(device_id="dev-2"),
+        lambda obj: obj["devices"][0].update(device_id=""),
     ],
     ids=["no-seed", "non-object-device", "infinite-seed", "fractional-seed",
          "string-next-session", "bool-generation", "int-device-id", "int-owner",
-         "string-needs-reprovision", "duplicate-device-id"],
+         "string-needs-reprovision", "duplicate-device-id", "empty-device-id"],
 )
 def test_identity_malformed_registry_is_a_format_error(tmp_path, capsys, edit):
     reg = tmp_path / "registry.json"
@@ -284,7 +285,7 @@ def test_identity_malformed_registry_is_a_format_error(tmp_path, capsys, edit):
     capsys.readouterr()
     code = main(["identity", "blacklist", "--registry", str(reg), "--device", "dev-2"])
     assert code == 2
-    assert "malformed registry" in capsys.readouterr().err
+    assert "malformed registry file: registry." in capsys.readouterr().err  # names the bad item
 
 
 def test_verify_malformed_state_is_a_format_error(workdir, tmp_path, capsys):

@@ -74,14 +74,15 @@ FILE_ERRORS = [
     (_R, "devices.0.extra", 1, 'ValueError: malformed registry file: registry.devices[0].extra: unknown field'),
     (_R, "devices.0.device_id", DROP, 'ValueError: malformed registry file: registry.devices[0].device_id: missing required field'),
     (_R, "devices.0.device_id", 5, 'ValueError: malformed registry file: registry.devices[0].device_id: expected str'),
+    (_R, "devices.1.device_id", "", 'ValueError: malformed registry file: registry.devices[1]: device_id must be non-empty'),
     (_R, "devices.1.device_id", "dev-1", "ValueError: malformed registry file: registry.devices[1].device_id: duplicate device id 'dev-1'"),
     (_R, "devices.0.claim_hash", DROP, 'ValueError: malformed registry file: registry.devices[0].claim_hash: missing required field'),
     (_R, "devices.0.claim_hash", 5, 'ValueError: malformed registry file: registry.devices[0].claim_hash: expected a base64url string'),
     (_R, "devices.0.claim_hash", "é", 'ValueError: malformed registry file: registry.devices[0].claim_hash: expected a base64url string'),
-    (_R, "devices.0.claim_hash", "AAAA", 'ValueError: claim_hash must be 32 bytes'),
+    (_R, "devices.0.claim_hash", "AAAA", 'ValueError: malformed registry file: registry.devices[0]: claim_hash must be 32 bytes'),
     (_R, "devices.0.owner", DROP, 'ValueError: malformed registry file: registry.devices[0].owner: missing required field'),
     (_R, "devices.0.owner", 5, 'ValueError: malformed registry file: registry.devices[0].owner: expected str'),
-    (_R, "devices.0.owner", None, 'ValueError: claimed record must have an owner'),
+    (_R, "devices.0.owner", None, 'ValueError: malformed registry file: registry.devices[0]: claimed record must have an owner'),
     (_R, "devices.1.owner", None, 'loads'),
     (_R, "devices.0.device_pub", DROP, 'ValueError: malformed registry file: registry.devices[0].device_pub: missing required field'),
     (_R, "devices.0.device_pub", 5, 'ValueError: malformed registry file: registry.devices[0].device_pub: expected dict'),
@@ -92,6 +93,7 @@ FILE_ERRORS = [
     (_R, "devices.0.device_pub.key_id", "", 'ValueError: key_id must be a non-empty string'),
     (_R, "devices.0.device_pub.key_id", "device:dev-1:g2", "ValueError: device key for 'dev-1' does not match registry seed"),
     (_R, "devices.0.device_pub.algorithm", "RSA", "ValueError: unsupported algorithm 'RSA'"),
+    (_R, "devices.0.device_pub.public_bytes", [1], 'ValueError: malformed registry file: registry.devices[0].device_pub.public_bytes: unknown field'),
     (_R, "devices.0.device_pub.public", 5, 'ValueError: malformed registry file: registry.devices[0].device_pub.public: expected a base64url string'),
     (_R, "devices.0.device_pub.public", "AAAA", 'ValueError: public_bytes must be 32 bytes'),
     (_R, "devices.0.status", DROP, 'ValueError: malformed registry file: registry.devices[0].status: missing required field'),
@@ -110,6 +112,7 @@ FILE_ERRORS = [
     (_S, "active_slot", DROP, 'ValueError: malformed device state file: state.active_slot: missing required field'),
     (_S, "active_slot", "C", "ValueError: malformed device state file: state.active_slot: expected one of ['A', 'B']"),
     (_S, "active_slot", 5, "ValueError: malformed device state file: state.active_slot: expected one of ['A', 'B']"),
+    (_S, "slot_a", 5, 'ValueError: malformed device state file: state.slot_a: unknown field'),
     (_S, "slots", DROP, 'ValueError: malformed device state file: state.slots: missing required field'),
     (_S, "slots", [], 'ValueError: malformed device state file: state.slots: expected dict'),
     (_S, "slots.B", DROP, 'ValueError: malformed device state file: state.slots.B: missing required field'),
@@ -127,6 +130,7 @@ FILE_ERRORS = [
     (_S, "trust_anchor_tsa", DROP, 'ValueError: malformed device state file: state.trust_anchor_tsa: missing required field'),
     (_S, "trust_anchor_tsa", None, 'ValueError: malformed device state file: state.trust_anchor_tsa: expected dict'),
     (_S, "trust_anchor_tsa", 5, 'ValueError: malformed device state file: state.trust_anchor_tsa: expected dict'),
+    (_S, "trust_anchor_tsa.public_bytes", [1], 'ValueError: malformed device state file: state.trust_anchor_tsa.public_bytes: unknown field'),
     (_S, "trust_anchor_tsa.public", 5, 'ValueError: malformed device state file: state.trust_anchor_tsa.public: expected a base64url string'),
     (_S, "trust_anchor_publisher.algorithm", "RSA", "ValueError: unsupported algorithm 'RSA'"),
     (_S, "trust_anchor_publisher.key_id", "", 'ValueError: key_id must be a non-empty string'),
@@ -148,6 +152,7 @@ FILE_ERRORS = [
     (_K, "keys.1.key_id", "publisher", "KeystoreFileError: bad key entry: keystore.keys[1].key_id: duplicate key id 'publisher'"),
     (_K, "keys.0.algorithm", [], 'KeystoreFileError: bad key entry: keystore.keys[0].algorithm: expected str'),
     (_K, "keys.0.algorithm", "RSA", "KeystoreFileError: bad key entry: unsupported algorithm 'RSA'"),
+    (_K, "keys.0.public_bytes", [1], 'KeystoreFileError: bad key entry: keystore.keys[0].public_bytes: unknown field'),
     (_K, "keys.0.public", DROP, 'KeystoreFileError: bad key entry: keystore.keys[0].public: missing required field'),
     (_K, "keys.0.public", 5, 'KeystoreFileError: bad key entry: keystore.keys[0].public: expected a base64url string'),
     (_K, "keys.0.public", "AAAA", 'KeystoreFileError: bad key entry: public_bytes must be 32 bytes'),

@@ -2,15 +2,20 @@ import copy
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from fleetsec.errors import FleetsecError
+from fleetsec.fleet_sim import scenario as scenario_module
 from fleetsec.fleet_sim.report import REPORT_FILES
 from fleetsec.fleet_sim.scenario import (
+    HEARTBEAT_PERIOD,
     ConfigError,
+    DeviceSpec,
     FleetSimulation,
     ScenarioConfig,
+    TrafficSpec,
     UnknownAttackKindError,
     load_scenario,
     make_firmware,
@@ -19,9 +24,10 @@ from fleetsec.fleet_sim.scenario import (
     run_scenario,
     simulate_to_dir,
 )
+from fleetsec.fleet_sim.transport import SimLink
 from fleetsec.telemetry import Metric, bucketize, ingest_csv
 
-from helpers import DROP, calibrate, detect, edited, json_edits, set_path
+from helpers import DROP, calibrate, detect, edited, fill_traffic_per_tick, json_edits, set_path
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -108,6 +114,32 @@ def test_make_firmware_is_deterministic_and_versioned():
     assert make_firmware(3, 100) == make_firmware(3, 256)[:100]
 
 
+@pytest.mark.parametrize(
+    "duration, duty_cycle, traffic",
+    [
+        (60, 1.0, TrafficSpec()),  # period 50 does not divide 60
+        (97, 0.6, TrafficSpec(period=7, noise=2.5)),
+        (45, 1.0, TrafficSpec(noise=0.0)),
+        (30, 0.5, TrafficSpec(period=1, base=3.0, amplitude=5.0)),
+        (40, 1.0, TrafficSpec(period=500, base=2.0, amplitude=4.0, noise=3.0)),
+    ],
+    ids=["default", "duty-cycle", "no-noise", "period-1", "period-past-duration"],
+)
+def test_traffic_fill_matches_per_tick_reference(duration, duty_cycle, traffic):
+    config = ScenarioConfig(seed=3, duration=duration, devices=(
+        DeviceSpec("dev-a", "s-a", "alice", duty_cycle=duty_cycle, traffic=traffic),
+        DeviceSpec("dev-b", "s-b", "bob"),
+    ))
+    sim = FleetSimulation(config)
+    heartbeats_on = {sim._on_grid["dev-a"][t] for t in range(0, duration, HEARTBEAT_PERIOD)}
+    assert heartbeats_on == ({True} if duty_cycle == 1 else {True, False})
+    packets, sessions, observations = fill_traffic_per_tick(sim)
+    sim._fill_traffic()
+    assert np.array_equal(sim._packets, packets)
+    assert np.array_equal(sim._sessions, sessions)
+    assert sim.observations == observations
+
+
 # --- update campaigns over the link -------------------------------------------
 
 
@@ -123,6 +155,49 @@ def test_clean_link_full_duty_drops_nothing():
     for row in report.devices:
         assert row["active_version"] == 2
         assert row["mode"] == "Running"
+
+
+def test_campaign_frames_that_decode_to_another_update_are_an_internal_error(monkeypatch):
+    def fragment_flipping_last_byte(payload, mtu, message_id=0):
+        frames = real_fragment(payload, mtu, message_id)
+        frames[-1] = frames[-1][:-1] + bytes([frames[-1][-1] ^ 1])
+        return frames
+
+    real_fragment = scenario_module.fragment
+    monkeypatch.setattr(scenario_module, "fragment", fragment_flipping_last_byte)
+    config = parse_scenario(base_config(updates=[{"at": 5, "version": 2, "expiry": 100}]))
+    with pytest.raises(AssertionError, match="campaign 0 frames") as info:
+        run_scenario(config)
+    assert info.traceback[-1].name == "_run_campaign"
+
+
+def test_lossy_link_carries_every_frame_once_per_delivery_attempt(monkeypatch):
+    calls = []  # per delivery: [campaign index, frames sent] ([index] when skipped)
+    real_deliver_update, real_deliver = FleetSimulation._deliver_update, SimLink.deliver
+
+    def deliver_update(self, dev, campaign_index, attempt):
+        calls.append([campaign_index])
+        real_deliver_update(self, dev, campaign_index, attempt)
+
+    def deliver(self, frames):
+        calls[-1].append(len(frames))
+        return real_deliver(self, frames)
+
+    monkeypatch.setattr(FleetSimulation, "_deliver_update", deliver_update)
+    monkeypatch.setattr(SimLink, "deliver", deliver)
+    sim = FleetSimulation(scenario("mixed_fleet"))
+    report = sim.run()
+    outcomes = [
+        e for e in report.events
+        if e.kind in ("frames_dropped", "update_interrupted")
+        or (e.actor == "fleet" and e.kind in ("update_applied", "update_rejected"))
+    ]
+    assert all(len(call) <= 2 for call in calls)
+    attempts = [call for call in calls if len(call) == 2]
+    assert events_of(report, "frames_dropped")  # the link is lossy
+    assert len(calls) - len(attempts) == len(events_of(report, "update_skipped"))
+    assert len(attempts) == len(outcomes)
+    assert all(n == len(sim.campaigns[index].frames) for index, n in attempts)
 
 
 def test_off_grid_devices_finish_late_but_never_brick():

@@ -56,6 +56,14 @@ def test_register_creates_unprovisioned_record(registry):
     assert rec.claim_hash == claim_hash("dev-1", SECRET)
 
 
+def test_register_empty_device_id_is_refused_and_leaves_no_trace(registry):
+    before = registry.to_json_obj()
+    with pytest.raises(ValueError, match="device_id must be non-empty"):
+        registry.register_device("", SECRET)
+    assert registry.to_json_obj() == before
+    assert "" not in registry._generation
+
+
 def test_register_twice_is_refused(registry):
     with pytest.raises(DuplicateDeviceError):
         registry.register_device("dev-1", b"other")
