@@ -15,7 +15,6 @@ import numpy as np
 
 from fleetsec import (
     DetectorConfig,
-    Metric,
     ProfileConfig,
     TelemetryCounts,
     compute_brute_force,
@@ -53,12 +52,14 @@ print(f"top discords: {discords} (flood occupies [500, 524))")
 # Detector flow: calibrate a threshold on the attack-free prefix, then
 # score the full series against it. Scores are profile distances, so the
 # threshold transfers between runs of the same device. detect_counts is
-# the pass `fleetsec simulate` and `fleetsec detect` both run: here it
-# reads one device's counts (row 0), ticks [0, 400) as the baseline.
+# the pass `fleetsec simulate` and `fleetsec detect` both run, and
+# DetectorConfig holds the settings of both; the window is set here and
+# the rest keep their defaults. It reads one device's counts (row 0),
+# ticks [0, 400) as the baseline.
 packets = {(EventKind.PACKET, Direction.INBOUND): counts.astype(np.int64)[np.newaxis]}
 telemetry = TelemetryCounts.dense(("sensor-a",), t, packets)
 reports = detect_counts(
-    DetectorConfig(config), [Metric.PACKETS_IN], 1,
+    DetectorConfig(window=config.window_m),
     telemetry, [0], (0, n),
     telemetry, [0], (0, 400),
 )

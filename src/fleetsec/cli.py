@@ -13,14 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .detector import (
-    DEFAULT_INTERVAL,
-    DEFAULT_MARGIN,
-    DEFAULT_QUANTILE,
-    DEFAULT_WINDOW,
-    DetectorConfig,
-    detect_counts,
-)
+from .detector import DetectorConfig, detect_counts
 from .errors import FleetsecError
 from .fleet_sim import ConfigError, load_scenario, simulate_to_dir, write_jsonl
 from .identity import (
@@ -137,16 +130,18 @@ def _cmd_mp_discords(args) -> int:
 
 def _cmd_detect(args) -> int:
     config = DetectorConfig(
-        profile_config=ProfileConfig(window_m=args.window, exclusion=args.exclusion),
+        window=args.window,
+        exclusion=args.exclusion,
         quantile=args.quantile,
         margin=args.margin,
+        interval=args.interval,
+        metrics=(Metric(args.metric),),
     )
-    metric = Metric(args.metric)
     baseline = _load_telemetry(args.baseline)
     telemetry = _load_telemetry(args.input)
     devices = sorted(telemetry.device_ids)
     reports = detect_counts(
-        config, [metric], args.interval,
+        config,
         telemetry, _rows(args.input, telemetry, devices), _span(telemetry),
         baseline, _rows(args.baseline, baseline, devices), _span(baseline),
     )
@@ -290,12 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
     detect_p = commands.add_parser("detect", help="threshold on a baseline, flag anomalies")
     detect_p.add_argument("--baseline", required=True)
     detect_p.add_argument("--input", required=True)
-    detect_p.add_argument("--metric", default="packets_in")
-    detect_p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    detect_p.add_argument("--exclusion", type=int, default=None)
-    detect_p.add_argument("--interval", type=int, default=DEFAULT_INTERVAL)
-    detect_p.add_argument("--quantile", type=float, default=DEFAULT_QUANTILE)
-    detect_p.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
+    detector = DetectorConfig()  # the flags default to its fields
+    detect_p.add_argument("--metric", default=detector.metrics[0].value)
+    detect_p.add_argument("--window", type=int, default=detector.window)
+    detect_p.add_argument("--exclusion", type=int, default=detector.exclusion)
+    detect_p.add_argument("--interval", type=int, default=detector.interval)
+    detect_p.add_argument("--quantile", type=float, default=detector.quantile)
+    detect_p.add_argument("--margin", type=float, default=detector.margin)
     detect_p.add_argument("--out", default="anomalies.jsonl")
     detect_p.set_defaults(func=_cmd_detect)
 

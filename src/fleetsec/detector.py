@@ -5,7 +5,9 @@ threshold (quantile of the empirical distribution times a safety margin);
 any window of later telemetry whose profile distance exceeds it is
 reported. Calibrating per device keeps a heterogeneous fleet comparable:
 every device gets its own score scale. `detect_counts` is the one
-detection pass, used by the fleet simulator and by `fleetsec detect`.
+detection pass, used by the fleet simulator and by `fleetsec detect`,
+and `DetectorConfig` is the one home of its settings: a scenario's
+detector keys and `fleetsec detect`'s flags are its fields.
 """
 
 from __future__ import annotations
@@ -18,12 +20,7 @@ import numpy as np
 
 from .matrix_profile import ProfileConfig, compute_many
 from .telemetry import Metric, TelemetryCounts
-
-# Defaults of the scenario detector section and of `fleetsec detect`.
-DEFAULT_WINDOW = 16
-DEFAULT_QUANTILE = 0.99
-DEFAULT_MARGIN = 2.0
-DEFAULT_INTERVAL = 1
+from .wire import ConfigError
 
 # Devices whose series one pass profiles together. Batching pays off
 # within a few dozen series; larger blocks only hold more series and
@@ -33,15 +30,34 @@ _DETECTOR_BLOCK = 64
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    profile_config: ProfileConfig
-    quantile: float = DEFAULT_QUANTILE
-    margin: float = DEFAULT_MARGIN
+    """The detector's settings: profile window and exclusion, threshold
+    quantile and margin, bucket interval, and the metrics profiled.
+
+    A bad value is a ConfigError naming its field; ProfileConfig checks
+    window and exclusion.
+    """
+
+    window: int = 16
+    exclusion: int | None = None  # half the window
+    quantile: float = 0.99
+    margin: float = 2.0
+    interval: int = 1
+    metrics: tuple[Metric, ...] = (Metric.PACKETS_IN,)
 
     def __post_init__(self):
-        if not 0.0 < self.quantile <= 1.0:
-            raise ValueError(f"quantile must be in (0, 1], got {self.quantile}")
-        if not 1.0 <= self.margin < math.inf:  # NaN fails it too
-            raise ValueError(f"margin must be finite and >= 1, got {self.margin}")
+        self.profile_config  # ProfileConfig checks window and exclusion
+        if not 0 < self.quantile <= 1:
+            raise ConfigError("quantile", "must be in (0, 1]")
+        if not 1 <= self.margin < math.inf:  # NaN fails it too
+            raise ConfigError("margin", "must be finite and at least 1")
+        if self.interval < 1:
+            raise ConfigError("interval", "must be positive")
+        if not self.metrics:
+            raise ConfigError("metrics", "must name at least one metric")
+
+    @property
+    def profile_config(self) -> ProfileConfig:
+        return ProfileConfig(self.window, self.exclusion)
 
 
 @dataclass(frozen=True)
@@ -63,8 +79,6 @@ def threshold_from_distances(distances, quantile: float, margin: float) -> float
 
 def detect_counts(
     config: DetectorConfig,
-    metrics: Sequence[Metric],
-    interval: int,
     telemetry: TelemetryCounts,
     rows: Sequence[int],
     span: tuple[int, int],
@@ -75,25 +89,26 @@ def detect_counts(
     """Reports for every window whose profile distance exceeds its device's threshold.
 
     Device k is telemetry row rows[k] and baseline row baseline_rows[k];
-    each side is bucketed at `interval` over its span, [start, end), cut
-    to whole intervals from start, so no short last bucket is scored. Its
-    baseline series sets the threshold for its telemetry series, metric
-    by metric. Reports are ordered by device as `rows` orders them, then
-    metric as `metrics` does, then window.
+    each side is bucketed at `config.interval` over its span, [start,
+    end), cut to whole intervals from start, so no short last bucket is
+    scored. Its baseline series sets the threshold for its telemetry
+    series, metric by metric. Reports are ordered by device as `rows`
+    orders them, then metric as `config.metrics` does, then window.
     """
+    interval, profile_config = config.interval, config.profile_config
     span, baseline_span = _whole_buckets(span, interval), _whole_buckets(baseline_span, interval)
     reports = []
     for first in range(0, len(rows), _DETECTOR_BLOCK):
         block = slice(first, first + _DETECTOR_BLOCK)
         scored = []
-        for metric in metrics:
+        for metric in config.metrics:
             base = baseline.bucket(baseline_rows[block], metric, interval, *baseline_span)
             thresholds = [
                 threshold_from_distances(p.distances, config.quantile, config.margin)
-                for p in compute_many(base, config.profile_config)
+                for p in compute_many(base, profile_config)
             ]
             values = telemetry.bucket(rows[block], metric, interval, *span)
-            scored.append((metric.value, thresholds, compute_many(values, config.profile_config)))
+            scored.append((metric.value, thresholds, compute_many(values, profile_config)))
         for k, row in enumerate(rows[block]):
             device_id = telemetry.device_ids[row]
             for metric, thresholds, profiles in scored:
@@ -110,7 +125,7 @@ def detect_counts(
 def _whole_buckets(span: tuple[int, int], interval: int) -> tuple[int, int]:
     """span cut to whole intervals from its start; `bucket` rejects an empty one."""
     start, end = span
-    if interval > 0 and end > start:
+    if end > start:
         end -= (end - start) % interval
     return start, end
 

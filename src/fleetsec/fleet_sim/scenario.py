@@ -37,17 +37,9 @@ from ..deception import (
     mtd_rotate,
     plant_canary,
 )
-from ..detector import (
-    DEFAULT_INTERVAL,
-    DEFAULT_MARGIN,
-    DEFAULT_QUANTILE,
-    DEFAULT_WINDOW,
-    DetectorConfig,
-    detect_counts,
-)
+from ..detector import DetectorConfig, detect_counts
 from ..identity import BlacklistedError, ClaimRequest, DeviceRegistry, SecretMismatchError, Status
 from ..keystore import Keystore
-from ..matrix_profile import ProfileConfig, default_exclusion
 from ..telemetry import Direction, EventKind, Metric, TelemetryCounts
 from ..tsa import TimestampAuthority
 from ..update_protocol import (
@@ -62,7 +54,7 @@ from ..update_protocol import (
     initial_state,
     interrupt_update,
 )
-from ..wire import ConfigError, Reader, check_keys, load_json, lp, read_field, read_spec
+from ..wire import ConfigError, Reader, build, check_keys, load_json, lp, read_field, read_spec
 from .report import EventRow, ScenarioReport, write_report
 from .transport import MAX_FRAGMENTS, SimLink, fragment, reassemble
 
@@ -116,8 +108,8 @@ def make_firmware(version: int, size: int) -> bytes:
 #
 # Each spec is the schema of its JSON object, read by `read_spec` (see
 # `fleetsec.wire`). The parser of the object reads its tuple fields, the
-# three fields whose default comes from another field, detector.exclusion
-# and deception.mtd, and checks every value's range.
+# three fields whose default comes from another field and deception.mtd,
+# and checks every value's range that the spec does not check itself.
 
 
 @dataclass(frozen=True)
@@ -147,21 +139,10 @@ class LinkSpec:
 
 
 @dataclass(frozen=True)
-class DetectorSpec:
-    baseline_ticks: int  # default duration // 2
-    window: int = DEFAULT_WINDOW
-    exclusion: int | None = None
-    quantile: float = DEFAULT_QUANTILE
-    margin: float = DEFAULT_MARGIN
-    interval: int = DEFAULT_INTERVAL
-    metrics: tuple[Metric, ...] = (Metric.PACKETS_IN,)
+class DetectorSpec(DetectorConfig):
+    """The detector's settings, and the clean prefix that sets its thresholds."""
 
-    def to_config(self) -> DetectorConfig:
-        return DetectorConfig(
-            profile_config=ProfileConfig(window_m=self.window, exclusion=self.exclusion),
-            quantile=self.quantile,
-            margin=self.margin,
-        )
+    baseline_ticks: int = field(kw_only=True)  # default duration // 2
 
 
 @dataclass(frozen=True)
@@ -267,34 +248,19 @@ def _parse_link(obj: dict, path: str) -> LinkSpec:
 
 
 def _parse_detector(obj: dict, path: str, duration: int) -> DetectorSpec:
-    values = read_spec(DetectorSpec, obj, path, skip=("baseline_ticks", "exclusion"))
+    values = read_spec(DetectorSpec, obj, path, skip=("baseline_ticks",))
     baseline_ticks = read_field(obj, path, "baseline_ticks", int, duration // 2)
-    if values["window"] < 2:
-        raise ConfigError(f"{path}.window", "must be at least 2")
-    exclusion = obj.get("exclusion")
-    if exclusion is not None and (
-        not isinstance(exclusion, int) or isinstance(exclusion, bool) or exclusion < 1
-    ):
-        raise ConfigError(f"{path}.exclusion", "must be a positive integer or null")
-    if not 0 < values["quantile"] <= 1:
-        raise ConfigError(f"{path}.quantile", "must be in (0, 1]")
-    if not 1 <= values["margin"] < math.inf:  # NaN fails it too
-        raise ConfigError(f"{path}.margin", "must be finite and at least 1")
-    if values["interval"] < 1:
-        raise ConfigError(f"{path}.interval", "must be positive")
     if not 0 < baseline_ticks <= duration:
         raise ConfigError(f"{path}.baseline_ticks", "must be in (0, duration]")
-    metrics = []
-    for i, name in enumerate(read_field(obj, path, "metrics", list, ["packets_in"])):
-        try:
-            metrics.append(Metric(name))
-        except ValueError:
-            raise ConfigError(f"{path}.metrics[{i}]", f"unknown metric {name!r}") from None
-    if not metrics:
-        raise ConfigError(f"{path}.metrics", "must name at least one metric")
-    return DetectorSpec(
-        **values, baseline_ticks=baseline_ticks, exclusion=exclusion, metrics=tuple(metrics)
-    )
+    if "metrics" in obj:
+        metrics = []
+        for i, name in enumerate(read_field(obj, path, "metrics", list)):
+            try:
+                metrics.append(Metric(name))
+            except ValueError:
+                raise ConfigError(f"{path}.metrics[{i}]", f"unknown metric {name!r}") from None
+        values["metrics"] = tuple(metrics)
+    return build(DetectorSpec, path, **values, baseline_ticks=baseline_ticks)
 
 
 def _parse_update(obj: dict, path: str, duration: int) -> UpdateSpec:
@@ -497,16 +463,14 @@ def parse_scenario(obj: dict, source: str = "scenario") -> ScenarioConfig:
         admin=tuple(admin),
     )
     if detector is not None and devices:
-        baseline_buckets = detector.baseline_ticks // detector.interval
-        exclusion = detector.exclusion or default_exclusion(detector.window)
-        if baseline_buckets < detector.window + exclusion + 1:
+        if detector.baseline_ticks // detector.interval < detector.profile_config.min_length:
             raise ConfigError(
                 f"{source}.detector.baseline_ticks",
                 "too short for the profile window and exclusion zone",
             )
     for i, update in enumerate(updates):
-        # manifest bytes plus framing never exceed this slack over the image
-        payload_bound = update.size + 16 + 512
+        # manifest bytes plus framing never exceed this slack over the image and id
+        payload_bound = update.size + len(update.firmware_id.encode("utf-8")) + 16 + 512
         frames_needed = -(-payload_bound // (link.mtu - 4))
         if frames_needed > MAX_FRAGMENTS:
             raise ConfigError(
@@ -1007,7 +971,7 @@ class FleetSimulation:
         telemetry = self.report.telemetry
         rows = [self._row[dev] for dev in sorted(self._row)]
         reports = detect_counts(
-            det.to_config(), det.metrics, det.interval,
+            det,
             telemetry, rows, (0, self.cfg.duration),
             telemetry, rows, (0, det.baseline_ticks),
         )

@@ -28,7 +28,7 @@ from typing import Iterable
 
 from .errors import FleetsecError
 from .keystore import Keystore, PublicKeyInfo
-from .wire import ConfigError, b64e, check_keys, load_json, read_field, read_spec
+from .wire import ConfigError, b64e, build, check_keys, load_json, read_field, read_spec
 
 _FILE_FORMAT = "fleetsec-registry-v1"
 
@@ -95,17 +95,18 @@ class DeviceRecord:
     device_pub: PublicKeyInfo | None
     status: Status
     needs_reprovision: bool
+    generation: int  # registrations of this id; names its device key
 
     def __post_init__(self):
         if not self.device_id:
-            raise ValueError("device_id must be non-empty")
+            raise ConfigError("device_id", "must be non-empty")
         if len(self.claim_hash) != 32:
-            raise ValueError("claim_hash must be 32 bytes")
+            raise ConfigError("claim_hash", "must be 32 bytes")
         if self.status is Status.CLAIMED and self.owner is None:
-            raise ValueError("claimed record must have an owner")
+            raise ConfigError("owner", "must be set when status is Claimed")
         # blacklisted records keep their last owner for audit
         if self.status in (Status.UNPROVISIONED, Status.DEPROVISIONED) and self.owner is not None:
-            raise ValueError(f"{self.status.value} record cannot have an owner")
+            raise ConfigError("owner", f"must be null when status is {self.status.value}")
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,6 @@ class DeviceRegistry:
         # each device's open session, if any: a connect replaces it and a claim uses it up
         self._sessions: dict[str, RendezvousSession] = {}
         self._next_session = 1
-        self._generation: dict[str, int] = {}
 
     def record(self, device_id: str) -> DeviceRecord:
         try:
@@ -167,8 +167,8 @@ class DeviceRegistry:
             device_pub=None,
             status=Status.UNPROVISIONED,
             needs_reprovision=False,
+            generation=existing.generation + 1 if existing is not None else 1,
         )
-        self._generation[device_id] = self._generation.get(device_id, 0) + 1
         self._records[device_id] = rec
         return rec
 
@@ -212,7 +212,7 @@ class DeviceRegistry:
             raise NotClaimableError(
                 f"device {request.device_id!r} is deprovisioned; re-register it first"
             )
-        key_id = f"device:{request.device_id}:g{self._generation[request.device_id]}"
+        key_id = f"device:{request.device_id}:g{rec.generation}"
         device_pub = self._keystore.generate_key(key_id)
         rec = replace(
             rec,
@@ -289,7 +289,7 @@ class DeviceRegistry:
                     "device_pub": None if rec.device_pub is None else rec.device_pub.to_json_obj(),
                     "status": rec.status.value,
                     "needs_reprovision": rec.needs_reprovision,
-                    "generation": self._generation.get(device_id, 1),
+                    "generation": rec.generation,
                 }
             )
         return {
@@ -313,15 +313,10 @@ class DeviceRegistry:
         registry._next_session = read_field(obj, "registry", "next_session", int)
         for i, entry in enumerate(read_field(obj, "registry", "devices", list)):
             path = f"registry.devices[{i}]"
-            values = read_spec(DeviceRecord, entry, path, extra={"generation": ()})
-            try:
-                rec = DeviceRecord(**values)
-            except ValueError as exc:
-                raise ConfigError(path, str(exc)) from None
+            rec = build(DeviceRecord, path, **read_spec(DeviceRecord, entry, path))
             if rec.device_id in registry._records:
                 raise ConfigError(f"{path}.device_id", f"duplicate device id {rec.device_id!r}")
             registry._records[rec.device_id] = rec
-            registry._generation[rec.device_id] = read_field(entry, path, "generation", int)
             if rec.device_pub is not None:
                 # keys are seed-derived, so regenerating reproduces them;
                 # mismatch means the snapshot was edited or the seed lies

@@ -23,7 +23,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 
 from .errors import FleetsecError
-from .wire import ConfigError, b64e, check_keys, load_json, read_field, read_spec
+from .wire import ConfigError, b64e, build, check_keys, load_json, read_field, read_spec
 
 ALGORITHM_ED25519 = "Ed25519"
 SUPPORTED_ALGORITHMS = frozenset({ALGORITHM_ED25519})
@@ -58,11 +58,12 @@ class PublicKeyInfo:
 
     def __post_init__(self):
         if not self.key_id:
-            raise ValueError("key_id must be a non-empty string")
+            raise ConfigError("key_id", "must be a non-empty string")
         if self.algorithm not in SUPPORTED_ALGORITHMS:
-            raise ValueError(f"unsupported algorithm {self.algorithm!r}")
+            raise ConfigError("algorithm", f"{self.algorithm!r} is not supported")
         if len(self.public_bytes) != PUBLIC_KEY_LEN:
-            raise ValueError(f"public_bytes must be {PUBLIC_KEY_LEN} bytes")
+            # named by the key that holds these bytes in a file
+            raise ConfigError("public", f"must be {PUBLIC_KEY_LEN} bytes")
 
     def to_json_obj(self) -> dict:
         return {
@@ -75,7 +76,7 @@ class PublicKeyInfo:
     def from_json_obj(cls, obj: dict, path: str) -> PublicKeyInfo:
         """The key in obj, whose public bytes sit under "public"; path names obj in errors."""
         values = read_spec(cls, obj, path, extra={"public": ("public_bytes",)})
-        return cls(**values, public_bytes=read_field(obj, path, "public", bytes))
+        return build(cls, path, **values, public_bytes=read_field(obj, path, "public", bytes))
 
 
 def verify(pub: PublicKeyInfo, message: bytes, signature: bytes) -> bool:
@@ -224,7 +225,7 @@ class Keystore:
                 info = PublicKeyInfo.from_json_obj(entry, path)
                 if info.key_id in store._public:
                     raise ConfigError(f"{path}.key_id", f"duplicate key id {info.key_id!r}")
-            except ValueError as exc:  # a ConfigError, or PublicKeyInfo's own checks
+            except ConfigError as exc:
                 raise KeystoreFileError(f"bad key entry: {exc}") from exc
             store._public[info.key_id] = info
             if fernet is not None and private_enc is not None:

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FleetsecError
+from .wire import ConfigError
 
 # A window whose population standard deviation is below this is constant.
 CONSTANT_STD = 1e-12
@@ -84,6 +85,8 @@ class ProfileConfig:
 
     `exclusion` defaults to half the window length; matches with
     |i - j| <= exclusion are considered trivial self-matches and skipped.
+    A bad value is a ConfigError naming the detector setting, `window` or
+    `exclusion`.
     """
 
     window_m: int
@@ -91,11 +94,16 @@ class ProfileConfig:
 
     def __post_init__(self):
         if self.window_m < 2:
-            raise ValueError(f"window_m must be >= 2, got {self.window_m}")
+            raise ConfigError("window", "must be at least 2")
         if self.exclusion is None:
             object.__setattr__(self, "exclusion", default_exclusion(self.window_m))
-        if self.exclusion < 1:
-            raise ValueError(f"exclusion must be >= 1, got {self.exclusion}")
+        elif self.exclusion < 1:
+            raise ConfigError("exclusion", "must be a positive integer or null")
+
+    @property
+    def min_length(self) -> int:
+        """The fewest points that give every window an admissible neighbor."""
+        return self.window_m + self.exclusion + 1
 
 
 @dataclass(frozen=True)
@@ -143,9 +151,9 @@ def znorm_distance(a, b) -> float:
 
 
 def _validate_length(n: int, config: ProfileConfig) -> int:
-    if n < config.window_m + config.exclusion + 1:
+    if n < config.min_length:
         raise InsufficientLengthError(
-            f"need at least {config.window_m + config.exclusion + 1} points "
+            f"need at least {config.min_length} points "
             f"for window {config.window_m} and exclusion {config.exclusion}, got {n}"
         )
     return n - config.window_m + 1

@@ -197,7 +197,7 @@ class SlotState:
 
     def __post_init__(self):
         if len(self.image_digest) != DIGEST_LEN:
-            raise ValueError(f"image_digest must be {DIGEST_LEN} bytes")
+            raise ConfigError("image_digest", f"must be {DIGEST_LEN} bytes")
 
     def to_json_obj(self) -> dict:
         return {

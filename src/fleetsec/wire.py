@@ -5,7 +5,9 @@ length-prefixed byte strings (32-bit big-endian length prefix). Decoding
 is strict: truncated fields or trailing bytes raise DecodeError.
 
 JSON: a dataclass is the schema of its object (read_spec), and every
-mistake in a file is a ConfigError naming its path.
+mistake in a file is a ConfigError naming its path. A type's own checks
+raise a ConfigError naming the field; build puts that field under the
+path of the object being built.
 """
 
 from __future__ import annotations
@@ -72,11 +74,20 @@ def b64e(data: bytes) -> str:
 
 
 class ConfigError(FleetsecError, ValueError):
-    """A JSON input file breaks its schema at path."""
+    """A value breaks its schema at path: a key path in a file, or a field of a type."""
 
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+        self.message = message
+
+
+def build(spec: type, path: str, **values):
+    """spec(**values); a field its checks refuse is named under path."""
+    try:
+        return spec(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc.path}", exc.message) from None
 
 
 def load_json(path: str | Path):
@@ -156,7 +167,7 @@ def _value(kind, value, path: str):
         # a schema whose keys differ from its fields reads itself
         if hasattr(kind, "from_json_obj"):
             return kind.from_json_obj(value, path)
-        return kind(**read_spec(kind, value, path))
+        return build(kind, path, **read_spec(kind, value, path))
     if issubclass(kind, Enum):
         try:
             return kind(value)

@@ -453,6 +453,25 @@ def test_detect_nan_margin_is_an_error(telemetry_files, tmp_path, capsys):
         assert "margin" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, error",
+    [
+        ("--interval", "0", "interval: must be positive"),
+        ("--quantile", "0", "quantile: must be in (0, 1]"),
+        ("--margin", "inf", "margin: must be finite and at least 1"),
+        ("--window", "1", "window: must be at least 2"),
+        ("--exclusion", "0", "exclusion: must be a positive integer or null"),
+    ],
+)
+def test_detect_setting_error_names_its_field_before_any_file_is_read(tmp_path, capsys, flag, value, error):
+    missing = str(tmp_path / "missing.csv")
+    code = main(["detect", "--baseline", missing, "--input", missing, flag, value,
+                 "--out", str(tmp_path / "a.jsonl")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "a.jsonl").exists()
+
+
 def test_detect_span_shorter_than_one_interval_is_an_error(telemetry_files, tmp_path, capsys):
     # 240 ticks of input hold no whole 500-tick bucket
     code = main(["detect", "--baseline", str(telemetry_files / "baseline.csv"),

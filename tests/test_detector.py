@@ -2,6 +2,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from fleetsec.detector import (
     threshold_from_distances,
 )
 from fleetsec.fleet_sim.report import write_jsonl
-from fleetsec.matrix_profile import ProfileConfig, compute_brute_force
+from fleetsec.matrix_profile import compute_brute_force
 from fleetsec.telemetry import Direction, EventKind, Metric, TelemetryCounts, TelemetrySeries
 
 from helpers import calibrate, detect
@@ -49,15 +50,15 @@ def run(baselines, inputs, config=None, *, start=0, interval=1):
     telemetry, span = counts_of(inputs, ids, start, interval)
     rows = list(range(len(ids)))
     return detect_counts(
-        config or CFG, [Metric.PACKETS_IN], interval,
+        replace(config or CFG, interval=interval),
         telemetry, rows, span, baseline, rows, baseline_span,
     )
 
 
-CFG = DetectorConfig(profile_config=ProfileConfig(4, 2), quantile=0.99, margin=2.0)
+CFG = DetectorConfig(window=4, exclusion=2, quantile=0.99, margin=2.0)
 # twice the 99th percentile lies above every distance of a short random
 # walk; its median flags about half the windows of another walk
-LOW = DetectorConfig(profile_config=ProfileConfig(4, 2), quantile=0.5, margin=1.0)
+LOW = DetectorConfig(window=4, exclusion=2, quantile=0.5, margin=1.0)
 
 
 class TestThresholdRule:
@@ -85,7 +86,7 @@ class TestThresholdRule:
         # the median keeps the threshold below the largest distance, so
         # reports show it: margin times the baseline profile's quantile
         values = walk(rng_np, 80)
-        config = DetectorConfig(CFG.profile_config, quantile=0.5, margin=2.0)
+        config = replace(CFG, quantile=0.5, margin=2.0)
         reports = run([values], [values], config)
         profile = compute_brute_force(values, CFG.profile_config)
         want = 2.0 * float(np.quantile(profile.distances, 0.5))
@@ -113,7 +114,7 @@ class TestDetect:
     def test_infinite_threshold_silences_everything(self, rng_np):
         # an infinite margin is refused; the largest finite one overflows
         # the threshold to infinity, above every distance
-        config = DetectorConfig(CFG.profile_config, quantile=0.99, margin=sys.float_info.max)
+        config = replace(CFG, quantile=0.99, margin=sys.float_info.max)
         with np.errstate(over="ignore"):
             reports = run([walk(rng_np, 60)], [walk(rng_np, 60)], config)
         assert reports == []
@@ -139,7 +140,7 @@ class TestDetect:
     def test_monotone_in_threshold(self, rng_np):
         baseline, series = walk(rng_np, 90), walk(rng_np, 90)
         low = {r.window_index for r in run([baseline], [series], LOW)}
-        high_margin = DetectorConfig(LOW.profile_config, quantile=0.5, margin=1.5)
+        high_margin = replace(LOW, quantile=0.5, margin=1.5)
         high = {r.window_index for r in run([baseline], [series], high_margin)}
         assert high
         assert high < low
@@ -148,8 +149,7 @@ class TestDetect:
 class TestDetectFleet:
     def test_empty_fleet(self):
         telemetry, span = counts_of([periodic(64)], ["a"])
-        assert detect_counts(CFG, [Metric.PACKETS_IN], 1, telemetry, [], span,
-                             telemetry, [], span) == []
+        assert detect_counts(CFG, telemetry, [], span, telemetry, [], span) == []
 
     def test_only_the_bursting_device_reports(self):
         noisy = periodic(96)
@@ -172,7 +172,7 @@ class TestDetectFleet:
         for block in (1, 2, 64):  # devices profiled together
             monkeypatch.setattr(detector, "_DETECTOR_BLOCK", block)
             got[block] = detect_counts(
-                LOW, metrics, 1,
+                replace(LOW, metrics=tuple(metrics)),
                 telemetry, [flipped.index(d) for d in order], span,
                 baseline, [names.index(d) for d in order], baseline_span,
             )
@@ -207,6 +207,9 @@ def test_jsonl_export_key_order():
 
 
 def test_config_validation():
-    for fields in ({"quantile": 0.0}, {"margin": 0.5}, {"margin": math.nan}, {"margin": math.inf}):
-        with pytest.raises(ValueError):
-            DetectorConfig(profile_config=ProfileConfig(4), **fields)
+    # each refusal names its field, as a scenario path and a detect flag do
+    for fields in ({"quantile": 0.0}, {"margin": 0.5}, {"margin": math.nan}, {"margin": math.inf},
+                   {"interval": 0}, {"metrics": ()}, {"window": 1}, {"exclusion": 0}):
+        (name,) = fields
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            DetectorConfig(**{"window": 4, **fields})

@@ -74,15 +74,15 @@ FILE_ERRORS = [
     (_R, "devices.0.extra", 1, 'ValueError: malformed registry file: registry.devices[0].extra: unknown field'),
     (_R, "devices.0.device_id", DROP, 'ValueError: malformed registry file: registry.devices[0].device_id: missing required field'),
     (_R, "devices.0.device_id", 5, 'ValueError: malformed registry file: registry.devices[0].device_id: expected str'),
-    (_R, "devices.1.device_id", "", 'ValueError: malformed registry file: registry.devices[1]: device_id must be non-empty'),
+    (_R, "devices.1.device_id", "", 'ValueError: malformed registry file: registry.devices[1].device_id: must be non-empty'),
     (_R, "devices.1.device_id", "dev-1", "ValueError: malformed registry file: registry.devices[1].device_id: duplicate device id 'dev-1'"),
     (_R, "devices.0.claim_hash", DROP, 'ValueError: malformed registry file: registry.devices[0].claim_hash: missing required field'),
     (_R, "devices.0.claim_hash", 5, 'ValueError: malformed registry file: registry.devices[0].claim_hash: expected a base64url string'),
     (_R, "devices.0.claim_hash", "é", 'ValueError: malformed registry file: registry.devices[0].claim_hash: expected a base64url string'),
-    (_R, "devices.0.claim_hash", "AAAA", 'ValueError: malformed registry file: registry.devices[0]: claim_hash must be 32 bytes'),
+    (_R, "devices.0.claim_hash", "AAAA", 'ValueError: malformed registry file: registry.devices[0].claim_hash: must be 32 bytes'),
     (_R, "devices.0.owner", DROP, 'ValueError: malformed registry file: registry.devices[0].owner: missing required field'),
     (_R, "devices.0.owner", 5, 'ValueError: malformed registry file: registry.devices[0].owner: expected str'),
-    (_R, "devices.0.owner", None, 'ValueError: malformed registry file: registry.devices[0]: claimed record must have an owner'),
+    (_R, "devices.0.owner", None, 'ValueError: malformed registry file: registry.devices[0].owner: must be set when status is Claimed'),
     (_R, "devices.1.owner", None, 'loads'),
     (_R, "devices.0.device_pub", DROP, 'ValueError: malformed registry file: registry.devices[0].device_pub: missing required field'),
     (_R, "devices.0.device_pub", 5, 'ValueError: malformed registry file: registry.devices[0].device_pub: expected dict'),
@@ -90,12 +90,12 @@ FILE_ERRORS = [
     (_R, "devices.0.device_pub", {}, 'ValueError: malformed registry file: registry.devices[0].device_pub.key_id: missing required field'),
     (_R, "devices.0.device_pub.extra", 1, 'ValueError: malformed registry file: registry.devices[0].device_pub.extra: unknown field'),
     (_R, "devices.0.device_pub.key_id", 5, 'ValueError: malformed registry file: registry.devices[0].device_pub.key_id: expected str'),
-    (_R, "devices.0.device_pub.key_id", "", 'ValueError: key_id must be a non-empty string'),
+    (_R, "devices.0.device_pub.key_id", "", 'ValueError: malformed registry file: registry.devices[0].device_pub.key_id: must be a non-empty string'),
     (_R, "devices.0.device_pub.key_id", "device:dev-1:g2", "ValueError: device key for 'dev-1' does not match registry seed"),
-    (_R, "devices.0.device_pub.algorithm", "RSA", "ValueError: unsupported algorithm 'RSA'"),
+    (_R, "devices.0.device_pub.algorithm", "RSA", "ValueError: malformed registry file: registry.devices[0].device_pub.algorithm: 'RSA' is not supported"),
     (_R, "devices.0.device_pub.public_bytes", [1], 'ValueError: malformed registry file: registry.devices[0].device_pub.public_bytes: unknown field'),
     (_R, "devices.0.device_pub.public", 5, 'ValueError: malformed registry file: registry.devices[0].device_pub.public: expected a base64url string'),
-    (_R, "devices.0.device_pub.public", "AAAA", 'ValueError: public_bytes must be 32 bytes'),
+    (_R, "devices.0.device_pub.public", "AAAA", 'ValueError: malformed registry file: registry.devices[0].device_pub.public: must be 32 bytes'),
     (_R, "devices.0.status", DROP, 'ValueError: malformed registry file: registry.devices[0].status: missing required field'),
     (_R, "devices.0.status", "Bogus", "ValueError: malformed registry file: registry.devices[0].status: expected one of ['Unprovisioned', 'Claimed', 'Blacklisted', 'Deprovisioned']"),
     (_R, "devices.0.status", 5, "ValueError: malformed registry file: registry.devices[0].status: expected one of ['Unprovisioned', 'Claimed', 'Blacklisted', 'Deprovisioned']"),
@@ -121,7 +121,7 @@ FILE_ERRORS = [
     (_S, "slots.A.extra", 1, 'ValueError: malformed device state file: state.slots.A.extra: unknown field'),
     (_S, "slots.A.image_digest", DROP, 'ValueError: malformed device state file: state.slots.A.image_digest: missing required field'),
     (_S, "slots.A.image_digest", 5, 'ValueError: malformed device state file: state.slots.A.image_digest: expected a base64url string'),
-    (_S, "slots.A.image_digest", "AAAA", 'ValueError: image_digest must be 32 bytes'),
+    (_S, "slots.A.image_digest", "AAAA", 'ValueError: malformed device state file: state.slots.A.image_digest: must be 32 bytes'),
     (_S, "slots.A.version", "x", 'ValueError: malformed device state file: state.slots.A.version: expected int'),
     (_S, "slots.A.version", True, 'ValueError: malformed device state file: state.slots.A.version: expected int'),
     (_S, "slots.A.gen_time", 1.5, 'ValueError: malformed device state file: state.slots.A.gen_time: expected int'),
@@ -132,8 +132,8 @@ FILE_ERRORS = [
     (_S, "trust_anchor_tsa", 5, 'ValueError: malformed device state file: state.trust_anchor_tsa: expected dict'),
     (_S, "trust_anchor_tsa.public_bytes", [1], 'ValueError: malformed device state file: state.trust_anchor_tsa.public_bytes: unknown field'),
     (_S, "trust_anchor_tsa.public", 5, 'ValueError: malformed device state file: state.trust_anchor_tsa.public: expected a base64url string'),
-    (_S, "trust_anchor_publisher.algorithm", "RSA", "ValueError: unsupported algorithm 'RSA'"),
-    (_S, "trust_anchor_publisher.key_id", "", 'ValueError: key_id must be a non-empty string'),
+    (_S, "trust_anchor_publisher.algorithm", "RSA", "ValueError: malformed device state file: state.trust_anchor_publisher.algorithm: 'RSA' is not supported"),
+    (_S, "trust_anchor_publisher.key_id", "", 'ValueError: malformed device state file: state.trust_anchor_publisher.key_id: must be a non-empty string'),
     (_S, "mode", DROP, 'ValueError: malformed device state file: state.mode: missing required field'),
     (_S, "mode", "Bogus", "ValueError: malformed device state file: state.mode: expected one of ['Running', 'Updating', 'FailState']"),
     # keystore, loaded with its passphrase
@@ -148,14 +148,14 @@ FILE_ERRORS = [
     (_K, "keys.0.extra", 1, 'KeystoreFileError: bad key entry: keystore.keys[0].extra: unknown field'),
     (_K, "keys.0.key_id", DROP, 'KeystoreFileError: bad key entry: keystore.keys[0].key_id: missing required field'),
     (_K, "keys.0.key_id", 5, 'KeystoreFileError: bad key entry: keystore.keys[0].key_id: expected str'),
-    (_K, "keys.0.key_id", "", 'KeystoreFileError: bad key entry: key_id must be a non-empty string'),
+    (_K, "keys.0.key_id", "", 'KeystoreFileError: bad key entry: keystore.keys[0].key_id: must be a non-empty string'),
     (_K, "keys.1.key_id", "publisher", "KeystoreFileError: bad key entry: keystore.keys[1].key_id: duplicate key id 'publisher'"),
     (_K, "keys.0.algorithm", [], 'KeystoreFileError: bad key entry: keystore.keys[0].algorithm: expected str'),
-    (_K, "keys.0.algorithm", "RSA", "KeystoreFileError: bad key entry: unsupported algorithm 'RSA'"),
+    (_K, "keys.0.algorithm", "RSA", "KeystoreFileError: bad key entry: keystore.keys[0].algorithm: 'RSA' is not supported"),
     (_K, "keys.0.public_bytes", [1], 'KeystoreFileError: bad key entry: keystore.keys[0].public_bytes: unknown field'),
     (_K, "keys.0.public", DROP, 'KeystoreFileError: bad key entry: keystore.keys[0].public: missing required field'),
     (_K, "keys.0.public", 5, 'KeystoreFileError: bad key entry: keystore.keys[0].public: expected a base64url string'),
-    (_K, "keys.0.public", "AAAA", 'KeystoreFileError: bad key entry: public_bytes must be 32 bytes'),
+    (_K, "keys.0.public", "AAAA", 'KeystoreFileError: bad key entry: keystore.keys[0].public: must be 32 bytes'),
     (_K, "keys.0.private_enc", 5, 'KeystoreFileError: encrypted fields must be strings'),
     (_K, "keys.0.private_enc", "garbage", 'KeystoreFileError: wrong passphrase or corrupted keystore file'),
     (_K, "seed_enc", 5, 'KeystoreFileError: encrypted fields must be strings'),

@@ -366,7 +366,7 @@ def test_batched_detector_pass_matches_per_device_detection(tmp_path):
     # the oracle reads the written telemetry back as events
     with open(tmp_path / "telemetry.csv", encoding="utf-8") as fh:
         events = ingest_csv(fh)
-    config = cfg.detector.to_config()
+    config = cfg.detector
     want = []
     for dev in ("dev-0", "dev-1", "dev-2"):
         for metric in cfg.detector.metrics:
@@ -586,8 +586,8 @@ SCENARIO_ERRORS = [
     ("detector.window", 8.0, "detector.window: expected int"),
     ("detector.window", 1, "detector.window: must be at least 2"),
     ("detector.exclusion", 0, "detector.exclusion: must be a positive integer or null"),
-    ("detector.exclusion", 1.5, "detector.exclusion: must be a positive integer or null"),
-    ("detector.exclusion", True, "detector.exclusion: must be a positive integer or null"),
+    ("detector.exclusion", 1.5, "detector.exclusion: expected int"),
+    ("detector.exclusion", True, "detector.exclusion: expected int"),
     ("detector.quantile", "x", "detector.quantile: expected float"),
     ("detector.quantile", 0, "detector.quantile: must be in (0, 1]"),
     ("detector.quantile", 1.01, "detector.quantile: must be in (0, 1]"),
@@ -622,6 +622,9 @@ SCENARIO_ERRORS = [
     ("updates.0.size", "512", f"{_U}.size: expected int"),
     ("updates.0.size", 15, f"{_U}.size: must be at least 16 bytes"),
     ("updates.0.size", 20_000, f"{_U}.size: firmware needs ~343 fragments at mtu 64, cap is 256"),
+    # the manifest carries the id, so a long one needs frames too
+    ("updates.0.firmware_id", "f" * 15_000,
+     f"{_U}.size: firmware needs ~268 fragments at mtu 64, cap is 256"),
     ("updates.0.plant_canary", 1, f"{_U}.plant_canary: expected bool"),
     ("updates.0.retry_interval", 2.5, f"{_U}.retry_interval: expected int"),
     ("updates.0.retry_interval", 0, f"{_U}.retry_interval: must be positive"),
@@ -709,8 +712,13 @@ def test_non_object_scenario_is_refused():
         parse_scenario([FULL_SCENARIO])
 
 
+def _error_id(where, value) -> str:
+    shown = "<drop>" if value is DROP else repr(value)
+    return f"{where}={shown if len(shown) <= 40 else f'<{len(value)} chars>'}"
+
+
 @pytest.mark.parametrize(
-    "where, value, error", SCENARIO_ERRORS, ids=[f"{w}={'<drop>' if v is DROP else repr(v)}" for w, v, _ in SCENARIO_ERRORS]
+    "where, value, error", SCENARIO_ERRORS, ids=[_error_id(w, v) for w, v, _ in SCENARIO_ERRORS]
 )
 def test_every_scenario_error_names_its_path_and_reason(where, value, error):
     with pytest.raises(ConfigError) as exc:
