@@ -40,7 +40,7 @@ from ..deception import (
 from ..detector import DetectorConfig, detect_counts
 from ..identity import BlacklistedError, ClaimRequest, DeviceRegistry, SecretMismatchError, Status
 from ..keystore import Keystore
-from ..telemetry import Direction, EventKind, Metric, TelemetryCounts
+from ..telemetry import Direction, EventKind, TelemetryCounts
 from ..tsa import TimestampAuthority
 from ..update_protocol import (
     DeviceMode,
@@ -107,9 +107,17 @@ def make_firmware(version: int, size: int) -> bytes:
 # --- config model -----------------------------------------------------------
 #
 # Each spec is the schema of its JSON object, read by `read_spec` (see
-# `fleetsec.wire`). The parser of the object reads its tuple fields, the
-# three fields whose default comes from another field and deception.mtd,
-# and checks every value's range that the spec does not check itself.
+# `fleetsec.wire`), tuple fields included, and checks its own fields in
+# __post_init__ wherever it is built, from a file or in Python: a bad value
+# is a ConfigError naming its field. ScenarioConfig checks the rules that
+# span sections. An owner or firmware_id that is null or absent takes its
+# default.
+
+
+def _check_ports(ports: tuple[int, ...], name: str) -> None:
+    for i, port in enumerate(ports):
+        if not 1 <= port <= 65535:
+            raise ConfigError(f"{name}[{i}]", "expected a port number")
 
 
 @dataclass(frozen=True)
@@ -119,16 +127,35 @@ class TrafficSpec:
     amplitude: float = 3.0
     noise: float = 0.8
 
+    def __post_init__(self):
+        if self.period < 2:
+            raise ConfigError("period", "must be at least 2")
+        for name in ("base", "amplitude", "noise"):
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ConfigError(name, "must be finite and non-negative")
+
 
 @dataclass(frozen=True)
 class DeviceSpec:
     id: str
     secret: str
-    owner: str  # default user-<id>
+    owner: str | None = None  # user-<id>
     firmware_version: int = 1
     duty_cycle: float = 1.0
     legitimate_ports: tuple[int, ...] = ()
     traffic: TrafficSpec = TrafficSpec()
+
+    def __post_init__(self):
+        for name in ("id", "secret"):
+            if not getattr(self, name):
+                raise ConfigError(name, "must be non-empty")
+        if not 0 < self.duty_cycle <= 1:
+            raise ConfigError("duty_cycle", "must be in (0, 1]")
+        if self.firmware_version < 0:
+            raise ConfigError("firmware_version", "must be non-negative")
+        _check_ports(self.legitimate_ports, "legitimate_ports")
+        if self.owner is None:
+            object.__setattr__(self, "owner", f"user-{self.id}")
 
 
 @dataclass(frozen=True)
@@ -136,6 +163,14 @@ class LinkSpec:
     mtu: int = 1024
     latency: int = 0
     drop_rate: float = 0.0
+
+    def __post_init__(self):
+        if self.mtu <= 4:
+            raise ConfigError("mtu", "must exceed the 4-byte fragment header")
+        if self.latency < 0:
+            raise ConfigError("latency", "must be non-negative")
+        if not 0 <= self.drop_rate < 1:
+            raise ConfigError("drop_rate", "must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -150,11 +185,36 @@ class UpdateSpec:
     at: int
     version: int
     expiry: int
-    firmware_id: str  # default fw-v<version>
+    firmware_id: str | None = None  # fw-v<version>
     size: int = 4096
     plant_canary: bool = False
     feint_regions: tuple[tuple[int, int, str], ...] = ()
     retry_interval: int = 20
+
+    def __post_init__(self):
+        if self.version < 1:
+            raise ConfigError("version", "must be at least 1")
+        if self.expiry <= self.at:
+            raise ConfigError("expiry", "must be after the publish tick")
+        if self.size < 16:
+            raise ConfigError("size", "must be at least 16 bytes")
+        if self.retry_interval < 1:
+            raise ConfigError("retry_interval", "must be positive")
+        for i, (offset, length, _) in enumerate(self.feint_regions):
+            if offset < 0 or length < 1 or offset + length > self.size:
+                raise ConfigError(f"feint_regions[{i}]", "region outside image bounds")
+        if self.firmware_id is None:
+            object.__setattr__(self, "firmware_id", f"fw-v{self.version}")
+
+    @classmethod
+    def from_json_obj(cls, obj: dict, path: str) -> UpdateSpec:
+        """Read by read_spec, but for feint_regions: [offset, length, note] lists."""
+        values = read_spec(cls, obj, path)
+        regions = read_field(obj, path, "feint_regions", list, [])
+        for i, region in enumerate(regions):
+            if not isinstance(region, list) or list(map(type, region)) != [int, int, str]:
+                raise ConfigError(f"{path}.feint_regions[{i}]", "expected [offset, length, note]")
+        return build(cls, path, **values, feint_regions=tuple(map(tuple, regions)))
 
 
 @dataclass(frozen=True)
@@ -164,17 +224,55 @@ class AttackSpec:
     device: str | None
     params: dict = field(default_factory=dict)
 
+    @classmethod
+    def from_json_obj(cls, obj: dict, path: str) -> AttackSpec:
+        """Read from its kind's keys: kind, at, device, then its params."""
+        kind = read_field(obj, path, "kind", str)
+        if kind not in _ATTACK_PARAMS:
+            raise UnknownAttackKindError(f"{path}.kind", f"unknown attack kind {kind!r}")
+        check_keys(obj, path, {"kind", "at", "device", *_ATTACK_PARAMS[kind]})
+        at = read_field(obj, path, "at", int)
+        device = read_field(obj, path, "device", str, None)
+        if kind != "canary_probe" and device is None:
+            raise ConfigError(f"{path}.device", "missing required field")
+        params: dict = {}
+        for name, (default, least) in _ATTACK_PARAMS[kind].items():
+            if name == "rate":
+                rate = read_field(obj, path, "rate", list, default)
+                if (
+                    len(rate) != 2
+                    or not all(isinstance(r, int) and not isinstance(r, bool) for r in rate)
+                    or not least <= rate[0] <= rate[1]
+                ):
+                    raise ConfigError(f"{path}.rate", "expected [lo, hi] with 1 <= lo <= hi")
+                params["rate"] = (rate[0], rate[1])
+                continue
+            params[name] = read_field(obj, path, name, int, default)
+            if params[name] < least:
+                reason = "must be positive" if least == 1 else f"must be at least {least}"
+                raise ConfigError(f"{path}.{name}", reason)
+        return cls(kind=kind, at=at, device=device, params=params)
+
 
 @dataclass(frozen=True)
 class MtdSpec:
     rotation_interval: int
     address_pool: tuple[str, ...]
 
+    def __post_init__(self):
+        if self.rotation_interval < 1:
+            raise ConfigError("rotation_interval", "must be positive")
+        if not self.address_pool or len(set(self.address_pool)) != len(self.address_pool):
+            raise ConfigError("address_pool", "must be non-empty and unique")
+
 
 @dataclass(frozen=True)
 class DeceptionSpec:
     canary_ports: tuple[int, ...] = ()
     mtd: MtdSpec | None = None
+
+    def __post_init__(self):
+        _check_ports(self.canary_ports, "canary_ports")
 
 
 @dataclass(frozen=True)
@@ -183,149 +281,86 @@ class AdminAction:
     action: str
     device: str
 
+    def __post_init__(self):
+        if self.action not in ("blacklist", "deprovision"):
+            raise ConfigError("action", f"unknown action {self.action!r}")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     seed: int
     duration: int
-    devices: tuple[DeviceSpec, ...]
-    link: LinkSpec = LinkSpec()
+    devices: tuple[DeviceSpec, ...] = ()
+    links: LinkSpec = LinkSpec()
     detector: DetectorSpec | None = None
     updates: tuple[UpdateSpec, ...] = ()
     attacks: tuple[AttackSpec, ...] = ()
     deception: DeceptionSpec = DeceptionSpec()
     admin: tuple[AdminAction, ...] = ()
 
-
-# --- config parsing ---------------------------------------------------------
-
-def _objects(obj: dict, path: str, key: str):
-    """(path, item) for each item of the list obj[key], which may be absent."""
-    for i, item in enumerate(read_field(obj, path, key, list, [])):
-        item_path = f"{path}.{key}[{i}]"
-        if not isinstance(item, dict):
-            raise ConfigError(item_path, "expected an object")
-        yield item_path, item
-
-
-def _ports(obj: dict, path: str, key: str) -> tuple[int, ...]:
-    ports = read_field(obj, path, key, list, [])
-    for i, port in enumerate(ports):
-        if not isinstance(port, int) or isinstance(port, bool) or not 1 <= port <= 65535:
-            raise ConfigError(f"{path}.{key}[{i}]", "expected a port number")
-    return tuple(ports)
-
-
-def _parse_device(obj: dict, path: str) -> DeviceSpec:
-    values = read_spec(DeviceSpec, obj, path, skip=("owner",))
-    owner = read_field(obj, path, "owner", str, f"user-{values['id']}")
-    if not values["id"]:
-        raise ConfigError(f"{path}.id", "must be non-empty")
-    if not values["secret"]:
-        raise ConfigError(f"{path}.secret", "must be non-empty")
-    if not 0 < values["duty_cycle"] <= 1:
-        raise ConfigError(f"{path}.duty_cycle", "must be in (0, 1]")
-    if values["firmware_version"] < 0:
-        raise ConfigError(f"{path}.firmware_version", "must be non-negative")
-    legitimate_ports = _ports(obj, path, "legitimate_ports")
-    if values["traffic"].period < 2:
-        raise ConfigError(f"{path}.traffic.period", "must be at least 2")
-    for name in ("base", "amplitude", "noise"):
-        if not 0 <= getattr(values["traffic"], name) < math.inf:  # NaN fails too
-            raise ConfigError(f"{path}.traffic.{name}", "must be finite and non-negative")
-    return DeviceSpec(**values, owner=owner, legitimate_ports=legitimate_ports)
-
-
-def _parse_link(obj: dict, path: str) -> LinkSpec:
-    spec = LinkSpec(**read_spec(LinkSpec, obj, path))
-    if spec.mtu <= 4:
-        raise ConfigError(f"{path}.mtu", "must exceed the 4-byte fragment header")
-    if spec.latency < 0:
-        raise ConfigError(f"{path}.latency", "must be non-negative")
-    if not 0 <= spec.drop_rate < 1:
-        raise ConfigError(f"{path}.drop_rate", "must be in [0, 1)")
-    return spec
-
-
-def _parse_detector(obj: dict, path: str, duration: int) -> DetectorSpec:
-    values = read_spec(DetectorSpec, obj, path, skip=("baseline_ticks",))
-    baseline_ticks = read_field(obj, path, "baseline_ticks", int, duration // 2)
-    if not 0 < baseline_ticks <= duration:
-        raise ConfigError(f"{path}.baseline_ticks", "must be in (0, duration]")
-    if "metrics" in obj:
-        metrics = []
-        for i, name in enumerate(read_field(obj, path, "metrics", list)):
-            try:
-                metrics.append(Metric(name))
-            except ValueError:
-                raise ConfigError(f"{path}.metrics[{i}]", f"unknown metric {name!r}") from None
-        values["metrics"] = tuple(metrics)
-    return build(DetectorSpec, path, **values, baseline_ticks=baseline_ticks)
+    def __post_init__(self):
+        # the rules that span sections; each spec has checked its own fields
+        duration, detector = self.duration, self.detector
+        if duration < 1:
+            raise ConfigError("duration", "must be positive")
+        ids: set[str] = set()
+        for i, device in enumerate(self.devices):
+            if device.id in ids:
+                raise ConfigError(f"devices[{i}].id", f"duplicate device id {device.id!r}")
+            ids.add(device.id)
+        if detector is not None and not 0 < detector.baseline_ticks <= duration:
+            raise ConfigError("detector.baseline_ticks", "must be in (0, duration]")
+        for i, update in enumerate(self.updates):
+            if not 1 <= update.at < duration:
+                raise ConfigError(f"updates[{i}].at", "must be within [1, duration)")
+        for i, port in enumerate(self.deception.canary_ports):
+            for device in self.devices:
+                if port in device.legitimate_ports:
+                    raise ConfigError(
+                        f"deception.canary_ports[{i}]",
+                        f"port {port} is a legitimate service on {device.id!r}",
+                    )
+        mtd = self.deception.mtd
+        if mtd is not None and len(mtd.address_pool) < len(self.devices):
+            raise ConfigError("deception.mtd.address_pool", "smaller than the device count")
+        for i, attack in enumerate(self.attacks):
+            path = f"attacks[{i}]"
+            if not 0 <= attack.at < duration:
+                raise ConfigError(f"{path}.at", "must be within [0, duration)")
+            if attack.device is not None and attack.device not in ids:
+                raise ConfigError(f"{path}.device", f"unknown device {attack.device!r}")
+            if attack.kind in ("rollback_replay", "tamper_firmware"):
+                if not any(u.at < attack.at for u in self.updates):
+                    raise ConfigError(path, f"{attack.kind} needs an update campaign before it")
+            if attack.kind == "canary_probe":
+                has_image = any(u.plant_canary and u.at <= attack.at for u in self.updates)
+                has_port = bool(self.deception.canary_ports) and attack.device is not None
+                if not (has_image or has_port):
+                    raise ConfigError(path, "canary_probe needs a planted canary or canary ports")
+        for i, action in enumerate(self.admin):
+            if not 0 <= action.at < duration:
+                raise ConfigError(f"admin[{i}].at", "must be within [0, duration)")
+            if action.device not in ids:
+                raise ConfigError(f"admin[{i}].device", f"unknown device {action.device!r}")
+        if detector is not None and self.devices:
+            if detector.baseline_ticks // detector.interval < detector.profile_config.min_length:
+                raise ConfigError(
+                    "detector.baseline_ticks", "too short for the profile window and exclusion zone"
+                )
+        mtu = self.links.mtu
+        for i, update in enumerate(self.updates):
+            # manifest bytes plus framing never exceed this slack over the image and id
+            payload_bound = update.size + len(update.firmware_id.encode("utf-8")) + 16 + 512
+            frames_needed = -(-payload_bound // (mtu - 4))
+            if frames_needed > MAX_FRAGMENTS:
+                raise ConfigError(
+                    f"updates[{i}].size",
+                    f"firmware needs ~{frames_needed} fragments at mtu {mtu}, cap is {MAX_FRAGMENTS}",
+                )
+        _check_telemetry_rows(self)
 
 
-def _parse_update(obj: dict, path: str, duration: int) -> UpdateSpec:
-    values = read_spec(UpdateSpec, obj, path, skip=("firmware_id",))
-    firmware_id = read_field(obj, path, "firmware_id", str, f"fw-v{values['version']}")
-    at, size = values["at"], values["size"]
-    if not 1 <= at < duration:
-        raise ConfigError(f"{path}.at", "must be within [1, duration)")
-    if values["version"] < 1:
-        raise ConfigError(f"{path}.version", "must be at least 1")
-    if values["expiry"] <= at:
-        raise ConfigError(f"{path}.expiry", "must be after the publish tick")
-    if size < 16:
-        raise ConfigError(f"{path}.size", "must be at least 16 bytes")
-    if values["retry_interval"] < 1:
-        raise ConfigError(f"{path}.retry_interval", "must be positive")
-    regions = []
-    for i, region in enumerate(read_field(obj, path, "feint_regions", list, [])):
-        if (
-            not isinstance(region, list)
-            or len(region) != 3
-            or not isinstance(region[0], int)
-            or not isinstance(region[1], int)
-            or not isinstance(region[2], str)
-        ):
-            raise ConfigError(f"{path}.feint_regions[{i}]", "expected [offset, length, note]")
-        if region[0] < 0 or region[1] < 1 or region[0] + region[1] > size:
-            raise ConfigError(f"{path}.feint_regions[{i}]", "region outside image bounds")
-        regions.append((region[0], region[1], region[2]))
-    return UpdateSpec(**values, firmware_id=firmware_id, feint_regions=tuple(regions))
-
-
-def _parse_attack(obj: dict, path: str, duration: int, device_ids: set[str]) -> AttackSpec:
-    kind = read_field(obj, path, "kind", str)
-    if kind not in _ATTACK_PARAMS:
-        raise UnknownAttackKindError(f"{path}.kind", f"unknown attack kind {kind!r}")
-    check_keys(obj, path, {"kind", "at", "device", *_ATTACK_PARAMS[kind]})
-    at = read_field(obj, path, "at", int)
-    if not 0 <= at < duration:
-        raise ConfigError(f"{path}.at", "must be within [0, duration)")
-    device = read_field(obj, path, "device", str, None)
-    if kind != "canary_probe" and device is None:
-        raise ConfigError(f"{path}.device", "missing required field")
-    if device is not None and device not in device_ids:
-        raise ConfigError(f"{path}.device", f"unknown device {device!r}")
-    params: dict = {}
-    for name, (default, least) in _ATTACK_PARAMS[kind].items():
-        if name == "rate":
-            rate = read_field(obj, path, "rate", list, default)
-            if (
-                len(rate) != 2
-                or not all(isinstance(r, int) and not isinstance(r, bool) for r in rate)
-                or not least <= rate[0] <= rate[1]
-            ):
-                raise ConfigError(f"{path}.rate", "expected [lo, hi] with 1 <= lo <= hi")
-            params["rate"] = (rate[0], rate[1])
-            continue
-        params[name] = read_field(obj, path, name, int, default)
-        if params[name] < least:
-            reason = "must be positive" if least == 1 else f"must be at least {least}"
-            raise ConfigError(f"{path}.{name}", reason)
-    return AttackSpec(kind=kind, at=at, device=device, params=params)
-
-
-def _check_telemetry_rows(config: ScenarioConfig, source: str) -> None:
+def _check_telemetry_rows(config: ScenarioConfig) -> None:
     """Reject a scenario whose telemetry.csv could pass MAX_TELEMETRY_ROWS rows.
 
     A device writes at most base + amplitude + 9 * noise + 1 packet rows a
@@ -339,7 +374,7 @@ def _check_telemetry_rows(config: ScenarioConfig, source: str) -> None:
     over = MAX_TELEMETRY_ROWS + 1
     if len(config.devices) * config.duration > MAX_TELEMETRY_ROWS:
         raise ConfigError(
-            source, f"devices x duration passes the telemetry cap of {MAX_TELEMETRY_ROWS:.0e} rows"
+            "", f"devices x duration passes the telemetry cap of {MAX_TELEMETRY_ROWS:.0e} rows"
         )
     interval = config.detector.interval if config.detector else 1
     floods: dict[str, list[AttackSpec]] = {}
@@ -358,127 +393,27 @@ def _check_telemetry_rows(config: ScenarioConfig, source: str) -> None:
         rows += per_tick.sum() + 2 * -(-config.duration // HEARTBEAT_PERIOD)
     if rows > MAX_TELEMETRY_ROWS:
         raise ConfigError(
-            source, f"telemetry could reach {rows:.3g} rows, past the cap of {MAX_TELEMETRY_ROWS:.0e}"
+            "", f"telemetry could reach {rows:.3g} rows, past the cap of {MAX_TELEMETRY_ROWS:.0e}"
         )
 
 
-def _parse_deception(obj: dict, path: str, devices: tuple[DeviceSpec, ...]) -> DeceptionSpec:
-    read_spec(DeceptionSpec, obj, path, skip=("mtd",))  # checks the keys
-    ports = _ports(obj, path, "canary_ports")
-    for i, port in enumerate(ports):
-        for device in devices:
-            if port in device.legitimate_ports:
-                raise ConfigError(
-                    f"{path}.canary_ports[{i}]",
-                    f"port {port} is a legitimate service on {device.id!r}",
-                )
-    mtd = None
-    if obj.get("mtd") is not None:
-        mtd_path = f"{path}.mtd"
-        mobj = read_field(obj, path, "mtd", dict)
-        values = read_spec(MtdSpec, mobj, mtd_path)
-        if values["rotation_interval"] < 1:
-            raise ConfigError(f"{mtd_path}.rotation_interval", "must be positive")
-        pool = read_field(mobj, mtd_path, "address_pool", list)
-        for i, address in enumerate(pool):
-            if not isinstance(address, str):
-                raise ConfigError(f"{mtd_path}.address_pool[{i}]", "expected an address string")
-        if not pool or len(set(pool)) != len(pool):
-            raise ConfigError(f"{mtd_path}.address_pool", "must be non-empty and unique")
-        if len(pool) < len(devices):
-            raise ConfigError(f"{mtd_path}.address_pool", "smaller than the device count")
-        mtd = MtdSpec(**values, address_pool=tuple(pool))
-    return DeceptionSpec(canary_ports=ports, mtd=mtd)
+# --- config parsing ---------------------------------------------------------
 
 
 def parse_scenario(obj: dict, source: str = "scenario") -> ScenarioConfig:
     if not isinstance(obj, dict):
         raise ConfigError(source, "top level must be an object")
-    check_keys(
-        obj,
-        source,
-        {"seed", "duration", "devices", "links", "detector", "updates", "attacks", "deception", "admin"},
-    )
-    seed = read_field(obj, source, "seed", int)
-    duration = read_field(obj, source, "duration", int)
-    if duration < 1:
-        raise ConfigError(f"{source}.duration", "must be positive")
-
-    devices = []
-    seen_ids: set[str] = set()
-    for path, item in _objects(obj, source, "devices"):
-        spec = _parse_device(item, path)
-        if spec.id in seen_ids:
-            raise ConfigError(f"{path}.id", f"duplicate device id {spec.id!r}")
-        seen_ids.add(spec.id)
-        devices.append(spec)
-
-    link = _parse_link(read_field(obj, source, "links", dict, {}), f"{source}.links")
-
-    detector = None
-    if obj.get("detector", {}) is not None:
-        detector = _parse_detector(
-            read_field(obj, source, "detector", dict, {}), f"{source}.detector", duration
+    values = read_spec(ScenarioConfig, obj, source, skip=("detector",))
+    detector = read_field(obj, source, "detector", dict | None, {})
+    if detector is not None:  # absent is the default detector, null none
+        path = f"{source}.detector"
+        values["detector"] = build(
+            DetectorSpec,
+            path,
+            **read_spec(DetectorSpec, detector, path, skip=("baseline_ticks",)),
+            baseline_ticks=read_field(detector, path, "baseline_ticks", int, values["duration"] // 2),
         )
-
-    updates = [_parse_update(item, path, duration) for path, item in _objects(obj, source, "updates")]
-
-    deception = _parse_deception(
-        read_field(obj, source, "deception", dict, {}), f"{source}.deception", tuple(devices)
-    )
-
-    attacks = []
-    for path, item in _objects(obj, source, "attacks"):
-        attack = _parse_attack(item, path, duration, seen_ids)
-        if attack.kind in ("rollback_replay", "tamper_firmware"):
-            if not any(u.at < attack.at for u in updates):
-                raise ConfigError(path, f"{attack.kind} needs an update campaign before it")
-        if attack.kind == "canary_probe":
-            has_image = any(u.plant_canary and u.at <= attack.at for u in updates)
-            has_port = bool(deception.canary_ports) and attack.device is not None
-            if not (has_image or has_port):
-                raise ConfigError(path, "canary_probe needs a planted canary or canary ports")
-        attacks.append(attack)
-
-    admin = []
-    for path, item in _objects(obj, source, "admin"):
-        action = AdminAction(**read_spec(AdminAction, item, path))
-        if not 0 <= action.at < duration:
-            raise ConfigError(f"{path}.at", "must be within [0, duration)")
-        if action.action not in ("blacklist", "deprovision"):
-            raise ConfigError(f"{path}.action", f"unknown action {action.action!r}")
-        if action.device not in seen_ids:
-            raise ConfigError(f"{path}.device", f"unknown device {action.device!r}")
-        admin.append(action)
-
-    config = ScenarioConfig(
-        seed=seed,
-        duration=duration,
-        devices=tuple(devices),
-        link=link,
-        detector=detector,
-        updates=tuple(updates),
-        attacks=tuple(attacks),
-        deception=deception,
-        admin=tuple(admin),
-    )
-    if detector is not None and devices:
-        if detector.baseline_ticks // detector.interval < detector.profile_config.min_length:
-            raise ConfigError(
-                f"{source}.detector.baseline_ticks",
-                "too short for the profile window and exclusion zone",
-            )
-    for i, update in enumerate(updates):
-        # manifest bytes plus framing never exceed this slack over the image and id
-        payload_bound = update.size + len(update.firmware_id.encode("utf-8")) + 16 + 512
-        frames_needed = -(-payload_bound // (link.mtu - 4))
-        if frames_needed > MAX_FRAGMENTS:
-            raise ConfigError(
-                f"{source}.updates[{i}].size",
-                f"firmware needs ~{frames_needed} fragments at mtu {link.mtu}, cap is {MAX_FRAGMENTS}",
-            )
-    _check_telemetry_rows(config, source)
-    return config
+    return build(ScenarioConfig, source, **values)
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -526,7 +461,7 @@ class FleetSimulation:
         self.tsa = TimestampAuthority(self.keystore, "tsa-root")
         self.registry = DeviceRegistry(seed)
         self.link = SimLink(
-            config.link.mtu, config.link.latency, config.link.drop_rate, rng_stream(seed, "link")
+            config.links.mtu, config.links.latency, config.links.drop_rate, rng_stream(seed, "link")
         )
         self._interrupt_rng = rng_stream(seed, "interrupts")
         self._canary_rng = rng_stream(seed, "deception:canary")

@@ -74,10 +74,10 @@ def b64e(data: bytes) -> str:
 
 
 class ConfigError(FleetsecError, ValueError):
-    """A value breaks its schema at path: a key path in a file, or a field of a type."""
+    """A value breaks its schema at path: a file's key path, a type's field, or "" for all of it."""
 
     def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
         self.path = path
         self.message = message
 
@@ -87,7 +87,7 @@ def build(spec: type, path: str, **values):
     try:
         return spec(**values)
     except ConfigError as exc:
-        raise ConfigError(f"{path}.{exc.path}", exc.message) from None
+        raise ConfigError(f"{path}.{exc.path}" if exc.path else path, exc.message) from None
 
 
 def load_json(path: str | Path):
@@ -127,8 +127,9 @@ def read_spec(
 
     int, float, str and bool fields are read as those JSON types, bytes
     fields from base64url strings, Enum fields by value, X | None fields
-    as X or null, and dataclass fields as objects of their own schema.
-    Fields named in skip, and tuple fields, are the caller's: they are not
+    as X or null, dataclass fields as objects of their own schema, and
+    tuple[X, ...] fields as lists of X, each item at path[i]. Fields
+    named in skip, and other tuple fields, are the caller's: they are not
     read, and their names are allowed as keys. extra maps each key that
     is no field to the fields the caller fills from it: those fields are
     not read, and their names are not allowed as keys. Any other key is
@@ -149,13 +150,21 @@ def read_spec(
 
 @functools.cache
 def _schema(spec: type) -> tuple[frozenset[str], tuple[tuple[str, type, object], ...]]:
-    """spec's field names, and (name, type, default) of each field but the tuples."""
+    """spec's field names, and (name, type, default) of each field read_spec reads."""
     hints, specs = typing.get_type_hints(spec), fields(spec)
     return frozenset(f.name for f in specs), tuple(
         (f.name, hints[f.name], f.default)
         for f in specs
-        if not isinstance(hints[f.name], types.GenericAlias)
+        if _readable(hints[f.name])
     )
+
+
+def _readable(kind) -> bool:
+    """Whether kind is no generic, or tuple[X, ...] of an X that is none."""
+    if not isinstance(kind, types.GenericAlias):
+        return True
+    item, *rest = kind.__args__
+    return rest == [Ellipsis] and not isinstance(item, types.GenericAlias)
 
 
 def _value(kind, value, path: str):
@@ -163,6 +172,15 @@ def _value(kind, value, path: str):
         if value is None:
             return None
         (kind,) = set(kind.__args__) - {type(None)}
+    if isinstance(kind, types.GenericAlias):  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise ConfigError(path, "expected list")
+        item, items = kind.__args__[0], []
+        for i, entry in enumerate(value):
+            if is_dataclass(item) and not isinstance(entry, dict):
+                raise ConfigError(f"{path}[{i}]", "expected an object")
+            items.append(entry if type(entry) is item else _value(item, entry, f"{path}[{i}]"))
+        return tuple(items)
     if is_dataclass(kind):
         # a schema whose keys differ from its fields reads itself
         if hasattr(kind, "from_json_obj"):

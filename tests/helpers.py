@@ -9,7 +9,8 @@ checked; a per-series detector (`calibrate`, `detect`), against which
 the library's batched `detect_counts` is checked; a per-tick traffic
 fill, against which the simulator's per-device fill is checked; and a
 flooded-fleet scenario with a runner that feeds a simulate run's
-telemetry to `fleetsec detect`.
+telemetry to `fleetsec detect`; a scenario that sets every field; and
+the JSON and sequence edits the fuzz tests apply to valid inputs.
 """
 
 from __future__ import annotations
@@ -601,7 +602,38 @@ def detect_on_run(run_dir: Path, detector, out: Path) -> int:
                  *flags, "--out", str(out)])
 
 
-# --- JSON edits -----------------------------------------------------------------
+# --- scenario and JSON edits -----------------------------------------------------
+
+# A scenario that sets every field of every section; each SCENARIO_ERRORS case
+# in test_fleet_sim.py breaks exactly one thing in a copy of it.
+FULL_SCENARIO = {
+    "seed": 5,
+    "duration": 200,
+    "devices": [
+        {"id": "dev-a", "secret": "s-a", "owner": "alice", "firmware_version": 1,
+         "duty_cycle": 1.0, "legitimate_ports": [443],
+         "traffic": {"period": 50, "base": 8.0, "amplitude": 3.0, "noise": 0.8}},
+        {"id": "dev-b", "secret": "s-b"},
+    ],
+    "links": {"mtu": 64, "latency": 1, "drop_rate": 0.1},
+    "detector": {"window": 8, "exclusion": 4, "quantile": 0.99, "margin": 2.0, "interval": 1,
+                 "baseline_ticks": 100, "metrics": ["packets_in"]},
+    "updates": [
+        {"at": 10, "version": 2, "expiry": 500, "firmware_id": "fw-2", "size": 512,
+         "plant_canary": True, "feint_regions": [[0, 16, "decoy"]], "retry_interval": 20},
+    ],
+    "attacks": [
+        {"kind": "rollback_replay", "at": 50, "device": "dev-a"},
+        {"kind": "tamper_firmware", "at": 51, "device": "dev-b"},
+        {"kind": "identity_theft", "at": 60, "device": "dev-a", "duration": 30},
+        {"kind": "dictionary_attack", "at": 70, "device": "dev-b", "duration": 20, "rate": [2, 6]},
+        {"kind": "traffic_flood", "at": 120, "device": "dev-a", "factor": 10, "buckets": 20},
+        {"kind": "canary_probe", "at": 150},
+    ],
+    "deception": {"canary_ports": [2323],
+                  "mtd": {"rotation_interval": 25, "address_pool": ["10.0.0.1", "10.0.0.2"]}},
+    "admin": [{"at": 180, "action": "blacklist", "device": "dev-b"}],
+}
 
 DROP = object()  # set_path deletes the item instead of setting it
 
@@ -624,10 +656,14 @@ def key_paths(obj, prefix=()) -> list[tuple]:
     return paths
 
 
-def json_edits(obj):
-    """Lists of one to three (path, value) edits of obj; a value is mostly a scalar, or DROP."""
+def json_edits(obj, paths=None):
+    """Lists of one to three (path, value) edits of obj; a value is mostly a scalar, or DROP.
+
+    paths, if given, are the paths that may be edited (default: every key path).
+    """
     values = json_scalars | json_values | st.just(DROP)
-    return st.lists(st.tuples(st.sampled_from(key_paths(obj)), values), min_size=1, max_size=3)
+    paths = key_paths(obj) if paths is None else paths
+    return st.lists(st.tuples(st.sampled_from(paths), values), min_size=1, max_size=3)
 
 
 def edited(obj, edits):
@@ -650,3 +686,32 @@ def set_path(obj, path, value) -> None:
         del obj[last]
     else:
         obj[last] = value
+
+
+# --- sequence edits -------------------------------------------------------------
+
+# characters that matter to the CSV reader and to the row parser
+CSV_CHARS = st.sampled_from(list(',\n\r" -+.0123456789aeinx\x00é'))
+
+
+def seq_edits(size: int, items):
+    """One to three (position, op, item) edits of a sequence of length size."""
+    return st.lists(
+        st.tuples(st.integers(0, size), st.sampled_from("sidc"), items), min_size=1, max_size=3
+    )
+
+
+def apply_edits(seq, edits) -> list:
+    """seq with each edit applied: set, insert or delete one item, or cut the rest off."""
+    out = list(seq)
+    for position, op, item in edits:
+        position = min(position, len(out))
+        if op == "s" and position < len(out):
+            out[position] = item
+        elif op == "i":
+            out.insert(position, item)
+        elif op == "d":
+            del out[position : position + 1]
+        elif op == "c":
+            del out[position:]
+    return out

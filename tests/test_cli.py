@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fleetsec.cli import main
 from fleetsec.fleet_sim import scenario as scenario_module
@@ -12,7 +15,20 @@ from fleetsec.telemetry import Direction, EventKind
 from fleetsec.tsa import TimestampAuthority
 from fleetsec.update_protocol import build_manifest, initial_state
 
-from helpers import ConnectionEvent, detect_on_run, events_to_csv, firmware_image, flooded_fleet
+from helpers import (
+    CSV_CHARS,
+    FULL_SCENARIO,
+    ConnectionEvent,
+    apply_edits,
+    detect_on_run,
+    edited,
+    events_to_csv,
+    firmware_image,
+    flooded_fleet,
+    json_edits,
+    key_paths,
+    seq_edits,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 PASSPHRASE = "hunter2"
@@ -666,3 +682,68 @@ def test_simulate_missing_file_is_an_error(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     capsys.readouterr()
+
+
+# --- every subcommand on edited input ------------------------------------------------
+
+# Scenario edits that keep each run small: never the duration, a traffic
+# object, or an attack's factor, rate or duration.
+_SMALL_RUN_PATHS = [
+    path for path in key_paths(FULL_SCENARIO)
+    if path[0] != "duration" and "traffic" not in path
+    and not (path[0] == "attacks" and path[2:] in (("factor",), ("rate",), ("duration",)))
+]
+
+
+def _edited_json(obj, paths=None):
+    return json_edits(obj, paths).map(lambda edits: json.dumps(edited(obj, edits)))
+
+
+@pytest.fixture(scope="module")
+def edited_inputs(workdir, tmp_path_factory):
+    """command -> (strategy of edited input texts, argv that reads the text from "bad")."""
+    root = tmp_path_factory.mktemp("edited")
+    bad, registry, token = str(root / "bad"), str(root / "registry.json"), str(root / "token.bin")
+    for device in ("dev-1", "dev-2"):
+        assert main(["identity", "register", "--registry", registry, "--device", device,
+                     "--secret", "box-99"]) == 0
+    assert main(["identity", "claim", "--registry", registry, "--device", "dev-1",
+                 "--user", "alice", "--secret", "box-99"]) == 0
+    keys, fw1 = str(workdir / "keys.json"), str(workdir / "fw1.bin")
+    assert main(["tsa", "issue", "--keys", keys, "--passphrase", PASSPHRASE, "--file", fw1,
+                 "--now", "33", "--out", token]) == 0
+    counts = sine_counts(40, period=10, base=3, amplitude=2)
+    write_telemetry(root / "baseline.csv", "dev-1", counts)
+    write_telemetry(root / "input.csv", "dev-1", counts)
+    csv = (root / "input.csv").read_text(encoding="utf-8")
+    return {
+        "bad": bad,
+        "simulate": (_edited_json(FULL_SCENARIO, _SMALL_RUN_PATHS),
+                     ["simulate", "--scenario", bad, "--out", str(root / "out")]),
+        "identity claim": (_edited_json(json.loads(Path(registry).read_text())),
+                           ["identity", "claim", "--registry", bad, "--device", "dev-2",
+                            "--user", "bob", "--secret", "box-99"]),
+        "manifest verify": (_edited_json(json.loads((workdir / "state.json").read_text())),
+                            ["manifest", "verify", "--manifest", str(workdir / "m2.bin"),
+                             "--firmware", str(workdir / "fw2.bin"), "--state", bad, "--now", "50"]),
+        "tsa verify": (_edited_json(json.loads(Path(keys).read_text())),
+                       ["tsa", "verify", "--token", token, "--keys", bad,
+                        "--passphrase", PASSPHRASE, "--file", fw1]),
+        "detect": (seq_edits(len(csv), CSV_CHARS).map(lambda edits: "".join(apply_edits(csv, edits))),
+                   ["detect", "--baseline", str(root / "baseline.csv"), "--input", bad,
+                    "--window", "4", "--out", str(root / "anomalies.jsonl")]),
+    }
+
+
+@pytest.mark.parametrize("command", ["simulate", "identity claim", "manifest verify", "tsa verify",
+                                     "detect"])
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(data=st.data())
+def test_every_subcommand_on_edited_input_exits_0_1_or_2(edited_inputs, command, data):
+    texts, argv = edited_inputs[command]
+    Path(edited_inputs["bad"]).write_text(data.draw(texts), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)  # an exception escaping main fails the test too
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -16,7 +16,7 @@ from fleetsec.telemetry import ingest_csv
 from fleetsec.tsa import decode_token
 from fleetsec.update_protocol import build_manifest, decode_manifest
 
-from helpers import firmware_image, make_pki
+from helpers import CSV_CHARS, apply_edits, firmware_image, make_pki, seq_edits
 
 _STORE, _TSA = make_pki()
 MANIFEST = build_manifest(
@@ -33,31 +33,7 @@ CSV = (
     "3,dev-1,inbound,packet,1500\n"
 )
 
-# characters that matter to the CSV reader and to the row parser
-_CHARS = st.sampled_from(list(',\n\r" -+.0123456789aeinx\x00é'))
 _BYTES = st.integers(0, 255)
-
-
-def _edits(size: int, items):
-    """One to three (position, op, item) edits of a sequence of length size."""
-    return st.lists(
-        st.tuples(st.integers(0, size), st.sampled_from("sidc"), items), min_size=1, max_size=3
-    )
-
-
-def _apply(seq, edits) -> list:
-    out = list(seq)
-    for position, op, item in edits:
-        position = min(position, len(out))
-        if op == "s" and position < len(out):
-            out[position] = item
-        elif op == "i":
-            out.insert(position, item)
-        elif op == "d":
-            del out[position : position + 1]
-        elif op == "c":
-            del out[position:]
-    return out
 
 
 def _refused_or_decoded(decode, data) -> None:
@@ -68,31 +44,31 @@ def _refused_or_decoded(decode, data) -> None:
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(edits=_edits(len(MANIFEST), _BYTES))
+@given(edits=seq_edits(len(MANIFEST), _BYTES))
 def test_edited_manifest_bytes_raise_only_fleetsec_or_value_errors(edits):
-    _refused_or_decoded(decode_manifest, bytes(_apply(MANIFEST, edits)))
+    _refused_or_decoded(decode_manifest, bytes(apply_edits(MANIFEST, edits)))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(edits=_edits(len(TOKEN), _BYTES))
+@given(edits=seq_edits(len(TOKEN), _BYTES))
 def test_edited_token_bytes_raise_only_fleetsec_or_value_errors(edits):
-    _refused_or_decoded(decode_token, bytes(_apply(TOKEN, edits)))
+    _refused_or_decoded(decode_token, bytes(apply_edits(TOKEN, edits)))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(
-    edits=st.lists(st.tuples(st.integers(0, len(FRAMES) - 1), _edits(12, _BYTES)), max_size=3),
-    frame_edits=_edits(len(FRAMES), st.sampled_from(FRAMES)),
+    edits=st.lists(st.tuples(st.integers(0, len(FRAMES) - 1), seq_edits(12, _BYTES)), max_size=3),
+    frame_edits=seq_edits(len(FRAMES), st.sampled_from(FRAMES)),
 )
 def test_edited_frames_raise_only_fleetsec_or_value_errors(edits, frame_edits):
     # byte edits inside frames, then whole frames set, inserted, dropped or cut
     frames = list(FRAMES)
     for index, byte_edits in edits:
-        frames[index] = bytes(_apply(frames[index], byte_edits))
-    _refused_or_decoded(reassemble, _apply(frames, frame_edits))
+        frames[index] = bytes(apply_edits(frames[index], byte_edits))
+    _refused_or_decoded(reassemble, apply_edits(frames, frame_edits))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(edits=_edits(len(CSV), _CHARS))
+@given(edits=seq_edits(len(CSV), CSV_CHARS))
 def test_edited_telemetry_text_raises_only_fleetsec_or_value_errors(edits):
-    _refused_or_decoded(ingest_csv, io.StringIO("".join(_apply(CSV, edits))))
+    _refused_or_decoded(ingest_csv, io.StringIO("".join(apply_edits(CSV, edits))))

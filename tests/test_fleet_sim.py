@@ -12,11 +12,16 @@ from fleetsec.fleet_sim.report import REPORT_FILES
 from fleetsec.fleet_sim.scenario import (
     HEARTBEAT_PERIOD,
     ConfigError,
+    DeceptionSpec,
+    DetectorSpec,
     DeviceSpec,
     FleetSimulation,
+    LinkSpec,
+    MtdSpec,
     ScenarioConfig,
     TrafficSpec,
     UnknownAttackKindError,
+    UpdateSpec,
     load_scenario,
     make_firmware,
     parse_scenario,
@@ -27,7 +32,16 @@ from fleetsec.fleet_sim.scenario import (
 from fleetsec.fleet_sim.transport import SimLink
 from fleetsec.telemetry import Metric, bucketize, ingest_csv
 
-from helpers import DROP, calibrate, detect, edited, fill_traffic_per_tick, json_edits, set_path
+from helpers import (
+    DROP,
+    FULL_SCENARIO,
+    calibrate,
+    detect,
+    edited,
+    fill_traffic_per_tick,
+    json_edits,
+    set_path,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -120,10 +134,10 @@ def test_make_firmware_is_deterministic_and_versioned():
         (60, 1.0, TrafficSpec()),  # period 50 does not divide 60
         (97, 0.6, TrafficSpec(period=7, noise=2.5)),
         (45, 1.0, TrafficSpec(noise=0.0)),
-        (30, 0.5, TrafficSpec(period=1, base=3.0, amplitude=5.0)),
+        (30, 0.5, TrafficSpec(period=2, base=3.0, amplitude=5.0)),
         (40, 1.0, TrafficSpec(period=500, base=2.0, amplitude=4.0, noise=3.0)),
     ],
-    ids=["default", "duty-cycle", "no-noise", "period-1", "period-past-duration"],
+    ids=["default", "duty-cycle", "no-noise", "period-2", "period-past-duration"],
 )
 def test_traffic_fill_matches_per_tick_reference(duration, duty_cycle, traffic):
     config = ScenarioConfig(seed=3, duration=duration, devices=(
@@ -459,6 +473,45 @@ def test_canary_port_cannot_shadow_legitimate_service():
         parse_scenario(obj)
 
 
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: ScenarioConfig(seed=0, duration=5_000_001,
+                                devices=(DeviceSpec("a", "s"), DeviceSpec("b", "s"))),
+         "devices x duration passes the telemetry cap of 1e+07 rows"),
+        (lambda: DeviceSpec("a", "s", duty_cycle=2.0), "duty_cycle: must be in (0, 1]"),
+        (lambda: LinkSpec(mtu=4), "mtu: must exceed the 4-byte fragment header"),
+        (lambda: UpdateSpec(at=5, version=1, expiry=5), "expiry: must be after the publish tick"),
+        (lambda: MtdSpec(0, ("x",)), "rotation_interval: must be positive"),
+    ],
+    ids=["telemetry-cap", "duty-cycle", "mtu", "expiry", "rotation-interval"],
+)
+def test_specs_built_in_python_are_checked_like_files(build, error):
+    with pytest.raises(ConfigError) as exc:
+        build()
+    assert str(exc.value) == error
+
+
+def test_scenario_of_seed_and_duration_is_an_empty_fleet_that_runs():
+    config = parse_scenario({"seed": 1, "duration": 10})
+    assert config.devices == ()
+    assert run_scenario(config).devices == []
+
+
+def test_omitted_sections_take_their_defaults():
+    config = parse_scenario(base_config())
+    assert config.links == LinkSpec()
+    assert config.updates == config.attacks == config.admin == ()
+    assert config.deception == DeceptionSpec()
+
+
+def test_absent_detector_is_the_default_and_null_is_none():
+    obj = base_config()
+    del obj["detector"]
+    assert parse_scenario(obj).detector == DetectorSpec(baseline_ticks=30)  # duration // 2
+    assert parse_scenario(base_config(detector=None)).detector is None
+
+
 # --- end-to-end safety across all bundled scenarios ------------------------------
 
 
@@ -482,38 +535,8 @@ def test_no_bundled_scenario_ends_in_fail_state_or_unverified_boot():
 
 # --- every scenario error, pinned by path and message -----------------------------
 
-# A scenario that sets every field of every section; each case below breaks
-# exactly one thing in a copy of it.
-FULL_SCENARIO = {
-    "seed": 5,
-    "duration": 200,
-    "devices": [
-        {"id": "dev-a", "secret": "s-a", "owner": "alice", "firmware_version": 1,
-         "duty_cycle": 1.0, "legitimate_ports": [443],
-         "traffic": {"period": 50, "base": 8.0, "amplitude": 3.0, "noise": 0.8}},
-        {"id": "dev-b", "secret": "s-b"},
-    ],
-    "links": {"mtu": 64, "latency": 1, "drop_rate": 0.1},
-    "detector": {"window": 8, "exclusion": 4, "quantile": 0.99, "margin": 2.0, "interval": 1,
-                 "baseline_ticks": 100, "metrics": ["packets_in"]},
-    "updates": [
-        {"at": 10, "version": 2, "expiry": 500, "firmware_id": "fw-2", "size": 512,
-         "plant_canary": True, "feint_regions": [[0, 16, "decoy"]], "retry_interval": 20},
-    ],
-    "attacks": [
-        {"kind": "rollback_replay", "at": 50, "device": "dev-a"},
-        {"kind": "tamper_firmware", "at": 51, "device": "dev-b"},
-        {"kind": "identity_theft", "at": 60, "device": "dev-a", "duration": 30},
-        {"kind": "dictionary_attack", "at": 70, "device": "dev-b", "duration": 20, "rate": [2, 6]},
-        {"kind": "traffic_flood", "at": 120, "device": "dev-a", "factor": 10, "buckets": 20},
-        {"kind": "canary_probe", "at": 150},
-    ],
-    "deception": {"canary_ports": [2323],
-                  "mtd": {"rotation_interval": 25, "address_pool": ["10.0.0.1", "10.0.0.2"]}},
-    "admin": [{"at": 180, "action": "blacklist", "device": "dev-b"}],
-}
-
 _D0, _T, _U, _A, _M = "devices[0]", "devices[0].traffic", "updates[0]", "attacks", "deception.mtd"
+_METRICS = [m.value for m in Metric]
 
 # (where, value, error): where is a dotted key path into FULL_SCENARIO, and
 # error is what parse_scenario raises with source "scenario" after that name
@@ -558,7 +581,7 @@ SCENARIO_ERRORS = [
     ("devices.0.duty_cycle", 1.5, f"{_D0}.duty_cycle: must be in (0, 1]"),
     ("devices.0.legitimate_ports", {}, f"{_D0}.legitimate_ports: expected list"),
     ("devices.0.legitimate_ports", [0], f"{_D0}.legitimate_ports[0]: expected a port number"),
-    ("devices.0.legitimate_ports", [443, True], f"{_D0}.legitimate_ports[1]: expected a port number"),
+    ("devices.0.legitimate_ports", [443, True], f"{_D0}.legitimate_ports[1]: expected int"),
     ("devices.0.legitimate_ports", [443, 65536], f"{_D0}.legitimate_ports[1]: expected a port number"),
     ("devices.0.traffic", [], f"{_D0}.traffic: expected dict"),
     # devices[0].traffic
@@ -604,8 +627,8 @@ SCENARIO_ERRORS = [
      "detector.baseline_ticks: too short for the profile window and exclusion zone"),
     ("detector.metrics", "packets_in", "detector.metrics: expected list"),
     ("detector.metrics", [], "detector.metrics: must name at least one metric"),
-    ("detector.metrics", ["packets_in", "bogus"], "detector.metrics[1]: unknown metric 'bogus'"),
-    ("detector.metrics", [5], "detector.metrics[0]: unknown metric 5"),
+    ("detector.metrics", ["packets_in", "bogus"], f"detector.metrics[1]: expected one of {_METRICS}"),
+    ("detector.metrics", [5], f"detector.metrics[0]: expected one of {_METRICS}"),
     # updates[0]
     ("updates.0.channel", "x", f"{_U}.channel: unknown field"),
     ("updates.0.at", DROP, f"{_U}.at: missing required field"),
@@ -632,6 +655,8 @@ SCENARIO_ERRORS = [
     ("updates.0.feint_regions", [[0, 16]], f"{_U}.feint_regions[0]: expected [offset, length, note]"),
     ("updates.0.feint_regions", [[0, 16, "n"], [0, 16, 5]],
      f"{_U}.feint_regions[1]: expected [offset, length, note]"),
+    ("updates.0.feint_regions", [[True, 15, "n"]], f"{_U}.feint_regions[0]: expected [offset, length, note]"),
+    ("updates.0.feint_regions", [[0, False, "n"]], f"{_U}.feint_regions[0]: expected [offset, length, note]"),
     ("updates.0.feint_regions", [[-1, 16, "n"]], f"{_U}.feint_regions[0]: region outside image bounds"),
     ("updates.0.feint_regions", [[0, 0, "n"]], f"{_U}.feint_regions[0]: region outside image bounds"),
     ("updates.0.feint_regions", [[500, 16, "n"]], f"{_U}.feint_regions[0]: region outside image bounds"),
@@ -667,7 +692,7 @@ SCENARIO_ERRORS = [
     # deception
     ("deception.decoys", 1, "deception.decoys: unknown field"),
     ("deception.canary_ports", 2323, "deception.canary_ports: expected list"),
-    ("deception.canary_ports", [2323, "23"], "deception.canary_ports[1]: expected a port number"),
+    ("deception.canary_ports", [2323, "23"], "deception.canary_ports[1]: expected int"),
     ("deception.canary_ports", [443],
      "deception.canary_ports[0]: port 443 is a legitimate service on 'dev-a'"),
     ("deception.mtd", [], "deception.mtd: expected dict"),
@@ -677,7 +702,7 @@ SCENARIO_ERRORS = [
     ("deception.mtd.rotation_interval", 0, f"{_M}.rotation_interval: must be positive"),
     ("deception.mtd.address_pool", DROP, f"{_M}.address_pool: missing required field"),
     ("deception.mtd.address_pool", "10.0.0.1", f"{_M}.address_pool: expected list"),
-    ("deception.mtd.address_pool", ["10.0.0.1", 2], f"{_M}.address_pool[1]: expected an address string"),
+    ("deception.mtd.address_pool", ["10.0.0.1", 2], f"{_M}.address_pool[1]: expected str"),
     ("deception.mtd.address_pool", [], f"{_M}.address_pool: must be non-empty and unique"),
     ("deception.mtd.address_pool", ["a", "a"], f"{_M}.address_pool: must be non-empty and unique"),
     ("deception.mtd.address_pool", ["a"], f"{_M}.address_pool: smaller than the device count"),
@@ -733,3 +758,13 @@ def test_edited_scenarios_raise_only_fleetsec_or_value_errors(edits):
         parse_scenario(edited(FULL_SCENARIO, edits))
     except (FleetsecError, ValueError):
         pass
+
+
+@pytest.mark.parametrize(
+    "where, default", [("devices.0.owner", "user-dev-a"), ("updates.0.firmware_id", "fw-v2")]
+)
+def test_null_owner_or_firmware_id_is_the_default(where, default):
+    config = parse_scenario(_broken(where, None))
+    assert config == parse_scenario(_broken(where, DROP))
+    section, index, name = where.split(".")
+    assert getattr(getattr(config, section)[int(index)], name) == default
