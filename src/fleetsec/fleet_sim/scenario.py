@@ -93,6 +93,35 @@ def rng_stream(seed: int, name: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
+def uniforms(rng: random.Random, n: int) -> np.ndarray:
+    """The next n rng.random() values as one float64 array; rng is left where n calls leave it.
+
+    random() joins two Mersenne Twister outputs a, b as
+    ((a >> 5) * 2**26 + (b >> 6)) / 2**53, and getrandbits(64 * n) returns
+    the same 2n outputs, the first in the lowest 32 bits.
+    """
+    words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
+
+
+def gauss(rng: random.Random, n: int, sigma: float) -> np.ndarray:
+    """n values of rng.gauss(0, sigma), bit for bit, starting from a fresh Box-Muller pair.
+
+    The log, cos and sin are math's, as in random.gauss: numpy's log differs
+    from math's in the last bit in about one value in 300, and numpy does not
+    promise libm's cos and sin. rng's pending gauss value is neither used
+    nor set, so for odd n the last pair's second value is dropped.
+    """
+    u = uniforms(rng, n + n % 2)
+    x2pi = (u[0::2] * (2.0 * math.pi)).tolist()
+    pairs = len(x2pi)
+    g2rad = np.sqrt(-2.0 * np.fromiter(map(math.log, (1.0 - u[1::2]).tolist()), float, pairs))
+    z = np.empty(len(u))
+    z[0::2] = np.fromiter(map(math.cos, x2pi), float, pairs) * g2rad
+    z[1::2] = np.fromiter(map(math.sin, x2pi), float, pairs) * g2rad
+    return z[:n] * sigma
+
+
 def make_firmware(version: int, size: int) -> bytes:
     """Deterministic pseudo-firmware: a hash stream keyed by version."""
     label = b"fleetsec-firmware|" + str(version).encode("ascii")
@@ -217,41 +246,58 @@ class UpdateSpec:
         return build(cls, path, **values, feint_regions=tuple(map(tuple, regions)))
 
 
+def _attack_params(kind: str) -> dict:
+    """kind's params table; an unknown kind is an UnknownAttackKindError naming kind."""
+    if kind not in _ATTACK_PARAMS:
+        raise UnknownAttackKindError("kind", f"unknown attack kind {kind!r}")
+    return _ATTACK_PARAMS[kind]
+
+
 @dataclass(frozen=True)
 class AttackSpec:
     kind: str
     at: int
-    device: str | None
-    params: dict = field(default_factory=dict)
+    device: str | None  # required but for canary_probe
+    params: dict = field(default_factory=dict)  # its kind's; an absent one takes its default
+
+    def __post_init__(self):
+        table = _attack_params(self.kind)
+        if self.device is None and self.kind != "canary_probe":
+            raise ConfigError("device", "missing required field")
+        for name in self.params:
+            if name not in table:
+                raise ConfigError(name, "unknown field")
+        params = {}
+        for name, (default, least) in table.items():
+            value = self.params.get(name, default)
+            if name == "rate":
+                if (
+                    not isinstance(value, list | tuple)
+                    or len(value) != 2
+                    or not all(isinstance(r, int) and not isinstance(r, bool) for r in value)
+                    or not least <= value[0] <= value[1]
+                ):
+                    raise ConfigError("rate", "expected [lo, hi] with 1 <= lo <= hi")
+                value = tuple(value)
+            elif value < least:
+                raise ConfigError(name, "must be positive" if least == 1 else f"must be at least {least}")
+            params[name] = value
+        object.__setattr__(self, "params", params)
 
     @classmethod
     def from_json_obj(cls, obj: dict, path: str) -> AttackSpec:
-        """Read from its kind's keys: kind, at, device, then its params."""
+        """Read from its kind's keys: kind, at, device, then its params (rate as a list)."""
         kind = read_field(obj, path, "kind", str)
-        if kind not in _ATTACK_PARAMS:
-            raise UnknownAttackKindError(f"{path}.kind", f"unknown attack kind {kind!r}")
-        check_keys(obj, path, {"kind", "at", "device", *_ATTACK_PARAMS[kind]})
+        names = build(_attack_params, path, kind=kind)
+        check_keys(obj, path, {"kind", "at", "device", *names})
         at = read_field(obj, path, "at", int)
         device = read_field(obj, path, "device", str, None)
-        if kind != "canary_probe" and device is None:
-            raise ConfigError(f"{path}.device", "missing required field")
-        params: dict = {}
-        for name, (default, least) in _ATTACK_PARAMS[kind].items():
-            if name == "rate":
-                rate = read_field(obj, path, "rate", list, default)
-                if (
-                    len(rate) != 2
-                    or not all(isinstance(r, int) and not isinstance(r, bool) for r in rate)
-                    or not least <= rate[0] <= rate[1]
-                ):
-                    raise ConfigError(f"{path}.rate", "expected [lo, hi] with 1 <= lo <= hi")
-                params["rate"] = (rate[0], rate[1])
-                continue
-            params[name] = read_field(obj, path, name, int, default)
-            if params[name] < least:
-                reason = "must be positive" if least == 1 else f"must be at least {least}"
-                raise ConfigError(f"{path}.{name}", reason)
-        return cls(kind=kind, at=at, device=device, params=params)
+        params = {
+            name: read_field(obj, path, name, list if name == "rate" else int)
+            for name in names
+            if name in obj
+        }
+        return build(cls, path, kind=kind, at=at, device=device, params=params)
 
 
 @dataclass(frozen=True)
@@ -471,15 +517,11 @@ class FleetSimulation:
         }
 
         # duty cycle decided up front so traffic draws stay in one stream
-        self._on_grid: dict[str, list[bool]] = {}
-        for dev in config.devices:
-            if dev.duty_cycle >= 1.0:
-                self._on_grid[dev.id] = [True] * config.duration
-            else:
+        self._on_grid = np.ones(shape, bool)  # whether each device row is on-grid at each tick
+        for row, dev in enumerate(config.devices):
+            if dev.duty_cycle < 1.0:
                 duty_rng = rng_stream(seed, f"duty:{dev.id}")
-                self._on_grid[dev.id] = [
-                    duty_rng.random() < dev.duty_cycle for _ in range(config.duration)
-                ]
+                self._on_grid[row] = uniforms(duty_rng, config.duration) < dev.duty_cycle
 
         self.update_states: dict[str, DeviceUpdateState] = {}
         self.ports: dict[str, PortCanaries] = {}
@@ -593,24 +635,29 @@ class FleetSimulation:
     # - device traffic -
 
     def _fill_traffic(self) -> None:
+        duration, on = self.cfg.duration, self._on_grid
+        waves: dict[TrafficSpec, np.ndarray] = {}  # each shape's value at every tick
         for row, dev in enumerate(self.cfg.devices):
-            rng = rng_stream(self.cfg.seed, f"device:{dev.id}")
-            traffic, period = dev.traffic, dev.traffic.period
-            # one wave value per phase of the period that the run reaches
-            wave = [
-                traffic.base + traffic.amplitude * math.sin(2 * math.pi * p / period)
-                for p in range(min(period, self.cfg.duration))
-            ]
-            ticks = np.flatnonzero(self._on_grid[dev.id])
+            traffic = dev.traffic
+            if traffic not in waves:
+                period = traffic.period
+                phases = [
+                    traffic.base + traffic.amplitude * math.sin(2 * math.pi * p / period)
+                    for p in range(min(period, duration))
+                ]
+                waves[traffic] = np.array(phases)[np.arange(duration) % period]
+            counts = waves[traffic][on[row]]
             if traffic.noise > 0:  # one draw per on tick, in tick order
-                gauss, noise = rng.gauss, traffic.noise
-                counts = [max(0, round(wave[t % period] + gauss(0, noise))) for t in ticks.tolist()]
-            else:
-                counts = [max(0, round(wave[t % period])) for t in ticks.tolist()]
-            self._packets[row, ticks] = counts
-            beats = ticks[ticks % HEARTBEAT_PERIOD == 0]
-            self._sessions[row, beats] = 1
-            self.observations.extend((dev.id, "home", t) for t in beats.tolist())
+                rng = rng_stream(self.cfg.seed, f"device:{dev.id}")
+                counts += gauss(rng, len(counts), traffic.noise)
+            self._packets[row, on[row]] = np.maximum(0.0, np.rint(counts))  # half to even, as round
+        beats = on[:, ::HEARTBEAT_PERIOD]
+        self._sessions[:, ::HEARTBEAT_PERIOD] = beats
+        rows, beat = np.nonzero(beats)
+        ids = [dev.id for dev in self.cfg.devices]
+        self.observations.extend(
+            (ids[r], "home", b * HEARTBEAT_PERIOD) for r, b in zip(rows.tolist(), beat.tolist())
+        )
 
     # - update campaigns -
 
@@ -683,7 +730,7 @@ class FleetSimulation:
             self._schedule_retry(dev, campaign_index, attempt, spec.retry_interval)
             return
 
-        if not self._on_grid[dev.id][t]:
+        if not self._on_grid[self._row[dev.id], t]:
             state = interrupt_update(
                 self.update_states[dev.id],
                 campaign.manifest,

@@ -83,11 +83,11 @@ class ConfigError(FleetsecError, ValueError):
 
 
 def build(spec: type, path: str, **values):
-    """spec(**values); a field its checks refuse is named under path."""
+    """spec(**values); a field its checks refuse is named under path, in the same error class."""
     try:
         return spec(**values)
     except ConfigError as exc:
-        raise ConfigError(f"{path}.{exc.path}" if exc.path else path, exc.message) from None
+        raise type(exc)(f"{path}.{exc.path}" if exc.path else path, exc.message) from None
 
 
 def load_json(path: str | Path):

@@ -545,15 +545,21 @@ def detect(
 # --- per-tick traffic fill reference --------------------------------------------
 
 
-def fill_traffic_per_tick(sim: FleetSimulation) -> tuple[np.ndarray, np.ndarray, list]:
-    """The packets, sessions and heartbeat observations of sim's device
-    traffic, computed one on-grid tick at a time in tick order; sim is not changed."""
+def fill_traffic_per_tick(sim: FleetSimulation) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """The duty grid, packets, sessions and heartbeat observations of sim's device
+    traffic, computed one tick at a time in tick order; sim is not changed."""
+    grid = np.zeros(sim._packets.shape, bool)
     packets, sessions = np.zeros_like(sim._packets), np.zeros_like(sim._sessions)
     observations = []
     for row, dev in enumerate(sim.cfg.devices):
+        duty_rng = rng_stream(sim.cfg.seed, f"duty:{dev.id}")
         rng = rng_stream(sim.cfg.seed, f"device:{dev.id}")
         traffic = dev.traffic
-        for t in np.flatnonzero(sim._on_grid[dev.id]).tolist():
+        for t in range(sim.cfg.duration):
+            # random() < 1.0 always holds, so a full-duty device is on at every tick
+            if not duty_rng.random() < dev.duty_cycle:
+                continue
+            grid[row, t] = True
             count = traffic.base + traffic.amplitude * math.sin(
                 2 * math.pi * (t % traffic.period) / traffic.period
             )
@@ -563,7 +569,7 @@ def fill_traffic_per_tick(sim: FleetSimulation) -> tuple[np.ndarray, np.ndarray,
             if t % HEARTBEAT_PERIOD == 0:
                 sessions[row, t] = 1
                 observations.append((dev.id, "home", t))
-    return packets, sessions, observations
+    return grid, packets, sessions, observations
 
 
 def flooded_fleet(devices: int, duration: int, seed: int = 5) -> dict:

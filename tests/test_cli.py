@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -583,6 +586,21 @@ def test_simulate_twice_is_byte_identical(tmp_path, capsys):
     assert a_files == sorted(p.name for p in (tmp_path / "b").iterdir())
     for name in a_files:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_simulate_does_not_import_numpy_random(tmp_path):
+    # importing numpy.random adds about 2 MB to the peak RSS of this run
+    code = (
+        "import sys; from fleetsec.cli import main; "
+        f"code = main(['simulate', '--scenario', {str(SCENARIO_DIR / 'mixed_fleet.json')!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]); "
+        "print(code, 'numpy.random' in sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            timeout=120, check=True)
+    assert result.stdout.splitlines()[-1] == "0 False"
 
 
 def test_simulate_bad_scenario_is_config_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import copy
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from fleetsec.fleet_sim import scenario as scenario_module
 from fleetsec.fleet_sim.report import REPORT_FILES
 from fleetsec.fleet_sim.scenario import (
     HEARTBEAT_PERIOD,
+    AttackSpec,
     ConfigError,
     DeceptionSpec,
     DetectorSpec,
@@ -22,12 +24,14 @@ from fleetsec.fleet_sim.scenario import (
     TrafficSpec,
     UnknownAttackKindError,
     UpdateSpec,
+    gauss,
     load_scenario,
     make_firmware,
     parse_scenario,
     rng_stream,
     run_scenario,
     simulate_to_dir,
+    uniforms,
 )
 from fleetsec.fleet_sim.transport import SimLink
 from fleetsec.telemetry import Metric, bucketize, ingest_csv
@@ -128,30 +132,69 @@ def test_make_firmware_is_deterministic_and_versioned():
     assert make_firmware(3, 100) == make_firmware(3, 256)[:100]
 
 
-@pytest.mark.parametrize(
-    "duration, duty_cycle, traffic",
-    [
-        (60, 1.0, TrafficSpec()),  # period 50 does not divide 60
-        (97, 0.6, TrafficSpec(period=7, noise=2.5)),
-        (45, 1.0, TrafficSpec(noise=0.0)),
-        (30, 0.5, TrafficSpec(period=2, base=3.0, amplitude=5.0)),
-        (40, 1.0, TrafficSpec(period=500, base=2.0, amplitude=4.0, noise=3.0)),
-    ],
-    ids=["default", "duty-cycle", "no-noise", "period-2", "period-past-duration"],
-)
-def test_traffic_fill_matches_per_tick_reference(duration, duty_cycle, traffic):
-    config = ScenarioConfig(seed=3, duration=duration, devices=(
-        DeviceSpec("dev-a", "s-a", "alice", duty_cycle=duty_cycle, traffic=traffic),
-        DeviceSpec("dev-b", "s-b", "bob"),
+def _fleet(duration: int, *devices: tuple[float, TrafficSpec]) -> ScenarioConfig:
+    """Seed-3 config of one device per (duty_cycle, traffic), ids dev-a, dev-b, ..."""
+    return ScenarioConfig(seed=3, duration=duration, devices=tuple(
+        DeviceSpec(f"dev-{chr(ord('a') + i)}", "s", duty_cycle=duty, traffic=traffic)
+        for i, (duty, traffic) in enumerate(devices)
     ))
+
+
+_FULL = (1.0, TrafficSpec())
+_SHARED = TrafficSpec(period=9, base=4.0, amplitude=2.0, noise=1.5)
+
+
+# (config, edge): edge(grid) holds on the oracle's duty grid, so each row
+# reaches the case it is named for
+@pytest.mark.parametrize(
+    "config, edge",
+    [
+        # period 50 does not divide 60
+        (_fleet(60, (1.0, TrafficSpec()), _FULL), lambda grid: grid.all()),
+        (_fleet(97, (0.6, TrafficSpec(period=7, noise=2.5)), _FULL),
+         lambda grid: set(grid[0, ::HEARTBEAT_PERIOD]) == {True, False}),
+        (_fleet(45, (1.0, TrafficSpec(noise=0.0)), _FULL), lambda grid: grid.all()),
+        (_fleet(30, (0.5, TrafficSpec(period=2, base=3.0, amplitude=5.0)), _FULL),
+         lambda grid: set(grid[0, ::HEARTBEAT_PERIOD]) == {True, False}),
+        (_fleet(40, (1.0, TrafficSpec(period=500, base=2.0, amplitude=4.0, noise=3.0)), _FULL),
+         lambda grid: grid.all()),
+        # a noisy device with an odd number of on-ticks draws half a Box-Muller pair last
+        (_fleet(61, (1.0, TrafficSpec(noise=2.0)), (0.5, TrafficSpec(period=7, noise=1.0)), _FULL),
+         lambda grid: [n % 2 for n in grid.sum(axis=1)] == [1, 1, 1]),
+        (_fleet(30, (1e-9, TrafficSpec(noise=2.0)), _FULL), lambda grid: not grid[0].any()),
+        # devices sharing one traffic shape share its wave; the last has a shape of its own
+        (_fleet(50, (1.0, _SHARED), (0.7, _SHARED), (1.0, _SHARED), (1.0, TrafficSpec(period=9))),
+         lambda grid: not grid[1].all()),
+    ],
+    ids=["default", "duty-cycle", "no-noise", "period-2", "period-past-duration", "odd-on-ticks",
+         "no-on-tick", "shared-shape"],
+)
+def test_traffic_fill_matches_per_tick_reference(config, edge):
     sim = FleetSimulation(config)
-    heartbeats_on = {sim._on_grid["dev-a"][t] for t in range(0, duration, HEARTBEAT_PERIOD)}
-    assert heartbeats_on == ({True} if duty_cycle == 1 else {True, False})
-    packets, sessions, observations = fill_traffic_per_tick(sim)
+    grid, packets, sessions, observations = fill_traffic_per_tick(sim)
+    assert edge(grid)
+    assert np.array_equal(sim._on_grid, grid)
     sim._fill_traffic()
     assert np.array_equal(sim._packets, packets)
     assert np.array_equal(sim._sessions, sessions)
     assert sim.observations == observations
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2**32, 2**64 - 1])
+# numpy's log differs from math's in the last bit in about one value in 300,
+# so the 20,000-draw case catches it in the bulk gauss
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 301, 20_000])
+def test_bulk_draws_equal_random_random_bit_for_bit(seed, n):
+    rng, ref = random.Random(seed), random.Random(seed)
+    values = uniforms(rng, n)
+    assert values.dtype == np.float64
+    assert values.tobytes() == np.array([ref.random() for _ in range(n)], np.float64).tobytes()
+    assert rng.getstate() == ref.getstate()
+
+    rng, ref = random.Random(seed), random.Random(seed)
+    assert gauss(rng, n, 0.7).tolist() == [ref.gauss(0, 0.7) for _ in range(n)]
+    # n + n % 2 uniforms drawn; the pending value of an odd count is not kept
+    assert rng.getstate()[1] == ref.getstate()[1]
 
 
 # --- update campaigns over the link -------------------------------------------
@@ -416,6 +459,8 @@ def test_unknown_attack_kind():
     obj = base_config(attacks=[{"kind": "ddos", "at": 1, "device": "dev-a"}])
     with pytest.raises(UnknownAttackKindError):
         parse_scenario(obj)
+    with pytest.raises(UnknownAttackKindError):
+        AttackSpec("ddos", 1, "dev-a")
 
 
 def test_attack_time_must_be_inside_the_run():
@@ -483,13 +528,43 @@ def test_canary_port_cannot_shadow_legitimate_service():
         (lambda: LinkSpec(mtu=4), "mtu: must exceed the 4-byte fragment header"),
         (lambda: UpdateSpec(at=5, version=1, expiry=5), "expiry: must be after the publish tick"),
         (lambda: MtdSpec(0, ("x",)), "rotation_interval: must be positive"),
+        (lambda: AttackSpec("ddos", 5, "a"), "kind: unknown attack kind 'ddos'"),
+        (lambda: AttackSpec("traffic_flood", 5, None), "device: missing required field"),
+        (lambda: AttackSpec("rollback_replay", 5, "a", {"factor": 3}), "factor: unknown field"),
+        (lambda: AttackSpec("traffic_flood", 5, "a", {"factor": 1}), "factor: must be at least 2"),
+        (lambda: AttackSpec("identity_theft", 5, "a", {"duration": 0}), "duration: must be positive"),
+        (lambda: AttackSpec("dictionary_attack", 5, "a", {"rate": (3, 2)}),
+         "rate: expected [lo, hi] with 1 <= lo <= hi"),
+        (lambda: AttackSpec("dictionary_attack", 5, "a", {"rate": 4}),
+         "rate: expected [lo, hi] with 1 <= lo <= hi"),
     ],
-    ids=["telemetry-cap", "duty-cycle", "mtu", "expiry", "rotation-interval"],
+    ids=["telemetry-cap", "duty-cycle", "mtu", "expiry", "rotation-interval", "attack-kind",
+         "attack-device", "attack-param", "attack-factor", "attack-duration", "attack-rate",
+         "attack-rate-type"],
 )
 def test_specs_built_in_python_are_checked_like_files(build, error):
     with pytest.raises(ConfigError) as exc:
         build()
     assert str(exc.value) == error
+
+
+def test_attack_built_in_python_takes_its_kinds_defaults_and_runs():
+    attacks = (
+        AttackSpec("dictionary_attack", 5, "a"),
+        AttackSpec("traffic_flood", 6, "a", {"buckets": 2}),
+        AttackSpec("canary_probe", 7, "a"),
+    )
+    assert [a.params for a in attacks] == [
+        {"duration": 20, "rate": (2, 6)}, {"factor": 10, "buckets": 2}, {},
+    ]
+    config = ScenarioConfig(seed=0, duration=10, devices=(DeviceSpec("a", "s"),), attacks=attacks,
+                            deception=DeceptionSpec(canary_ports=(2323,)))
+    events = {e.kind for e in run_scenario(config).events}
+    assert {"dictionary_attack_started", "traffic_flood_started", "canary_probe"} <= events
+    from_file = parse_scenario({"seed": 0, "duration": 10, "detector": None,
+                                "devices": [{"id": "a", "secret": "s"}],
+                                "attacks": [{"kind": "dictionary_attack", "at": 5, "device": "a"}]})
+    assert from_file.attacks == attacks[:1]
 
 
 def test_scenario_of_seed_and_duration_is_an_empty_fleet_that_runs():
