@@ -44,6 +44,7 @@ from .update_protocol import (
     decode_manifest,
     device_verify,
 )
+from .wire import save_json
 
 _SECURITY_NEGATIVE = (
     UntrustedSignerError,
@@ -176,8 +177,7 @@ def _cmd_manifest_build(args) -> int:
     )
     Path(args.out).write_bytes(manifest.encode())
     if args.json:
-        obj = manifest.to_json_obj(debug={"image_size": len(firmware)})
-        Path(args.json).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+        save_json(args.json, manifest.to_json_obj(debug={"image_size": len(firmware)}))
     print(f"manifest {firmware_id} v{args.version} -> {args.out}")
     return 0
 

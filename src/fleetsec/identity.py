@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -28,7 +27,7 @@ from typing import Iterable
 
 from .errors import FleetsecError
 from .keystore import Keystore, PublicKeyInfo
-from .wire import ConfigError, b64e, build, check_keys, load_json, read_field, read_spec
+from .wire import ConfigError, build, check_keys, load_json, read_field, read_spec, save_json, write_spec
 
 _FILE_FORMAT = "fleetsec-registry-v1"
 
@@ -278,31 +277,15 @@ class DeviceRegistry:
         seed + key id) survive a reload; a production registry would keep
         that in an HSM rather than a JSON file.
         """
-        devices = []
-        for device_id in sorted(self._records):
-            rec = self._records[device_id]
-            devices.append(
-                {
-                    "device_id": rec.device_id,
-                    "claim_hash": b64e(rec.claim_hash),
-                    "owner": rec.owner,
-                    "device_pub": None if rec.device_pub is None else rec.device_pub.to_json_obj(),
-                    "status": rec.status.value,
-                    "needs_reprovision": rec.needs_reprovision,
-                    "generation": rec.generation,
-                }
-            )
         return {
             "format": _FILE_FORMAT,
             "seed": self._seed,
             "next_session": self._next_session,
-            "devices": devices,
+            "devices": [write_spec(self._records[d]) for d in sorted(self._records)],
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_obj(), indent=2) + "\n", encoding="utf-8"
-        )
+        save_json(path, self.to_json_obj())
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> DeviceRegistry:

@@ -11,8 +11,7 @@ from __future__ import annotations
 import base64
 import functools
 import hashlib
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from cryptography.exceptions import InvalidSignature
@@ -23,7 +22,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 
 from .errors import FleetsecError
-from .wire import ConfigError, b64e, build, check_keys, load_json, read_field, read_spec
+from .wire import ConfigError, build, check_keys, load_json, read_field, read_spec, save_json, write_spec
 
 ALGORITHM_ED25519 = "Ed25519"
 SUPPORTED_ALGORITHMS = frozenset({ALGORITHM_ED25519})
@@ -54,7 +53,7 @@ class KeystoreFileError(FleetsecError):
 class PublicKeyInfo:
     key_id: str
     algorithm: str
-    public_bytes: bytes
+    public_bytes: bytes = field(metadata={"key": "public"})
 
     def __post_init__(self):
         if not self.key_id:
@@ -64,19 +63,6 @@ class PublicKeyInfo:
         if len(self.public_bytes) != PUBLIC_KEY_LEN:
             # named by the key that holds these bytes in a file
             raise ConfigError("public", f"must be {PUBLIC_KEY_LEN} bytes")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "key_id": self.key_id,
-            "algorithm": self.algorithm,
-            "public": b64e(self.public_bytes),
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict, path: str) -> PublicKeyInfo:
-        """The key in obj, whose public bytes sit under "public"; path names obj in errors."""
-        values = read_spec(cls, obj, path, extra={"public": ("public_bytes",)})
-        return build(cls, path, **values, public_bytes=read_field(obj, path, "public", bytes))
 
 
 def verify(pub: PublicKeyInfo, message: bytes, signature: bytes) -> bool:
@@ -190,7 +176,7 @@ class Keystore:
         fernet = Fernet(_fernet_key(passphrase)) if passphrase is not None else None
         keys = []
         for key_id in sorted(self._public):
-            entry = self._public[key_id].to_json_obj()
+            entry = write_spec(self._public[key_id])
             if fernet is not None and key_id in self._private:
                 raw = self._private[key_id].private_bytes_raw()
                 entry["private_enc"] = fernet.encrypt(raw).decode("ascii")
@@ -199,7 +185,7 @@ class Keystore:
         if fernet is not None and self._seed is not None:
             seed_bytes = (self._seed & _MASK64).to_bytes(8, "big")
             obj["seed_enc"] = fernet.encrypt(seed_bytes).decode("ascii")
-        Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+        save_json(path, obj)
 
     @classmethod
     def load(cls, path: str | Path, passphrase: str | None = None) -> Keystore:
@@ -222,7 +208,7 @@ class Keystore:
             # the one key of an entry that is no PublicKeyInfo field
             private_enc = entry.pop("private_enc", None) if isinstance(entry, dict) else None
             try:
-                info = PublicKeyInfo.from_json_obj(entry, path)
+                info = build(PublicKeyInfo, path, **read_spec(PublicKeyInfo, entry, path))
                 if info.key_id in store._public:
                     raise ConfigError(f"{path}.key_id", f"duplicate key id {info.key_id!r}")
             except ConfigError as exc:

@@ -91,10 +91,6 @@ class TimestampAuthority:
         """Trust anchor to distribute to devices."""
         return self._keystore.public_key(self._key_id)
 
-    @property
-    def last_serial(self) -> int:
-        return self._serial
-
     def issue_token(self, imprint: bytes, now: int) -> TimestampToken:
         if len(imprint) != IMPRINT_LEN:
             raise BadImprintLengthError(

@@ -16,8 +16,7 @@ timestamp alone breaks under TSA clock reuse.
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterator
@@ -32,7 +31,7 @@ from .tsa import (
     decode_token,
     verify_token,
 )
-from .wire import ConfigError, Reader, b64e, check_keys, load_json, lp, read_field, read_spec, u64
+from .wire import ConfigError, Reader, b64e, build, load_json, lp, read_spec, save_json, u64, write_spec
 
 DIGEST_LEN = 32
 
@@ -199,14 +198,6 @@ class SlotState:
         if len(self.image_digest) != DIGEST_LEN:
             raise ConfigError("image_digest", f"must be {DIGEST_LEN} bytes")
 
-    def to_json_obj(self) -> dict:
-        return {
-            "image_digest": b64e(self.image_digest),
-            "version": self.version,
-            "gen_time": self.gen_time,
-            "verified": self.verified,
-        }
-
 
 # version/gen_time -1 lose every freshness comparison against real manifests
 EMPTY_SLOT = SlotState(image_digest=b"\x00" * DIGEST_LEN, version=-1, gen_time=-1, verified=False)
@@ -215,8 +206,8 @@ EMPTY_SLOT = SlotState(image_digest=b"\x00" * DIGEST_LEN, version=-1, gen_time=-
 @dataclass(frozen=True)
 class DeviceUpdateState:
     active_slot: Slot
-    slot_a: SlotState
-    slot_b: SlotState
+    slot_a: SlotState = field(metadata={"key": "slots.A"})
+    slot_b: SlotState = field(metadata={"key": "slots.B"})
     trust_anchor_tsa: PublicKeyInfo
     trust_anchor_publisher: PublicKeyInfo
     mode: DeviceMode
@@ -231,35 +222,16 @@ class DeviceUpdateState:
         return self.slot(self.active_slot.other())
 
     def _with_slot(self, which: Slot, value: SlotState, **changes) -> DeviceUpdateState:
-        field = "slot_a" if which is Slot.A else "slot_b"
-        return replace(self, **{field: value}, **changes)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "active_slot": self.active_slot.value,
-            "slots": {"A": self.slot_a.to_json_obj(), "B": self.slot_b.to_json_obj()},
-            "trust_anchor_tsa": self.trust_anchor_tsa.to_json_obj(),
-            "trust_anchor_publisher": self.trust_anchor_publisher.to_json_obj(),
-            "mode": self.mode.value,
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> DeviceUpdateState:
-        values = read_spec(cls, obj, "state", extra={"slots": ("slot_a", "slot_b")})
-        slots = read_field(obj, "state", "slots", dict)
-        check_keys(slots, "state.slots", {"A", "B"})
-        slot_a, slot_b = (read_field(slots, "state.slots", name, SlotState) for name in "AB")
-        return cls(**values, slot_a=slot_a, slot_b=slot_b)
+        name = "slot_a" if which is Slot.A else "slot_b"
+        return replace(self, **{name: value}, **changes)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_obj(), indent=2) + "\n", encoding="utf-8"
-        )
+        save_json(path, write_spec(self))
 
     @classmethod
     def load(cls, path: str | Path) -> DeviceUpdateState:
         try:
-            return cls.from_json_obj(load_json(path))
+            return build(cls, "state", **read_spec(cls, load_json(path), "state"))
         except ConfigError as exc:
             raise ValueError(f"malformed device state file: {exc}") from None
 

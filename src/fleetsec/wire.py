@@ -1,10 +1,13 @@
-"""Canonical encodings: the binary one of tokens and manifests, and the JSON schema reader.
+"""Canonical encodings: the binary one of tokens and manifests, and the JSON schema.
 
 Binary: fixed field order, unsigned 64-bit big-endian integers,
 length-prefixed byte strings (32-bit big-endian length prefix). Decoding
 is strict: truncated fields or trailing bytes raise DecodeError.
 
-JSON: a dataclass is the schema of its object (read_spec), and every
+JSON: a dataclass is the schema of its object, read by read_spec and
+written by write_spec. Each field's key is its name, or the "key" in its
+metadata where the file names it otherwise ("public" for public_bytes,
+"slots.A" for a field under key "A" of the object "slots"). Every
 mistake in a file is a ConfigError naming its path. A type's own checks
 raise a ConfigError naming the field; build puts that field under the
 path of the object being built.
@@ -116,47 +119,81 @@ def read_field(obj: dict, path: str, key: str, kind, default=MISSING):
     return _value(kind, value, f"{path}.{key}")
 
 
-def read_spec(
-    spec: type,
-    obj,
-    path: str,
-    skip: tuple[str, ...] = (),
-    extra: dict[str, tuple[str, ...]] | None = None,
-) -> dict:
-    """The fields of dataclass spec read from the object obj, by name, with their defaults.
+def read_spec(spec: type, obj, path: str, skip: tuple[str, ...] = ()) -> dict:
+    """The fields of dataclass spec read from the object obj, by key, with their defaults.
 
     int, float, str and bool fields are read as those JSON types, bytes
     fields from base64url strings, Enum fields by value, X | None fields
     as X or null, dataclass fields as objects of their own schema, and
     tuple[X, ...] fields as lists of X, each item at path[i]. Fields
     named in skip, and other tuple fields, are the caller's: they are not
-    read, and their names are allowed as keys. extra maps each key that
-    is no field to the fields the caller fills from it: those fields are
-    not read, and their names are not allowed as keys. Any other key is
-    an error.
+    read, and their keys are allowed. Any other key is an error. A field
+    keyed "g.k" is read from key k of the object at key g (see _schema).
     """
     if not isinstance(obj, dict):
         raise ConfigError(path, "expected dict")
-    names, readable = _schema(spec)
-    extra = extra or {}
-    filled = {name for fields_ in extra.values() for name in fields_}
-    check_keys(obj, path, (names - filled).union(extra))
-    return {
-        name: read_field(obj, path, name, kind, default)
-        for name, kind, default in readable
-        if name not in skip and name not in filled
-    }
+    keys, readable, _ = _schema(spec)
+    check_keys(obj, path, keys)
+    values = {}
+    for name, group, key, kind, default in readable:
+        if name in skip:
+            continue
+        holder, at = obj, path
+        if group:
+            holder, at = read_field(obj, path, group, dict), f"{path}.{group}"
+            check_keys(holder, at, keys[group])
+        values[name] = read_field(holder, at, key, kind, default)
+    return values
+
+
+def write_spec(value) -> dict:
+    """The object read_spec reads the dataclass value back from, its keys in field order."""
+    _, _, placed = _schema(type(value))
+    obj: dict = {}
+    for name, group, key in placed:
+        holder = obj.setdefault(group, {}) if group else obj
+        holder[key] = _json(getattr(value, name))
+    return obj
+
+
+def save_json(path: str | Path, obj) -> None:
+    """Write obj to the file at path as indented JSON text."""
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+
+
+def _json(value):
+    if isinstance(value, bytes):
+        return b64e(value)
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_json(item) for item in value]
+    if is_dataclass(value):
+        return write_spec(value)
+    return value
 
 
 @functools.cache
-def _schema(spec: type) -> tuple[frozenset[str], tuple[tuple[str, type, object], ...]]:
-    """spec's field names, and (name, type, default) of each field read_spec reads."""
-    hints, specs = typing.get_type_hints(spec), fields(spec)
-    return frozenset(f.name for f in specs), tuple(
-        (f.name, hints[f.name], f.default)
-        for f in specs
-        if _readable(hints[f.name])
-    )
+def _schema(spec: type):
+    """spec's keys, (name, group, key, type, default) of each field read_spec reads,
+    and (name, group, key) of every field.
+
+    A field's key is its metadata "key", else its name; a key "g.k" puts
+    the field under key k of the sub-object g, and group is "" for the
+    others. The keys map each key of spec's object to the keys of its
+    sub-object, or to None.
+    """
+    hints, keys, readable, placed = typing.get_type_hints(spec), {}, [], []
+    for f in fields(spec):
+        group, _, key = f.metadata.get("key", f.name).rpartition(".")
+        if group:
+            keys[group] = keys.get(group, frozenset()) | {key}
+        else:
+            keys[key] = None
+        if _readable(hints[f.name]):
+            readable.append((f.name, group, key, hints[f.name], f.default))
+        placed.append((f.name, group, key))
+    return types.MappingProxyType(keys), tuple(readable), tuple(placed)
 
 
 def _readable(kind) -> bool:
@@ -182,7 +219,7 @@ def _value(kind, value, path: str):
             items.append(entry if type(entry) is item else _value(item, entry, f"{path}[{i}]"))
         return tuple(items)
     if is_dataclass(kind):
-        # a schema whose keys differ from its fields reads itself
+        # a schema that read_spec alone cannot read reads itself
         if hasattr(kind, "from_json_obj"):
             return kind.from_json_obj(value, path)
         return build(kind, path, **read_spec(kind, value, path))

@@ -16,6 +16,7 @@ import pytest
 from fleetsec.identity import ClaimRequest, DeviceRegistry
 from fleetsec.keystore import Keystore
 from fleetsec.update_protocol import DeviceUpdateState, initial_state
+from fleetsec.wire import write_spec
 
 from helpers import DROP, firmware_image, make_pki, set_path
 
@@ -36,7 +37,7 @@ def _state() -> dict:
     store, _ = make_pki()
     digest = hashlib.sha256(firmware_image(1)).digest()
     state = initial_state(digest, 1, store.public_key("tsa-root"), store.public_key("publisher"))
-    return state.to_json_obj()
+    return write_spec(state)
 
 
 def _keystore(tmp_path) -> dict:

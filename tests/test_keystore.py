@@ -17,6 +17,7 @@ from fleetsec.keystore import (
     UnknownKeyError,
     verify,
 )
+from fleetsec.wire import build, read_spec, write_spec
 
 from helpers import edited, json_edits
 
@@ -234,7 +235,7 @@ class TestStateFile:
 
 def test_public_key_info_json_round_trip():
     info = Keystore(9).generate_key("root")
-    again = PublicKeyInfo.from_json_obj(info.to_json_obj(), "key")
+    again = build(PublicKeyInfo, "key", **read_spec(PublicKeyInfo, write_spec(info), "key"))
     assert again == info
 
 

@@ -122,9 +122,11 @@ def test_reassembly_rejects_conflicting_duplicate_payloads():
         reassemble([frames[0], frames[1], forged, frames[2]])
 
 
-def test_reassembly_rejects_index_beyond_total():
+@pytest.mark.parametrize("index", [3, 5])
+def test_reassembly_rejects_index_beyond_total(index):
     frames = fragment(bytes(20), mtu=12, message_id=1)
-    rogue = frames[0][:2] + bytes([5, frames[0][3]]) + frames[0][HEADER_LEN:]
+    assert len(frames) == 3
+    rogue = frames[0][:2] + bytes([index, frames[0][3]]) + frames[0][HEADER_LEN:]
     with pytest.raises(ReassemblyError, match="beyond"):
         reassemble(frames + [rogue])
 

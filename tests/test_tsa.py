@@ -131,10 +131,12 @@ def test_token_field_validation():
         TimestampToken(DIGEST, 1, 0, "k", b"sig")  # serial must be >= 1
     with pytest.raises(ValueError):
         TimestampToken(DIGEST, -1, 1, "k", b"sig")
+    earliest = TimestampToken(DIGEST, 0, 1, "k", b"sig")  # the least gen_time and serial
+    assert decode_token(earliest.encode()) == earliest
 
 
 def test_start_serial_offsets_the_sequence(pki):
     store, _ = pki
     authority = TimestampAuthority(store, "tsa-root", start_serial=500)
     assert authority.issue_token(DIGEST, now=1).serial == 501
-    assert authority.last_serial == 501
+    assert authority.issue_token(DIGEST, now=2).serial == 502

@@ -27,6 +27,7 @@ from fleetsec.update_protocol import (
     interrupt_update,
     recover_to_trusted,
 )
+from fleetsec.wire import build, read_spec, write_spec
 
 from helpers import (
     edited,
@@ -428,7 +429,11 @@ def _saved_state() -> dict:
     store, _ = make_pki()
     state = initial_state(hashlib.sha256(firmware_image(1)).digest(), 1,
                           store.public_key("tsa-root"), store.public_key("publisher"))
-    return json.loads(json.dumps(state.to_json_obj()))
+    return json.loads(json.dumps(write_spec(state)))
+
+
+def _read_state(obj) -> DeviceUpdateState:
+    return build(DeviceUpdateState, "state", **read_spec(DeviceUpdateState, obj, "state"))
 
 
 SAVED_STATE = _saved_state()
@@ -439,10 +444,10 @@ SAVED_STATE = _saved_state()
 def test_edited_state_files_raise_only_value_errors(edits):
     """An edited file is refused with a ValueError, or it loads and saves back to itself."""
     try:
-        state = DeviceUpdateState.from_json_obj(edited(SAVED_STATE, edits))
+        state = _read_state(edited(SAVED_STATE, edits))
     except (FleetsecError, ValueError):
         return
-    assert DeviceUpdateState.from_json_obj(json.loads(json.dumps(state.to_json_obj()))) == state
+    assert _read_state(json.loads(json.dumps(write_spec(state)))) == state
 
 
 def test_manifest_invariants_hold_for_honest_builds(env):
