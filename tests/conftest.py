@@ -22,3 +22,7 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in helpers.CRITERION_LINES:
             terminalreporter.write_line(line)
+    if helpers.SCORECARD_LINES:
+        terminalreporter.section("detector scorecard")
+        for line in helpers.SCORECARD_LINES:
+            terminalreporter.write_line(line)

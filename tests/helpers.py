@@ -378,8 +378,10 @@ def run_lifecycle_ops(n_ops: int, seed: int = 0, n_devices: int = 12) -> Lifecyc
     return stats
 
 
-# acceptance criterion verdicts, collected for the end-of-run summary
+# acceptance criterion verdicts and detector scorecard rows, collected for
+# the end-of-run summary
 CRITERION_LINES: list[str] = []
+SCORECARD_LINES: list[str] = []
 
 
 # --- per-event telemetry reference --------------------------------------------
