@@ -50,7 +50,8 @@ discords = top_discords(profile, k=3, exclusion=config.exclusion)
 print(f"top discords: {discords} (flood occupies [500, 524))")
 
 # Detector flow: calibrate a threshold on the attack-free prefix, then
-# score the full series against it. Scores are profile distances, so the
+# score every window of the full series against the prefix's windows
+# and flag those above it. Scores are profile distances, so the
 # threshold transfers between runs of the same device. detect_counts is
 # the pass `fleetsec simulate` and `fleetsec detect` both run, and
 # DetectorConfig holds the settings of both; the window is set here and

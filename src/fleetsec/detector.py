@@ -1,11 +1,17 @@
 """Per-device anomaly detection on telemetry series.
 
-A device's profile distances on an attack-free baseline set its
-threshold (quantile of the empirical distribution times a safety margin);
-any window of later telemetry whose profile distance exceeds it is
-reported. Calibrating per device keeps a heterogeneous fleet comparable:
-every device gets its own score scale. `detect_counts` is the one
-detection pass, used by the fleet simulator and by `fleetsec detect`,
+A device's profile distances on an attack-free baseline (its self-join)
+set its threshold: a quantile of the empirical distribution times a
+safety margin. Each window of the telemetry is then scored against the
+baseline's windows only (an AB-join), and any window whose distance
+exceeds the threshold is reported. Scored against the clean baseline, a
+repeated attack cannot match its own earlier copy. A telemetry window
+and a baseline window whose start ticks differ by at most exclusion x
+interval are a trivial match and skipped: where the baseline is a
+prefix of the same recording, as in the simulator, that drops each
+window's own copy. Calibrating per device keeps a heterogeneous fleet
+comparable: every device gets its own score scale. `detect_counts` is
+the one detection pass, used by the fleet simulator and by `fleetsec detect`,
 and `DetectorConfig` is the one home of its settings: a scenario's
 detector keys and `fleetsec detect`'s flags are its fields.
 """
@@ -92,11 +98,13 @@ def detect_counts(
     each side is bucketed at `config.interval` over its span, [start,
     end), cut to whole intervals from start, so no short last bucket is
     scored. Its baseline series sets the threshold for its telemetry
-    series, metric by metric. Reports are ordered by device as `rows`
-    orders them, then metric as `config.metrics` does, then window.
+    series, metric by metric, and is the reference its telemetry windows
+    are scored against. Reports are ordered by device as `rows` orders
+    them, then metric as `config.metrics` does, then window.
     """
     interval, profile_config = config.interval, config.profile_config
     span, baseline_span = _whole_buckets(span, interval), _whole_buckets(baseline_span, interval)
+    offset = (span[0] - baseline_span[0]) / interval  # in buckets: the band is set by ticks
     reports = []
     for first in range(0, len(rows), _DETECTOR_BLOCK):
         block = slice(first, first + _DETECTOR_BLOCK)
@@ -108,7 +116,8 @@ def detect_counts(
                 for p in compute_many(base, profile_config)
             ]
             values = telemetry.bucket(rows[block], metric, interval, *span)
-            scored.append((metric.value, thresholds, compute_many(values, profile_config)))
+            profiles = compute_many(values, profile_config, base, offset)
+            scored.append((metric.value, thresholds, profiles))
         for k, row in enumerate(rows[block]):
             device_id = telemetry.device_ids[row]
             for metric, thresholds, profiles in scored:

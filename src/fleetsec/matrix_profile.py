@@ -7,6 +7,15 @@ index of that nearest neighbor. Recurring behavior yields low distances;
 a window with no similar counterpart anywhere (a discord) yields a high
 one, which is what flags an intrusion in otherwise periodic telemetry.
 
+Given a reference series, the profile is an AB-join (Yeh et al., ICDM
+2016): each window is compared with the reference's windows only, and
+its neighbor index names a reference window. Scored against a clean
+reference, a repeated anomaly cannot be its own twin. The exclusion zone
+then applies by position: with `offset`, the start of the series minus
+the start of the reference in samples, window i and reference window j
+are a trivial match when |offset + i - j| <= exclusion. Without a
+reference the series is its own reference at offset 0: the self-join.
+
 Two independent implementations satisfy the same contract: an all-pairs
 `compute_brute_force` that evaluates every window pair directly, and
 `compute_many`, a tiled matrix multiply over a stack of equal-length
@@ -71,7 +80,8 @@ class LengthMismatchError(FleetsecError):
 
 
 class InsufficientLengthError(FleetsecError):
-    """Series too short to give every window an admissible neighbor."""
+    """A series, or a reference, shorter than `ProfileConfig.min_length`,
+    or a scored series shorter than one window."""
 
 
 def default_exclusion(window_m: int) -> int:
@@ -102,8 +112,13 @@ class ProfileConfig:
 
     @property
     def min_length(self) -> int:
-        """The fewest points that give every window an admissible neighbor."""
-        return self.window_m + self.exclusion + 1
+        """The fewest points that give every window an admissible neighbor.
+
+        A window's exclusion zone covers up to 2 * exclusion + 1 windows,
+        so a series (or a reference) needs 2 * exclusion + 2 windows for
+        every window to keep one outside it, wherever the zone falls.
+        """
+        return self.window_m + 2 * self.exclusion + 1
 
 
 @dataclass(frozen=True)
@@ -150,46 +165,63 @@ def znorm_distance(a, b) -> float:
     return d
 
 
-def _validate_length(n: int, config: ProfileConfig) -> int:
-    if n < config.min_length:
+def _window_counts(
+    n: int, n_ref: int | None, config: ProfileConfig, offset: float
+) -> tuple[int, int]:
+    """Windows of the scored series and of its reference (itself when n_ref is None)."""
+    m = config.window_m
+    if n_ref is None:
+        if offset:
+            raise ValueError("an offset needs a reference")
+        n_ref = n
+    elif n < m:
+        raise InsufficientLengthError(f"need at least {m} points for window {m}, got {n}")
+    if n_ref < config.min_length:
         raise InsufficientLengthError(
             f"need at least {config.min_length} points "
-            f"for window {config.window_m} and exclusion {config.exclusion}, got {n}"
+            f"for window {m} and exclusion {config.exclusion}, got {n_ref}"
         )
-    return n - config.window_m + 1
+    return n - m + 1, n_ref - m + 1
 
 
-def compute_brute_force(values, config: ProfileConfig) -> MatrixProfile:
-    """All-pairs profile: for each window, scan every admissible other window.
+def compute_brute_force(
+    values, config: ProfileConfig, reference=None, offset: float = 0
+) -> MatrixProfile:
+    """All-pairs profile: for each window, scan every admissible reference window.
 
     Serves as the independent reference implementation; `compute_many`
     must reproduce it elementwise.
     """
     values = np.asarray(values, dtype=np.float64)
-    w = _validate_length(values.size, config)
+    ref = values if reference is None else np.asarray(reference, dtype=np.float64)
+    w, w_ref = _window_counts(values.size, None if reference is None else ref.size, config, offset)
     m = config.window_m
     excl = config.exclusion
 
-    windows = np.lib.stride_tricks.sliding_window_view(values, m)
-    mu = windows.mean(axis=1)
-    sigma = windows.std(axis=1)
-    const = sigma < CONSTANT_STD
-    safe_sigma = np.where(const, 1.0, sigma)
-    z = (windows - mu[:, None]) / safe_sigma[:, None]
-    z[const] = 0.0
+    def znormalized(series):
+        windows = np.lib.stride_tricks.sliding_window_view(series, m)
+        mu = windows.mean(axis=1)
+        sigma = windows.std(axis=1)
+        const = sigma < CONSTANT_STD
+        safe_sigma = np.where(const, 1.0, sigma)
+        z = (windows - mu[:, None]) / safe_sigma[:, None]
+        z[const] = 0.0
+        return z, const
 
+    z, const = znormalized(values)
+    z_ref, const_ref = (z, const) if reference is None else znormalized(ref)
     sqrt2m = math.sqrt(2.0 * m)
     distances = np.empty(w)
     neighbors = np.empty(w, dtype=np.int64)
     snap = 2.0 * m * EXACT_MATCH_EPS
     for i in range(w):
-        d = np.sqrt(np.sum((z - z[i]) ** 2, axis=1))
+        d = np.sqrt(np.sum((z_ref - z[i]) ** 2, axis=1))
         if const[i]:
-            d = np.where(const, 0.0, sqrt2m)
+            d = np.where(const_ref, 0.0, sqrt2m)
         else:
-            d[const] = sqrt2m
+            d[const_ref] = sqrt2m
         d[d * d <= snap] = 0.0
-        d[max(0, i - excl) : i + excl + 1] = np.inf
+        d[np.abs(offset + i - np.arange(w_ref)) <= excl] = np.inf
         distances[i] = d.min()
         neighbors[i] = int(np.argmax(d <= distances[i] + NEIGHBOR_TIE_TOL))
     return MatrixProfile(distances, neighbors, config)
@@ -214,21 +246,24 @@ def _znormalized(values: np.ndarray, m: int):
     return z, const
 
 
-def _nearest(corr: np.ndarray, const: np.ndarray, r0: int, config: ProfileConfig):
-    """Distances and neighbors of rows r0.. from their correlations.
+def _nearest(corr: np.ndarray, const_rows: np.ndarray, const_ref: np.ndarray, at: float,
+             config: ProfileConfig):
+    """Distances and neighbors of a block of rows from their correlations.
 
-    `corr` is (series, rows, w), the correlations of rows r0.. with every
-    window of the same series, and is overwritten. `const` marks the
-    constant windows of those series.
+    `corr` is (series, rows, w_ref), the correlations of the block's rows
+    with every window of their reference, and is overwritten.
+    `const_rows` marks the block's constant rows and `const_ref` the
+    reference's constant windows. The block's first row sits at `at` on
+    the reference's window axis, which places the exclusion band.
     """
     m, excl = config.window_m, config.exclusion
-    n_rows, w = corr.shape[1:]
+    n_rows, w_ref = corr.shape[1:]
     # A constant row correlates 1 with constant windows and 0 with the
     # rest: the snap and the identity below then give 0 and sqrt(2m).
-    ks, rs = np.nonzero(const[:, r0 : r0 + n_rows])
-    corr[ks, rs] = const[ks]
-    lo, hi = max(0, r0 - excl), min(w, r0 + n_rows + excl)
-    band = np.abs(np.arange(r0, r0 + n_rows)[:, None] - np.arange(lo, hi)) <= excl
+    ks, rs = np.nonzero(const_rows)
+    corr[ks, rs] = const_ref[ks]
+    lo, hi = max(0, math.ceil(at - excl)), min(w_ref, math.floor(at + n_rows - 1 + excl) + 1)
+    band = np.abs((at + np.arange(n_rows))[:, None] - np.arange(lo, hi)) <= excl
     np.copyto(corr[..., lo:hi], -np.inf, where=band)
 
     best = corr.max(axis=-1)
@@ -241,42 +276,60 @@ def _nearest(corr: np.ndarray, const: np.ndarray, r0: int, config: ProfileConfig
     return d, np.argmax(corr >= floor[..., None], axis=-1)
 
 
-def compute_many(values_2d, config: ProfileConfig) -> list[MatrixProfile]:
-    """Profiles of D equal-length series stacked as a (D, n) array.
-
-    One matrix multiply per tile gives the correlations of a block of
-    windows with every window of its series; the exclusion band is masked
-    and the row maximum is the nearest neighbor. Tiles hold whole series
-    when they are short and blocks of rows of one series when it is long,
-    and z-normalization runs per block of series, so memory stays bounded.
-    Same contract as `compute_brute_force`, series by series.
-    """
+def _series_stack(values_2d) -> np.ndarray:
     values = np.asarray(values_2d, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError(f"expected a (series, time) array, got shape {values.shape}")
+    return values
+
+
+def compute_many(
+    values_2d, config: ProfileConfig, reference=None, offset: float = 0
+) -> list[MatrixProfile]:
+    """Profiles of D equal-length series stacked as a (D, n) array.
+
+    With `reference`, a (D, n_ref) array, series k is scored against
+    reference row k, its first window at `offset` on the reference's
+    window axis; without, each series against itself. One matrix
+    multiply per tile gives the correlations of a block of windows with
+    every window of its reference; the exclusion band is masked and the
+    row maximum is the nearest neighbor. Tiles hold whole series when the
+    reference is short and blocks of rows of one series when it is long,
+    and z-normalization runs per block of series, so memory stays bounded.
+    Same contract as `compute_brute_force`, series by series.
+    """
+    values = _series_stack(values_2d)
+    ref = values if reference is None else _series_stack(reference)
     n_series, n = values.shape
-    w = _validate_length(n, config)
-    rows = min(w, max(1, _TILE_BYTES // (8 * w)))
-    per_tile = max(1, _TILE_BYTES // (8 * w * rows))
-    buf = np.empty(min(per_tile, n_series) * rows * w)
+    if len(ref) != n_series:
+        raise ValueError(f"expected one reference row per series, got {len(ref)} for {n_series}")
+    w, w_ref = _window_counts(n, None if reference is None else ref.shape[1], config, offset)
+    rows = min(w, max(1, _TILE_BYTES // (8 * w_ref)))
+    per_tile = max(1, _TILE_BYTES // (8 * w_ref * rows))
+    buf = np.empty(min(per_tile, n_series) * rows * w_ref)
     distances = np.empty((n_series, w))
     neighbors = np.empty((n_series, w), dtype=np.int64)
+    m = config.window_m
     for a in range(0, n_series, per_tile):
-        z, const = _znormalized(values[a : a + per_tile], config.window_m)
-        zt = np.ascontiguousarray(z.transpose(0, 2, 1))  # a strided view misses BLAS
+        z, const = _znormalized(values[a : a + per_tile], m)
+        z_ref, const_ref = (z, const) if reference is None else _znormalized(ref[a : a + per_tile], m)
+        zt = np.ascontiguousarray(z_ref.transpose(0, 2, 1))  # a strided view misses BLAS
         for r0 in range(0, w, rows):
             block = z[:, r0 : r0 + rows]
-            corr = buf[: block.shape[0] * block.shape[1] * w].reshape(*block.shape[:2], w)
+            corr = buf[: block.shape[0] * block.shape[1] * w_ref].reshape(*block.shape[:2], w_ref)
             np.matmul(block, zt, out=corr)
-            d, j = _nearest(corr, const, r0, config)
+            d, j = _nearest(corr, const[:, r0 : r0 + rows], const_ref, r0 + offset, config)
             distances[a : a + len(z), r0 : r0 + rows] = d
             neighbors[a : a + len(z), r0 : r0 + rows] = j
     return [MatrixProfile(distances[k], neighbors[k], config) for k in range(n_series)]
 
 
-def compute_fast(values, config: ProfileConfig) -> MatrixProfile:
-    """Profile of one series by the `compute_many` kernel."""
-    return compute_many(np.asarray(values, dtype=np.float64)[np.newaxis], config)[0]
+def compute_fast(values, config: ProfileConfig, reference=None, offset: float = 0) -> MatrixProfile:
+    """Profile of one series, against `reference` if given, by the `compute_many` kernel."""
+    values = np.asarray(values, dtype=np.float64)[np.newaxis]
+    if reference is not None:
+        reference = np.asarray(reference, dtype=np.float64)[np.newaxis]
+    return compute_many(values, config, reference, offset)[0]
 
 
 def top_discords(profile: MatrixProfile, k: int, exclusion: int) -> list[int]:

@@ -527,10 +527,12 @@ def calibrate(baseline: TelemetrySeries, config: DetectorConfig) -> float:
 
 
 def detect(
-    series: TelemetrySeries, threshold: float, config: DetectorConfig
+    series: TelemetrySeries, baseline: TelemetrySeries, threshold: float, config: DetectorConfig
 ) -> list[AnomalyReport]:
-    """Reports for every window of one series whose profile distance exceeds threshold."""
-    profile = compute_fast(series.values, config.profile_config)
+    """Reports for every window of one series whose profile distance against the
+    baseline's windows exceeds threshold; both share one interval."""
+    offset = (series.start_time - baseline.start_time) / series.interval
+    profile = compute_fast(series.values, config.profile_config, baseline.values, offset)
     return [
         AnomalyReport(
             device_id=series.device_id,

@@ -137,6 +137,32 @@ class TestDetect:
         assert idx == sorted(idx)
         assert all(r.score > r.threshold for r in reports)
 
+    def test_twin_bursts_do_not_hide_each_other(self):
+        # scored against each other, equal bursts a period apart match
+        # exactly; scored against the clean baseline, both stand out
+        values = periodic(160)
+        values[60] = values[124] = 50.0
+        flagged = {r.window_index for r in run([periodic(96)], [values])}
+        m = CFG.profile_config.window_m
+        for burst in (60, 124):
+            assert any(i <= burst < i + m for i in flagged)
+
+    def test_trivial_match_band_is_set_by_ticks(self, rng_np):
+        # the telemetry starts k buckets into the baseline's own recording:
+        # each window's copy in the baseline falls in the band, so the scores
+        # are the baseline self-join's from window k on
+        values = walk(rng_np, 80)
+        k, interval = 7, 3
+        reports = run([values], [values[k:]], LOW, start=k * interval, interval=interval)
+        profile = compute_brute_force(values, LOW.profile_config)
+        threshold = float(np.quantile(profile.distances, 0.5))
+        flagged = [i - k for i in np.flatnonzero(profile.distances > threshold).tolist() if i >= k]
+        assert reports
+        assert [r.window_index for r in reports] == flagged
+        for r in reports:
+            assert r.score == pytest.approx(profile.distances[r.window_index + k], abs=1e-9)
+            assert r.time == (k + r.window_index) * interval
+
     def test_monotone_in_threshold(self, rng_np):
         baseline, series = walk(rng_np, 90), walk(rng_np, 90)
         low = {r.window_index for r in run([baseline], [series], LOW)}
@@ -182,7 +208,7 @@ class TestDetectFleet:
                 k = names.index(name)
                 baseline_series = TelemetrySeries(name, metric, 1, tuple(base[metric][k]), 0)
                 series = TelemetrySeries(name, metric, 1, tuple(data[metric][k]), 5)
-                want.extend(detect(series, calibrate(baseline_series, LOW), LOW))
+                want.extend(detect(series, baseline_series, calibrate(baseline_series, LOW), LOW))
         pairs = {(d, m.value) for d in names for m in metrics}
         assert {(r.device_id, r.metric) for r in want} == pairs
         assert got == {1: want, 2: want, 64: want}

@@ -430,7 +430,7 @@ def test_batched_detector_pass_matches_per_device_detection(tmp_path):
             series = bucketize(events, dev, metric, 1, 0, cfg.duration)
             baseline = bucketize(events, dev, metric, 1, 0, cfg.detector.baseline_ticks)
             threshold = calibrate(baseline, config)
-            want.extend(detect(series, threshold, config))
+            want.extend(detect(series, baseline, threshold, config))
     assert any(a.device_id == "dev-1" for a in want)
 
     def key(a):
@@ -500,6 +500,17 @@ def test_detector_baseline_must_fit_the_window():
     obj = base_config(detector={"baseline_ticks": 10, "window": 16})
     with pytest.raises(ConfigError, match="too short"):
         parse_scenario(obj)
+
+
+@pytest.mark.parametrize("baseline_ticks", [25, 28, 32])
+def test_detector_baseline_must_give_every_window_a_neighbor(baseline_ticks):
+    # window 16, exclusion 8: 25 points once passed, though windows 1..8 of
+    # such a baseline had no admissible neighbor; 33 is the least that does
+    obj = base_config(detector={"baseline_ticks": baseline_ticks, "window": 16})
+    with pytest.raises(ConfigError, match="detector.baseline_ticks: too short"):
+        parse_scenario(obj)
+    obj["detector"]["baseline_ticks"] = 33
+    assert parse_scenario(obj).detector.baseline_ticks == 33
 
 
 def test_update_size_bounded_by_fragment_cap():
@@ -581,9 +592,9 @@ def test_omitted_sections_take_their_defaults():
 
 
 def test_absent_detector_is_the_default_and_null_is_none():
-    obj = base_config()
+    obj = base_config(duration=80)  # half of 60 is too short a baseline for window 16
     del obj["detector"]
-    assert parse_scenario(obj).detector == DetectorSpec(baseline_ticks=30)  # duration // 2
+    assert parse_scenario(obj).detector == DetectorSpec(baseline_ticks=40)  # duration // 2
     assert parse_scenario(base_config(detector=None)).detector is None
 
 

@@ -201,6 +201,85 @@ class TestComputeMany:
         with pytest.raises(InsufficientLengthError):
             compute_many(np.zeros((2, 6)), cfg)
 
+    # values: n = 60 and m = 8 give 53 windows; reference: 47 points, 40
+    # windows. 60,000 bytes are tiles of 3 whole series over 7, and 2,240
+    # bytes tiles of 7 rows of one series: neither divides 53 or 40.
+    @pytest.mark.parametrize("tile_bytes", [60_000, 2_240, None])
+    @pytest.mark.parametrize("offset", [0, 13, -7, 2.5, 200])
+    def test_ab_join_equals_brute_force_per_series(self, rng_np, monkeypatch, tile_bytes, offset):
+        if tile_bytes is not None:
+            monkeypatch.setattr(matrix_profile, "_TILE_BYTES", tile_bytes)
+        batch = mixed_batch(rng_np, 60)
+        # row 1 is all constant windows, row 2 has a constant stretch
+        reference = np.roll(mixed_batch(rng_np, 47), 1, axis=0)
+        cfg = ProfileConfig(8)
+        many = compute_many(batch, cfg, reference, offset)
+        assert len(many) == len(batch)
+        # the flat middle of series 1 matches the constant reference, the rest is maximal
+        assert set(many[1].distances.tolist()) == {0.0, math.sqrt(16)}
+        for values, ref, got in zip(batch, reference, many):
+            want = compute_brute_force(values, cfg, ref, offset)
+            assert len(got) == 53
+            assert np.allclose(got.distances, want.distances, atol=1e-9)
+            assert got.neighbor_index.tolist() == want.neighbor_index.tolist()
+            for i, j in enumerate(got.neighbor_index.tolist()):
+                assert abs(offset + i - j) > cfg.exclusion
+                d = znorm_distance(values[i : i + 8], ref[j : j + 8])
+                assert d == pytest.approx(float(got.distances[i]), abs=1e-9)
+
+    def test_self_join_is_the_ab_join_with_itself(self, rng_np):
+        batch = mixed_batch(rng_np, 90)
+        cfg = ProfileConfig(8)
+        for own, ab in zip(compute_many(batch, cfg), compute_many(batch, cfg, batch)):
+            assert own.distances.tobytes() == ab.distances.tobytes()
+            assert own.neighbor_index.tolist() == ab.neighbor_index.tolist()
+
+    def test_ab_join_rejects_bad_references(self):
+        cfg = ProfileConfig(4, 2)
+        values = np.arange(40.0).reshape(2, 20) % 3
+        with pytest.raises(ValueError, match="one reference row per series"):
+            compute_many(values, cfg, values[:1])
+        with pytest.raises(ValueError, match="offset needs a reference"):
+            compute_many(values, cfg, offset=3)
+        with pytest.raises(InsufficientLengthError):
+            compute_many(values, cfg, values[:, : cfg.min_length - 1])
+        with pytest.raises(InsufficientLengthError):
+            compute_many(values[:, :3], cfg, values)
+        # a short scored series is fine: only the reference must hold every neighbor
+        assert len(compute_many(values[:, :4], cfg, values)[0]) == 1
+
+
+class TestMinLength:
+    CONFIGS = [ProfileConfig(2, 1), ProfileConfig(4, 2), ProfileConfig(8), ProfileConfig(16)]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"m{c.window_m}-e{c.exclusion}")
+    def test_is_window_plus_twice_the_exclusion_plus_one(self, cfg):
+        assert cfg.min_length == cfg.window_m + 2 * cfg.exclusion + 1
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"m{c.window_m}-e{c.exclusion}")
+    def test_the_old_minimum_is_refused(self, rng_np, cfg):
+        # window + exclusion + 1 points left windows 1..exclusion with no
+        # admissible neighbor: distance inf, and a NaN threshold downstream
+        values = rng_np.normal(size=cfg.window_m + cfg.exclusion + 1)
+        for compute in (compute_brute_force, compute_fast):
+            with pytest.raises(InsufficientLengthError, match=f"need at least {cfg.min_length} points"):
+                compute(values, cfg)
+            with pytest.raises(InsufficientLengthError):
+                compute(rng_np.normal(size=100), cfg, values)
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"m{c.window_m}-e{c.exclusion}")
+    @pytest.mark.parametrize("offset", [0, 1, -2, 5])
+    def test_every_window_has_a_neighbor_outside_the_band(self, rng_np, cfg, offset):
+        values = rng_np.normal(size=cfg.min_length).cumsum()
+        cases = [(values, None, 0)] if offset == 0 else []
+        cases.append((rng_np.normal(size=cfg.min_length + 3), values, offset))
+        for series, reference, at in cases:
+            for compute in (compute_brute_force, compute_fast):
+                p = compute(series, cfg, reference, at)
+                assert np.all(np.isfinite(p.distances))
+                j = p.neighbor_index
+                assert np.all(np.abs(at + np.arange(len(p)) - j) > cfg.exclusion)
+
 
 def test_affine_invariance(rng_np):
     values = rng_np.normal(size=150).cumsum()
