@@ -502,17 +502,6 @@ def test_detector_baseline_must_fit_the_window():
         parse_scenario(obj)
 
 
-@pytest.mark.parametrize("baseline_ticks", [25, 28, 32])
-def test_detector_baseline_must_give_every_window_a_neighbor(baseline_ticks):
-    # window 16, exclusion 8: 25 points once passed, though windows 1..8 of
-    # such a baseline had no admissible neighbor; 33 is the least that does
-    obj = base_config(detector={"baseline_ticks": baseline_ticks, "window": 16})
-    with pytest.raises(ConfigError, match="detector.baseline_ticks: too short"):
-        parse_scenario(obj)
-    obj["detector"]["baseline_ticks"] = 33
-    assert parse_scenario(obj).detector.baseline_ticks == 33
-
-
 def test_update_size_bounded_by_fragment_cap():
     obj = base_config(
         links={"mtu": 12},
@@ -710,6 +699,11 @@ SCENARIO_ERRORS = [
     ("detector.baseline_ticks", 0, "detector.baseline_ticks: must be in (0, duration]"),
     ("detector.baseline_ticks", 201, "detector.baseline_ticks: must be in (0, duration]"),
     ("detector.baseline_ticks", 12,
+     "detector.baseline_ticks: too short for the profile window and exclusion zone"),
+    # window 8, exclusion 4: 13 to 16 points leave a window no neighbor outside its band
+    ("detector.baseline_ticks", 13,
+     "detector.baseline_ticks: too short for the profile window and exclusion zone"),
+    ("detector.baseline_ticks", 16,
      "detector.baseline_ticks: too short for the profile window and exclusion zone"),
     ("detector.metrics", "packets_in", "detector.metrics: expected list"),
     ("detector.metrics", [], "detector.metrics: must name at least one metric"),

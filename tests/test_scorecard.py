@@ -119,12 +119,10 @@ def tally(outcomes: list[Outcome]) -> tuple[int, int, int]:
     """(attacks missed, attacks, false-positive windows) summed over the outcomes."""
     missed = attacks = false_positives = 0
     for o in outcomes:
-        def overlaps(t, attack):
-            return t < attack[1] and t + o.window > attack[0]
-
+        hits = [[t < end and t + o.window > at for at, end in o.attacks] for t in o.flagged]
         attacks += len(o.attacks)
-        missed += sum(not any(overlaps(t, a) for t in o.flagged) for a in o.attacks)
-        false_positives += sum(not any(overlaps(t, a) for a in o.attacks) for t in o.flagged)
+        missed += sum(not any(row[k] for row in hits) for k in range(len(o.attacks)))
+        false_positives += sum(not any(row) for row in hits)
     return missed, attacks, false_positives
 
 
