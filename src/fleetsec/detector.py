@@ -9,7 +9,8 @@ repeated attack cannot match its own earlier copy. A telemetry window
 and a baseline window whose start ticks differ by at most exclusion x
 interval are a trivial match and skipped: where the baseline is a
 prefix of the same recording, as in the simulator, that drops each
-window's own copy. Calibrating per device keeps a heterogeneous fleet
+window's own copy; against a separate recording that overlaps the
+telemetry's ticks, it drops genuine candidates too. Calibrating per device keeps a heterogeneous fleet
 comparable: every device gets its own score scale. `detect_counts` is
 the one detection pass, used by the fleet simulator and by `fleetsec detect`,
 and `DetectorConfig` is the one home of its settings: a scenario's

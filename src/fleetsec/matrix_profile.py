@@ -262,7 +262,10 @@ def _nearest(corr: np.ndarray, const_rows: np.ndarray, const_ref: np.ndarray, at
     # rest: the snap and the identity below then give 0 and sqrt(2m).
     ks, rs = np.nonzero(const_rows)
     corr[ks, rs] = const_ref[ks]
-    lo, hi = max(0, math.ceil(at - excl)), min(w_ref, math.floor(at + n_rows - 1 + excl) + 1)
+    # the reference windows some row of the block trivially matches; empty
+    # when the block lies more than the exclusion before or after them all
+    lo = max(0, math.ceil(at - excl))
+    hi = max(lo, min(w_ref, math.floor(at + n_rows - 1 + excl) + 1))
     band = np.abs((at + np.arange(n_rows))[:, None] - np.arange(lo, hi)) <= excl
     np.copyto(corr[..., lo:hi], -np.inf, where=band)
 

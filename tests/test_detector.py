@@ -15,7 +15,7 @@ from fleetsec.detector import (
     threshold_from_distances,
 )
 from fleetsec.fleet_sim.report import write_jsonl
-from fleetsec.matrix_profile import compute_brute_force
+from fleetsec.matrix_profile import compute_brute_force, znorm_distance
 from fleetsec.telemetry import Direction, EventKind, Metric, TelemetryCounts, TelemetrySeries
 
 from helpers import calibrate, detect
@@ -43,10 +43,10 @@ def counts_of(series, ids, start=0, interval=1):
     return TelemetryCounts.dense(tuple(ids), ticks, columns), (start, start + n * interval)
 
 
-def run(baselines, inputs, config=None, *, start=0, interval=1):
+def run(baselines, inputs, config=None, *, start=0, interval=1, baseline_start=0):
     """detect_counts for device "d{k}", calibrated on baselines[k], over inputs[k]."""
     ids = [f"d{k}" for k in range(len(inputs))]
-    baseline, baseline_span = counts_of(baselines, ids, 0, interval)
+    baseline, baseline_span = counts_of(baselines, ids, baseline_start, interval)
     telemetry, span = counts_of(inputs, ids, start, interval)
     rows = list(range(len(ids)))
     return detect_counts(
@@ -162,6 +162,22 @@ class TestDetect:
         for r in reports:
             assert r.score == pytest.approx(profile.distances[r.window_index + k], abs=1e-9)
             assert r.time == (k + r.window_index) * interval
+
+    def test_a_baseline_recorded_after_the_telemetry_is_out_of_the_band(self, rng_np):
+        # the baseline starts 10 ticks after the telemetry ends: no pair is a
+        # trivial match, so each score is the minimum over every baseline window
+        baseline, values = walk(rng_np, 80), walk(rng_np, 60)
+        reports = run([baseline], [values], LOW, baseline_start=70)
+        m = LOW.window
+        scores = [
+            min(znorm_distance(values[i : i + m], baseline[j : j + m]) for j in range(len(baseline) - m + 1))
+            for i in range(len(values) - m + 1)
+        ]
+        threshold = calibrate(TelemetrySeries("d0", Metric.PACKETS_IN, 1, tuple(baseline), 70), LOW)
+        assert reports
+        assert [r.window_index for r in reports] == [i for i, d in enumerate(scores) if d > threshold]
+        for r in reports:
+            assert r.score == pytest.approx(scores[r.window_index], abs=1e-9)
 
     def test_monotone_in_threshold(self, rng_np):
         baseline, series = walk(rng_np, 90), walk(rng_np, 90)

@@ -205,7 +205,9 @@ class TestComputeMany:
     # windows. 60,000 bytes are tiles of 3 whole series over 7, and 2,240
     # bytes tiles of 7 rows of one series: neither divides 53 or 40.
     @pytest.mark.parametrize("tile_bytes", [60_000, 2_240, None])
-    @pytest.mark.parametrize("offset", [0, 13, -7, 2.5, 200])
+    # -20 and -60 put whole tiles more than the exclusion before every
+    # reference window, so some tiles have no band at all
+    @pytest.mark.parametrize("offset", [0, 13, -7, 2.5, 200, -20, -60])
     def test_ab_join_equals_brute_force_per_series(self, rng_np, monkeypatch, tile_bytes, offset):
         if tile_bytes is not None:
             monkeypatch.setattr(matrix_profile, "_TILE_BYTES", tile_bytes)
