@@ -24,8 +24,9 @@ import heapq
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from ..deception import (
 from ..detector import DetectorConfig, detect_counts
 from ..identity import BlacklistedError, ClaimRequest, DeviceRegistry, SecretMismatchError, Status
 from ..keystore import Keystore
-from ..telemetry import Direction, EventKind, TelemetryCounts
+from ..telemetry import MAX_TELEMETRY_ROWS, Direction, EventKind, TelemetryCounts
 from ..tsa import TimestampAuthority
 from ..update_protocol import (
     DeviceMode,
@@ -54,7 +55,7 @@ from ..update_protocol import (
     initial_state,
     interrupt_update,
 )
-from ..wire import ConfigError, Reader, build, check_keys, load_json, lp, read_field, read_spec
+from ..wire import ConfigError, Reader, build, load_json, lp, read_spec
 from .report import EventRow, ScenarioReport, write_report
 from .transport import MAX_FRAGMENTS, SimLink, fragment, reassemble
 
@@ -63,7 +64,7 @@ _MASK64 = 2**64 - 1
 HEARTBEAT_PERIOD = 20
 
 # Each attack kind's params: name -> (default, least value). rate is a
-# [lo, hi] pair, and the least value is lo's.
+# [lo, hi] pair, and the least value is lo's. Every name is an AttackSpec field.
 _ATTACK_PARAMS = {
     "rollback_replay": {},
     "tamper_firmware": {},
@@ -73,12 +74,6 @@ _ATTACK_PARAMS = {
     "canary_probe": {},
 }
 ATTACK_KINDS = tuple(_ATTACK_PARAMS)
-
-
-# The most rows a scenario's telemetry.csv may reach (about 0.5 GB). It
-# keeps every count and running total far inside int64 and the file
-# writable; _check_telemetry_rows holds scenarios to it.
-MAX_TELEMETRY_ROWS = 10**7
 
 
 class UnknownAttackKindError(ConfigError):
@@ -135,12 +130,14 @@ def make_firmware(version: int, size: int) -> bytes:
 
 # --- config model -----------------------------------------------------------
 #
-# Each spec is the schema of its JSON object, read by `read_spec` (see
-# `fleetsec.wire`), tuple fields included, and checks its own fields in
-# __post_init__ wherever it is built, from a file or in Python: a bad value
-# is a ConfigError naming its field. ScenarioConfig checks the rules that
-# span sections. An owner or firmware_id that is null or absent takes its
-# default.
+# Each spec is the schema of its JSON object, read by `read_spec` and
+# written by `write_spec` (see `fleetsec.wire`), every field of it, so
+# parse_scenario reads back what write_spec writes. Each spec checks its
+# own fields in __post_init__ wherever it is built, from a file or in
+# Python: a bad value is a ConfigError naming its field. ScenarioConfig
+# checks the rules that span sections. A field that is null or absent
+# takes its default: an owner, firmware_id, attack device or param, and
+# the detector's baseline_ticks, which ScenarioConfig sets to half the run.
 
 
 def _check_ports(ports: tuple[int, ...], name: str) -> None:
@@ -206,7 +203,15 @@ class LinkSpec:
 class DetectorSpec(DetectorConfig):
     """The detector's settings, and the clean prefix that sets its thresholds."""
 
-    baseline_ticks: int = field(kw_only=True)  # default duration // 2
+    baseline_ticks: int | None = None  # ScenarioConfig makes it duration // 2
+
+
+class FeintRegion(NamedTuple):
+    """A decoy patch over image bytes [offset, offset + length), and its note."""
+
+    offset: int
+    length: int
+    note: str
 
 
 @dataclass(frozen=True)
@@ -217,7 +222,7 @@ class UpdateSpec:
     firmware_id: str | None = None  # fw-v<version>
     size: int = 4096
     plant_canary: bool = False
-    feint_regions: tuple[tuple[int, int, str], ...] = ()
+    feint_regions: tuple[FeintRegion, ...] = ()
     retry_interval: int = 20
 
     def __post_init__(self):
@@ -235,41 +240,32 @@ class UpdateSpec:
         if self.firmware_id is None:
             object.__setattr__(self, "firmware_id", f"fw-v{self.version}")
 
-    @classmethod
-    def from_json_obj(cls, obj: dict, path: str) -> UpdateSpec:
-        """Read by read_spec, but for feint_regions: [offset, length, note] lists."""
-        values = read_spec(cls, obj, path)
-        regions = read_field(obj, path, "feint_regions", list, [])
-        for i, region in enumerate(regions):
-            if not isinstance(region, list) or list(map(type, region)) != [int, int, str]:
-                raise ConfigError(f"{path}.feint_regions[{i}]", "expected [offset, length, note]")
-        return build(cls, path, **values, feint_regions=tuple(map(tuple, regions)))
-
-
-def _attack_params(kind: str) -> dict:
-    """kind's params table; an unknown kind is an UnknownAttackKindError naming kind."""
-    if kind not in _ATTACK_PARAMS:
-        raise UnknownAttackKindError("kind", f"unknown attack kind {kind!r}")
-    return _ATTACK_PARAMS[kind]
-
 
 @dataclass(frozen=True)
 class AttackSpec:
     kind: str
     at: int
-    device: str | None  # required but for canary_probe
-    params: dict = field(default_factory=dict)  # its kind's; an absent one takes its default
+    device: str | None = None  # required but for canary_probe
+    # the params of its kind, None for the others; an absent one takes its default
+    duration: int | None = None
+    rate: tuple[int, ...] | None = None  # [lo, hi] attempts a tick
+    factor: int | None = None
+    buckets: int | None = None
 
     def __post_init__(self):
-        table = _attack_params(self.kind)
+        if self.kind not in _ATTACK_PARAMS:
+            raise UnknownAttackKindError("kind", f"unknown attack kind {self.kind!r}")
+        table = _ATTACK_PARAMS[self.kind]
         if self.device is None and self.kind != "canary_probe":
             raise ConfigError("device", "missing required field")
-        for name in self.params:
+        for name in ("duration", "rate", "factor", "buckets"):
+            value = getattr(self, name)
             if name not in table:
-                raise ConfigError(name, "unknown field")
-        params = {}
-        for name, (default, least) in table.items():
-            value = self.params.get(name, default)
+                if value is not None:
+                    raise ConfigError(name, "unknown field")
+                continue
+            default, least = table[name]
+            value = default if value is None else value
             if name == "rate":
                 if (
                     not isinstance(value, list | tuple)
@@ -281,23 +277,7 @@ class AttackSpec:
                 value = tuple(value)
             elif value < least:
                 raise ConfigError(name, "must be positive" if least == 1 else f"must be at least {least}")
-            params[name] = value
-        object.__setattr__(self, "params", params)
-
-    @classmethod
-    def from_json_obj(cls, obj: dict, path: str) -> AttackSpec:
-        """Read from its kind's keys: kind, at, device, then its params (rate as a list)."""
-        kind = read_field(obj, path, "kind", str)
-        names = build(_attack_params, path, kind=kind)
-        check_keys(obj, path, {"kind", "at", "device", *names})
-        at = read_field(obj, path, "at", int)
-        device = read_field(obj, path, "device", str, None)
-        params = {
-            name: read_field(obj, path, name, list if name == "rate" else int)
-            for name in names
-            if name in obj
-        }
-        return build(cls, path, kind=kind, at=at, device=device, params=params)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -349,6 +329,9 @@ class ScenarioConfig:
         duration, detector = self.duration, self.detector
         if duration < 1:
             raise ConfigError("duration", "must be positive")
+        if detector is not None and detector.baseline_ticks is None:
+            detector = replace(detector, baseline_ticks=duration // 2)
+            object.__setattr__(self, "detector", detector)
         ids: set[str] = set()
         for i, device in enumerate(self.devices):
             if device.id in ids:
@@ -414,11 +397,13 @@ def _check_telemetry_rows(config: ScenarioConfig) -> None:
     factors of the floods on that tick, and an open and a close row per
     heartbeat and per dictionary attempt. The + 1 counts every device
     tick, so the bound caps the simulator's (devices, ticks) arrays too.
-    A factor or rate past the cap is rejected whatever its size, so it is
-    clamped to just over the cap before it meets a float.
+    A run without devices counts one row a tick, as the simulator still
+    holds an array of its ticks. A factor or rate past the cap is rejected
+    whatever its size, so it is clamped to just over the cap before it
+    meets a float.
     """
     over = MAX_TELEMETRY_ROWS + 1
-    if len(config.devices) * config.duration > MAX_TELEMETRY_ROWS:
+    if max(len(config.devices), 1) * config.duration > MAX_TELEMETRY_ROWS:
         raise ConfigError(
             "", f"devices x duration passes the telemetry cap of {MAX_TELEMETRY_ROWS:.0e} rows"
         )
@@ -429,13 +414,13 @@ def _check_telemetry_rows(config: ScenarioConfig) -> None:
         if attack.kind == "traffic_flood":
             floods.setdefault(attack.device, []).append(attack)
         elif attack.kind == "dictionary_attack":
-            rows += 2 * min(attack.params["rate"][1] * attack.params["duration"], over)
+            rows += 2 * min(attack.rate[1] * attack.duration, over)
     for dev in config.devices:
         traffic = dev.traffic
         per_tick = np.full(config.duration, traffic.base + traffic.amplitude + 9 * traffic.noise + 1)
         for flood in floods.get(dev.id, []):
-            end = flood.at + flood.params["buckets"] * interval
-            per_tick[flood.at : end] *= min(flood.params["factor"], over)
+            end = flood.at + flood.buckets * interval
+            per_tick[flood.at : end] *= min(flood.factor, over)
         rows += per_tick.sum() + 2 * -(-config.duration // HEARTBEAT_PERIOD)
     if rows > MAX_TELEMETRY_ROWS:
         raise ConfigError(
@@ -447,19 +432,10 @@ def _check_telemetry_rows(config: ScenarioConfig) -> None:
 
 
 def parse_scenario(obj: dict, source: str = "scenario") -> ScenarioConfig:
+    """The scenario in obj; an absent detector is the default detector, and null is none."""
     if not isinstance(obj, dict):
         raise ConfigError(source, "top level must be an object")
-    values = read_spec(ScenarioConfig, obj, source, skip=("detector",))
-    detector = read_field(obj, source, "detector", dict | None, {})
-    if detector is not None:  # absent is the default detector, null none
-        path = f"{source}.detector"
-        values["detector"] = build(
-            DetectorSpec,
-            path,
-            **read_spec(DetectorSpec, detector, path, skip=("baseline_ticks",)),
-            baseline_ticks=read_field(detector, path, "baseline_ticks", int, values["duration"] // 2),
-        )
-    return build(ScenarioConfig, source, **values)
+    return build(ScenarioConfig, source, **read_spec(ScenarioConfig, {"detector": {}, **obj}, source))
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -645,7 +621,7 @@ class FleetSimulation:
                     traffic.base + traffic.amplitude * math.sin(2 * math.pi * p / period)
                     for p in range(min(period, duration))
                 ]
-                waves[traffic] = np.array(phases)[np.arange(duration) % period]
+                waves[traffic] = np.array(phases)[np.arange(duration) % len(phases)]
             counts = waves[traffic][on[row]]
             if traffic.noise > 0:  # one draw per on tick, in tick order
                 rng = rng_stream(self.cfg.seed, f"device:{dev.id}")
@@ -832,8 +808,7 @@ class FleetSimulation:
 
     def _attack_identity_theft(self, index: int, attack: AttackSpec) -> None:
         actor = f"attacker:identity_theft:{index}"
-        span = attack.params["duration"]
-        end = min(attack.at + span, self.cfg.duration)
+        end = min(attack.at + attack.duration, self.cfg.duration)
         for t in range(attack.at, end):
             self.observations.append((attack.device, "attacker-net", t))
         self.event(
@@ -847,16 +822,16 @@ class FleetSimulation:
         self.event(
             actor,
             "dictionary_attack_started",
-            {"device": attack.device, "duration": attack.params["duration"]},
+            {"device": attack.device, "duration": attack.duration},
         )
-        self._dictionary_tick(index, attack, attack.params["duration"])
+        self._dictionary_tick(index, attack, attack.duration)
 
     def _dictionary_tick(self, index: int, attack: AttackSpec, remaining: int) -> None:
         if remaining <= 0:
             return
         t = self.now
         rng = self._attack_rng[index]
-        lo, hi = attack.params["rate"]
+        lo, hi = attack.rate
         attempts = rng.randint(lo, hi)
         true_secret = self.cfg.devices[self._row[attack.device]].secret.encode("utf-8")
         actor = f"attacker:dictionary_attack:{index}"
@@ -891,12 +866,12 @@ class FleetSimulation:
         actor = f"attacker:traffic_flood:{index}"
         interval = self.cfg.detector.interval if self.cfg.detector else 1
         start = attack.at
-        end = attack.at + attack.params["buckets"] * interval
-        self._packets[self._row[attack.device], start:end] *= attack.params["factor"]
+        end = attack.at + attack.buckets * interval
+        self._packets[self._row[attack.device], start:end] *= attack.factor
         self.event(
             actor,
             "traffic_flood_started",
-            {"device": attack.device, "from": start, "until": end, "factor": attack.params["factor"]},
+            {"device": attack.device, "from": start, "until": end, "factor": attack.factor},
         )
 
     def _attack_canary_probe(self, index: int, attack: AttackSpec) -> None:

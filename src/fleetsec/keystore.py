@@ -163,9 +163,6 @@ class Keystore:
     def key_ids(self) -> list[str]:
         return sorted(self._public)
 
-    def __contains__(self, key_id: str) -> bool:
-        return key_id in self._public
-
     def save(self, path: str | Path, passphrase: str | None = None) -> None:
         """Write keystore state to a JSON file.
 

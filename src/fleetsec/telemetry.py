@@ -58,6 +58,10 @@ PACKET_SIZE = 64  # the size column of every packet row written
 _CSV_CELLS = 1024  # cells to_csv formats at a time
 _CSV_WINDOWS = 16  # tick windows to_csv sorts one at a time
 
+# The most telemetry rows a scenario may write (a 0.5 GB telemetry.csv) and a
+# `bucket` call may fill; it keeps every count and running total far inside int64.
+MAX_TELEMETRY_ROWS = 10**7
+
 # Every column, in the order a device's rows in one tick are written.
 CSV_ORDER: tuple[Column, ...] = tuple(
     (kind, direction)
@@ -89,6 +93,10 @@ class EmptyRangeError(FleetsecError):
 
 class NegativeIntervalError(FleetsecError):
     """Bucket interval must be a positive number of ticks."""
+
+
+class SpanTooLongError(FleetsecError):
+    """A range holds more buckets than MAX_TELEMETRY_ROWS allows for its rows."""
 
 
 class ParseError(FleetsecError):
@@ -165,6 +173,12 @@ class TelemetryCounts:
             raise NegativeIntervalError(f"interval must be > 0, got {interval}")
         if start >= end:
             raise EmptyRangeError(f"empty range [{start}, {end})")
+        buckets = -(-(end - start) // interval)
+        if max(len(rows), 1) * buckets > MAX_TELEMETRY_ROWS:  # no rows still hold the edges
+            raise SpanTooLongError(
+                f"range [{start}, {end}) at interval {interval} is {buckets} buckets for"
+                f" {len(rows)} rows, past the cap of {MAX_TELEMETRY_ROWS:.0e}"
+            )
         edges = np.arange(start, end, interval)
         gauge = metric is Metric.OPEN_CONNECTIONS
         # each boundary as the number of ticks before it: a bucket's count

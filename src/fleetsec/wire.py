@@ -5,12 +5,14 @@ length-prefixed byte strings (32-bit big-endian length prefix). Decoding
 is strict: truncated fields or trailing bytes raise DecodeError.
 
 JSON: a dataclass is the schema of its object, read by read_spec and
-written by write_spec. Each field's key is its name, or the "key" in its
-metadata where the file names it otherwise ("public" for public_bytes,
-"slots.A" for a field under key "A" of the object "slots"). Every
-mistake in a file is a ConfigError naming its path. A type's own checks
-raise a ConfigError naming the field; build puts that field under the
-path of the object being built.
+written by write_spec, every field of it. Each field's key is its name,
+or the "key" in its metadata where the file names it otherwise ("public"
+for public_bytes, "slots.A" for a field under key "A" of the object
+"slots"). A NamedTuple is the schema of a list: its values in field
+order, each of exactly its field's type. Every mistake in a file is a
+ConfigError naming its path. A type's own checks raise a ConfigError
+naming the field; build puts that field under the path of the object
+being built.
 """
 
 from __future__ import annotations
@@ -119,25 +121,23 @@ def read_field(obj: dict, path: str, key: str, kind, default=MISSING):
     return _value(kind, value, f"{path}.{key}")
 
 
-def read_spec(spec: type, obj, path: str, skip: tuple[str, ...] = ()) -> dict:
+def read_spec(spec: type, obj, path: str) -> dict:
     """The fields of dataclass spec read from the object obj, by key, with their defaults.
 
     int, float, str and bool fields are read as those JSON types, bytes
     fields from base64url strings, Enum fields by value, X | None fields
-    as X or null, dataclass fields as objects of their own schema, and
-    tuple[X, ...] fields as lists of X, each item at path[i]. Fields
-    named in skip, and other tuple fields, are the caller's: they are not
-    read, and their keys are allowed. Any other key is an error. A field
-    keyed "g.k" is read from key k of the object at key g (see _schema).
+    as X or null, dataclass fields as objects of their own schema,
+    NamedTuple fields as lists of their values, and tuple[X, ...] fields
+    as lists of X, each item at path[i]. Any other key is an error. A
+    field keyed "g.k" is read from key k of the object at key g (see
+    _schema).
     """
     if not isinstance(obj, dict):
         raise ConfigError(path, "expected dict")
-    keys, readable, _ = _schema(spec)
+    keys, placed = _schema(spec)
     check_keys(obj, path, keys)
     values = {}
-    for name, group, key, kind, default in readable:
-        if name in skip:
-            continue
+    for name, group, key, kind, default in placed:
         holder, at = obj, path
         if group:
             holder, at = read_field(obj, path, group, dict), f"{path}.{group}"
@@ -148,9 +148,8 @@ def read_spec(spec: type, obj, path: str, skip: tuple[str, ...] = ()) -> dict:
 
 def write_spec(value) -> dict:
     """The object read_spec reads the dataclass value back from, its keys in field order."""
-    _, _, placed = _schema(type(value))
     obj: dict = {}
-    for name, group, key in placed:
+    for name, group, key, _, _ in _schema(type(value))[1]:
         holder = obj.setdefault(group, {}) if group else obj
         holder[key] = _json(getattr(value, name))
     return obj
@@ -175,33 +174,22 @@ def _json(value):
 
 @functools.cache
 def _schema(spec: type):
-    """spec's keys, (name, group, key, type, default) of each field read_spec reads,
-    and (name, group, key) of every field.
+    """spec's keys, and (name, group, key, type, default) of each field.
 
     A field's key is its metadata "key", else its name; a key "g.k" puts
     the field under key k of the sub-object g, and group is "" for the
     others. The keys map each key of spec's object to the keys of its
     sub-object, or to None.
     """
-    hints, keys, readable, placed = typing.get_type_hints(spec), {}, [], []
+    hints, keys, placed = typing.get_type_hints(spec), {}, []
     for f in fields(spec):
         group, _, key = f.metadata.get("key", f.name).rpartition(".")
         if group:
             keys[group] = keys.get(group, frozenset()) | {key}
         else:
             keys[key] = None
-        if _readable(hints[f.name]):
-            readable.append((f.name, group, key, hints[f.name], f.default))
-        placed.append((f.name, group, key))
-    return types.MappingProxyType(keys), tuple(readable), tuple(placed)
-
-
-def _readable(kind) -> bool:
-    """Whether kind is no generic, or tuple[X, ...] of an X that is none."""
-    if not isinstance(kind, types.GenericAlias):
-        return True
-    item, *rest = kind.__args__
-    return rest == [Ellipsis] and not isinstance(item, types.GenericAlias)
+        placed.append((f.name, group, key, hints[f.name], f.default))
+    return types.MappingProxyType(keys), tuple(placed)
 
 
 def _value(kind, value, path: str):
@@ -219,10 +207,12 @@ def _value(kind, value, path: str):
             items.append(entry if type(entry) is item else _value(item, entry, f"{path}[{i}]"))
         return tuple(items)
     if is_dataclass(kind):
-        # a schema that read_spec alone cannot read reads itself
-        if hasattr(kind, "from_json_obj"):
-            return kind.from_json_obj(value, path)
         return build(kind, path, **read_spec(kind, value, path))
+    if issubclass(kind, tuple):  # a NamedTuple
+        exact = list(typing.get_type_hints(kind).values())
+        if not isinstance(value, list) or list(map(type, value)) != exact:
+            raise ConfigError(path, f"expected [{', '.join(kind._fields)}]")
+        return kind(*value)
     if issubclass(kind, Enum):
         try:
             return kind(value)

@@ -514,6 +514,29 @@ def test_field_past_the_csv_limit_is_a_parse_error(tmp_path, capsys, command):
     assert "row 1: field larger than field limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["detect", "mp compute", "mp discords", "mp compute --end"])
+def test_ticks_too_far_apart_to_bucket_are_an_error(tmp_path, capsys, command):
+    # two rows 10**13 ticks apart span 10**13 buckets, past the row cap
+    far = str(tmp_path / "far.csv")
+    Path(far).write_text("time,device_id,direction,kind,size\n"
+                         "0,dev-1,inbound,packet,64\n10000000000000,dev-1,inbound,packet,64\n")
+    near = str(tmp_path / "near.csv")
+    Path(near).write_text("time,device_id,direction,kind,size\n0,dev-1,inbound,packet,64\n")
+    mp = ["--device", "dev-1", "--window", "16"]
+    args = {
+        "detect": ["detect", "--baseline", far, "--input", far, "--out", str(tmp_path / "a.jsonl")],
+        "mp compute": ["mp", "compute", "--input", far, *mp],
+        "mp discords": ["mp", "discords", "--input", far, *mp, "--k", "3"],
+        "mp compute --end": ["mp", "compute", "--input", near, *mp, "--start", "0",
+                             "--end", "10000000000000"],
+    }
+    assert main(args[command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: range [0, 1000000000000")
+    assert "buckets for 1 rows, past the cap of 1e+07" in captured.err
+    assert captured.out == ""
+
+
 def test_mp_compute_fast_and_brute_agree_exactly(telemetry_files, tmp_path, capsys):
     args = ["mp", "compute", "--input", str(telemetry_files / "baseline.csv"),
             "--device", "dev-1", "--window", "16"]
@@ -657,9 +680,10 @@ def test_simulate_nan_margin_is_config_error(tmp_path, capsys):
         lambda obj: obj["attacks"].append(
             {"kind": "dictionary_attack", "at": 0, "device": "sensor-a", "rate": [1, 10**30]}
         ),
+        lambda obj: obj.update(devices=[], attacks=[], duration=10**13),  # still an array of ticks
     ],
     ids=["factor-1e21", "factor-2^62", "base-1e20", "base-Infinity", "largest-floats",
-         "overlapping-floods", "dictionary-rate"],
+         "overlapping-floods", "dictionary-rate", "no-devices-1e13-ticks"],
 )
 def test_simulate_unbounded_traffic_is_config_error(tmp_path, capsys, edit):
     obj = json.loads((SCENARIO_DIR / "baseline_flood.json").read_text())

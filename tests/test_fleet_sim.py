@@ -158,6 +158,9 @@ _SHARED = TrafficSpec(period=9, base=4.0, amplitude=2.0, noise=1.5)
          lambda grid: set(grid[0, ::HEARTBEAT_PERIOD]) == {True, False}),
         (_fleet(40, (1.0, TrafficSpec(period=500, base=2.0, amplitude=4.0, noise=3.0)), _FULL),
          lambda grid: grid.all()),
+        # a period past int64: the wave is indexed by tick mod its phase count
+        (_fleet(40, (1.0, TrafficSpec(period=2**70, base=2.0, amplitude=4.0, noise=3.0)), _FULL),
+         lambda grid: grid.all()),
         # a noisy device with an odd number of on-ticks draws half a Box-Muller pair last
         (_fleet(61, (1.0, TrafficSpec(noise=2.0)), (0.5, TrafficSpec(period=7, noise=1.0)), _FULL),
          lambda grid: [n % 2 for n in grid.sum(axis=1)] == [1, 1, 1]),
@@ -166,8 +169,8 @@ _SHARED = TrafficSpec(period=9, base=4.0, amplitude=2.0, noise=1.5)
         (_fleet(50, (1.0, _SHARED), (0.7, _SHARED), (1.0, _SHARED), (1.0, TrafficSpec(period=9))),
          lambda grid: not grid[1].all()),
     ],
-    ids=["default", "duty-cycle", "no-noise", "period-2", "period-past-duration", "odd-on-ticks",
-         "no-on-tick", "shared-shape"],
+    ids=["default", "duty-cycle", "no-noise", "period-2", "period-past-duration", "period-2^70",
+         "odd-on-ticks", "no-on-tick", "shared-shape"],
 )
 def test_traffic_fill_matches_per_tick_reference(config, edge):
     sim = FleetSimulation(config)
@@ -524,23 +527,26 @@ def test_canary_port_cannot_shadow_legitimate_service():
         (lambda: ScenarioConfig(seed=0, duration=5_000_001,
                                 devices=(DeviceSpec("a", "s"), DeviceSpec("b", "s"))),
          "devices x duration passes the telemetry cap of 1e+07 rows"),
+        # no devices still hold an array of every tick
+        (lambda: ScenarioConfig(seed=0, duration=10**13),
+         "devices x duration passes the telemetry cap of 1e+07 rows"),
         (lambda: DeviceSpec("a", "s", duty_cycle=2.0), "duty_cycle: must be in (0, 1]"),
         (lambda: LinkSpec(mtu=4), "mtu: must exceed the 4-byte fragment header"),
         (lambda: UpdateSpec(at=5, version=1, expiry=5), "expiry: must be after the publish tick"),
         (lambda: MtdSpec(0, ("x",)), "rotation_interval: must be positive"),
         (lambda: AttackSpec("ddos", 5, "a"), "kind: unknown attack kind 'ddos'"),
         (lambda: AttackSpec("traffic_flood", 5, None), "device: missing required field"),
-        (lambda: AttackSpec("rollback_replay", 5, "a", {"factor": 3}), "factor: unknown field"),
-        (lambda: AttackSpec("traffic_flood", 5, "a", {"factor": 1}), "factor: must be at least 2"),
-        (lambda: AttackSpec("identity_theft", 5, "a", {"duration": 0}), "duration: must be positive"),
-        (lambda: AttackSpec("dictionary_attack", 5, "a", {"rate": (3, 2)}),
+        (lambda: AttackSpec("rollback_replay", 5, "a", factor=3), "factor: unknown field"),
+        (lambda: AttackSpec("traffic_flood", 5, "a", factor=1), "factor: must be at least 2"),
+        (lambda: AttackSpec("identity_theft", 5, "a", duration=0), "duration: must be positive"),
+        (lambda: AttackSpec("dictionary_attack", 5, "a", rate=(3, 2)),
          "rate: expected [lo, hi] with 1 <= lo <= hi"),
-        (lambda: AttackSpec("dictionary_attack", 5, "a", {"rate": 4}),
+        (lambda: AttackSpec("dictionary_attack", 5, "a", rate=4),
          "rate: expected [lo, hi] with 1 <= lo <= hi"),
     ],
-    ids=["telemetry-cap", "duty-cycle", "mtu", "expiry", "rotation-interval", "attack-kind",
-         "attack-device", "attack-param", "attack-factor", "attack-duration", "attack-rate",
-         "attack-rate-type"],
+    ids=["telemetry-cap", "telemetry-cap-no-devices", "duty-cycle", "mtu", "expiry",
+         "rotation-interval", "attack-kind", "attack-device", "attack-param", "attack-factor",
+         "attack-duration", "attack-rate", "attack-rate-type"],
 )
 def test_specs_built_in_python_are_checked_like_files(build, error):
     with pytest.raises(ConfigError) as exc:
@@ -551,11 +557,11 @@ def test_specs_built_in_python_are_checked_like_files(build, error):
 def test_attack_built_in_python_takes_its_kinds_defaults_and_runs():
     attacks = (
         AttackSpec("dictionary_attack", 5, "a"),
-        AttackSpec("traffic_flood", 6, "a", {"buckets": 2}),
+        AttackSpec("traffic_flood", 6, "a", buckets=2),
         AttackSpec("canary_probe", 7, "a"),
     )
-    assert [a.params for a in attacks] == [
-        {"duration": 20, "rate": (2, 6)}, {"factor": 10, "buckets": 2}, {},
+    assert [(a.duration, a.rate, a.factor, a.buckets) for a in attacks] == [
+        (20, (2, 6), None, None), (None, None, 10, 2), (None, None, None, None),
     ]
     config = ScenarioConfig(seed=0, duration=10, devices=(DeviceSpec("a", "s"),), attacks=attacks,
                             deception=DeceptionSpec(canary_ports=(2323,)))
@@ -752,7 +758,6 @@ SCENARIO_ERRORS = [
     ("attacks.4.at", 200, f"{_A}[4].at: must be within [0, duration)"),
     ("attacks.0.device", DROP, f"{_A}[0].device: missing required field"),
     ("attacks.0.device", 5, f"{_A}[0].device: expected str"),
-    ("attacks.5.device", None, f"{_A}[5].device: expected str"),
     ("attacks.0.device", "ghost", f"{_A}[0].device: unknown device 'ghost'"),
     ("attacks.0.at", 10, f"{_A}[0]: rollback_replay needs an update campaign before it"),
     ("attacks.1.at", 5, f"{_A}[1]: tamper_firmware needs an update campaign before it"),
@@ -764,7 +769,7 @@ SCENARIO_ERRORS = [
     ("attacks.3.rate", [2], f"{_A}[3].rate: expected [lo, hi] with 1 <= lo <= hi"),
     ("attacks.3.rate", [0, 2], f"{_A}[3].rate: expected [lo, hi] with 1 <= lo <= hi"),
     ("attacks.3.rate", [3, 2], f"{_A}[3].rate: expected [lo, hi] with 1 <= lo <= hi"),
-    ("attacks.3.rate", [1.0, 2], f"{_A}[3].rate: expected [lo, hi] with 1 <= lo <= hi"),
+    ("attacks.3.rate", [1.0, 2], f"{_A}[3].rate[0]: expected int"),
     ("attacks.4.factor", 10.0, f"{_A}[4].factor: expected int"),
     ("attacks.4.factor", 1, f"{_A}[4].factor: must be at least 2"),
     ("attacks.4.buckets", "20", f"{_A}[4].buckets: expected int"),
@@ -848,3 +853,8 @@ def test_null_owner_or_firmware_id_is_the_default(where, default):
     assert config == parse_scenario(_broken(where, DROP))
     section, index, name = where.split(".")
     assert getattr(getattr(config, section)[int(index)], name) == default
+
+
+def test_null_attack_device_is_an_absent_one():
+    # write_spec writes a canary probe without a device as null
+    assert parse_scenario(_broken("attacks.5.device", None)) == parse_scenario(FULL_SCENARIO)

@@ -1,16 +1,26 @@
-"""The saved-file schema: write_spec writes what read_spec reads back, unchanged."""
+"""The schemas: write_spec writes what read_spec reads back, and the binary
+encoders write what their decoders read back, unchanged."""
 
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fleetsec.errors import FleetsecError
 from fleetsec.identity import ClaimRequest, DeviceRecord, DeviceRegistry, Status
 from fleetsec.keystore import ALGORITHM_ED25519, PublicKeyInfo
-from fleetsec.update_protocol import EMPTY_SLOT, DeviceMode, DeviceUpdateState, Slot, SlotState
-from fleetsec.wire import ConfigError, build, read_spec, write_spec
+from fleetsec.tsa import TimestampToken, decode_token
+from fleetsec.update_protocol import (
+    EMPTY_SLOT,
+    DeviceMode,
+    DeviceUpdateState,
+    FirmwareManifest,
+    Slot,
+    SlotState,
+    decode_manifest,
+)
+from fleetsec.wire import U64_MAX, ConfigError, build, read_spec, write_spec
 
 # non-ASCII letters, and the commas and quotes that JSON text must escape
 IDS = st.text(st.sampled_from('aZ9-_ éü€漢,"\'\\'), min_size=1, max_size=12) | st.text(min_size=1)
@@ -20,6 +30,26 @@ PUBLIC_KEYS = st.builds(PublicKeyInfo, IDS, st.just(ALGORITHM_ED25519), DIGESTS)
 SLOTS = st.just(EMPTY_SLOT) | st.builds(
     SlotState, DIGESTS, st.integers(-1, 2**64 - 1), st.integers(-1, 2**64 - 1), st.booleans()
 )
+# u64 fields at their edges as well as between them
+U64S = st.sampled_from([0, 1, U64_MAX]) | st.integers(0, U64_MAX)
+TOKENS = st.builds(
+    TimestampToken,
+    DIGESTS,
+    gen_time=U64S,
+    serial=st.sampled_from([1, U64_MAX]) | st.integers(1, U64_MAX),
+    tsa_key=st.just("") | IDS,
+    signature=st.binary(max_size=64),
+)
+MANIFESTS = st.builds(
+    FirmwareManifest,
+    firmware_id=st.just("") | IDS,
+    version=U64S,
+    digest=DIGESTS,
+    expiry=U64S,
+    token=TOKENS,
+    publisher_sig=st.binary(max_size=64),
+)
+
 STATES = st.builds(
     DeviceUpdateState,
     st.sampled_from(Slot),
@@ -115,3 +145,18 @@ def test_generated_registries_save_back_to_themselves(ids, ops, seed):
             pass
     saved = json.loads(json.dumps(registry.to_json_obj()))
     assert DeviceRegistry.from_json_obj(saved).to_json_obj() == registry.to_json_obj()
+
+
+_FIRST_TOKEN = TimestampToken(bytes(32), 0, 1, "", b"")  # gen_time 0, serial 1
+_LAST_TOKEN = TimestampToken(bytes(32), U64_MAX, U64_MAX, "", b"")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(value=TOKENS | MANIFESTS)
+@example(value=_FIRST_TOKEN)
+@example(value=_LAST_TOKEN)
+@example(value=FirmwareManifest("", 0, bytes(32), 0, _FIRST_TOKEN, b""))
+@example(value=FirmwareManifest("", U64_MAX, bytes(32), U64_MAX, _LAST_TOKEN, b""))
+def test_tokens_and_manifests_decode_to_what_was_encoded(value):
+    decode = decode_token if isinstance(value, TimestampToken) else decode_manifest
+    assert decode(value.encode()) == value
