@@ -55,15 +55,13 @@ print(f"top discords: {discords} (flood occupies [500, 524))")
 # threshold transfers between runs of the same device. detect_counts is
 # the pass `fleetsec simulate` and `fleetsec detect` both run, and
 # DetectorConfig holds the settings of both; the window is set here and
-# the rest keep their defaults. It reads one device's counts (row 0),
-# ticks [0, 400) as the baseline.
+# the rest keep their defaults. It reads one device's counts (row 0);
+# the baseline given as tick 400 is the series' own ticks [0, 400), so
+# each window skips its own copy there as a trivial match. (`fleetsec
+# detect` passes a separate baseline recording instead.)
 packets = {(EventKind.PACKET, Direction.INBOUND): counts.astype(np.int64)[np.newaxis]}
 telemetry = TelemetryCounts.dense(("sensor-a",), t, packets)
-reports = detect_counts(
-    DetectorConfig(window=config.window_m),
-    telemetry, [0], (0, n),
-    telemetry, [0], (0, 400),
-)
+reports = detect_counts(DetectorConfig(window=config.window_m), telemetry, [0], (0, n), 400)
 threshold = reports[0].threshold
 
 print(f"threshold {threshold:.3f}, {len(reports)} anomalous windows")

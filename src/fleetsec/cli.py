@@ -144,7 +144,7 @@ def _cmd_detect(args) -> int:
     reports = detect_counts(
         config,
         telemetry, _rows(args.input, telemetry, devices), _span(telemetry),
-        baseline, _rows(args.baseline, baseline, devices), _span(baseline),
+        (baseline, _rows(args.baseline, baseline, devices), _span(baseline)),
     )
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_jsonl(reports, fh)

@@ -5,16 +5,17 @@ set its threshold: a quantile of the empirical distribution times a
 safety margin. Each window of the telemetry is then scored against the
 baseline's windows only (an AB-join), and any window whose distance
 exceeds the threshold is reported. Scored against the clean baseline, a
-repeated attack cannot match its own earlier copy. A telemetry window
-and a baseline window whose start ticks differ by at most exclusion x
-interval are a trivial match and skipped: where the baseline is a
-prefix of the same recording, as in the simulator, that drops each
-window's own copy; against a separate recording that overlaps the
-telemetry's ticks, it drops genuine candidates too. Calibrating per device keeps a heterogeneous fleet
-comparable: every device gets its own score scale. `detect_counts` is
-the one detection pass, used by the fleet simulator and by `fleetsec detect`,
-and `DetectorConfig` is the one home of its settings: a scenario's
-detector keys and `fleetsec detect`'s flags are its fields.
+repeated attack cannot match its own earlier copy. Both come from one
+profile per device of a series scored against its first points, the
+baseline: the telemetry itself when the baseline is its own prefix, as
+in the simulator, where a window skips its own copy as a trivial match;
+or, for a separate recording, the baseline, a gap of `exclusion` zeros
+and the telemetry, where no pair is a trivial match. Calibrating per
+device keeps a heterogeneous fleet comparable: every device gets its own
+score scale. `detect_counts` is the one detection pass, used by the
+fleet simulator and by `fleetsec detect`, and `DetectorConfig` is the
+one home of its settings: a scenario's detector keys and `fleetsec
+detect`'s flags are its fields.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .matrix_profile import ProfileConfig, compute_many
+from .matrix_profile import InsufficientLengthError, ProfileConfig, compute_many
 from .telemetry import Metric, TelemetryCounts
 from .wire import ConfigError
 
@@ -89,40 +90,53 @@ def detect_counts(
     telemetry: TelemetryCounts,
     rows: Sequence[int],
     span: tuple[int, int],
-    baseline: TelemetryCounts,
-    baseline_rows: Sequence[int],
-    baseline_span: tuple[int, int],
+    baseline: int | tuple[TelemetryCounts, Sequence[int], tuple[int, int]],
 ) -> list[AnomalyReport]:
     """Reports for every window whose profile distance exceeds its device's threshold.
 
-    Device k is telemetry row rows[k] and baseline row baseline_rows[k];
-    each side is bucketed at `config.interval` over its span, [start,
-    end), cut to whole intervals from start, so no short last bucket is
-    scored. Its baseline series sets the threshold for its telemetry
-    series, metric by metric, and is the reference its telemetry windows
-    are scored against. Reports are ordered by device as `rows` orders
-    them, then metric as `config.metrics` does, then window.
+    Device k is telemetry row rows[k], bucketed at `config.interval` over
+    its span, [start, end), cut to whole intervals from start, so no
+    short last bucket is scored. `baseline` is either an end tick, which
+    makes the telemetry's own buckets before it the baseline, or a
+    separate recording `(counts, baseline_rows, baseline_span)`, where
+    device k is row baseline_rows[k], bucketed the same way. Its baseline
+    series sets the threshold for its telemetry series, metric by
+    metric, and is what its telemetry windows are scored against.
+    Reports are ordered by device as `rows` orders them, then metric as
+    `config.metrics` does, then window.
     """
-    interval, profile_config = config.interval, config.profile_config
-    span, baseline_span = _whole_buckets(span, interval), _whole_buckets(baseline_span, interval)
-    offset = (span[0] - baseline_span[0]) / interval  # in buckets: the band is set by ticks
+    interval, profile_config, m = config.interval, config.profile_config, config.window
+    span = _whole_buckets(span, interval)
+    if isinstance(baseline, tuple):
+        base_counts, base_rows, base_span = baseline
+        base_span = _whole_buckets(base_span, interval)
+        n_ref = (base_span[1] - base_span[0]) // interval
+        lead = n_ref + profile_config.exclusion  # where the telemetry starts in the profiled series
+    else:
+        n_ref, lead = (baseline - span[0]) // interval, 0
     reports = []
     for first in range(0, len(rows), _DETECTOR_BLOCK):
         block = slice(first, first + _DETECTOR_BLOCK)
         scored = []
         for metric in config.metrics:
-            base = baseline.bucket(baseline_rows[block], metric, interval, *baseline_span)
-            thresholds = [
-                threshold_from_distances(p.distances, config.quantile, config.margin)
-                for p in compute_many(base, profile_config)
-            ]
             values = telemetry.bucket(rows[block], metric, interval, *span)
-            profiles = compute_many(values, profile_config, base, offset)
-            scored.append((metric.value, thresholds, profiles))
+            if values.shape[1] < m:
+                raise InsufficientLengthError(
+                    f"need at least {m} points for window {m}, got {values.shape[1]}"
+                )
+            if lead:  # the baseline, a gap of zeros, then the telemetry
+                base = base_counts.bucket(base_rows[block], metric, interval, *base_span)
+                values = np.hstack([base, np.zeros((len(base), lead - n_ref)), values])
+            profiles = compute_many(values, profile_config, n_ref)
+            thresholds = [
+                threshold_from_distances(p.distances[: n_ref - m + 1], config.quantile, config.margin)
+                for p in profiles
+            ]
+            scored.append((metric.value, thresholds, [p.distances[lead:] for p in profiles]))
         for k, row in enumerate(rows[block]):
             device_id = telemetry.device_ids[row]
-            for metric, thresholds, profiles in scored:
-                distances, threshold = profiles[k].distances, thresholds[k]
+            for metric, thresholds, scores in scored:
+                distances, threshold = scores[k], thresholds[k]
                 reports.extend(
                     AnomalyReport(
                         device_id, metric, i, span[0] + i * interval, float(distances[i]), threshold

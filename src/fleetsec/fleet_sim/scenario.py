@@ -55,7 +55,7 @@ from ..update_protocol import (
     initial_state,
     interrupt_update,
 )
-from ..wire import ConfigError, Reader, build, load_json, lp, read_spec
+from ..wire import U64_MAX, ConfigError, Reader, build, load_json, lp, read_spec
 from .report import EventRow, ScenarioReport, write_report
 from .transport import MAX_FRAGMENTS, SimLink, fragment, reassemble
 
@@ -230,6 +230,9 @@ class UpdateSpec:
             raise ConfigError("version", "must be at least 1")
         if self.expiry <= self.at:
             raise ConfigError("expiry", "must be after the publish tick")
+        for name in ("version", "expiry"):  # both travel as u64 in the manifest
+            if getattr(self, name) > U64_MAX:
+                raise ConfigError(name, "must be at most 2**64 - 1")
         if self.size < 16:
             raise ConfigError("size", "must be at least 16 bytes")
         if self.retry_interval < 1:
@@ -299,6 +302,9 @@ class DeceptionSpec:
 
     def __post_init__(self):
         _check_ports(self.canary_ports, "canary_ports")
+        for i, port in enumerate(self.canary_ports):
+            if port in self.canary_ports[:i]:
+                raise ConfigError(f"canary_ports[{i}]", f"port {port} is listed twice")
 
 
 @dataclass(frozen=True)
@@ -925,13 +931,8 @@ class FleetSimulation:
         det = self.cfg.detector
         if det is None:
             return
-        telemetry = self.report.telemetry
         rows = [self._row[dev] for dev in sorted(self._row)]
-        reports = detect_counts(
-            det,
-            telemetry, rows, (0, self.cfg.duration),
-            telemetry, rows, (0, det.baseline_ticks),
-        )
+        reports = detect_counts(det, self.report.telemetry, rows, (0, self.cfg.duration), det.baseline_ticks)
         self.report.anomalies.extend(reports)
         for (dev, metric), found in itertools.groupby(reports, lambda r: (r.device_id, r.metric)):
             self.event(

@@ -7,14 +7,16 @@ index of that nearest neighbor. Recurring behavior yields low distances;
 a window with no similar counterpart anywhere (a discord) yields a high
 one, which is what flags an intrusion in otherwise periodic telemetry.
 
-Given a reference series, the profile is an AB-join (Yeh et al., ICDM
-2016): each window is compared with the reference's windows only, and
-its neighbor index names a reference window. Scored against a clean
-reference, a repeated anomaly cannot be its own twin. The exclusion zone
-then applies by position: with `offset`, the start of the series minus
-the start of the reference in samples, window i and reference window j
-are a trivial match when |offset + i - j| <= exclusion. Without a
-reference the series is its own reference at offset 0: the self-join.
+Given `n_ref`, every window is compared with the windows of the series'
+own first n_ref points only, and its neighbor index names one of them:
+an AB-join (Yeh et al., ICDM 2016) of the series against that prefix.
+Scored against a clean prefix, a repeated anomaly cannot be its own
+twin. Window i and prefix window j are a trivial match when |i - j| <=
+exclusion, so the prefix's own rows are its self-join. A separate
+recording is joined by placing it after the prefix and a gap of
+`exclusion` points: each of its windows then starts more than the
+exclusion after every prefix window, so no pair is a trivial match.
+Without `n_ref` the whole series is its own prefix: the self-join.
 
 Two independent implementations satisfy the same contract: an all-pairs
 `compute_brute_force` that evaluates every window pair directly, and
@@ -80,8 +82,8 @@ class LengthMismatchError(FleetsecError):
 
 
 class InsufficientLengthError(FleetsecError):
-    """A series, or a reference, shorter than `ProfileConfig.min_length`,
-    or a scored series shorter than one window."""
+    """A series, or its reference prefix, shorter than `ProfileConfig.min_length`,
+    or telemetry shorter than one window."""
 
 
 def default_exclusion(window_m: int) -> int:
@@ -115,7 +117,7 @@ class ProfileConfig:
         """The fewest points that give every window an admissible neighbor.
 
         A window's exclusion zone covers up to 2 * exclusion + 1 windows,
-        so a series (or a reference) needs 2 * exclusion + 2 windows for
+        so a reference prefix needs 2 * exclusion + 2 windows for
         every window to keep one outside it, wherever the zone falls.
         """
         return self.window_m + 2 * self.exclusion + 1
@@ -137,7 +139,7 @@ def znorm_distance(a, b) -> float:
     """Euclidean distance between z-normalized copies of a and b.
 
     Both inputs are shifted to zero mean and scaled by their population
-    standard deviation before comparison, so offset and positive scale are
+    standard deviation before comparison, so a shift and positive scale are
     ignored. If both are (near-)constant the distance is 0; if exactly one
     is, it is sqrt(2m), the maximum possible value.
     """
@@ -165,17 +167,13 @@ def znorm_distance(a, b) -> float:
     return d
 
 
-def _window_counts(
-    n: int, n_ref: int | None, config: ProfileConfig, offset: float
-) -> tuple[int, int]:
-    """Windows of the scored series and of its reference (itself when n_ref is None)."""
+def _window_counts(n: int, n_ref: int | None, config: ProfileConfig) -> tuple[int, int]:
+    """Windows of the series and of its reference prefix (the whole series when n_ref is None)."""
     m = config.window_m
     if n_ref is None:
-        if offset:
-            raise ValueError("an offset needs a reference")
         n_ref = n
-    elif n < m:
-        raise InsufficientLengthError(f"need at least {m} points for window {m}, got {n}")
+    elif n_ref > n:
+        raise ValueError(f"a prefix of {n_ref} points does not fit a series of {n}")
     if n_ref < config.min_length:
         raise InsufficientLengthError(
             f"need at least {config.min_length} points "
@@ -184,32 +182,23 @@ def _window_counts(
     return n - m + 1, n_ref - m + 1
 
 
-def compute_brute_force(
-    values, config: ProfileConfig, reference=None, offset: float = 0
-) -> MatrixProfile:
+def compute_brute_force(values, config: ProfileConfig, n_ref: int | None = None) -> MatrixProfile:
     """All-pairs profile: for each window, scan every admissible reference window.
 
     Serves as the independent reference implementation; `compute_many`
     must reproduce it elementwise.
     """
     values = np.asarray(values, dtype=np.float64)
-    ref = values if reference is None else np.asarray(reference, dtype=np.float64)
-    w, w_ref = _window_counts(values.size, None if reference is None else ref.size, config, offset)
+    w, w_ref = _window_counts(values.size, n_ref, config)
     m = config.window_m
-    excl = config.exclusion
-
-    def znormalized(series):
-        windows = np.lib.stride_tricks.sliding_window_view(series, m)
-        mu = windows.mean(axis=1)
-        sigma = windows.std(axis=1)
-        const = sigma < CONSTANT_STD
-        safe_sigma = np.where(const, 1.0, sigma)
-        z = (windows - mu[:, None]) / safe_sigma[:, None]
-        z[const] = 0.0
-        return z, const
-
-    z, const = znormalized(values)
-    z_ref, const_ref = (z, const) if reference is None else znormalized(ref)
+    windows = np.lib.stride_tricks.sliding_window_view(values, m)
+    mu = windows.mean(axis=1)
+    sigma = windows.std(axis=1)
+    const = sigma < CONSTANT_STD
+    safe_sigma = np.where(const, 1.0, sigma)
+    z = (windows - mu[:, None]) / safe_sigma[:, None]
+    z[const] = 0.0
+    z_ref, const_ref = z[:w_ref], const[:w_ref]
     sqrt2m = math.sqrt(2.0 * m)
     distances = np.empty(w)
     neighbors = np.empty(w, dtype=np.int64)
@@ -221,7 +210,7 @@ def compute_brute_force(
         else:
             d[const_ref] = sqrt2m
         d[d * d <= snap] = 0.0
-        d[np.abs(offset + i - np.arange(w_ref)) <= excl] = np.inf
+        d[np.abs(i - np.arange(w_ref)) <= config.exclusion] = np.inf
         distances[i] = d.min()
         neighbors[i] = int(np.argmax(d <= distances[i] + NEIGHBOR_TIE_TOL))
     return MatrixProfile(distances, neighbors, config)
@@ -246,15 +235,14 @@ def _znormalized(values: np.ndarray, m: int):
     return z, const
 
 
-def _nearest(corr: np.ndarray, const_rows: np.ndarray, const_ref: np.ndarray, at: float,
+def _nearest(corr: np.ndarray, const_rows: np.ndarray, const_ref: np.ndarray, r0: int,
              config: ProfileConfig):
     """Distances and neighbors of a block of rows from their correlations.
 
     `corr` is (series, rows, w_ref), the correlations of the block's rows
-    with every window of their reference, and is overwritten.
-    `const_rows` marks the block's constant rows and `const_ref` the
-    reference's constant windows. The block's first row sits at `at` on
-    the reference's window axis, which places the exclusion band.
+    with every reference window, and is overwritten. `const_rows` marks
+    the block's constant rows and `const_ref` the constant reference
+    windows. The block starts at window r0, which places the exclusion band.
     """
     m, excl = config.window_m, config.exclusion
     n_rows, w_ref = corr.shape[1:]
@@ -262,11 +250,10 @@ def _nearest(corr: np.ndarray, const_rows: np.ndarray, const_ref: np.ndarray, at
     # rest: the snap and the identity below then give 0 and sqrt(2m).
     ks, rs = np.nonzero(const_rows)
     corr[ks, rs] = const_ref[ks]
-    # the reference windows some row of the block trivially matches; empty
-    # when the block lies more than the exclusion before or after them all
-    lo = max(0, math.ceil(at - excl))
-    hi = max(lo, min(w_ref, math.floor(at + n_rows - 1 + excl) + 1))
-    band = np.abs((at + np.arange(n_rows))[:, None] - np.arange(lo, hi)) <= excl
+    # the reference windows some row of the block trivially matches; none
+    # when the block starts more than the exclusion past the last of them
+    lo, hi = max(0, r0 - excl), min(w_ref, r0 + n_rows + excl)
+    band = np.abs((r0 + np.arange(n_rows))[:, None] - np.arange(lo, hi)) <= excl
     np.copyto(corr[..., lo:hi], -np.inf, where=band)
 
     best = corr.max(axis=-1)
@@ -279,60 +266,44 @@ def _nearest(corr: np.ndarray, const_rows: np.ndarray, const_ref: np.ndarray, at
     return d, np.argmax(corr >= floor[..., None], axis=-1)
 
 
-def _series_stack(values_2d) -> np.ndarray:
+def compute_many(values_2d, config: ProfileConfig, n_ref: int | None = None) -> list[MatrixProfile]:
+    """Profiles of D equal-length series stacked as a (D, n) array.
+
+    Each series is scored against the windows of its own first `n_ref`
+    points, or of all of it when n_ref is None. One matrix multiply per
+    tile gives the correlations of a block of windows with every
+    reference window; the exclusion band is masked and the row maximum is
+    the nearest neighbor. Tiles hold whole series when the reference is
+    short and blocks of rows of one series when it is long, and
+    z-normalization runs per block of series, so memory stays bounded.
+    Same contract as `compute_brute_force`, series by series.
+    """
     values = np.asarray(values_2d, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError(f"expected a (series, time) array, got shape {values.shape}")
-    return values
-
-
-def compute_many(
-    values_2d, config: ProfileConfig, reference=None, offset: float = 0
-) -> list[MatrixProfile]:
-    """Profiles of D equal-length series stacked as a (D, n) array.
-
-    With `reference`, a (D, n_ref) array, series k is scored against
-    reference row k, its first window at `offset` on the reference's
-    window axis; without, each series against itself. One matrix
-    multiply per tile gives the correlations of a block of windows with
-    every window of its reference; the exclusion band is masked and the
-    row maximum is the nearest neighbor. Tiles hold whole series when the
-    reference is short and blocks of rows of one series when it is long,
-    and z-normalization runs per block of series, so memory stays bounded.
-    Same contract as `compute_brute_force`, series by series.
-    """
-    values = _series_stack(values_2d)
-    ref = values if reference is None else _series_stack(reference)
     n_series, n = values.shape
-    if len(ref) != n_series:
-        raise ValueError(f"expected one reference row per series, got {len(ref)} for {n_series}")
-    w, w_ref = _window_counts(n, None if reference is None else ref.shape[1], config, offset)
+    w, w_ref = _window_counts(n, n_ref, config)
     rows = min(w, max(1, _TILE_BYTES // (8 * w_ref)))
     per_tile = max(1, _TILE_BYTES // (8 * w_ref * rows))
     buf = np.empty(min(per_tile, n_series) * rows * w_ref)
     distances = np.empty((n_series, w))
     neighbors = np.empty((n_series, w), dtype=np.int64)
-    m = config.window_m
     for a in range(0, n_series, per_tile):
-        z, const = _znormalized(values[a : a + per_tile], m)
-        z_ref, const_ref = (z, const) if reference is None else _znormalized(ref[a : a + per_tile], m)
-        zt = np.ascontiguousarray(z_ref.transpose(0, 2, 1))  # a strided view misses BLAS
+        z, const = _znormalized(values[a : a + per_tile], config.window_m)
+        zt = np.ascontiguousarray(z[:, :w_ref].transpose(0, 2, 1))  # a strided view misses BLAS
         for r0 in range(0, w, rows):
             block = z[:, r0 : r0 + rows]
             corr = buf[: block.shape[0] * block.shape[1] * w_ref].reshape(*block.shape[:2], w_ref)
             np.matmul(block, zt, out=corr)
-            d, j = _nearest(corr, const[:, r0 : r0 + rows], const_ref, r0 + offset, config)
+            d, j = _nearest(corr, const[:, r0 : r0 + rows], const[:, :w_ref], r0, config)
             distances[a : a + len(z), r0 : r0 + rows] = d
             neighbors[a : a + len(z), r0 : r0 + rows] = j
     return [MatrixProfile(distances[k], neighbors[k], config) for k in range(n_series)]
 
 
-def compute_fast(values, config: ProfileConfig, reference=None, offset: float = 0) -> MatrixProfile:
-    """Profile of one series, against `reference` if given, by the `compute_many` kernel."""
-    values = np.asarray(values, dtype=np.float64)[np.newaxis]
-    if reference is not None:
-        reference = np.asarray(reference, dtype=np.float64)[np.newaxis]
-    return compute_many(values, config, reference, offset)[0]
+def compute_fast(values, config: ProfileConfig, n_ref: int | None = None) -> MatrixProfile:
+    """Profile of one series, against its first `n_ref` points if given, by the `compute_many` kernel."""
+    return compute_many(np.asarray(values, dtype=np.float64)[np.newaxis], config, n_ref)[0]
 
 
 def top_discords(profile: MatrixProfile, k: int, exclusion: int) -> list[int]:

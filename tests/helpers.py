@@ -34,7 +34,7 @@ from fleetsec.cli import main
 from fleetsec.detector import AnomalyReport, DetectorConfig, threshold_from_distances
 from fleetsec.fleet_sim.scenario import HEARTBEAT_PERIOD, FleetSimulation, rng_stream
 from fleetsec.keystore import Keystore, PublicKeyInfo
-from fleetsec.matrix_profile import compute_fast
+from fleetsec.matrix_profile import compute_brute_force, compute_fast, znorm_distance
 from fleetsec.telemetry import (
     CSV_HEADER,
     Direction,
@@ -529,20 +529,44 @@ def calibrate(baseline: TelemetrySeries, config: DetectorConfig) -> float:
 def detect(
     series: TelemetrySeries, baseline: TelemetrySeries, threshold: float, config: DetectorConfig
 ) -> list[AnomalyReport]:
-    """Reports for every window of one series whose profile distance against the
-    baseline's windows exceeds threshold; both share one interval."""
-    offset = (series.start_time - baseline.start_time) / series.interval
-    profile = compute_fast(series.values, config.profile_config, baseline.values, offset)
+    """Reports for every window of one series whose distance to its nearest window
+    of a separate baseline recording exceeds threshold; both share one interval.
+
+    A separate recording has no trivial matches, so every pair is a candidate.
+    The scores are an all-pairs `znorm_distance` join, nothing shared with the
+    profile kernel.
+    """
+    m = config.window
+    base = [baseline.values[j : j + m] for j in range(len(baseline.values) - m + 1)]
+    scores = [
+        min(znorm_distance(series.values[i : i + m], b) for b in base)
+        for i in range(len(series.values) - m + 1)
+    ]
+    return _reports_above(series, scores, threshold)
+
+
+def detect_own_prefix(
+    series: TelemetrySeries, n_ref: int, threshold: float, config: DetectorConfig
+) -> list[AnomalyReport]:
+    """Reports for every window of one series whose distance to its nearest window
+    of the series' own first n_ref points exceeds threshold, trivial matches
+    skipped, by the all-pairs `compute_brute_force`."""
+    profile = compute_brute_force(series.values, config.profile_config, n_ref)
+    return _reports_above(series, profile.distances, threshold)
+
+
+def _reports_above(series: TelemetrySeries, scores, threshold: float) -> list[AnomalyReport]:
     return [
         AnomalyReport(
             device_id=series.device_id,
             metric=series.metric.value,
             window_index=i,
             time=series.start_time + i * series.interval,
-            score=float(profile.distances[i]),
+            score=float(score),
             threshold=float(threshold),
         )
-        for i in np.flatnonzero(profile.distances > threshold).tolist()
+        for i, score in enumerate(scores)
+        if score > threshold
     ]
 
 

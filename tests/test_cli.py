@@ -500,6 +500,18 @@ def test_detect_span_shorter_than_one_interval_is_an_error(telemetry_files, tmp_
     assert "empty range" in capsys.readouterr().err
 
 
+def test_detect_input_shorter_than_one_window_is_an_error(telemetry_files, tmp_path, capsys):
+    # the baseline holds every neighbor; the input holds no whole window
+    short = tmp_path / "short.csv"
+    write_telemetry(short, "dev-1", sine_counts(5))
+    out = tmp_path / "a.jsonl"
+    code = main(["detect", "--baseline", str(telemetry_files / "baseline.csv"),
+                 "--input", str(short), "--window", "8", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: need at least 8 points for window 8, got 5\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["mp", "detect"])
 def test_field_past_the_csv_limit_is_a_parse_error(tmp_path, capsys, command):
     # csv refuses fields over 131,072 characters

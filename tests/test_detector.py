@@ -15,7 +15,7 @@ from fleetsec.detector import (
     threshold_from_distances,
 )
 from fleetsec.fleet_sim.report import write_jsonl
-from fleetsec.matrix_profile import compute_brute_force, znorm_distance
+from fleetsec.matrix_profile import InsufficientLengthError, compute_brute_force
 from fleetsec.telemetry import Direction, EventKind, Metric, TelemetryCounts, TelemetrySeries
 
 from helpers import calibrate, detect
@@ -44,15 +44,25 @@ def counts_of(series, ids, start=0, interval=1):
 
 
 def run(baselines, inputs, config=None, *, start=0, interval=1, baseline_start=0):
-    """detect_counts for device "d{k}", calibrated on baselines[k], over inputs[k]."""
+    """detect_counts for device "d{k}", calibrated on a separate recording of
+    baselines[k], over inputs[k]."""
     ids = [f"d{k}" for k in range(len(inputs))]
     baseline, baseline_span = counts_of(baselines, ids, baseline_start, interval)
     telemetry, span = counts_of(inputs, ids, start, interval)
     rows = list(range(len(ids)))
     return detect_counts(
         replace(config or CFG, interval=interval),
-        telemetry, rows, span, baseline, rows, baseline_span,
+        telemetry, rows, span, (baseline, rows, baseline_span),
     )
+
+
+def run_own_prefix(inputs, baseline_end, config=None, *, start=0, interval=1):
+    """detect_counts for device "d{k}" over inputs[k], calibrated on its own ticks
+    before baseline_end."""
+    ids = [f"d{k}" for k in range(len(inputs))]
+    telemetry, span = counts_of(inputs, ids, start, interval)
+    config = replace(config or CFG, interval=interval)
+    return detect_counts(config, telemetry, list(range(len(ids))), span, baseline_end)
 
 
 CFG = DetectorConfig(window=4, exclusion=2, quantile=0.99, margin=2.0)
@@ -87,7 +97,7 @@ class TestThresholdRule:
         # reports show it: margin times the baseline profile's quantile
         values = walk(rng_np, 80)
         config = replace(CFG, quantile=0.5, margin=2.0)
-        reports = run([values], [values], config)
+        reports = run_own_prefix([values], 80, config)
         profile = compute_brute_force(values, CFG.profile_config)
         want = 2.0 * float(np.quantile(profile.distances, 0.5))
         assert reports
@@ -148,36 +158,59 @@ class TestDetect:
             assert any(i <= burst < i + m for i in flagged)
 
     def test_trivial_match_band_is_set_by_ticks(self, rng_np):
-        # the telemetry starts k buckets into the baseline's own recording:
-        # each window's copy in the baseline falls in the band, so the scores
-        # are the baseline self-join's from window k on
+        # the baseline is the telemetry's own buckets before tick 171, which
+        # cuts to 50 whole buckets of 3 from tick 21: each window's own copy
+        # in them falls in the band, so the first 47 scores are their self-join
         values = walk(rng_np, 80)
-        k, interval = 7, 3
-        reports = run([values], [values[k:]], LOW, start=k * interval, interval=interval)
-        profile = compute_brute_force(values, LOW.profile_config)
-        threshold = float(np.quantile(profile.distances, 0.5))
-        flagged = [i - k for i in np.flatnonzero(profile.distances > threshold).tolist() if i >= k]
+        start, interval, n_ref = 21, 3, 50
+        reports = run_own_prefix([values], start + n_ref * interval + 2, LOW, start=start, interval=interval)
+        profile = compute_brute_force(values, LOW.profile_config, n_ref)
+        prefix = compute_brute_force(values[:n_ref], LOW.profile_config)
+        assert profile.distances[: len(prefix)].tolist() == prefix.distances.tolist()
+        threshold = float(np.quantile(prefix.distances, 0.5))
         assert reports
-        assert [r.window_index for r in reports] == flagged
+        assert [r.window_index for r in reports] == np.flatnonzero(profile.distances > threshold).tolist()
         for r in reports:
-            assert r.score == pytest.approx(profile.distances[r.window_index + k], abs=1e-9)
-            assert r.time == (k + r.window_index) * interval
+            assert r.score == pytest.approx(profile.distances[r.window_index], abs=1e-9)
+            assert r.time == start + r.window_index * interval
+            assert r.threshold == pytest.approx(threshold)
 
     def test_a_baseline_recorded_after_the_telemetry_is_out_of_the_band(self, rng_np):
-        # the baseline starts 10 ticks after the telemetry ends: no pair is a
-        # trivial match, so each score is the minimum over every baseline window
+        # the baseline starts 10 ticks after the telemetry ends: each score is
+        # the minimum over every baseline window
         baseline, values = walk(rng_np, 80), walk(rng_np, 60)
         reports = run([baseline], [values], LOW, baseline_start=70)
-        m = LOW.window
-        scores = [
-            min(znorm_distance(values[i : i + m], baseline[j : j + m]) for j in range(len(baseline) - m + 1))
-            for i in range(len(values) - m + 1)
-        ]
-        threshold = calibrate(TelemetrySeries("d0", Metric.PACKETS_IN, 1, tuple(baseline), 70), LOW)
+        baseline_series = TelemetrySeries("d0", Metric.PACKETS_IN, 1, tuple(baseline), 70)
+        series = TelemetrySeries("d0", Metric.PACKETS_IN, 1, tuple(values), 0)
+        want = detect(series, baseline_series, calibrate(baseline_series, LOW), LOW)
         assert reports
-        assert [r.window_index for r in reports] == [i for i, d in enumerate(scores) if d > threshold]
-        for r in reports:
-            assert r.score == pytest.approx(scores[r.window_index], abs=1e-9)
+        assert [r.window_index for r in reports] == [r.window_index for r in want]
+        for r, w in zip(reports, want):
+            assert r.score == pytest.approx(w.score, abs=1e-9)
+
+    def test_a_separate_baseline_twins_the_first_windows_across_the_band(self, rng_np):
+        # the telemetry opens with the baseline's last 6 points, so its first
+        # 3 windows have exact twins that start 6 points before them, within
+        # the exclusion had the telemetry followed the baseline directly; as a
+        # separate recording, no pair is a trivial match
+        config = DetectorConfig(window=4, exclusion=6, quantile=0.01, margin=1.0)
+        baseline = walk(rng_np, 80)
+        values = np.concatenate([baseline[-6:], walk(rng_np, 50)])
+        reports = run([baseline], [values], config)
+        baseline_series = TelemetrySeries("d0", Metric.PACKETS_IN, 1, tuple(baseline), 0)
+        series = TelemetrySeries("d0", Metric.PACKETS_IN, 1, tuple(values), 0)
+        want = detect(series, baseline_series, calibrate(baseline_series, config), config)
+        assert reports and min(r.window_index for r in reports) >= 3
+        assert [r.window_index for r in reports] == [r.window_index for r in want]
+        for r, w in zip(reports, want):
+            assert r.score == pytest.approx(w.score, abs=1e-9)
+
+    def test_telemetry_shorter_than_a_window_is_refused(self):
+        message = "need at least 4 points for window 4, got 3"
+        with pytest.raises(InsufficientLengthError, match=message):
+            run([periodic(40)], [periodic(3)])
+        with pytest.raises(InsufficientLengthError, match=message):
+            run_own_prefix([periodic(3)], 3)
 
     def test_monotone_in_threshold(self, rng_np):
         baseline, series = walk(rng_np, 90), walk(rng_np, 90)
@@ -191,7 +224,8 @@ class TestDetect:
 class TestDetectFleet:
     def test_empty_fleet(self):
         telemetry, span = counts_of([periodic(64)], ["a"])
-        assert detect_counts(CFG, telemetry, [], span, telemetry, [], span) == []
+        assert detect_counts(CFG, telemetry, [], span, (telemetry, [], span)) == []
+        assert detect_counts(CFG, telemetry, [], span, span[1]) == []
 
     def test_only_the_bursting_device_reports(self):
         noisy = periodic(96)
@@ -216,7 +250,7 @@ class TestDetectFleet:
             got[block] = detect_counts(
                 replace(LOW, metrics=tuple(metrics)),
                 telemetry, [flipped.index(d) for d in order], span,
-                baseline, [names.index(d) for d in order], baseline_span,
+                (baseline, [names.index(d) for d in order], baseline_span),
             )
         want = []
         for name in order:
@@ -227,7 +261,12 @@ class TestDetectFleet:
                 want.extend(detect(series, baseline_series, calibrate(baseline_series, LOW), LOW))
         pairs = {(d, m.value) for d in names for m in metrics}
         assert {(r.device_id, r.metric) for r in want} == pairs
-        assert got == {1: want, 2: want, 64: want}
+        assert got[1] == got[2] == got[64]
+        assert [r.window_index for r in got[1]] == [r.window_index for r in want]
+        for r, w in zip(got[1], want):
+            assert (r.device_id, r.metric, r.time) == (w.device_id, w.metric, w.time)
+            assert r.score == pytest.approx(w.score, abs=1e-9)
+            assert r.threshold == pytest.approx(w.threshold, abs=1e-9)
 
 
 def test_jsonl_export_key_order():

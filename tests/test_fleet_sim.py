@@ -40,7 +40,7 @@ from helpers import (
     DROP,
     FULL_SCENARIO,
     calibrate,
-    detect,
+    detect_own_prefix,
     edited,
     fill_traffic_per_tick,
     json_edits,
@@ -433,7 +433,7 @@ def test_batched_detector_pass_matches_per_device_detection(tmp_path):
             series = bucketize(events, dev, metric, 1, 0, cfg.duration)
             baseline = bucketize(events, dev, metric, 1, 0, cfg.detector.baseline_ticks)
             threshold = calibrate(baseline, config)
-            want.extend(detect(series, baseline, threshold, config))
+            want.extend(detect_own_prefix(series, len(baseline.values), threshold, config))
     assert any(a.device_id == "dev-1" for a in want)
 
     def key(a):
@@ -724,9 +724,11 @@ SCENARIO_ERRORS = [
     ("updates.0.version", DROP, f"{_U}.version: missing required field"),
     ("updates.0.version", 2.0, f"{_U}.version: expected int"),
     ("updates.0.version", 0, f"{_U}.version: must be at least 1"),
+    ("updates.0.version", 2**64, f"{_U}.version: must be at most 2**64 - 1"),
     ("updates.0.expiry", DROP, f"{_U}.expiry: missing required field"),
     ("updates.0.expiry", None, f"{_U}.expiry: expected int"),
     ("updates.0.expiry", 10, f"{_U}.expiry: must be after the publish tick"),
+    ("updates.0.expiry", 2**64, f"{_U}.expiry: must be at most 2**64 - 1"),
     ("updates.0.firmware_id", 2, f"{_U}.firmware_id: expected str"),
     ("updates.0.size", "512", f"{_U}.size: expected int"),
     ("updates.0.size", 15, f"{_U}.size: must be at least 16 bytes"),
@@ -778,6 +780,7 @@ SCENARIO_ERRORS = [
     ("deception.decoys", 1, "deception.decoys: unknown field"),
     ("deception.canary_ports", 2323, "deception.canary_ports: expected list"),
     ("deception.canary_ports", [2323, "23"], "deception.canary_ports[1]: expected int"),
+    ("deception.canary_ports", [2000, 2000], "deception.canary_ports[1]: port 2000 is listed twice"),
     ("deception.canary_ports", [443],
      "deception.canary_ports[0]: port 443 is a legitimate service on 'dev-a'"),
     ("deception.mtd", [], "deception.mtd: expected dict"),

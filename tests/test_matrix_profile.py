@@ -201,54 +201,51 @@ class TestComputeMany:
         with pytest.raises(InsufficientLengthError):
             compute_many(np.zeros((2, 6)), cfg)
 
-    # values: n = 60 and m = 8 give 53 windows; reference: 47 points, 40
-    # windows. 60,000 bytes are tiles of 3 whole series over 7, and 2,240
-    # bytes tiles of 7 rows of one series: neither divides 53 or 40.
+    # n = 60 and m = 8 give 53 windows, against 10 (n_ref = min_length), 40
+    # or 53 reference windows. 60,000 bytes are tiles of 7, 3 or 2 whole
+    # series over 7, and 2,240 bytes tiles of 28, 7 or 5 rows of one series,
+    # none of which divides 53.
     @pytest.mark.parametrize("tile_bytes", [60_000, 2_240, None])
-    # -20 and -60 put whole tiles more than the exclusion before every
-    # reference window, so some tiles have no band at all
-    @pytest.mark.parametrize("offset", [0, 13, -7, 2.5, 200, -20, -60])
-    def test_ab_join_equals_brute_force_per_series(self, rng_np, monkeypatch, tile_bytes, offset):
+    @pytest.mark.parametrize("n_ref", [17, 47, 60])
+    def test_ab_join_equals_brute_force_per_series(self, rng_np, monkeypatch, tile_bytes, n_ref):
         if tile_bytes is not None:
             monkeypatch.setattr(matrix_profile, "_TILE_BYTES", tile_bytes)
         batch = mixed_batch(rng_np, 60)
-        # row 1 is all constant windows, row 2 has a constant stretch
-        reference = np.roll(mixed_batch(rng_np, 47), 1, axis=0)
         cfg = ProfileConfig(8)
-        many = compute_many(batch, cfg, reference, offset)
+        assert cfg.min_length == 17
+        many = compute_many(batch, cfg, n_ref)
         assert len(many) == len(batch)
-        # the flat middle of series 1 matches the constant reference, the rest is maximal
-        assert set(many[1].distances.tolist()) == {0.0, math.sqrt(16)}
-        for values, ref, got in zip(batch, reference, many):
-            want = compute_brute_force(values, cfg, ref, offset)
+        for values, got in zip(batch, many):
+            want = compute_brute_force(values, cfg, n_ref)
             assert len(got) == 53
+            # the prefix's own rows are its self-join
+            prefix = compute_brute_force(values[:n_ref], cfg)
+            assert np.allclose(got.distances[: len(prefix)], prefix.distances, atol=1e-9)
+            assert got.neighbor_index[: len(prefix)].tolist() == prefix.neighbor_index.tolist()
             assert np.allclose(got.distances, want.distances, atol=1e-9)
             assert got.neighbor_index.tolist() == want.neighbor_index.tolist()
             for i, j in enumerate(got.neighbor_index.tolist()):
-                assert abs(offset + i - j) > cfg.exclusion
-                d = znorm_distance(values[i : i + 8], ref[j : j + 8])
+                assert j <= n_ref - 8 and abs(i - j) > cfg.exclusion
+                d = znorm_distance(values[i : i + 8], values[j : j + 8])
                 assert d == pytest.approx(float(got.distances[i]), abs=1e-9)
 
     def test_self_join_is_the_ab_join_with_itself(self, rng_np):
         batch = mixed_batch(rng_np, 90)
         cfg = ProfileConfig(8)
-        for own, ab in zip(compute_many(batch, cfg), compute_many(batch, cfg, batch)):
+        for own, ab in zip(compute_many(batch, cfg), compute_many(batch, cfg, 90)):
             assert own.distances.tobytes() == ab.distances.tobytes()
             assert own.neighbor_index.tolist() == ab.neighbor_index.tolist()
 
     def test_ab_join_rejects_bad_references(self):
         cfg = ProfileConfig(4, 2)
-        values = np.arange(40.0).reshape(2, 20) % 3
-        with pytest.raises(ValueError, match="one reference row per series"):
-            compute_many(values, cfg, values[:1])
-        with pytest.raises(ValueError, match="offset needs a reference"):
-            compute_many(values, cfg, offset=3)
-        with pytest.raises(InsufficientLengthError):
-            compute_many(values, cfg, values[:, : cfg.min_length - 1])
-        with pytest.raises(InsufficientLengthError):
-            compute_many(values[:, :3], cfg, values)
-        # a short scored series is fine: only the reference must hold every neighbor
-        assert len(compute_many(values[:, :4], cfg, values)[0]) == 1
+        values = np.arange(20.0) % 3
+        for compute in (compute_brute_force, compute_fast):
+            with pytest.raises(ValueError, match="a prefix of 21 points does not fit a series of 20"):
+                compute(values, cfg, 21)
+            with pytest.raises(InsufficientLengthError, match=f"need at least {cfg.min_length} points"):
+                compute(values, cfg, cfg.min_length - 1)
+            # a prefix of min_length points holds every neighbor
+            assert np.all(np.isfinite(compute(values, cfg, cfg.min_length).distances))
 
 
 class TestMinLength:
@@ -267,20 +264,21 @@ class TestMinLength:
             with pytest.raises(InsufficientLengthError, match=f"need at least {cfg.min_length} points"):
                 compute(values, cfg)
             with pytest.raises(InsufficientLengthError):
-                compute(rng_np.normal(size=100), cfg, values)
+                compute(np.concatenate([values, rng_np.normal(size=100)]), cfg, len(values))
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"m{c.window_m}-e{c.exclusion}")
-    @pytest.mark.parametrize("offset", [0, 1, -2, 5])
-    def test_every_window_has_a_neighbor_outside_the_band(self, rng_np, cfg, offset):
-        values = rng_np.normal(size=cfg.min_length).cumsum()
-        cases = [(values, None, 0)] if offset == 0 else []
-        cases.append((rng_np.normal(size=cfg.min_length + 3), values, offset))
-        for series, reference, at in cases:
-            for compute in (compute_brute_force, compute_fast):
-                p = compute(series, cfg, reference, at)
+    @pytest.mark.parametrize("after", [0, 1, 5, 40])
+    def test_every_window_has_a_neighbor_outside_the_band(self, rng_np, cfg, after):
+        # a min_length prefix, then `after` more points scored against it
+        values = rng_np.normal(size=cfg.min_length + after).cumsum()
+        w_ref = cfg.min_length - cfg.window_m + 1
+        for compute in (compute_brute_force, compute_fast):
+            for n_ref in {None, cfg.min_length} if after == 0 else {cfg.min_length}:
+                p = compute(values, cfg, n_ref)
                 assert np.all(np.isfinite(p.distances))
                 j = p.neighbor_index
-                assert np.all(np.abs(at + np.arange(len(p)) - j) > cfg.exclusion)
+                assert np.all(j < w_ref)
+                assert np.all(np.abs(np.arange(len(p)) - j) > cfg.exclusion)
 
 
 def test_affine_invariance(rng_np):

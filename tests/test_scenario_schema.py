@@ -143,7 +143,7 @@ def scenarios(draw, min_devices: int = 0) -> ScenarioConfig:
         detector=draw(detectors(duration, bool(devices))),
         updates=tuple(draw(st.lists(updates(duration, links.mtu), max_size=2))),
         deception=DeceptionSpec(
-            tuple(draw(st.lists(st.integers(2000, 65535), max_size=2))), draw(_maybe(mtd))
+            tuple(draw(st.lists(st.integers(2000, 65535), max_size=2, unique=True))), draw(_maybe(mtd))
         ),
         admin=tuple(
             draw(st.lists(st.builds(
@@ -214,6 +214,18 @@ def update_at_tick_0(obj):
     return f".updates[{i}].at: must be within [1, duration)"
 
 
+def update_version_past_u64(obj):
+    i = _add_update(obj)
+    obj["updates"][i]["version"] = 2**64
+    return f".updates[{i}].version: must be at most 2**64 - 1"
+
+
+def update_expiry_past_u64(obj):
+    i = _add_update(obj)
+    obj["updates"][i]["expiry"] = 2**64
+    return f".updates[{i}].expiry: must be at most 2**64 - 1"
+
+
 def duplicate_device_id(obj):
     first = obj["devices"][0]["id"]
     obj["devices"][1]["id"] = first
@@ -237,6 +249,12 @@ def canary_port_on_a_service(obj):
     ports = obj["deception"]["canary_ports"]
     ports.append(1)
     return f".deception.canary_ports[{len(ports) - 1}]: port 1 is a legitimate service on {shadowed!r}"
+
+
+def canary_port_listed_twice(obj):
+    ports = obj["deception"]["canary_ports"]
+    ports.extend([2000, 2000] if not ports else [ports[0]])
+    return f".deception.canary_ports[{len(ports) - 1}]: port {ports[-1]} is listed twice"
 
 
 def mtd_pool_short_of_the_fleet(obj):
@@ -297,10 +315,13 @@ RULES = [
     attack_names_an_unknown_device,
     update_past_the_run,
     update_at_tick_0,
+    update_version_past_u64,
+    update_expiry_past_u64,
     duplicate_device_id,
     baseline_past_the_run,
     baseline_too_short,
     canary_port_on_a_service,
+    canary_port_listed_twice,
     mtd_pool_short_of_the_fleet,
     attack_past_the_run,
     replay_before_any_update,
