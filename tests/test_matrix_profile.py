@@ -201,11 +201,12 @@ class TestComputeMany:
         with pytest.raises(InsufficientLengthError):
             compute_many(np.zeros((2, 6)), cfg)
 
-    # n = 60 and m = 8 give 53 windows, against 10 (n_ref = min_length), 40
-    # or 53 reference windows. 60,000 bytes are tiles of 7, 3 or 2 whole
-    # series over 7, and 2,240 bytes tiles of 28, 7 or 5 rows of one series,
-    # none of which divides 53.
-    @pytest.mark.parametrize("tile_bytes", [60_000, 2_240, None])
+    # n = 60 and m = 8 give 53 windows against 10 (n_ref = min_length), 40
+    # or 53 (n_ref = n) reference windows. The 70,000- and 60,000-byte tiles
+    # hold 2 to 7 whole series of the 7; the 4,300- and 2,240-byte tiles
+    # hold 5 to 53 rows of one series, and at n_ref = 47 their 13 and 7 rows
+    # divide neither 53 nor 40.
+    @pytest.mark.parametrize("tile_bytes", [70_000, 60_000, 4_300, 2_240, None])
     @pytest.mark.parametrize("n_ref", [17, 47, 60])
     def test_ab_join_equals_brute_force_per_series(self, rng_np, monkeypatch, tile_bytes, n_ref):
         if tile_bytes is not None:
