@@ -15,6 +15,7 @@ import hashlib
 from fleetsec import Keystore, TimestampAuthority, apply_update, boot, build_manifest, initial_state
 from fleetsec.update_protocol import (
     DeviceMode,
+    Slots,
     device_verify,
     interrupt_update,
     recover_to_trusted,
@@ -71,8 +72,10 @@ print(f"retried: v{state.active().version}")
 # digests, it only waives freshness (a factory image is old by nature).
 bricked = dataclasses.replace(
     state,
-    slot_a=dataclasses.replace(state.slot_a, verified=False),
-    slot_b=dataclasses.replace(state.slot_b, verified=False),
+    slots=Slots(
+        a=dataclasses.replace(state.slots.a, verified=False),
+        b=dataclasses.replace(state.slots.b, verified=False),
+    ),
 )
 bricked, booted = boot(bricked)
 print(f"both slots torn: boot -> {booted}, mode={bricked.mode.value}")

@@ -20,6 +20,7 @@ from typing import IO, Iterable
 from ..deception import Alert
 from ..detector import AnomalyReport
 from ..telemetry import TelemetryCounts
+from ..wire import save_json
 
 EVENTS_FILE = "events.jsonl"
 TELEMETRY_FILE = "telemetry.csv"
@@ -65,7 +66,5 @@ def write_report(report: ScenarioReport, out_dir: str | Path) -> Path:
             write_jsonl(records, fh)
     with open(out / TELEMETRY_FILE, "w", encoding="utf-8", newline="") as fh:
         report.telemetry.to_csv(fh)
-    with open(out / DEVICES_FILE, "w", encoding="utf-8", newline="") as fh:
-        json.dump({"devices": report.devices}, fh, indent=2)
-        fh.write("\n")
+    save_json(out / DEVICES_FILE, {"devices": report.devices})
     return out

@@ -39,6 +39,7 @@ from ..deception import (
     plant_canary,
 )
 from ..detector import DetectorConfig, detect_counts
+from ..errors import FleetsecError
 from ..identity import BlacklistedError, ClaimRequest, DeviceRegistry, SecretMismatchError, Status
 from ..keystore import Keystore
 from ..telemetry import MAX_TELEMETRY_ROWS, Direction, EventKind, TelemetryCounts
@@ -135,9 +136,11 @@ def make_firmware(version: int, size: int) -> bytes:
 # parse_scenario reads back what write_spec writes. Each spec checks its
 # own fields in __post_init__ wherever it is built, from a file or in
 # Python: a bad value is a ConfigError naming its field. ScenarioConfig
-# checks the rules that span sections. A field that is null or absent
-# takes its default: an owner, firmware_id, attack device or param, and
-# the detector's baseline_ticks, which ScenarioConfig sets to half the run.
+# checks the rules that span sections. A field whose default is None is
+# written only when set, and null or absent takes it: an owner, firmware_id,
+# attack device or param, and the detector's baseline_ticks, which
+# ScenarioConfig sets to half the run. The detector's own default is
+# DetectorSpec(), in a file and in Python; null (None) runs none.
 
 
 def _check_ports(ports: tuple[int, ...], name: str) -> None:
@@ -324,7 +327,7 @@ class ScenarioConfig:
     duration: int
     devices: tuple[DeviceSpec, ...] = ()
     links: LinkSpec = LinkSpec()
-    detector: DetectorSpec | None = None
+    detector: DetectorSpec | None = DetectorSpec()  # None runs no detector
     updates: tuple[UpdateSpec, ...] = ()
     attacks: tuple[AttackSpec, ...] = ()
     deception: DeceptionSpec = DeceptionSpec()
@@ -377,6 +380,17 @@ class ScenarioConfig:
                 raise ConfigError(f"admin[{i}].at", "must be within [0, duration)")
             if action.device not in ids:
                 raise ConfigError(f"admin[{i}].device", f"unknown device {action.device!r}")
+        # the registry holds the lifecycle rules: replay the admin actions in run
+        # order (tick, then index) on the devices they name, claimed at tick 0
+        registry = DeviceRegistry()
+        for device_id in {action.device for action in self.admin}:
+            registry.register_device(device_id, b"-")
+            registry.claim(registry.device_connect(device_id, 0), ClaimRequest("-", device_id, b"-"))
+        for i in sorted(range(len(self.admin)), key=lambda i: self.admin[i].at):
+            try:
+                getattr(registry, self.admin[i].action)(self.admin[i].device)
+            except FleetsecError as exc:
+                raise ConfigError(f"admin[{i}]", str(exc)) from None
         if detector is not None and self.devices:
             if detector.baseline_ticks // detector.interval < detector.profile_config.min_length:
                 raise ConfigError(
@@ -441,7 +455,7 @@ def parse_scenario(obj: dict, source: str = "scenario") -> ScenarioConfig:
     """The scenario in obj; an absent detector is the default detector, and null is none."""
     if not isinstance(obj, dict):
         raise ConfigError(source, "top level must be an object")
-    return build(ScenarioConfig, source, **read_spec(ScenarioConfig, {"detector": {}, **obj}, source))
+    return build(ScenarioConfig, source, **read_spec(ScenarioConfig, obj, source))
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

@@ -27,7 +27,7 @@ from typing import Iterable
 
 from .errors import FleetsecError
 from .keystore import Keystore, PublicKeyInfo
-from .wire import ConfigError, build, check_keys, load_json, read_field, read_spec, save_json, write_spec
+from .wire import ConfigError, build, load_json, read_spec, save_json, write_spec
 
 _FILE_FORMAT = "fleetsec-registry-v1"
 
@@ -106,6 +106,14 @@ class DeviceRecord:
         # blacklisted records keep their last owner for audit
         if self.status in (Status.UNPROVISIONED, Status.DEPROVISIONED) and self.owner is not None:
             raise ConfigError("owner", f"must be null when status is {self.status.value}")
+
+
+@dataclass(frozen=True)
+class _RegistryFile:
+    format: str
+    seed: int
+    next_session: int
+    devices: tuple[DeviceRecord, ...]
 
 
 @dataclass(frozen=True)
@@ -277,12 +285,8 @@ class DeviceRegistry:
         seed + key id) survive a reload; a production registry would keep
         that in an HSM rather than a JSON file.
         """
-        return {
-            "format": _FILE_FORMAT,
-            "seed": self._seed,
-            "next_session": self._next_session,
-            "devices": [write_spec(self._records[d]) for d in sorted(self._records)],
-        }
+        devices = tuple(self._records[d] for d in sorted(self._records))
+        return write_spec(_RegistryFile(_FILE_FORMAT, self._seed, self._next_session, devices))
 
     def save(self, path: str | Path) -> None:
         save_json(path, self.to_json_obj())
@@ -291,14 +295,12 @@ class DeviceRegistry:
     def from_json_obj(cls, obj: dict) -> DeviceRegistry:
         if not isinstance(obj, dict) or obj.get("format") != _FILE_FORMAT:
             raise ValueError("missing or unsupported registry format tag")
-        check_keys(obj, "registry", {"format", "seed", "next_session", "devices"})
-        registry = cls(read_field(obj, "registry", "seed", int))
-        registry._next_session = read_field(obj, "registry", "next_session", int)
-        for i, entry in enumerate(read_field(obj, "registry", "devices", list)):
-            path = f"registry.devices[{i}]"
-            rec = build(DeviceRecord, path, **read_spec(DeviceRecord, entry, path))
+        file = build(_RegistryFile, "registry", **read_spec(_RegistryFile, obj, "registry"))
+        registry = cls(file.seed)
+        registry._next_session = file.next_session
+        for i, rec in enumerate(file.devices):
             if rec.device_id in registry._records:
-                raise ConfigError(f"{path}.device_id", f"duplicate device id {rec.device_id!r}")
+                raise ConfigError(f"registry.devices[{i}].device_id", f"duplicate device id {rec.device_id!r}")
             registry._records[rec.device_id] = rec
             if rec.device_pub is not None:
                 # keys are seed-derived, so regenerating reproduces them;

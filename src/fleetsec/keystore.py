@@ -22,7 +22,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 
 from .errors import FleetsecError
-from .wire import ConfigError, build, check_keys, load_json, read_field, read_spec, save_json, write_spec
+from .wire import ConfigError, build, load_json, read_spec, save_json, write_spec
 
 ALGORITHM_ED25519 = "Ed25519"
 SUPPORTED_ALGORITHMS = frozenset({ALGORITHM_ED25519})
@@ -63,6 +63,20 @@ class PublicKeyInfo:
         if len(self.public_bytes) != PUBLIC_KEY_LEN:
             # named by the key that holds these bytes in a file
             raise ConfigError("public", f"must be {PUBLIC_KEY_LEN} bytes")
+
+
+@dataclass(frozen=True)
+class _KeyEntry(PublicKeyInfo):
+    """A key as a keystore file holds it: the private key encrypted, where it was saved."""
+
+    private_enc: str | None = None
+
+
+@dataclass(frozen=True)
+class _KeystoreFile:
+    format: str
+    keys: tuple[_KeyEntry, ...] = ()
+    seed_enc: str | None = None
 
 
 def verify(pub: PublicKeyInfo, message: bytes, signature: bytes) -> bool:
@@ -171,60 +185,46 @@ class Keystore:
         raw private bytes never hit disk.
         """
         fernet = Fernet(_fernet_key(passphrase)) if passphrase is not None else None
-        keys = []
+        keys, seed_enc = [], None
         for key_id in sorted(self._public):
-            entry = write_spec(self._public[key_id])
-            if fernet is not None and key_id in self._private:
-                raw = self._private[key_id].private_bytes_raw()
-                entry["private_enc"] = fernet.encrypt(raw).decode("ascii")
-            keys.append(entry)
-        obj: dict = {"format": _FILE_FORMAT, "keys": keys}
+            private, private_enc = self._private.get(key_id), None
+            if fernet is not None and private is not None:
+                private_enc = fernet.encrypt(private.private_bytes_raw()).decode("ascii")
+            keys.append(_KeyEntry(**vars(self._public[key_id]), private_enc=private_enc))
         if fernet is not None and self._seed is not None:
-            seed_bytes = (self._seed & _MASK64).to_bytes(8, "big")
-            obj["seed_enc"] = fernet.encrypt(seed_bytes).decode("ascii")
-        save_json(path, obj)
+            seed_enc = fernet.encrypt((self._seed & _MASK64).to_bytes(8, "big")).decode("ascii")
+        save_json(path, write_spec(_KeystoreFile(_FILE_FORMAT, tuple(keys), seed_enc)))
 
     @classmethod
     def load(cls, path: str | Path, passphrase: str | None = None) -> Keystore:
+        fernet = Fernet(_fernet_key(passphrase)) if passphrase is not None else None
+        store = cls(0)
+        store._seed = None
         try:
             obj = load_json(path)
             if not isinstance(obj, dict) or obj.get("format") != _FILE_FORMAT:
                 raise KeystoreFileError("missing or unsupported keystore format tag")
-            check_keys(obj, "keystore", {"format", "keys", "seed_enc"})
-            keys = read_field(obj, "keystore", "keys", list, [])
+            file = build(_KeystoreFile, "keystore", **read_spec(_KeystoreFile, obj, "keystore"))
+            if fernet is not None and file.seed_enc is not None:
+                store._seed = int.from_bytes(_decrypt(fernet, file.seed_enc), "big")
+            for i, entry in enumerate(file.keys):
+                if entry.key_id in store._public:
+                    raise ConfigError(f"keystore.keys[{i}].key_id", f"duplicate key id {entry.key_id!r}")
+                info = PublicKeyInfo(entry.key_id, entry.algorithm, entry.public_bytes)
+                store._public[info.key_id] = info
+                if fernet is not None and entry.private_enc is not None:
+                    private = Ed25519PrivateKey.from_private_bytes(_decrypt(fernet, entry.private_enc))
+                    if private.public_key().public_bytes_raw() != info.public_bytes:
+                        raise KeystoreFileError(
+                            f"private material for {info.key_id!r} does not match public key"
+                        )
+                    store._private[info.key_id] = private
         except ConfigError as exc:
             raise KeystoreFileError(f"not a keystore file: {exc}") from exc
-        fernet = Fernet(_fernet_key(passphrase)) if passphrase is not None else None
-
-        store = cls(0)
-        store._seed = None
-        if fernet is not None and "seed_enc" in obj:
-            store._seed = int.from_bytes(_decrypt(fernet, obj["seed_enc"]), "big")
-        for i, entry in enumerate(keys):
-            path = f"keystore.keys[{i}]"
-            # the one key of an entry that is no PublicKeyInfo field
-            private_enc = entry.pop("private_enc", None) if isinstance(entry, dict) else None
-            try:
-                info = build(PublicKeyInfo, path, **read_spec(PublicKeyInfo, entry, path))
-                if info.key_id in store._public:
-                    raise ConfigError(f"{path}.key_id", f"duplicate key id {info.key_id!r}")
-            except ConfigError as exc:
-                raise KeystoreFileError(f"bad key entry: {exc}") from exc
-            store._public[info.key_id] = info
-            if fernet is not None and private_enc is not None:
-                raw = _decrypt(fernet, private_enc)
-                private = Ed25519PrivateKey.from_private_bytes(raw)
-                if private.public_key().public_bytes_raw() != info.public_bytes:
-                    raise KeystoreFileError(
-                        f"private material for {info.key_id!r} does not match public key"
-                    )
-                store._private[info.key_id] = private
         return store
 
 
 def _decrypt(fernet: Fernet, token: str) -> bytes:
-    if not isinstance(token, str):
-        raise KeystoreFileError("encrypted fields must be strings")
     try:
         return fernet.decrypt(token.encode("ascii"))
     except (InvalidToken, ValueError) as exc:

@@ -204,16 +204,21 @@ EMPTY_SLOT = SlotState(image_digest=b"\x00" * DIGEST_LEN, version=-1, gen_time=-
 
 
 @dataclass(frozen=True)
+class Slots:
+    a: SlotState = field(metadata={"key": "A"})
+    b: SlotState = field(metadata={"key": "B"})
+
+
+@dataclass(frozen=True)
 class DeviceUpdateState:
     active_slot: Slot
-    slot_a: SlotState = field(metadata={"key": "slots.A"})
-    slot_b: SlotState = field(metadata={"key": "slots.B"})
+    slots: Slots
     trust_anchor_tsa: PublicKeyInfo
     trust_anchor_publisher: PublicKeyInfo
     mode: DeviceMode
 
     def slot(self, which: Slot) -> SlotState:
-        return self.slot_a if which is Slot.A else self.slot_b
+        return self.slots.a if which is Slot.A else self.slots.b
 
     def active(self) -> SlotState:
         return self.slot(self.active_slot)
@@ -222,8 +227,8 @@ class DeviceUpdateState:
         return self.slot(self.active_slot.other())
 
     def _with_slot(self, which: Slot, value: SlotState, **changes) -> DeviceUpdateState:
-        name = "slot_a" if which is Slot.A else "slot_b"
-        return replace(self, **{name: value}, **changes)
+        slots = replace(self.slots, **{"a" if which is Slot.A else "b": value})
+        return replace(self, slots=slots, **changes)
 
     def save(self, path: str | Path) -> None:
         save_json(path, write_spec(self))
@@ -246,8 +251,7 @@ def initial_state(
     """Factory-fresh device: verified image in slot A, slot B empty."""
     return DeviceUpdateState(
         active_slot=Slot.A,
-        slot_a=SlotState(image_digest, version, gen_time, verified=True),
-        slot_b=EMPTY_SLOT,
+        slots=Slots(SlotState(image_digest, version, gen_time, verified=True), EMPTY_SLOT),
         trust_anchor_tsa=trust_anchor_tsa,
         trust_anchor_publisher=trust_anchor_publisher,
         mode=DeviceMode.RUNNING,
@@ -401,7 +405,6 @@ def recover_to_trusted(
     return replace(
         state,
         active_slot=Slot.A,
-        slot_a=recovered,
-        slot_b=EMPTY_SLOT,
+        slots=Slots(recovered, EMPTY_SLOT),
         mode=DeviceMode.RUNNING,
     )

@@ -7,12 +7,13 @@ is strict: truncated fields or trailing bytes raise DecodeError.
 JSON: a dataclass is the schema of its object, read by read_spec and
 written by write_spec, every field of it. Each field's key is its name,
 or the "key" in its metadata where the file names it otherwise ("public"
-for public_bytes, "slots.A" for a field under key "A" of the object
-"slots"). A NamedTuple is the schema of a list: its values in field
-order, each of exactly its field's type. Every mistake in a file is a
-ConfigError naming its path. A type's own checks raise a ConfigError
-naming the field; build puts that field under the path of the object
-being built.
+for public_bytes). A field whose default is None is left out of the
+object while it is None, and an absent key reads as the field's default,
+so absent and null read alike there. A NamedTuple is the schema of a
+list: its values in field order, each of exactly its field's type. Every
+mistake in a file is a ConfigError naming its path. A type's own checks
+raise a ConfigError naming the field; build puts that field under the
+path of the object being built.
 """
 
 from __future__ import annotations
@@ -103,24 +104,6 @@ def load_json(path: str | Path):
         raise ConfigError(str(path), f"not valid JSON: {exc}") from exc
 
 
-def check_keys(obj: dict, path: str, allowed) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}", "unknown field")
-
-
-def read_field(obj: dict, path: str, key: str, kind, default=MISSING):
-    """obj[key] read as kind, or default where obj has no key (required without one)."""
-    if key not in obj:
-        if default is MISSING:
-            raise ConfigError(f"{path}.{key}", "missing required field")
-        return default
-    value = obj[key]
-    if type(value) is kind:  # nearly every value: the JSON type itself
-        return value
-    return _value(kind, value, f"{path}.{key}")
-
-
 def read_spec(spec: type, obj, path: str) -> dict:
     """The fields of dataclass spec read from the object obj, by key, with their defaults.
 
@@ -128,30 +111,37 @@ def read_spec(spec: type, obj, path: str) -> dict:
     fields from base64url strings, Enum fields by value, X | None fields
     as X or null, dataclass fields as objects of their own schema,
     NamedTuple fields as lists of their values, and tuple[X, ...] fields
-    as lists of X, each item at path[i]. Any other key is an error. A
-    field keyed "g.k" is read from key k of the object at key g (see
-    _schema).
+    as lists of X, each item at path[i]. Any other key is an error.
     """
     if not isinstance(obj, dict):
         raise ConfigError(path, "expected dict")
     keys, placed = _schema(spec)
-    check_keys(obj, path, keys)
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}", "unknown field")
     values = {}
-    for name, group, key, kind, default in placed:
-        holder, at = obj, path
-        if group:
-            holder, at = read_field(obj, path, group, dict), f"{path}.{group}"
-            check_keys(holder, at, keys[group])
-        values[name] = read_field(holder, at, key, kind, default)
+    for name, key, kind, default in placed:
+        if key not in obj:
+            if default is MISSING:
+                raise ConfigError(f"{path}.{key}", "missing required field")
+            values[name] = default
+            continue
+        value = obj[key]
+        # nearly every value is of the JSON type itself
+        values[name] = value if type(value) is kind else _value(kind, value, f"{path}.{key}")
     return values
 
 
 def write_spec(value) -> dict:
-    """The object read_spec reads the dataclass value back from, its keys in field order."""
+    """The object read_spec reads the dataclass value back from, its keys in field order.
+
+    A field whose default is None is left out while it is None.
+    """
     obj: dict = {}
-    for name, group, key, _, _ in _schema(type(value))[1]:
-        holder = obj.setdefault(group, {}) if group else obj
-        holder[key] = _json(getattr(value, name))
+    for name, key, _, default in _schema(type(value))[1]:
+        item = getattr(value, name)
+        if item is not None or default is not None:
+            obj[key] = _json(item)
     return obj
 
 
@@ -174,22 +164,13 @@ def _json(value):
 
 @functools.cache
 def _schema(spec: type):
-    """spec's keys, and (name, group, key, type, default) of each field.
+    """The keys of spec's object, and (name, key, type, default) of each field.
 
-    A field's key is its metadata "key", else its name; a key "g.k" puts
-    the field under key k of the sub-object g, and group is "" for the
-    others. The keys map each key of spec's object to the keys of its
-    sub-object, or to None.
+    A field's key is its metadata "key", else its name.
     """
-    hints, keys, placed = typing.get_type_hints(spec), {}, []
-    for f in fields(spec):
-        group, _, key = f.metadata.get("key", f.name).rpartition(".")
-        if group:
-            keys[group] = keys.get(group, frozenset()) | {key}
-        else:
-            keys[key] = None
-        placed.append((f.name, group, key, hints[f.name], f.default))
-    return types.MappingProxyType(keys), tuple(placed)
+    hints = typing.get_type_hints(spec)
+    placed = tuple((f.name, f.metadata.get("key", f.name), hints[f.name], f.default) for f in fields(spec))
+    return frozenset(key for _, key, _, _ in placed), placed
 
 
 def _value(kind, value, path: str):
@@ -202,8 +183,6 @@ def _value(kind, value, path: str):
             raise ConfigError(path, "expected list")
         item, items = kind.__args__[0], []
         for i, entry in enumerate(value):
-            if is_dataclass(item) and not isinstance(entry, dict):
-                raise ConfigError(f"{path}[{i}]", "expected an object")
             items.append(entry if type(entry) is item else _value(item, entry, f"{path}[{i}]"))
         return tuple(items)
     if is_dataclass(kind):

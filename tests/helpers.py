@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import copy
 import csv
+import functools
 import hashlib
 import math
 import random
@@ -79,8 +80,9 @@ def firmware_image(version: int, size: int = 192) -> bytes:
     return bytes(out[:size])
 
 
+@functools.lru_cache(maxsize=None)
 def _signature_valid(pub: PublicKeyInfo, message: bytes, signature: bytes) -> bool:
-    """One uncached Ed25519 verify."""
+    """One Ed25519 verify, memoized here apart from the library's verify memo."""
     try:
         Ed25519PublicKey.from_public_bytes(pub.public_bytes).verify(signature, message)
     except (InvalidSignature, ValueError):

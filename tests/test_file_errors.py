@@ -145,21 +145,21 @@ FILE_ERRORS = [
     (_K, "extra", 1, 'KeystoreFileError: not a keystore file: keystore.extra: unknown field'),
     (_K, "keys", DROP, 'loads'),
     (_K, "keys", 5, 'KeystoreFileError: not a keystore file: keystore.keys: expected list'),
-    (_K, "keys", [5], 'KeystoreFileError: bad key entry: keystore.keys[0]: expected dict'),
-    (_K, "keys.0.extra", 1, 'KeystoreFileError: bad key entry: keystore.keys[0].extra: unknown field'),
-    (_K, "keys.0.key_id", DROP, 'KeystoreFileError: bad key entry: keystore.keys[0].key_id: missing required field'),
-    (_K, "keys.0.key_id", 5, 'KeystoreFileError: bad key entry: keystore.keys[0].key_id: expected str'),
-    (_K, "keys.0.key_id", "", 'KeystoreFileError: bad key entry: keystore.keys[0].key_id: must be a non-empty string'),
-    (_K, "keys.1.key_id", "publisher", "KeystoreFileError: bad key entry: keystore.keys[1].key_id: duplicate key id 'publisher'"),
-    (_K, "keys.0.algorithm", [], 'KeystoreFileError: bad key entry: keystore.keys[0].algorithm: expected str'),
-    (_K, "keys.0.algorithm", "RSA", "KeystoreFileError: bad key entry: keystore.keys[0].algorithm: 'RSA' is not supported"),
-    (_K, "keys.0.public_bytes", [1], 'KeystoreFileError: bad key entry: keystore.keys[0].public_bytes: unknown field'),
-    (_K, "keys.0.public", DROP, 'KeystoreFileError: bad key entry: keystore.keys[0].public: missing required field'),
-    (_K, "keys.0.public", 5, 'KeystoreFileError: bad key entry: keystore.keys[0].public: expected a base64url string'),
-    (_K, "keys.0.public", "AAAA", 'KeystoreFileError: bad key entry: keystore.keys[0].public: must be 32 bytes'),
-    (_K, "keys.0.private_enc", 5, 'KeystoreFileError: encrypted fields must be strings'),
+    (_K, "keys", [5], 'KeystoreFileError: not a keystore file: keystore.keys[0]: expected dict'),
+    (_K, "keys.0.extra", 1, 'KeystoreFileError: not a keystore file: keystore.keys[0].extra: unknown field'),
+    (_K, "keys.0.key_id", DROP, 'KeystoreFileError: not a keystore file: keystore.keys[0].key_id: missing required field'),
+    (_K, "keys.0.key_id", 5, 'KeystoreFileError: not a keystore file: keystore.keys[0].key_id: expected str'),
+    (_K, "keys.0.key_id", "", 'KeystoreFileError: not a keystore file: keystore.keys[0].key_id: must be a non-empty string'),
+    (_K, "keys.1.key_id", "publisher", "KeystoreFileError: not a keystore file: keystore.keys[1].key_id: duplicate key id 'publisher'"),
+    (_K, "keys.0.algorithm", [], 'KeystoreFileError: not a keystore file: keystore.keys[0].algorithm: expected str'),
+    (_K, "keys.0.algorithm", "RSA", "KeystoreFileError: not a keystore file: keystore.keys[0].algorithm: 'RSA' is not supported"),
+    (_K, "keys.0.public_bytes", [1], 'KeystoreFileError: not a keystore file: keystore.keys[0].public_bytes: unknown field'),
+    (_K, "keys.0.public", DROP, 'KeystoreFileError: not a keystore file: keystore.keys[0].public: missing required field'),
+    (_K, "keys.0.public", 5, 'KeystoreFileError: not a keystore file: keystore.keys[0].public: expected a base64url string'),
+    (_K, "keys.0.public", "AAAA", 'KeystoreFileError: not a keystore file: keystore.keys[0].public: must be 32 bytes'),
+    (_K, "keys.0.private_enc", 5, 'KeystoreFileError: not a keystore file: keystore.keys[0].private_enc: expected str'),
     (_K, "keys.0.private_enc", "garbage", 'KeystoreFileError: wrong passphrase or corrupted keystore file'),
-    (_K, "seed_enc", 5, 'KeystoreFileError: encrypted fields must be strings'),
+    (_K, "seed_enc", 5, 'KeystoreFileError: not a keystore file: keystore.seed_enc: expected str'),
     (_K, "seed_enc", "garbage", 'KeystoreFileError: wrong passphrase or corrupted keystore file'),
 ]
 

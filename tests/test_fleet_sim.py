@@ -134,7 +134,7 @@ def test_make_firmware_is_deterministic_and_versioned():
 
 def _fleet(duration: int, *devices: tuple[float, TrafficSpec]) -> ScenarioConfig:
     """Seed-3 config of one device per (duty_cycle, traffic), ids dev-a, dev-b, ..."""
-    return ScenarioConfig(seed=3, duration=duration, devices=tuple(
+    return ScenarioConfig(seed=3, duration=duration, detector=None, devices=tuple(
         DeviceSpec(f"dev-{chr(ord('a') + i)}", "s", duty_cycle=duty, traffic=traffic)
         for i, (duty, traffic) in enumerate(devices)
     ))
@@ -564,7 +564,7 @@ def test_attack_built_in_python_takes_its_kinds_defaults_and_runs():
         (20, (2, 6), None, None), (None, None, 10, 2), (None, None, None, None),
     ]
     config = ScenarioConfig(seed=0, duration=10, devices=(DeviceSpec("a", "s"),), attacks=attacks,
-                            deception=DeceptionSpec(canary_ports=(2323,)))
+                            detector=None, deception=DeceptionSpec(canary_ports=(2323,)))
     events = {e.kind for e in run_scenario(config).events}
     assert {"dictionary_attack_started", "traffic_flood_started", "canary_probe"} <= events
     from_file = parse_scenario({"seed": 0, "duration": 10, "detector": None,
@@ -631,17 +631,17 @@ SCENARIO_ERRORS = [
     ("duration", 0, "duration: must be positive"),
     ("colour", 1, "colour: unknown field"),
     ("devices", {}, "devices: expected list"),
-    ("devices.0", 1, "devices[0]: expected an object"),
+    ("devices.0", 1, "devices[0]: expected dict"),
     ("devices.1.id", "dev-a", "devices[1].id: duplicate device id 'dev-a'"),
     ("links", [], "links: expected dict"),
     ("detector", [], "detector: expected dict"),
     ("updates", {}, "updates: expected list"),
-    ("updates.0", "x", "updates[0]: expected an object"),
+    ("updates.0", "x", "updates[0]: expected dict"),
     ("deception", [], "deception: expected dict"),
     ("attacks", {}, "attacks: expected list"),
-    ("attacks.0", 1, "attacks[0]: expected an object"),
+    ("attacks.0", 1, "attacks[0]: expected dict"),
     ("admin", {}, "admin: expected list"),
-    ("admin.0", [], "admin[0]: expected an object"),
+    ("admin.0", [], "admin[0]: expected dict"),
     ("duration", 5_000_001, ": devices x duration passes the telemetry cap of 1e+07 rows"),
     ("attacks.4.factor", 10**6, ": telemetry could reach 3.84e+08 rows, past the cap of 1e+07"),
     # devices[0]
@@ -859,5 +859,5 @@ def test_null_owner_or_firmware_id_is_the_default(where, default):
 
 
 def test_null_attack_device_is_an_absent_one():
-    # write_spec writes a canary probe without a device as null
+    # write_spec leaves a canary probe's absent device out; a file may also write it as null
     assert parse_scenario(_broken("attacks.5.device", None)) == parse_scenario(FULL_SCENARIO)

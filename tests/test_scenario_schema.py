@@ -1,19 +1,24 @@
 """The scenario schema, on generated scenarios.
 
 Scenarios are built from the spec dataclasses. Written with write_spec
-and passed through JSON text, each reads back as the same config. Each
-rule that spans sections (ScenarioConfig.__post_init__) refuses a valid
-scenario with exactly that rule broken, by its own path and message.
+and passed through JSON text, each reads back as the same config, and
+`fleetsec simulate` runs it to exit 0 with every report file written.
+Each rule that spans sections (ScenarioConfig.__post_init__) refuses a
+valid scenario with exactly that rule broken, by its own path and message.
 """
 
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fleetsec.cli import main
 from fleetsec.detector import DetectorConfig
+from fleetsec.fleet_sim.report import REPORT_FILES
 from fleetsec.fleet_sim.scenario import (
     ATTACK_KINDS,
     AdminAction,
@@ -113,6 +118,17 @@ def attacks(draw, config: ScenarioConfig) -> AttackSpec | None:
 
 
 @st.composite
+def admin_lists(draw, ids: list[str], duration: int) -> tuple[AdminAction, ...]:
+    """Admin actions the lifecycle allows: a claimed device is blacklisted any number of times, or deprovisioned once."""
+    actions = []
+    for device_id in draw(st.lists(st.sampled_from(ids), max_size=2, unique=True)) if ids else []:
+        action = draw(st.sampled_from(["blacklist", "deprovision"]))
+        times = draw(st.integers(1, 2)) if action == "blacklist" else 1
+        actions += [AdminAction(draw(st.integers(0, duration - 1)), action, device_id) for _ in range(times)]
+    return tuple(draw(st.permutations(actions)))
+
+
+@st.composite
 def scenarios(draw, min_devices: int = 0) -> ScenarioConfig:
     """A valid scenario that sets any field of any section, or leaves it to its default."""
     duration = draw(st.integers(2, 300))
@@ -145,12 +161,7 @@ def scenarios(draw, min_devices: int = 0) -> ScenarioConfig:
         deception=DeceptionSpec(
             tuple(draw(st.lists(st.integers(2000, 65535), max_size=2, unique=True))), draw(_maybe(mtd))
         ),
-        admin=tuple(
-            draw(st.lists(st.builds(
-                AdminAction, st.integers(0, duration - 1), st.sampled_from(["blacklist", "deprovision"]),
-                st.sampled_from(ids),
-            ), max_size=2))
-        ) if ids else (),
+        admin=draw(admin_lists(ids, duration)),
     )
     chosen = draw(st.lists(attacks(config), max_size=4))
     return replace(config, attacks=tuple(a for a in chosen if a is not None))
@@ -165,6 +176,16 @@ def _as_file(config: ScenarioConfig) -> dict:
 @given(config=scenarios())
 def test_generated_scenarios_read_back_what_was_written(config):
     assert parse_scenario(_as_file(config)) == config
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(config=scenarios())
+def test_generated_scenarios_simulate_to_exit_0_with_every_report_file(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario, out = Path(tmp) / "scenario.json", Path(tmp) / "run"
+        scenario.write_text(json.dumps(write_spec(config)), encoding="utf-8")
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == sorted(REPORT_FILES)
 
 
 def test_the_detectors_baseline_is_half_the_run_unless_set():
@@ -297,6 +318,24 @@ def admin_on_an_unknown_device(obj):
     return f".admin[{len(obj['admin']) - 1}].device: unknown device {ghost!r}"
 
 
+def _admin_pair(obj, first: str, second: str) -> str:
+    """The first device's admin actions replaced by first then second, at tick 0; the device."""
+    device = obj["devices"][0]["id"]
+    obj["admin"] = [a for a in obj["admin"] if a["device"] != device]
+    obj["admin"] += [{"at": 0, "action": action, "device": device} for action in (first, second)]
+    return device
+
+
+def admin_blacklist_then_deprovision(obj):
+    device = _admin_pair(obj, "blacklist", "deprovision")
+    return f".admin[{len(obj['admin']) - 1}]: device {device!r} is Blacklisted"
+
+
+def admin_deprovision_then_blacklist(obj):
+    device = _admin_pair(obj, "deprovision", "blacklist")
+    return f".admin[{len(obj['admin']) - 1}]: device {device!r} is deprovisioned; re-register before blacklisting"
+
+
 def update_past_the_fragment_cap(obj):
     i = _add_update(obj)
     obj["links"]["mtu"] = 5  # one byte a frame
@@ -329,6 +368,8 @@ RULES = [
     probe_without_a_canary,
     admin_past_the_run,
     admin_on_an_unknown_device,
+    admin_blacklist_then_deprovision,
+    admin_deprovision_then_blacklist,
     update_past_the_fragment_cap,
     fleet_past_the_row_cap,
 ]

@@ -265,7 +265,7 @@ def test_boot_with_no_verified_slot_parks_in_fail_state(env):
     # tear the copy while also invalidating the active slot
     torn = interrupt_update(state, manifest, fw2, 0.5)
     bricked = dataclasses.replace(
-        torn, slot_a=dataclasses.replace(torn.slot_a, verified=False)
+        torn, slots=dataclasses.replace(torn.slots, a=dataclasses.replace(torn.slots.a, verified=False))
     )
     failed, slot = boot(bricked)
     assert slot is None
@@ -288,7 +288,7 @@ def _failed_state(env):
     _, _, state, manifest, _, fw2 = env
     torn = interrupt_update(state, manifest, fw2, 0.5)
     bricked = dataclasses.replace(
-        torn, slot_a=dataclasses.replace(torn.slot_a, verified=False)
+        torn, slots=dataclasses.replace(torn.slots, a=dataclasses.replace(torn.slots.a, verified=False))
     )
     failed, _ = boot(bricked)
     return failed

@@ -17,6 +17,7 @@ from fleetsec.update_protocol import (
     DeviceUpdateState,
     FirmwareManifest,
     Slot,
+    Slots,
     SlotState,
     decode_manifest,
 )
@@ -53,8 +54,7 @@ MANIFESTS = st.builds(
 STATES = st.builds(
     DeviceUpdateState,
     st.sampled_from(Slot),
-    SLOTS,
-    SLOTS,
+    st.builds(Slots, SLOTS, SLOTS),
     PUBLIC_KEYS,
     PUBLIC_KEYS,
     st.sampled_from(DeviceMode),
@@ -107,7 +107,7 @@ def test_every_status_reads_back_with_and_without_owner_and_key(status, owner, d
 
 def test_saved_keys_are_the_file_keys_in_field_order():
     key = PublicKeyInfo("root", ALGORITHM_ED25519, bytes(32))
-    state = DeviceUpdateState(Slot.A, EMPTY_SLOT, EMPTY_SLOT, key, key, DeviceMode.RUNNING)
+    state = DeviceUpdateState(Slot.A, Slots(EMPTY_SLOT, EMPTY_SLOT), key, key, DeviceMode.RUNNING)
     obj = write_spec(state)
     assert list(obj) == ["active_slot", "slots", "trust_anchor_tsa", "trust_anchor_publisher", "mode"]
     assert list(obj["slots"]) == ["A", "B"]
