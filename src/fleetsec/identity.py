@@ -300,7 +300,8 @@ class DeviceRegistry:
         registry._next_session = file.next_session
         for i, rec in enumerate(file.devices):
             if rec.device_id in registry._records:
-                raise ConfigError(f"registry.devices[{i}].device_id", f"duplicate device id {rec.device_id!r}")
+                path = f"registry.devices[{i}].device_id"
+                raise ConfigError(path, f"duplicate device id {rec.device_id!r}")
             registry._records[rec.device_id] = rec
             if rec.device_pub is not None:
                 # keys are seed-derived, so regenerating reproduces them;

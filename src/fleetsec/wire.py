@@ -169,7 +169,9 @@ def _schema(spec: type):
     A field's key is its metadata "key", else its name.
     """
     hints = typing.get_type_hints(spec)
-    placed = tuple((f.name, f.metadata.get("key", f.name), hints[f.name], f.default) for f in fields(spec))
+    placed = tuple(
+        (f.name, f.metadata.get("key", f.name), hints[f.name], f.default) for f in fields(spec)
+    )
     return frozenset(key for _, key, _, _ in placed), placed
 
 

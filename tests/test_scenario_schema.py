@@ -119,7 +119,10 @@ def attacks(draw, config: ScenarioConfig) -> AttackSpec | None:
 
 @st.composite
 def admin_lists(draw, ids: list[str], duration: int) -> tuple[AdminAction, ...]:
-    """Admin actions the lifecycle allows: a claimed device is blacklisted any number of times, or deprovisioned once."""
+    """Admin actions the lifecycle allows.
+
+    A claimed device is blacklisted any number of times, or deprovisioned once.
+    """
     actions = []
     for device_id in draw(st.lists(st.sampled_from(ids), max_size=2, unique=True)) if ids else []:
         action = draw(st.sampled_from(["blacklist", "deprovision"]))
