@@ -39,15 +39,17 @@ print(f"factory: v{state.active().version} in slot {state.active_slot.value}")
 m2 = build_manifest(fw2, "cam-fw", 2, expiry=1000, publisher_key=store.handle("publisher"), tsa=tsa, now=100)
 print(f"manifest v2 timestamped serial={m2.token.serial} gen_time={m2.token.gen_time}")
 
-# The happy path installs into the inactive slot and flips.
-state = apply_update(state, m2, fw2, now=150)
+# The happy path installs into the inactive slot and flips. Install
+# returns the new state with its verdict.
+state, verdict = apply_update(state, m2, fw2, now=150)
+assert verdict.accepted
 print(f"updated: v{state.active().version} in slot {state.active_slot.value}, v1 kept in {state.active_slot.other().value}")
 
 # Replaying the accepted manifest is not fresh any more. The old v1
 # manifest loses for the same reason: its timestamp predates what runs.
-events = []
-state = apply_update(state, m2, fw2, now=200, events=events)
-print(f"replay of v2: rejected ({events[-1].reason})")
+# A rejected manifest leaves the state as it was.
+state, verdict = apply_update(state, m2, fw2, now=200)
+print(f"replay of v2: {verdict}")
 
 # One flipped byte and the image no longer matches the signed digest.
 tampered = bytearray(fw2)
@@ -64,7 +66,7 @@ torn, booted = boot(torn)
 print(f"boot after interrupt: slot {booted.value}, v{torn.active().version}, mode={torn.mode.value}")
 
 # Retry completes the update.
-state = apply_update(torn, m3, fw3, now=310)
+state, _ = apply_update(torn, m3, fw3, now=310)
 print(f"retried: v{state.active().version}")
 
 # If both slots are ever unverified the device refuses to run anything
@@ -81,6 +83,12 @@ bricked, booted = boot(bricked)
 print(f"both slots torn: boot -> {booted}, mode={bricked.mode.value}")
 
 factory = build_manifest(fw1, "cam-fw", 1, expiry=10_000, publisher_key=store.handle("publisher"), tsa=tsa, now=5)
-recovered = recover_to_trusted(bricked, factory, fw1, now=400)
-assert recovered.mode is DeviceMode.RUNNING
+# An imposter's factory image is refused; the device stays parked.
+imposter = Keystore(seed=666)
+imposter.generate_key("publisher")
+forged = build_manifest(fw1, "cam-fw", 1, expiry=10_000, publisher_key=imposter.handle("publisher"), tsa=tsa, now=5)
+still_bricked, verdict = recover_to_trusted(bricked, forged, fw1, now=400)
+print(f"forged factory image: {verdict}, mode={still_bricked.mode.value}")
+recovered, verdict = recover_to_trusted(bricked, factory, fw1, now=400)
+assert verdict.accepted and recovered.mode is DeviceMode.RUNNING
 print(f"factory recovery: v{recovered.active().version} in slot {recovered.active_slot.value}, needs re-provisioning")

@@ -27,11 +27,10 @@ planted, token = plant_canary(firmware, rng)
 print(f"token at offset {token.placement} of {len(planted)}-byte image")
 
 # Reads that stay clear of the token are silent. A dump that touches it
-# names the actor in the alert.
+# names the actor in the alert it returns; the token keeps no log.
 assert check_access(token, (0, 1024, 300, "updater"), "cam-7") is None
 alert = check_access(token, (0, len(planted), 301, "attacker:probe"), "cam-7")
-print(f"alert: {alert.kind} on {alert.device_id} by {alert.actor}")
-print(f"token trigger log: {token.triggered}")
+print(f"alert at t={alert.time}: {alert.kind} on {alert.device_id} by {alert.actor}")
 
 # Port canaries: 443 is real, 8022 and 8443 only exist to be touched.
 ports = PortCanaries("cam-7", legitimate_ports=[443])

@@ -39,7 +39,6 @@ from .tsa import (
 )
 from .update_protocol import (
     DeviceUpdateState,
-    RecoveryRefusedError,
     build_manifest,
     decode_manifest,
     device_verify,
@@ -55,7 +54,6 @@ _SECURITY_NEGATIVE = (
     NotClaimedError,
     NotClaimableError,
     InvalidSessionError,
-    RecoveryRefusedError,
 )
 
 
@@ -240,17 +238,10 @@ def _cmd_identity_claim(args) -> int:
     return 0
 
 
-def _cmd_identity_blacklist(args) -> int:
+def _cmd_identity_lifecycle(args) -> int:
+    """`identity blacklist` and `identity deprovision`: the registry method of that name."""
     registry = DeviceRegistry.load(args.registry)
-    record = registry.blacklist(args.device)
-    registry.save(args.registry)
-    print(f"{record.device_id}: {record.status.value}")
-    return 0
-
-
-def _cmd_identity_deprovision(args) -> int:
-    registry = DeviceRegistry.load(args.registry)
-    record = registry.deprovision(args.device)
+    record = getattr(registry, args.identity_command)(args.device)
     registry.save(args.registry)
     print(f"{record.device_id}: {record.status.value}")
     return 0
@@ -366,14 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
     claim.add_argument("--channel", default="PreProvisioned")
     claim.add_argument("--now", type=int, default=0)
     claim.set_defaults(func=_cmd_identity_claim)
-    blacklist = id_sub.add_parser("blacklist")
-    blacklist.add_argument("--registry", required=True)
-    blacklist.add_argument("--device", required=True)
-    blacklist.set_defaults(func=_cmd_identity_blacklist)
-    deprovision = id_sub.add_parser("deprovision")
-    deprovision.add_argument("--registry", required=True)
-    deprovision.add_argument("--device", required=True)
-    deprovision.set_defaults(func=_cmd_identity_deprovision)
+    for name in ("blacklist", "deprovision"):
+        lifecycle = id_sub.add_parser(name)
+        lifecycle.add_argument("--registry", required=True)
+        lifecycle.add_argument("--device", required=True)
+        lifecycle.set_defaults(func=_cmd_identity_lifecycle)
 
     simulate = commands.add_parser("simulate", help="run a scenario to a report directory")
     simulate.add_argument("--scenario", required=True)

@@ -1,8 +1,10 @@
 """Deception primitives: canary tokens, canary ports, feint patches, MTD.
 
 Canary tokens are 16 random bytes embedded in a firmware image; any read
-touching the token's range raises an alert naming the reader. Canary
+touching the token's range gives an alert naming the reader. Canary
 ports alert on every connection, since nothing legitimate listens there.
+Both checks return their alert (or None) and keep no log of their own:
+the caller decides where alerts go.
 Feint patches decorate a manifest's unsigned debug metadata with decoy
 change-regions. Moving-target defense rotates device addresses over a
 pool on a fixed interval, keeping the assignment injective.
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import copy
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import FleetsecError
@@ -45,11 +47,10 @@ class Alert:
     detail: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class CanaryToken:
     token_id: bytes
     placement: int
-    triggered: list[tuple[int, str]] = field(default_factory=list)
 
     def __post_init__(self):
         if len(self.token_id) != TOKEN_LEN:
@@ -94,7 +95,6 @@ def check_access(
     """Alert iff the read range (offset, length, time, actor) hits the token."""
     offset, length, time, actor = read_event
     if offset < token.placement + TOKEN_LEN and token.placement < offset + length:
-        token.triggered.append((time, actor))
         return Alert(
             time=time,
             device_id=device_id,
@@ -112,7 +112,6 @@ class PortCanaries:
         self._device_id = device_id
         self._legitimate = set(legitimate_ports)
         self._canaries: set[int] = set()
-        self.alerts: list[Alert] = []
 
     def open_canary_port(self, port: int) -> None:
         if port in self._legitimate or port in self._canaries:
@@ -125,15 +124,13 @@ class PortCanaries:
     def record_connection(self, port: int, source: str, time: int) -> Alert | None:
         if port not in self._canaries:
             return None
-        alert = Alert(
+        return Alert(
             time=time,
             device_id=self._device_id,
             kind="canary_port",
             actor=source,
             detail=f"connection to canary port {port}",
         )
-        self.alerts.append(alert)
-        return alert
 
 
 @dataclass(frozen=True)
@@ -181,10 +178,6 @@ def mtd_rotate(schedule: MtdSchedule, now: int, rng: random.Random) -> MtdSchedu
             f"rotation at {now} not on the {schedule.rotation_interval}-tick grid"
         )
     devices = sorted(schedule.assignment)
-    if len(schedule.address_pool) < len(devices):
-        raise PoolTooSmallError(
-            f"{len(devices)} devices but only {len(schedule.address_pool)} addresses"
-        )
     while True:
         picks = rng.sample(schedule.address_pool, len(devices))
         fresh = dict(zip(devices, picks))

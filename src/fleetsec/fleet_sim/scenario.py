@@ -48,7 +48,6 @@ from ..update_protocol import (
     DeviceMode,
     DeviceUpdateState,
     FirmwareManifest,
-    RejectionRecord,
     apply_update,
     boot,
     build_manifest,
@@ -760,22 +759,18 @@ class FleetSimulation:
     def _apply_manifest(
         self, device_id: str, manifest: FirmwareManifest, firmware: bytes, actor: str
     ) -> None:
-        rejections: list[RejectionRecord] = []
-        state = self.update_states[device_id]
-        new_state = apply_update(state, manifest, firmware, self.now, rejections)
-        if rejections:
-            record = rejections[0]
+        new_state, verdict = apply_update(self.update_states[device_id], manifest, firmware, self.now)
+        if not verdict.accepted:
             self.event(
                 actor,
                 "update_rejected",
                 {
                     "device": device_id,
-                    "firmware_id": record.firmware_id,
-                    "version": record.version,
-                    "reason": record.reason,
+                    "firmware_id": manifest.firmware_id,
+                    "version": manifest.version,
+                    "reason": verdict.reason.value,
                 },
             )
-            self.update_states[device_id] = new_state
             return
         self.last_accepted[device_id] = (manifest, firmware)
         booted_state, slot = boot(new_state)

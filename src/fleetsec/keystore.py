@@ -206,14 +206,15 @@ class Keystore:
                 raise KeystoreFileError("missing or unsupported keystore format tag")
             file = build(_KeystoreFile, "keystore", **read_spec(_KeystoreFile, obj, "keystore"))
             if fernet is not None and file.seed_enc is not None:
-                store._seed = int.from_bytes(_decrypt(fernet, file.seed_enc), "big")
+                store._seed = int.from_bytes(_decrypt(fernet, file.seed_enc, "keystore.seed_enc", 8), "big")
             for i, entry in enumerate(file.keys):
                 if entry.key_id in store._public:
                     raise ConfigError(f"keystore.keys[{i}].key_id", f"duplicate key id {entry.key_id!r}")
                 info = PublicKeyInfo(entry.key_id, entry.algorithm, entry.public_bytes)
                 store._public[info.key_id] = info
                 if fernet is not None and entry.private_enc is not None:
-                    private = Ed25519PrivateKey.from_private_bytes(_decrypt(fernet, entry.private_enc))
+                    raw = _decrypt(fernet, entry.private_enc, f"keystore.keys[{i}].private_enc", 32)
+                    private = Ed25519PrivateKey.from_private_bytes(raw)
                     if private.public_key().public_bytes_raw() != info.public_bytes:
                         raise KeystoreFileError(
                             f"private material for {info.key_id!r} does not match public key"
@@ -224,8 +225,12 @@ class Keystore:
         return store
 
 
-def _decrypt(fernet: Fernet, token: str) -> bytes:
+def _decrypt(fernet: Fernet, token: str, path: str, length: int) -> bytes:
+    """The `length` bytes that token encrypts; other lengths are refused at path."""
     try:
-        return fernet.decrypt(token.encode("ascii"))
+        plain = fernet.decrypt(token.encode("ascii"))
     except (InvalidToken, ValueError) as exc:
         raise KeystoreFileError("wrong passphrase or corrupted keystore file") from exc
+    if len(plain) != length:
+        raise ConfigError(path, f"decrypts to {len(plain)} bytes, not {length}")
+    return plain

@@ -5,7 +5,9 @@ token over the digest, all under a publisher signature. Devices verify
 with a fixed check order so rejection reasons are deterministic, write
 only the inactive slot, and fall back to the last verified slot when a
 boot finds the active one unverified. A device with no bootable slot
-parks in a fail state until factory recovery.
+parks in a fail state until factory recovery. Install and factory
+recovery return the new state together with their verdict; a rejected
+manifest leaves the state as it was.
 
 Rollback protection is a conjunction: the candidate must carry both a
 higher version and a later token gen_time than the active slot. Version
@@ -44,20 +46,13 @@ class NotInFailStateError(FleetsecError):
     pass
 
 
-class RecoveryRefusedError(FleetsecError):
-    """Factory recovery failed verification; carries the same reasons as Verdict."""
-
-    def __init__(self, reason: RejectReason):
-        super().__init__(f"recovery refused: {reason.value}")
-        self.reason = reason
-
-
 class RejectReason(str, Enum):
     BAD_PUBLISHER_SIG = "BadPublisherSig"
     UNTRUSTED_TIMESTAMP = "UntrustedTimestamp"
     DIGEST_MISMATCH = "DigestMismatch"
     ROLLBACK = "Rollback"
     EXPIRED = "Expired"
+    FAIL_STATE = "FailState"  # apply_update only: the device waits for factory recovery
 
 
 @dataclass(frozen=True)
@@ -258,14 +253,6 @@ def initial_state(
     )
 
 
-@dataclass(frozen=True)
-class RejectionRecord:
-    time: int
-    firmware_id: str
-    version: int
-    reason: str
-
-
 def _failed_checks(
     state: DeviceUpdateState,
     manifest: FirmwareManifest,
@@ -309,41 +296,27 @@ def device_verify(
     return Verdict.accept() if reason is None else Verdict.reject(reason)
 
 
-def apply_update(
-    state: DeviceUpdateState,
-    manifest: FirmwareManifest,
-    firmware: bytes,
-    now: int,
-    events: list[RejectionRecord] | None = None,
-) -> DeviceUpdateState:
-    """Install into the inactive slot on Accept; otherwise change nothing.
+def _installed(manifest: FirmwareManifest) -> SlotState:
+    """The verified slot an accepted manifest installs."""
+    return SlotState(manifest.digest, manifest.version, manifest.token.gen_time, verified=True)
 
-    Rejections (and refusals while in the fail state) are reported through
-    the optional events list, never through the returned state.
+
+def apply_update(
+    state: DeviceUpdateState, manifest: FirmwareManifest, firmware: bytes, now: int
+) -> tuple[DeviceUpdateState, Verdict]:
+    """Install into the inactive slot on Accept; return the new state and the verdict.
+
+    On a rejection the state comes back unchanged. A device in its fail
+    state refuses every manifest with FailState until factory recovery.
     """
     if state.mode is DeviceMode.FAIL_STATE:
-        if events is not None:
-            events.append(
-                RejectionRecord(now, manifest.firmware_id, manifest.version, "FailState")
-            )
-        return state
+        return state, Verdict.reject(RejectReason.FAIL_STATE)
     verdict = device_verify(state, manifest, firmware, now)
     if not verdict.accepted:
-        if events is not None:
-            events.append(
-                RejectionRecord(
-                    now, manifest.firmware_id, manifest.version, verdict.reason.value
-                )
-            )
-        return state
-    new_slot = SlotState(
-        image_digest=manifest.digest,
-        version=manifest.version,
-        gen_time=manifest.token.gen_time,
-        verified=True,
-    )
+        return state, verdict
     target = state.active_slot.other()
-    return state._with_slot(target, new_slot, active_slot=target, mode=DeviceMode.RUNNING)
+    installed = state._with_slot(target, _installed(manifest), active_slot=target, mode=DeviceMode.RUNNING)
+    return installed, verdict
 
 
 def interrupt_update(
@@ -382,29 +355,26 @@ def recover_to_trusted(
     factory_manifest: FirmwareManifest,
     factory_firmware: bytes,
     now: int,
-) -> DeviceUpdateState:
-    """Factory recovery from FailState.
+) -> tuple[DeviceUpdateState, Verdict]:
+    """Factory recovery from FailState; return the new state and the verdict.
 
     Verification runs as usual minus the freshness check (a factory image
     is by definition old); signature, token, digest, and expiry are still
-    enforced because recovery is itself an attack surface. Identity must
-    be re-provisioned afterwards; callers flag that in the registry.
+    enforced because recovery is itself an attack surface. A refused
+    image leaves the device in its fail state, unchanged, with the reason
+    of the first failing check. Identity must be re-provisioned after a
+    recovery; callers flag that in the registry.
     """
     if state.mode is not DeviceMode.FAIL_STATE:
         raise NotInFailStateError(f"device mode is {state.mode.value}")
     failed = _failed_checks(state, factory_manifest, factory_firmware, now, freshness=False)
     reason = next(failed, None)
     if reason is not None:
-        raise RecoveryRefusedError(reason)
-    recovered = SlotState(
-        image_digest=factory_manifest.digest,
-        version=factory_manifest.version,
-        gen_time=factory_manifest.token.gen_time,
-        verified=True,
-    )
-    return replace(
+        return state, Verdict.reject(reason)
+    recovered = replace(
         state,
         active_slot=Slot.A,
-        slots=Slots(recovered, EMPTY_SLOT),
+        slots=Slots(_installed(factory_manifest), EMPTY_SLOT),
         mode=DeviceMode.RUNNING,
     )
+    return recovered, Verdict.accept()

@@ -53,7 +53,6 @@ from fleetsec.update_protocol import (
     DeviceUpdateState,
     FirmwareManifest,
     RejectReason,
-    RejectionRecord,
     apply_update,
     boot,
     build_manifest,
@@ -91,9 +90,16 @@ def _signature_valid(pub: PublicKeyInfo, message: bytes, signature: bytes) -> bo
 
 
 def expected_reason(
-    state: DeviceUpdateState, manifest: FirmwareManifest, firmware: bytes, now: int
+    state: DeviceUpdateState,
+    manifest: FirmwareManifest,
+    firmware: bytes,
+    now: int,
+    freshness: bool = True,
 ) -> RejectReason | None:
     """First failing verification check, re-derived independently.
+
+    With freshness=False the rollback check is skipped, as factory
+    recovery skips it.
 
     Deliberately a second, dumber implementation, down to re-encoding the
     signed bodies from wire primitives and verifying signatures with
@@ -121,7 +127,9 @@ def expected_reason(
     if hashlib.sha256(firmware).digest() != manifest.digest:
         return RejectReason.DIGEST_MISMATCH
     active = state.active()
-    if manifest.version <= active.version or manifest.token.gen_time <= active.gen_time:
+    if freshness and (
+        manifest.version <= active.version or manifest.token.gen_time <= active.gen_time
+    ):
         return RejectReason.ROLLBACK
     if now >= manifest.expiry:
         return RejectReason.EXPIRED
@@ -235,11 +243,10 @@ def run_adversarial_traces(
 
             want = expected_reason(state, manifest, firmware, now)
             before = state
-            records: list[RejectionRecord] = []
-            state = apply_update(state, manifest, firmware, now, events=records)
+            state, verdict = apply_update(state, manifest, firmware, now)
 
             if want is None:
-                if records or state is before:
+                if not verdict.accepted or state is before:
                     stats.violations.append(("accept_mismatch", op, now))
                     continue
                 stats.accepts += 1
@@ -252,7 +259,7 @@ def run_adversarial_traces(
                 if state.mode is not DeviceMode.RUNNING:
                     stats.violations.append(("accept_not_running", op, now))
             else:
-                got = records[0].reason if records else None
+                got = None if verdict.accepted else verdict.reason.value
                 if got != want.value:
                     stats.violations.append(("reason_mismatch", op, got, want.value, now))
                 if state != before:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -86,18 +87,13 @@ def test_offset_out_of_bounds():
 def test_read_overlapping_the_token_alerts():
     _, token = plant_canary(IMAGE, random.Random(1), offset=100)
     alert = check_access(token, (90, 20, 7, "attacker"), device_id="dev-1")
-    assert alert is not None
-    assert alert.kind == "canary_token"
-    assert alert.actor == "attacker"
-    assert alert.time == 7
-    assert token.triggered == [(7, "attacker")]
+    assert alert == Alert(7, "dev-1", "canary_token", "attacker", "read [90,110) hit canary at 100")
 
 
 def test_read_elsewhere_stays_silent():
     _, token = plant_canary(IMAGE, random.Random(1), offset=100)
     assert check_access(token, (0, 100, 7, "reader")) is None
     assert check_access(token, (100 + TOKEN_LEN, 50, 8, "reader")) is None
-    assert token.triggered == []
 
 
 def test_one_byte_overlap_at_each_edge_alerts():
@@ -108,9 +104,14 @@ def test_one_byte_overlap_at_each_edge_alerts():
 
 def test_two_reads_record_in_order():
     _, token = plant_canary(IMAGE, random.Random(1), offset=100)
-    check_access(token, (100, 4, 3, "first"))
-    check_access(token, (100, 4, 9, "second"))
-    assert token.triggered == [(3, "first"), (9, "second")]
+    alerts = [check_access(token, (100, 4, 3, "first")), check_access(token, (100, 4, 9, "second"))]
+    assert [(a.time, a.actor) for a in alerts] == [(3, "first"), (9, "second")]
+
+
+def test_a_canary_token_is_frozen():
+    _, token = plant_canary(IMAGE, random.Random(1), offset=100)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        token.placement = 0
 
 
 def test_token_validation():
@@ -147,17 +148,13 @@ def test_canary_port_connection_alerts():
     ports = PortCanaries("dev-1", legitimate_ports=[80, 443])
     ports.open_canary_port(8022)
     alert = ports.record_connection(8022, source="attacker:scan", time=12)
-    assert alert is not None
-    assert alert.kind == "canary_port"
-    assert alert.actor == "attacker:scan"
-    assert ports.alerts == [alert]
+    assert alert == Alert(12, "dev-1", "canary_port", "attacker:scan", "connection to canary port 8022")
 
 
 def test_legitimate_port_connection_is_silent():
     ports = PortCanaries("dev-1", legitimate_ports=[80])
     ports.open_canary_port(8022)
     assert ports.record_connection(80, source="client", time=1) is None
-    assert ports.alerts == []
 
 
 def test_canary_cannot_shadow_a_real_port():

@@ -14,7 +14,9 @@ import math
 import pytest
 
 from fleetsec.identity import ClaimRequest, DeviceRegistry
-from fleetsec.keystore import Keystore
+from cryptography.fernet import Fernet
+
+from fleetsec.keystore import Keystore, _fernet_key
 from fleetsec.update_protocol import DeviceUpdateState, initial_state
 from fleetsec.wire import write_spec
 
@@ -22,6 +24,13 @@ from helpers import DROP, firmware_image, make_pki, set_path
 
 PASSPHRASE = "pw"
 _TEXT = object()  # the value replaces the file's whole text
+
+
+class _Encrypted(bytes):
+    """Plaintext that a case writes encrypted under PASSPHRASE, as a keystore does."""
+
+    def __repr__(self) -> str:
+        return f"encrypted({bytes(self)!r})"
 
 
 def _registry() -> dict:
@@ -161,6 +170,11 @@ FILE_ERRORS = [
     (_K, "keys.0.private_enc", "garbage", 'KeystoreFileError: wrong passphrase or corrupted keystore file'),
     (_K, "seed_enc", 5, 'KeystoreFileError: not a keystore file: keystore.seed_enc: expected str'),
     (_K, "seed_enc", "garbage", 'KeystoreFileError: wrong passphrase or corrupted keystore file'),
+    (_K, "seed_enc", _Encrypted(b""), 'KeystoreFileError: not a keystore file: keystore.seed_enc: decrypts to 0 bytes, not 8'),
+    (_K, "seed_enc", _Encrypted(bytes(9)), 'KeystoreFileError: not a keystore file: keystore.seed_enc: decrypts to 9 bytes, not 8'),
+    (_K, "seed_enc", _Encrypted(bytes(8)), 'loads'),
+    (_K, "keys.1.private_enc", _Encrypted(b"short"), 'KeystoreFileError: not a keystore file: keystore.keys[1].private_enc: decrypts to 5 bytes, not 32'),
+    (_K, "keys.0.private_enc", _Encrypted(bytes(32)), "KeystoreFileError: private material for 'publisher' does not match public key"),
 ]
 
 _LOAD = {
@@ -177,6 +191,8 @@ def _outcome(kind, where, value, tmp_path) -> str:
         path.write_text(value)
     else:
         obj = value if where == "" else copy.deepcopy(valid)
+        if isinstance(value, _Encrypted):
+            value = Fernet(_fernet_key(PASSPHRASE)).encrypt(value).decode("ascii")
         if where:
             set_path(obj, [int(k) if k.isdigit() else k for k in where.split(".")], value)
         path.write_text(json.dumps(obj))

@@ -1,22 +1,26 @@
 import base64
+import collections
 import dataclasses
 import hashlib
+import itertools
 import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetsec.errors import FleetsecError
 from fleetsec.keystore import Keystore
-from fleetsec.tsa import TimestampAuthority
+from fleetsec.tsa import TimestampAuthority, TimestampToken, token_signed_body
 from fleetsec.update_protocol import (
     DeviceMode,
     DeviceUpdateState,
     ExpiryInPastError,
+    FirmwareManifest,
     NotInFailStateError,
-    RecoveryRefusedError,
     RejectReason,
     Slot,
+    SlotState,
     Verdict,
     apply_update,
     boot,
@@ -25,6 +29,7 @@ from fleetsec.update_protocol import (
     device_verify,
     initial_state,
     interrupt_update,
+    manifest_signed_body,
     recover_to_trusted,
 )
 from fleetsec.wire import build, read_spec, write_spec
@@ -179,7 +184,8 @@ def test_verify_matches_independent_oracle_on_mixed_corpus(env):
 
 def test_accept_flips_active_slot(env):
     _, _, state, manifest, _, fw2 = env
-    after = apply_update(state, manifest, fw2, now=50)
+    after, verdict = apply_update(state, manifest, fw2, now=50)
+    assert verdict == Verdict.accept()
     assert after.active_slot is Slot.B
     assert after.active().version == 2
     assert after.active().gen_time == 10
@@ -190,20 +196,17 @@ def test_accept_flips_active_slot(env):
 
 def test_reject_leaves_state_deep_equal(env):
     _, _, state, manifest, _, fw2 = env
-    events = []
-    after = apply_update(state, manifest, fw2[:-1], now=50, events=events)
-    assert after == state
-    assert [ (e.firmware_id, e.version, e.reason, e.time) for e in events ] == [
-        ("fw-2", 2, "DigestMismatch", 50)
-    ]
+    after, verdict = apply_update(state, manifest, fw2[:-1], now=50)
+    assert after is state
+    assert verdict == Verdict.reject(RejectReason.DIGEST_MISMATCH)
 
 
 def test_two_updates_ping_pong_slots(env):
     store, tsa, state, manifest, _, fw2 = env
     fw3 = firmware_image(3)
     m3 = build_manifest(fw3, "fw-3", 3, 200, store.handle("publisher"), tsa, now=60)
-    s1 = apply_update(state, manifest, fw2, now=50)
-    s2 = apply_update(s1, m3, fw3, now=70)
+    s1, _ = apply_update(state, manifest, fw2, now=50)
+    s2, _ = apply_update(s1, m3, fw3, now=70)
     assert s2.active_slot is Slot.A
     assert s2.active().version == 3
     assert s2.inactive().version == 2
@@ -211,11 +214,10 @@ def test_two_updates_ping_pong_slots(env):
 
 def test_replay_of_accepted_manifest_is_rollback(env):
     _, _, state, manifest, _, fw2 = env
-    s1 = apply_update(state, manifest, fw2, now=50)
-    events = []
-    s2 = apply_update(s1, manifest, fw2, now=55, events=events)
-    assert s2 == s1
-    assert events[0].reason == "Rollback"
+    s1, _ = apply_update(state, manifest, fw2, now=50)
+    s2, verdict = apply_update(s1, manifest, fw2, now=55)
+    assert s2 is s1
+    assert verdict == Verdict.reject(RejectReason.ROLLBACK)
 
 
 def test_interrupt_keeps_active_slot_and_marks_updating(env):
@@ -249,7 +251,8 @@ def test_interrupt_then_full_apply_succeeds(env):
     _, _, state, manifest, _, fw2 = env
     torn = interrupt_update(state, manifest, fw2, 0.5)
     recovered, _ = boot(torn)
-    after = apply_update(recovered, manifest, fw2, now=50)
+    after, verdict = apply_update(recovered, manifest, fw2, now=50)
+    assert verdict.accepted
     assert after.active().version == 2
 
 
@@ -275,10 +278,10 @@ def test_boot_with_no_verified_slot_parks_in_fail_state(env):
 def test_fail_state_refuses_updates(env):
     _, _, state, manifest, _, fw2 = env
     failed = dataclasses.replace(state, mode=DeviceMode.FAIL_STATE)
-    events = []
-    after = apply_update(failed, manifest, fw2, now=50, events=events)
-    assert after == failed
-    assert events[0].reason == "FailState"
+    after, verdict = apply_update(failed, manifest, fw2, now=50)
+    assert after is failed
+    assert verdict == Verdict.reject(RejectReason.FAIL_STATE)
+    assert str(verdict) == "Reject(FailState)"
 
 
 # --- recovery ---------------------------------------------------------------
@@ -298,7 +301,8 @@ def test_recover_installs_factory_image_in_slot_a(env):
     store, tsa, _, _, fw1, _ = env
     failed = _failed_state(env)
     factory = build_manifest(fw1, "factory", 1, 10_000, store.handle("publisher"), tsa, now=60)
-    recovered = recover_to_trusted(failed, factory, fw1, now=70)
+    recovered, verdict = recover_to_trusted(failed, factory, fw1, now=70)
+    assert verdict == Verdict.accept()
     assert recovered.mode is DeviceMode.RUNNING
     assert recovered.active_slot is Slot.A
     assert recovered.active().version == 1
@@ -311,7 +315,8 @@ def test_recover_waives_only_the_freshness_check(env):
     store, tsa, _, _, fw1, _ = env
     failed = _failed_state(env)
     factory = build_manifest(fw1, "factory", 0, 10_000, store.handle("publisher"), tsa, now=1)
-    recovered = recover_to_trusted(failed, factory, fw1, now=70)
+    recovered, verdict = recover_to_trusted(failed, factory, fw1, now=70)
+    assert verdict.accepted
     assert recovered.mode is DeviceMode.RUNNING
 
 
@@ -321,18 +326,18 @@ def test_recover_refuses_bad_publisher_sig(env):
     imposter = Keystore(407)
     imposter.generate_key("publisher")
     factory = build_manifest(fw1, "factory", 1, 10_000, imposter.handle("publisher"), tsa, now=60)
-    with pytest.raises(RecoveryRefusedError) as exc:
-        recover_to_trusted(failed, factory, fw1, now=70)
-    assert exc.value.reason is RejectReason.BAD_PUBLISHER_SIG
+    after, verdict = recover_to_trusted(failed, factory, fw1, now=70)
+    assert after is failed
+    assert verdict == Verdict.reject(RejectReason.BAD_PUBLISHER_SIG)
 
 
 def test_recover_refuses_expired_factory_manifest(env):
     store, tsa, _, _, fw1, _ = env
     failed = _failed_state(env)
     factory = build_manifest(fw1, "factory", 1, 80, store.handle("publisher"), tsa, now=60)
-    with pytest.raises(RecoveryRefusedError) as exc:
-        recover_to_trusted(failed, factory, fw1, now=80)
-    assert exc.value.reason is RejectReason.EXPIRED
+    after, verdict = recover_to_trusted(failed, factory, fw1, now=80)
+    assert after is failed
+    assert verdict == Verdict.reject(RejectReason.EXPIRED)
 
 
 @pytest.mark.parametrize(
@@ -350,9 +355,7 @@ def test_recover_names_the_same_first_failure_as_install(env, fault, reason):
     factory = build_manifest(fw1, "factory", 2, 80, store.handle("publisher"), tsa, now=60)
     image = fw1[:-1] + bytes([fw1[-1] ^ 1]) if fault == "tampered" else fw1
     assert device_verify(state, factory, image, now=90) == Verdict.reject(reason)
-    with pytest.raises(RecoveryRefusedError) as exc:
-        recover_to_trusted(failed, factory, image, now=90)
-    assert exc.value.reason is reason
+    assert recover_to_trusted(failed, factory, image, now=90) == (failed, Verdict.reject(reason))
 
 
 def test_recover_requires_fail_state(env):
@@ -382,7 +385,7 @@ def test_accepted_versions_and_gen_times_strictly_increase(env):
         m = build_manifest(
             fw, f"fw-{v}", v, 1000, store.handle("publisher"), tsa, now=10 * v
         )
-        state = apply_update(state, m, fw, now=10 * v + 1)
+        state, _ = apply_update(state, m, fw, now=10 * v + 1)
         versions.append(state.active().version)
         gen_times.append(state.active().gen_time)
     assert versions == sorted(set(versions))
@@ -466,3 +469,111 @@ def test_thousand_adversarial_traces_hold_the_safety_invariants():
     # the corpus must actually exercise both outcomes and several reasons
     assert stats.accepts > 100
     assert set(stats.reject_reasons) >= {"BadPublisherSig", "Rollback", "DigestMismatch"}
+
+
+# --- generated manifests against the oracle ----------------------------------
+
+_STORE, _ = make_pki()
+_IMPOSTER = Keystore(409)  # the genuine key names over other key material
+_IMPOSTER.generate_key("publisher")
+_IMPOSTER.generate_key("tsa-root")
+_IMAGE = firmware_image(2)
+
+_PUBLISHERS = ("genuine", "imposter")
+_TSAS = ("genuine", "rogue", "renamed")  # renamed: genuine key, token names another
+_STEPS = (-1, 0, 1)  # a drawn field relative to its reference
+
+
+def _drawn_update(
+    publisher, tsa, imprint_ok, tampered, version_step, gen_time_step, expiry_step, mode,
+    version=5, gen_time=50, now=100,
+):
+    """A device whose active slot holds (version, gen_time), and a manifest re-signed as drawn.
+
+    The candidate's version and token gen_time lie one step around the
+    active slot's, and its expiry one step around now.
+    """
+    active_digest = hashlib.sha256(firmware_image(1)).digest()
+    state = initial_state(
+        active_digest, version, _STORE.public_key("tsa-root"), _STORE.public_key("publisher"), gen_time
+    )
+    state = dataclasses.replace(state, mode=mode)
+    digest = hashlib.sha256(_IMAGE).digest()
+    imprint = digest if imprint_ok else active_digest
+    token_time = gen_time + gen_time_step
+    token_signer = _IMPOSTER if tsa == "rogue" else _STORE
+    token = TimestampToken(
+        imprint, token_time, 1, "tsa-alt" if tsa == "renamed" else "tsa-root",
+        token_signer.sign("tsa-root", token_signed_body(imprint, token_time, 1)),
+    )
+    body = manifest_signed_body("fw-2", version + version_step, digest, now + expiry_step, token)
+    signer = _STORE if publisher == "genuine" else _IMPOSTER
+    manifest = FirmwareManifest(
+        "fw-2", version + version_step, digest, now + expiry_step, token, signer.sign("publisher", body)
+    )
+    image = _IMAGE[:-1] + bytes([_IMAGE[-1] ^ 1]) if tampered else _IMAGE
+    return state, manifest, image, now
+
+
+def _verdict_of(reason: RejectReason | None) -> Verdict:
+    return Verdict.accept() if reason is None else Verdict.reject(reason)
+
+
+def _check_install_and_recovery(state, manifest, image, now) -> Verdict:
+    """Both paths agree with the oracle; a refusal changes nothing. Returns the install verdict."""
+    after, verdict = apply_update(state, manifest, image, now)
+    if state.mode is DeviceMode.FAIL_STATE:
+        assert verdict == Verdict.reject(RejectReason.FAIL_STATE)
+    else:
+        assert verdict == _verdict_of(expected_reason(state, manifest, image, now))
+    if verdict.accepted:
+        assert after.active() == SlotState(manifest.digest, manifest.version, manifest.token.gen_time, True)
+        assert after.inactive() == state.active()
+    else:
+        assert after is state
+
+    failed = dataclasses.replace(state, mode=DeviceMode.FAIL_STATE)
+    recovered, recovery = recover_to_trusted(failed, manifest, image, now)
+    assert recovery == _verdict_of(expected_reason(failed, manifest, image, now, freshness=False))
+    if recovery.accepted:
+        assert recovered.active_slot is Slot.A and recovered.mode is DeviceMode.RUNNING
+        assert recovered.active().image_digest == manifest.digest
+    else:
+        assert recovered is failed
+    return verdict
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    publisher=st.sampled_from(_PUBLISHERS),
+    tsa=st.sampled_from(_TSAS),
+    imprint_ok=st.booleans(),
+    tampered=st.booleans(),
+    version_step=st.sampled_from(_STEPS),
+    gen_time_step=st.sampled_from(_STEPS),
+    expiry_step=st.sampled_from(_STEPS),
+    mode=st.sampled_from([DeviceMode.RUNNING, DeviceMode.FAIL_STATE]),
+    version=st.integers(1, 2**64 - 2),
+    gen_time=st.integers(1, 2**64 - 2),
+    now=st.integers(1, 2**64 - 2),
+)
+def test_generated_manifests_get_the_oracles_verdict(
+    publisher, tsa, imprint_ok, tampered, version_step, gen_time_step, expiry_step, mode,
+    version, gen_time, now,
+):
+    _check_install_and_recovery(*_drawn_update(
+        publisher, tsa, imprint_ok, tampered, version_step, gen_time_step, expiry_step, mode,
+        version, gen_time, now,
+    ))
+
+
+def test_every_combination_of_draws_meets_the_oracle_and_every_verdict_occurs():
+    choices = (
+        _PUBLISHERS, _TSAS, (True, False), (True, False), _STEPS, _STEPS, _STEPS,
+        (DeviceMode.RUNNING, DeviceMode.FAIL_STATE),
+    )
+    seen = collections.Counter(
+        str(_check_install_and_recovery(*_drawn_update(*drawn))) for drawn in itertools.product(*choices)
+    )
+    assert set(seen) == {"Accept", *(f"Reject({reason.value})" for reason in RejectReason)}
+    assert seen["Accept"] == 1  # only the all-genuine, all-fresh running draw installs
