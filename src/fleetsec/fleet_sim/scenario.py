@@ -452,8 +452,6 @@ def _check_telemetry_rows(config: ScenarioConfig) -> None:
 
 def parse_scenario(obj: dict, source: str = "scenario") -> ScenarioConfig:
     """The scenario in obj; an absent detector is the default detector, and null is none."""
-    if not isinstance(obj, dict):
-        raise ConfigError(source, "top level must be an object")
     return build(ScenarioConfig, source, **read_spec(ScenarioConfig, obj, source))
 
 

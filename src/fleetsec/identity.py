@@ -292,30 +292,30 @@ class DeviceRegistry:
         save_json(path, self.to_json_obj())
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> DeviceRegistry:
-        if not isinstance(obj, dict) or obj.get("format") != _FILE_FORMAT:
-            raise ValueError("missing or unsupported registry format tag")
-        file = build(_RegistryFile, "registry", **read_spec(_RegistryFile, obj, "registry"))
+    def from_json_obj(cls, obj, source: str = "registry") -> DeviceRegistry:
+        """The registry in obj; each mistake is a ConfigError at its key path under source."""
+        if isinstance(obj, dict) and obj.get("format") != _FILE_FORMAT:
+            raise ConfigError(f"{source}.format", "missing or unsupported registry format tag")
+        file = build(_RegistryFile, source, **read_spec(_RegistryFile, obj, source))
         registry = cls(file.seed)
         registry._next_session = file.next_session
         for i, rec in enumerate(file.devices):
+            path = f"{source}.devices[{i}]"
             if rec.device_id in registry._records:
-                path = f"registry.devices[{i}].device_id"
-                raise ConfigError(path, f"duplicate device id {rec.device_id!r}")
+                raise ConfigError(f"{path}.device_id", f"duplicate device id {rec.device_id!r}")
             registry._records[rec.device_id] = rec
             if rec.device_pub is not None:
-                # keys are seed-derived, so regenerating reproduces them;
-                # mismatch means the snapshot was edited or the seed lies
-                regenerated = registry._keystore.generate_key(rec.device_pub.key_id)
-                if regenerated.public_bytes != rec.device_pub.public_bytes:
-                    raise ValueError(
-                        f"device key for {rec.device_id!r} does not match registry seed"
-                    )
+                # the key claim issued: this registration's id, its bytes derived from the seed
+                key_id, where = f"device:{rec.device_id}:g{rec.generation}", f"{path}.device_pub"
+                if rec.status not in (Status.CLAIMED, Status.BLACKLISTED):
+                    raise ConfigError(where, f"must be null when status is {rec.status.value}")
+                if rec.device_pub.key_id != key_id:
+                    raise ConfigError(where, f"key id must be {key_id!r}")
+                if registry._keystore.generate_key(key_id).public_bytes != rec.device_pub.public_bytes:
+                    raise ConfigError(where, "does not match the registry seed")
         return registry
 
     @classmethod
     def load(cls, path: str | Path) -> DeviceRegistry:
-        try:
-            return cls.from_json_obj(load_json(path))
-        except ConfigError as exc:
-            raise ValueError(f"malformed registry file: {exc}") from None
+        """The registry saved at path; each mistake is a ConfigError at its key path under path."""
+        return cls.from_json_obj(load_json(path), str(path))

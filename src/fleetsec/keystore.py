@@ -46,7 +46,7 @@ class UnknownKeyError(FleetsecError):
 
 
 class KeystoreFileError(FleetsecError):
-    """Bad keystore file: wrong format tag, wrong passphrase, missing material."""
+    """A key asked of a store loaded without private material; a bad file is a ConfigError."""
 
 
 @dataclass(frozen=True)
@@ -197,40 +197,37 @@ class Keystore:
 
     @classmethod
     def load(cls, path: str | Path, passphrase: str | None = None) -> Keystore:
+        """The keystore saved at path; each mistake, a wrong passphrase too, is a ConfigError."""
         fernet = Fernet(_fernet_key(passphrase)) if passphrase is not None else None
-        store = cls(0)
+        store, root = cls(0), str(path)
         store._seed = None
-        try:
-            obj = load_json(path)
-            if not isinstance(obj, dict) or obj.get("format") != _FILE_FORMAT:
-                raise KeystoreFileError("missing or unsupported keystore format tag")
-            file = build(_KeystoreFile, "keystore", **read_spec(_KeystoreFile, obj, "keystore"))
-            if fernet is not None and file.seed_enc is not None:
-                store._seed = int.from_bytes(_decrypt(fernet, file.seed_enc, "keystore.seed_enc", 8), "big")
-            for i, entry in enumerate(file.keys):
-                if entry.key_id in store._public:
-                    raise ConfigError(f"keystore.keys[{i}].key_id", f"duplicate key id {entry.key_id!r}")
-                info = PublicKeyInfo(entry.key_id, entry.algorithm, entry.public_bytes)
-                store._public[info.key_id] = info
-                if fernet is not None and entry.private_enc is not None:
-                    raw = _decrypt(fernet, entry.private_enc, f"keystore.keys[{i}].private_enc", 32)
-                    private = Ed25519PrivateKey.from_private_bytes(raw)
-                    if private.public_key().public_bytes_raw() != info.public_bytes:
-                        raise KeystoreFileError(
-                            f"private material for {info.key_id!r} does not match public key"
-                        )
-                    store._private[info.key_id] = private
-        except ConfigError as exc:
-            raise KeystoreFileError(f"not a keystore file: {exc}") from exc
+        obj = load_json(path)
+        if isinstance(obj, dict) and obj.get("format") != _FILE_FORMAT:
+            raise ConfigError(f"{root}.format", "missing or unsupported keystore format tag")
+        file = build(_KeystoreFile, root, **read_spec(_KeystoreFile, obj, root))
+        if fernet is not None and file.seed_enc is not None:
+            store._seed = int.from_bytes(_decrypt(fernet, file.seed_enc, f"{root}.seed_enc", 8), "big")
+        for i, entry in enumerate(file.keys):
+            if entry.key_id in store._public:
+                raise ConfigError(f"{root}.keys[{i}].key_id", f"duplicate key id {entry.key_id!r}")
+            info = PublicKeyInfo(entry.key_id, entry.algorithm, entry.public_bytes)
+            store._public[info.key_id] = info
+            if fernet is not None and entry.private_enc is not None:
+                where = f"{root}.keys[{i}].private_enc"
+                raw = _decrypt(fernet, entry.private_enc, where, 32)
+                private = Ed25519PrivateKey.from_private_bytes(raw)
+                if private.public_key().public_bytes_raw() != info.public_bytes:
+                    raise ConfigError(where, "does not match the public key")
+                store._private[info.key_id] = private
         return store
 
 
 def _decrypt(fernet: Fernet, token: str, path: str, length: int) -> bytes:
-    """The `length` bytes that token encrypts; other lengths are refused at path."""
+    """The `length` bytes that token encrypts; anything else is refused at path."""
     try:
         plain = fernet.decrypt(token.encode("ascii"))
-    except (InvalidToken, ValueError) as exc:
-        raise KeystoreFileError("wrong passphrase or corrupted keystore file") from exc
+    except (InvalidToken, ValueError):
+        raise ConfigError(path, "wrong passphrase or corrupted keystore file") from None
     if len(plain) != length:
         raise ConfigError(path, f"decrypts to {len(plain)} bytes, not {length}")
     return plain

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import FleetsecError
 from .keystore import Keystore, PublicKeyInfo, verify
-from .wire import Reader, lp, u64
+from .wire import ConfigError, Reader, build, lp, u64
 
 IMPRINT_LEN = 32
 
@@ -47,9 +47,9 @@ class TimestampToken:
                 f"imprint must be {IMPRINT_LEN} bytes, got {len(self.imprint)}"
             )
         if self.serial < 1:
-            raise ValueError("serial must be positive")
+            raise ConfigError("serial", "must be positive")
         if self.gen_time < 0:
-            raise ValueError("gen_time must be non-negative")
+            raise ConfigError("gen_time", "must be non-negative")
 
     def signed_body(self) -> bytes:
         return token_signed_body(self.imprint, self.gen_time, self.serial)
@@ -69,7 +69,7 @@ def decode_token(data: bytes) -> TimestampToken:
     tsa_key = reader.lp().decode("utf-8", errors="replace")
     signature = reader.lp()
     reader.expect_end()
-    return TimestampToken(imprint, gen_time, serial, tsa_key, signature)
+    return build(TimestampToken, "token", imprint, gen_time, serial, tsa_key, signature)
 
 
 class TimestampAuthority:

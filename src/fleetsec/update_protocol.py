@@ -111,9 +111,9 @@ class FirmwareManifest:
 
     def __post_init__(self):
         if self.version < 0:
-            raise ValueError("version must be non-negative")
+            raise ConfigError("version", "must be non-negative")
         if len(self.digest) != DIGEST_LEN:
-            raise ValueError(f"digest must be {DIGEST_LEN} bytes")
+            raise ConfigError("digest", f"must be {DIGEST_LEN} bytes")
 
     def signed_body(self) -> bytes:
         return manifest_signed_body(
@@ -146,7 +146,7 @@ def decode_manifest(data: bytes) -> FirmwareManifest:
     token = decode_token(reader.lp())
     publisher_sig = reader.lp()
     reader.expect_end()
-    return FirmwareManifest(firmware_id, version, digest, expiry, token, publisher_sig)
+    return build(FirmwareManifest, "manifest", firmware_id, version, digest, expiry, token, publisher_sig)
 
 
 def build_manifest(
@@ -230,10 +230,8 @@ class DeviceUpdateState:
 
     @classmethod
     def load(cls, path: str | Path) -> DeviceUpdateState:
-        try:
-            return build(cls, "state", **read_spec(cls, load_json(path), "state"))
-        except ConfigError as exc:
-            raise ValueError(f"malformed device state file: {exc}") from None
+        """The state saved at path; each mistake is a ConfigError at its key path under path."""
+        return build(cls, str(path), **read_spec(cls, load_json(path), str(path)))
 
 
 def initial_state(

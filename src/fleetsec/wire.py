@@ -2,7 +2,8 @@
 
 Binary: fixed field order, unsigned 64-bit big-endian integers,
 length-prefixed byte strings (32-bit big-endian length prefix). Decoding
-is strict: truncated fields or trailing bytes raise DecodeError.
+is strict: truncated fields or trailing bytes raise DecodeError, and a
+field its type's checks refuse is a ConfigError, as in a JSON file.
 
 JSON: a dataclass is the schema of its object, read by read_spec and
 written by write_spec, every field of it. Each field's key is its name,
@@ -88,19 +89,19 @@ class ConfigError(FleetsecError, ValueError):
         self.message = message
 
 
-def build(spec: type, path: str, **values):
-    """spec(**values); a field its checks refuse is named under path, in the same error class."""
+def build(spec: type, path: str, *args, **values):
+    """spec(*args, **values); a field its checks refuse is named under path, in the same error class."""
     try:
-        return spec(**values)
+        return spec(*args, **values)
     except ConfigError as exc:
         raise type(exc)(f"{path}.{exc.path}" if exc.path else path, exc.message) from None
 
 
 def load_json(path: str | Path):
-    """The JSON value in the file at path; text that is not JSON is a ConfigError."""
+    """The JSON value in the file at path; text that is not UTF-8 JSON is a ConfigError."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(str(path), f"not valid JSON: {exc}") from exc
 
 

@@ -2,19 +2,21 @@
 
 Each decoder gets a valid input with one to three single-position edits
 (set, insert or delete one byte or character, or cut the rest off); only
-a FleetsecError or a ValueError may escape it.
+a FleetsecError may escape it.
 """
 
 import hashlib
 import io
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fleetsec.errors import FleetsecError
 from fleetsec.fleet_sim.transport import fragment, reassemble
 from fleetsec.telemetry import ingest_csv
-from fleetsec.tsa import decode_token
-from fleetsec.update_protocol import build_manifest, decode_manifest
+from fleetsec.tsa import decode_token, token_signed_body
+from fleetsec.update_protocol import build_manifest, decode_manifest, manifest_signed_body
+from fleetsec.wire import ConfigError, lp
 
 from helpers import CSV_CHARS, apply_edits, firmware_image, make_pki, seq_edits
 
@@ -39,7 +41,7 @@ _BYTES = st.integers(0, 255)
 def _refused_or_decoded(decode, data) -> None:
     try:
         decode(data)
-    except (FleetsecError, ValueError):
+    except FleetsecError:
         pass
 
 
@@ -72,3 +74,16 @@ def test_edited_frames_raise_only_fleetsec_or_value_errors(edits, frame_edits):
 @given(edits=seq_edits(len(CSV), CSV_CHARS))
 def test_edited_telemetry_text_raises_only_fleetsec_or_value_errors(edits):
     _refused_or_decoded(ingest_csv, io.StringIO("".join(apply_edits(CSV, edits))))
+
+
+def test_a_manifest_with_a_short_digest_names_the_field():
+    token = decode_token(TOKEN)
+    data = manifest_signed_body("fw-2", 2, bytes(31), 500, token) + lp(b"sig")
+    with pytest.raises(ConfigError, match=r"^manifest\.digest: must be 32 bytes$"):
+        decode_manifest(data)
+
+
+def test_a_token_with_serial_zero_names_the_field():
+    data = token_signed_body(hashlib.sha256(b"image").digest(), 7, 0) + lp(b"tsa-root") + lp(b"sig")
+    with pytest.raises(ConfigError, match=r"^token\.serial: must be positive$"):
+        decode_token(data)

@@ -24,6 +24,7 @@ from fleetsec.identity import (
     UnknownDeviceError,
     claim_hash,
 )
+from fleetsec.wire import ConfigError
 
 from helpers import edited, json_edits, run_lifecycle_ops
 
@@ -341,14 +342,14 @@ def test_tampered_snapshot_is_refused(registry, tmp_path):
     obj = json.loads(path.read_text())
     obj["seed"] = obj["seed"] + 1  # device keys no longer derivable
     path.write_text(json.dumps(obj))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"\.devices\[0\]\.device_pub: does not match the registry seed$"):
         DeviceRegistry.load(path)
 
 
 def test_unknown_format_tag_is_refused(tmp_path):
     path = tmp_path / "registry.json"
     path.write_text('{"format": "something-else", "seed": 0, "next_session": 1, "devices": []}')
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"\.format: missing or unsupported registry format tag$"):
         DeviceRegistry.load(path)
 
 
@@ -378,10 +379,10 @@ SAVED_REGISTRY = _saved_registry()
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(edits=json_edits(SAVED_REGISTRY))
 def test_edited_registry_files_raise_only_value_errors(edits):
-    """An edited file is refused with a ValueError, or it loads and saves back to itself."""
+    """An edited file is refused with a FleetsecError, or it loads and saves back to itself."""
     try:
         registry = DeviceRegistry.from_json_obj(edited(SAVED_REGISTRY, edits))
-    except (FleetsecError, ValueError):
+    except FleetsecError:
         return
     saved = json.loads(json.dumps(registry.to_json_obj()))
     assert DeviceRegistry.from_json_obj(saved).to_json_obj() == saved

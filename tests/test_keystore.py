@@ -17,7 +17,7 @@ from fleetsec.keystore import (
     UnknownKeyError,
     verify,
 )
-from fleetsec.wire import build, read_spec, write_spec
+from fleetsec.wire import ConfigError, build, read_spec, write_spec
 
 from helpers import edited, json_edits
 
@@ -223,13 +223,13 @@ class TestStateFile:
         store.generate_key("a")
         path = tmp_path / "ks.json"
         store.save(path, passphrase="right")
-        with pytest.raises(KeystoreFileError):
+        with pytest.raises(ConfigError, match=r"\.seed_enc: wrong passphrase or corrupted keystore file$"):
             Keystore.load(path, passphrase="wrong")
 
     def test_unknown_format_tag_rejected(self, tmp_path):
         path = tmp_path / "ks.json"
         path.write_text(json.dumps({"format": "something-else", "keys": []}))
-        with pytest.raises(KeystoreFileError):
+        with pytest.raises(ConfigError, match=r"\.format: missing or unsupported keystore format tag$"):
             Keystore.load(path)
 
 
@@ -259,5 +259,5 @@ def test_edited_keystore_files_raise_only_value_errors(tmp_path_factory, edits):
     path.write_text(json.dumps(edited(SAVED_KEYSTORE, edits)))
     try:
         Keystore.load(path, passphrase="pw")
-    except (FleetsecError, ValueError):
+    except FleetsecError:
         pass
