@@ -80,9 +80,14 @@ class AnomalyReport:
     threshold: float
 
 
-def threshold_from_distances(distances, quantile: float, margin: float) -> float:
-    """margin times the linearly interpolated quantile of the distances."""
-    return float(margin * np.quantile(np.asarray(distances, dtype=np.float64), quantile))
+def threshold_from_distances(distances, quantile: float, margin: float) -> float | np.ndarray:
+    """margin times the linearly interpolated quantile of the distances.
+
+    A float for one row of distances; for a (rows, n) stack, the array of
+    each row's threshold, equal to the row-by-row calls.
+    """
+    thresholds = margin * np.quantile(np.asarray(distances, dtype=np.float64), quantile, axis=-1)
+    return float(thresholds) if thresholds.ndim == 0 else thresholds
 
 
 def detect_counts(
@@ -128,11 +133,9 @@ def detect_counts(
                 base = base_counts.bucket(base_rows[block], metric, interval, *base_span)
                 values = np.hstack([base, np.zeros((len(base), lead - n_ref)), values])
             profiles = compute_many(values, profile_config, n_ref)
-            thresholds = [
-                threshold_from_distances(p.distances[: n_ref - m + 1], config.quantile, config.margin)
-                for p in profiles
-            ]
-            scored.append((metric.value, thresholds, [p.distances[lead:] for p in profiles]))
+            calibration = np.stack([p.distances[: n_ref - m + 1] for p in profiles])
+            thresholds = threshold_from_distances(calibration, config.quantile, config.margin)
+            scored.append((metric.value, thresholds.tolist(), [p.distances[lead:] for p in profiles]))
         for k, row in enumerate(rows[block]):
             device_id = telemetry.device_ids[row]
             for metric, thresholds, scores in scored:

@@ -125,7 +125,7 @@ class ClaimRequest:
 
     def __post_init__(self):
         if not self.secret:
-            raise ValueError("claim secret must be non-empty")
+            raise ConfigError("secret", "must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ class DeviceRegistry:
 
     def register_device(self, device_id: str, claim_secret: bytes) -> DeviceRecord:
         if not claim_secret:
-            raise ValueError("claim secret must be non-empty")
+            raise ConfigError("secret", "must be non-empty")
         existing = self._records.get(device_id)
         if existing is not None and existing.status is not Status.DEPROVISIONED:
             raise DuplicateDeviceError(f"device {device_id!r} already registered")

@@ -139,7 +139,7 @@ class Keystore:
 
     def generate_key(self, key_id: str) -> PublicKeyInfo:
         if not key_id:
-            raise ValueError("key_id must be non-empty")
+            raise ConfigError("key_id", "must be a non-empty string")
         if key_id in self._public:
             raise DuplicateKeyError(f"key {key_id!r} already exists")
         if self._seed is None:

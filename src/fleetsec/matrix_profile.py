@@ -24,11 +24,13 @@ Two independent implementations satisfy the same contract: an all-pairs
 series (STOMP written as a GEMM; Zhu et al., ICDM 2016). The kernel
 z-normalizes every window and scales it by 1/sqrt(m), so the dot product
 of two windows is their Pearson correlation r, and the distance follows
-from d = sqrt(2m(1 - r)). Each tile of correlations covers several whole
-series when they are short, or a block of rows of one series when it is
-long. `compute_fast` is the kernel on a single series. The routes agree
-elementwise to float precision; tests hold distances to 1e-9 and require
-the same neighbor indices.
+from d = sqrt(2m(1 - r)). Every window's mean and scale are taken once
+per call, window by window (`_window_stats`), and the normalized windows
+are built from them tile by tile. Each tile of correlations covers
+several whole series when they are short, or a block of rows of one
+series when it is long. `compute_fast` is the kernel on a single series.
+The routes agree elementwise to float precision; tests hold distances to
+1e-9 and require the same neighbor indices.
 
 Degenerate (near-constant) windows cannot be z-normalized, so the
 distance rule is fixed here: two constant windows are identical (distance
@@ -216,47 +218,62 @@ def compute_brute_force(values, config: ProfileConfig, n_ref: int | None = None)
     return MatrixProfile(distances, neighbors, config)
 
 
-def _znormalized(values: np.ndarray, m: int):
-    """Every window of every row, z-normalized and scaled by 1/sqrt(m).
+def _window_stats(values: np.ndarray, m: int):
+    """Mean, scale and constant flag of every window of every row, each (rows, w).
 
-    Returns (z, const) of shapes (rows, w, m) and (rows, w). Constant
-    windows get z = 0, so they correlate 0 with everything. Statistics
-    are taken per window over a sliding view rather than by differencing
-    cumulative sums, which cancel catastrophically once the running totals
-    have passed through a large burst.
+    The scale is the population standard deviation times sqrt(m), or
+    sqrt(m) alone for a constant window, so (window - mean) / scale is the
+    window z-normalized and scaled by 1/sqrt(m). The sums run window by
+    window, as m shifted adds along the series: the mean first, then the
+    squared deviations from it. Differencing cumulative sums would be
+    cheaper, but it cancels catastrophically once the running totals have
+    passed through a large burst, and exact recurrences after the burst
+    would then no longer profile to 0.
     """
-    windows = np.lib.stride_tricks.sliding_window_view(values, m, axis=-1)
-    mu = windows.mean(axis=-1, keepdims=True)
-    sigma = windows.std(axis=-1, keepdims=True)
+    w = values.shape[-1] - m + 1
+    total = values[:, :w].copy()
+    for k in range(1, m):
+        total += values[:, k : k + w]
+    mu = total / m
+    squares = np.zeros_like(mu)
+    for k in range(m):
+        deviation = values[:, k : k + w] - mu
+        squares += deviation * deviation
+    sigma = np.sqrt(squares / m)
     const = sigma < CONSTANT_STD
-    z = (windows - mu) / (np.where(const, 1.0, sigma) * math.sqrt(m))
-    const = const[..., 0]
-    z[const] = 0.0
-    return z, const
+    return mu, np.where(const, 1.0, sigma) * math.sqrt(m), const
 
 
-def _nearest(corr: np.ndarray, const_rows: np.ndarray, const_ref: np.ndarray, r0: int,
+def _band(r0: int, n_rows: int, w_ref: int, exclusion: int) -> np.ndarray:
+    """The trivial matches of a block of rows starting at window r0.
+
+    They are flat indices into the block's (rows, w_ref) correlations, one
+    array rather than a (row, column) pair, to halve what a call keeps.
+    Empty when the block starts more than the exclusion past the last
+    reference window.
+    """
+    lo, hi = max(0, r0 - exclusion), min(w_ref, r0 + n_rows + exclusion)
+    rows, columns = np.nonzero(np.abs((r0 + np.arange(n_rows))[:, None] - np.arange(lo, hi)) <= exclusion)
+    return rows * w_ref + columns + lo
+
+
+def _nearest(corr: np.ndarray, const_rows: np.ndarray, const_ref: np.ndarray, band,
              config: ProfileConfig):
     """Distances and neighbors of a block of rows from their correlations.
 
     `corr` is (series, rows, w_ref), the correlations of the block's rows
     with every reference window, and is overwritten. `const_rows` marks
     the block's constant rows and `const_ref` the constant reference
-    windows. The block starts at window r0, which places the exclusion band.
+    windows. `band` holds the block's trivial matches, as `_band` gives them.
     """
-    m, excl = config.window_m, config.exclusion
-    n_rows, w_ref = corr.shape[1:]
+    m = config.window_m
     # A constant row correlates 1 with constant windows and 0 with the
     # rest: the snap and the identity below then give 0 and sqrt(2m).
     ks, rs = np.nonzero(const_rows)
     corr[ks, rs] = const_ref[ks]
-    # the reference windows some row of the block trivially matches; none
-    # when the block starts more than the exclusion past the last of them
-    lo, hi = max(0, r0 - excl), min(w_ref, r0 + n_rows + excl)
-    band = np.abs((r0 + np.arange(n_rows))[:, None] - np.arange(lo, hi)) <= excl
-    np.copyto(corr[..., lo:hi], -np.inf, where=band)
+    corr.reshape(len(corr), -1)[:, band] = -np.inf
 
-    best = corr.max(axis=-1)
+    best = np.take_along_axis(corr, corr.argmax(axis=-1)[..., None], axis=-1)[..., 0]
     exact = best >= 1.0 - EXACT_MATCH_EPS
     d = np.sqrt(np.maximum(0.0, 2.0 * m * (1.0 - best)))
     d[exact] = 0.0
@@ -270,34 +287,42 @@ def compute_many(values_2d, config: ProfileConfig, n_ref: int | None = None) -> 
     """Profiles of D equal-length series stacked as a (D, n) array.
 
     Each series is scored against the windows of its own first `n_ref`
-    points, or of all of it when n_ref is None. One matrix multiply per
-    tile gives the correlations of a block of windows with every
-    reference window; the exclusion band is masked and the row maximum is
-    the nearest neighbor. Tiles hold whole series when the reference is
-    short and blocks of rows of one series when it is long, and
-    z-normalization runs per block of series, so memory stays bounded.
-    Same contract as `compute_brute_force`, series by series.
+    points, or of all of it when n_ref is None. Every window's mean and
+    scale are taken once per call (`_window_stats`); the z-normalized
+    windows are built per tile from them, so memory stays bounded. One
+    matrix multiply per tile gives the correlations of a block of windows
+    with every reference window; the exclusion band, scattered from
+    indices kept per block start, is masked, and the row maximum is the
+    nearest neighbor. Tiles hold whole series when the reference is
+    short and blocks of rows of one series when it is long. Same contract
+    as `compute_brute_force`, series by series.
     """
     values = np.asarray(values_2d, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError(f"expected a (series, time) array, got shape {values.shape}")
     n_series, n = values.shape
     w, w_ref = _window_counts(n, n_ref, config)
+    m = config.window_m
     rows = min(w, max(1, _TILE_BYTES // (8 * w_ref)))
     per_tile = max(1, _TILE_BYTES // (8 * w_ref * rows))
     buf = np.empty(min(per_tile, n_series) * rows * w_ref)
+    mu, scale, const = _window_stats(values, m)
+    bands = {r0: _band(r0, min(rows, w - r0), w_ref, config.exclusion) for r0 in range(0, w, rows)}
     distances = np.empty((n_series, w))
     neighbors = np.empty((n_series, w), dtype=np.int64)
     for a in range(0, n_series, per_tile):
-        z, const = _znormalized(values[a : a + per_tile], config.window_m)
+        tile = slice(a, a + per_tile)
+        windows = np.lib.stride_tricks.sliding_window_view(values[tile], m, axis=-1)
+        z = (windows - mu[tile, :, None]) / scale[tile, :, None]
+        z[const[tile]] = 0.0  # a constant window correlates 0 with everything
         zt = np.ascontiguousarray(z[:, :w_ref].transpose(0, 2, 1))  # a strided view misses BLAS
         for r0 in range(0, w, rows):
             block = z[:, r0 : r0 + rows]
             corr = buf[: block.shape[0] * block.shape[1] * w_ref].reshape(*block.shape[:2], w_ref)
             np.matmul(block, zt, out=corr)
-            d, j = _nearest(corr, const[:, r0 : r0 + rows], const[:, :w_ref], r0, config)
-            distances[a : a + len(z), r0 : r0 + rows] = d
-            neighbors[a : a + len(z), r0 : r0 + rows] = j
+            d, j = _nearest(corr, const[tile, r0 : r0 + rows], const[tile, :w_ref], bands[r0], config)
+            distances[tile, r0 : r0 + rows] = d
+            neighbors[tile, r0 : r0 + rows] = j
     return [MatrixProfile(distances[k], neighbors[k], config) for k in range(n_series)]
 
 

@@ -204,21 +204,35 @@ class TelemetryCounts:
         return (values if gauge else np.diff(values, axis=1)).astype(np.float64)
 
     def to_csv(self, stream: TextIO) -> None:
-        """The ingest_csv format by tick, then device in row order, then column."""
+        """The ingest_csv format by tick, then device in row order, then column.
+
+        Each row after its time column is a tail kept per (device,
+        column); a chunk's rows are its nonzero cells' tails, each
+        repeated by its count, and every run of one tick within the chunk
+        is written as one join of its rows on the tick.
+        """
         stream.write(",".join(CSV_HEADER) + "\n")
         order = [column for column in CSV_ORDER if column in self.columns]
         if not order:
             return
         tails = [_row_tail(device_id, *column) for device_id in self.device_ids for column in order]
+        tails = np.array(tails, dtype=object)
         for cells in self._by_tick():
-            counts = np.stack([self.columns[column][cells] for column in order], axis=1)
+            counts = np.stack([self.columns[column][cells] for column in order], axis=1).ravel()
             nonzero = np.flatnonzero(counts)  # into counts, cell-major like tails
+            if not len(nonzero):
+                continue
             cell, column = np.divmod(nonzero, len(order))
             row = np.searchsorted(self.starts, cells[cell], side="right") - 1
-            tail = row * len(order) + column
+            n = counts[nonzero]
+            lines = np.repeat(tails[row * len(order) + column], n).tolist()
             times = self.ticks[self.cells[cells[cell]]]
-            rows = zip(times.tolist(), tail.tolist(), counts.ravel()[nonzero].tolist())
-            stream.write("".join([f"{t}{tails[i]}" * n for t, i, n in rows]))
+            # each tick's run, as the nonzero cell it starts at and as lines
+            firsts = np.flatnonzero(np.r_[True, times[1:] != times[:-1]])
+            bounds = np.r_[0, np.cumsum(n)][np.r_[firsts, len(n)]].tolist()
+            for t, lo, hi in zip(times[firsts].tolist(), bounds, bounds[1:]):
+                p = str(t)
+                stream.write(p + p.join(lines[lo:hi]))
 
     def _by_tick(self) -> Iterator[np.ndarray]:
         """Cell positions by tick, then device, _CSV_CELLS at a time.

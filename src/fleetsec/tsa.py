@@ -61,7 +61,8 @@ class TimestampToken:
         return self.encode().hex()
 
 
-def decode_token(data: bytes) -> TimestampToken:
+def decode_token(data: bytes, path: str = "token") -> TimestampToken:
+    """The token in data; a field its checks refuse is named under path."""
     reader = Reader(data)
     imprint = reader.lp()
     gen_time = reader.u64()
@@ -69,7 +70,7 @@ def decode_token(data: bytes) -> TimestampToken:
     tsa_key = reader.lp().decode("utf-8", errors="replace")
     signature = reader.lp()
     reader.expect_end()
-    return build(TimestampToken, "token", imprint, gen_time, serial, tsa_key, signature)
+    return build(TimestampToken, path, imprint, gen_time, serial, tsa_key, signature)
 
 
 class TimestampAuthority:

@@ -33,7 +33,7 @@ from .tsa import (
     decode_token,
     verify_token,
 )
-from .wire import ConfigError, Reader, b64e, build, load_json, lp, read_spec, save_json, u64, write_spec
+from .wire import U64_MAX, ConfigError, Reader, b64e, build, load_json, lp, read_spec, save_json, u64, write_spec
 
 DIGEST_LEN = 32
 
@@ -112,6 +112,9 @@ class FirmwareManifest:
     def __post_init__(self):
         if self.version < 0:
             raise ConfigError("version", "must be non-negative")
+        for name in ("version", "expiry"):
+            if getattr(self, name) > U64_MAX:
+                raise ConfigError(name, "must be at most 2**64 - 1")
         if len(self.digest) != DIGEST_LEN:
             raise ConfigError("digest", f"must be {DIGEST_LEN} bytes")
 
@@ -143,7 +146,7 @@ def decode_manifest(data: bytes) -> FirmwareManifest:
     version = reader.u64()
     digest = reader.lp()
     expiry = reader.u64()
-    token = decode_token(reader.lp())
+    token = decode_token(reader.lp(), "manifest.token")
     publisher_sig = reader.lp()
     reader.expect_end()
     return build(FirmwareManifest, "manifest", firmware_id, version, digest, expiry, token, publisher_sig)
@@ -162,10 +165,8 @@ def build_manifest(
         raise ExpiryInPastError(f"expiry {expiry} is not after now {now}")
     digest = hashlib.sha256(firmware).digest()
     token = tsa.issue_token(digest, now)
-    body = manifest_signed_body(firmware_id, version, digest, expiry, token)
-    return FirmwareManifest(
-        firmware_id, version, digest, expiry, token, publisher_key.sign(body)
-    )
+    unsigned = FirmwareManifest(firmware_id, version, digest, expiry, token, b"")
+    return replace(unsigned, publisher_sig=publisher_key.sign(unsigned.signed_body()))
 
 
 class Slot(str, Enum):

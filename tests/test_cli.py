@@ -208,6 +208,13 @@ def test_public_only_keystore_cannot_build_manifests(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_an_empty_key_id_is_a_config_error(tmp_path, capsys):
+    keys = tmp_path / "keys.json"
+    assert main(["keys", "init", "--keys", str(keys), "--ids", "a,,b"]) == 2
+    assert capsys.readouterr().err == "error: key_id: must be a non-empty string\n"
+    assert not keys.exists()
+
+
 # --- identity ----------------------------------------------------------------------
 
 

@@ -16,7 +16,7 @@ from fleetsec.fleet_sim.transport import fragment, reassemble
 from fleetsec.telemetry import ingest_csv
 from fleetsec.tsa import decode_token, token_signed_body
 from fleetsec.update_protocol import build_manifest, decode_manifest, manifest_signed_body
-from fleetsec.wire import ConfigError, lp
+from fleetsec.wire import ConfigError, lp, u64
 
 from helpers import CSV_CHARS, apply_edits, firmware_image, make_pki, seq_edits
 
@@ -87,3 +87,7 @@ def test_a_token_with_serial_zero_names_the_field():
     data = token_signed_body(hashlib.sha256(b"image").digest(), 7, 0) + lp(b"tsa-root") + lp(b"sig")
     with pytest.raises(ConfigError, match=r"^token\.serial: must be positive$"):
         decode_token(data)
+    # inside a manifest, the token is named under the manifest
+    body = lp(b"fw-2") + u64(2) + lp(bytes(32)) + u64(500) + lp(data)
+    with pytest.raises(ConfigError, match=r"^manifest\.token\.serial: must be positive$"):
+        decode_manifest(body + lp(b"sig"))

@@ -85,6 +85,17 @@ class TestThresholdRule:
         want = 1.5 * (xs[lo] + frac * (xs[lo + 1] - xs[lo]))
         assert got == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("shape", [(64, 105), (3, 2985)])
+    @pytest.mark.parametrize("quantile", [0.5, 0.9, 0.99, 1.0])
+    def test_a_stack_gives_each_rows_threshold(self, rng_np, shape, quantile):
+        # fleet-shaped and long-shaped baselines; rounding makes ties
+        stack = np.round(rng_np.uniform(0, 5, size=shape), 2)
+        got = threshold_from_distances(stack, quantile, 1.5)
+        assert got.shape == shape[:1]
+        rows = [threshold_from_distances(row, quantile, 1.5) for row in stack]
+        assert all(type(t) is float for t in rows)
+        assert got.tolist() == rows
+
     def test_exactly_periodic_baseline_calibrates_to_zero(self):
         burst = periodic(64)
         burst[40] = 50.0

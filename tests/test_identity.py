@@ -64,6 +64,15 @@ def test_register_empty_device_id_is_refused_and_leaves_no_trace(registry):
     assert registry.to_json_obj() == before
 
 
+def test_an_empty_claim_secret_names_the_field(registry):
+    before = registry.to_json_obj()
+    with pytest.raises(ConfigError, match="^secret: must be non-empty$"):
+        registry.register_device("dev-2", b"")
+    assert registry.to_json_obj() == before
+    with pytest.raises(ConfigError, match="^secret: must be non-empty$"):
+        ClaimRequest("alice", "dev-1", b"")
+
+
 def test_register_twice_is_refused(registry):
     with pytest.raises(DuplicateDeviceError):
         registry.register_device("dev-1", b"other")

@@ -30,6 +30,13 @@ def test_generate_returns_public_info():
     assert len(info.public_bytes) == 32
 
 
+def test_empty_key_id_names_the_field():
+    store = Keystore(1)
+    with pytest.raises(ConfigError, match="^key_id: must be a non-empty string$"):
+        store.generate_key("")
+    assert store.key_ids() == []
+
+
 def test_duplicate_key_id_rejected():
     store = Keystore(1)
     store.generate_key("a")

@@ -192,6 +192,22 @@ class TestComputeMany:
             assert np.allclose(got.distances, want.distances, atol=1e-9)
             assert got.neighbor_index.tolist() == want.neighbor_index.tolist()
 
+    # 150 points give 143 windows: the default tile holds the whole series,
+    # and 4,300 bytes tiles of 3 rows of it
+    @pytest.mark.parametrize("tile_bytes", [None, 4_300])
+    def test_exact_recurrences_across_a_large_burst_profile_to_zero(self, rng_np, monkeypatch,
+                                                                    tile_bytes):
+        # every window recurs exactly, the clean ones on both sides of a
+        # x10^6 burst; running sums through the burst would lose the clean
+        # windows' statistics, and no clean window would match its twin
+        if tile_bytes is not None:
+            monkeypatch.setattr(matrix_profile, "_TILE_BYTES", tile_bytes)
+        base = np.tile(rng_np.normal(size=5), 6)
+        values = np.concatenate([base, base * 1e6, base, base * 1e6, base])
+        cfg = ProfileConfig(8)
+        for profile in (compute_many(values[np.newaxis], cfg)[0], compute_brute_force(values, cfg)):
+            assert profile.distances.tolist() == [0.0] * 143
+
     def test_rejects_bad_shapes(self):
         cfg = ProfileConfig(4)
         with pytest.raises(ValueError):

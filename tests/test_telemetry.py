@@ -224,12 +224,17 @@ class TestTelemetryCounts:
     IDS = ("plain", 'co,mma "quoted"')
     PACKETS_IN = (EventKind.PACKET, Direction.INBOUND)
 
-    def counts(self):
-        """Simulator-shaped counts: a session opens and closes in its tick."""
+    def counts(self, width=11, quiet=slice(0)):
+        """Simulator-shaped counts: a session opens and closes in its tick.
+
+        The `quiet` ticks hold no events.
+        """
         rng = np.random.default_rng(5)
-        sessions = rng.integers(0, 3, size=(2, 11))
-        return TelemetryCounts.dense(self.IDS, np.arange(11), {
-            self.PACKETS_IN: rng.integers(0, 4, size=(2, 11)),
+        sessions = rng.integers(0, 3, size=(2, width))
+        packets = rng.integers(0, 4, size=(2, width))
+        sessions[:, quiet] = packets[:, quiet] = 0
+        return TelemetryCounts.dense(self.IDS, np.arange(width), {
+            self.PACKETS_IN: packets,
             (EventKind.SESSION_OPEN, Direction.INBOUND): sessions,
             (EventKind.SESSION_CLOSE, Direction.INBOUND): sessions,
         })
@@ -245,8 +250,18 @@ class TestTelemetryCounts:
                     events += [ev(t, kind, direction, device, size)] * int(array[row * width + j])
         return events
 
-    def test_csv_is_the_event_writers_output(self):
-        counts = self.counts()
+    # 2 devices over 40 ticks: the writer's 16 tick windows hold 4 or 6
+    # cells, so chunks of 3 or 5 cells split a tick between two chunks,
+    # and over the quiet ticks a chunk holds no event
+    @pytest.mark.parametrize("chunk", [None, 3, 5])
+    def test_csv_is_the_event_writers_output(self, monkeypatch, chunk):
+        counts = self.counts(40, slice(12, 30))
+        if chunk is not None:
+            monkeypatch.setattr("fleetsec.telemetry._CSV_CELLS", chunk)
+            chunks = list(counts._by_tick())
+            assert any(not any(column[c].any() for column in counts.columns.values()) for c in chunks)
+            ticks = [counts.cells[c] for c in chunks]
+            assert any(a[-1] == b[0] for a, b in zip(ticks, ticks[1:]))
         events = self.events(counts)
         got, want = io.StringIO(), io.StringIO()
         counts.to_csv(got)

@@ -32,7 +32,7 @@ from fleetsec.update_protocol import (
     manifest_signed_body,
     recover_to_trusted,
 )
-from fleetsec.wire import build, read_spec, write_spec
+from fleetsec.wire import ConfigError, build, read_spec, write_spec
 
 from helpers import (
     edited,
@@ -401,6 +401,20 @@ def test_build_manifest_rejects_past_expiry(pki):
         build_manifest(b"fw", "fw-1", 1, 5, store.handle("publisher"), tsa, now=10)
     with pytest.raises(ExpiryInPastError):
         build_manifest(b"fw", "fw-1", 1, 10, store.handle("publisher"), tsa, now=10)
+
+
+@pytest.mark.parametrize("version, expiry, message", [
+    (2**64, 100, r"^version: must be at most 2\*\*64 - 1$"),
+    (1, 2**64, r"^expiry: must be at most 2\*\*64 - 1$"),
+])
+def test_build_manifest_names_a_field_past_u64(pki, version, expiry, message):
+    # the manifest's own checks refuse it, before the signed body is encoded
+    store, tsa = pki
+    with pytest.raises(ConfigError, match=message):
+        build_manifest(b"fw", "fw-1", version, expiry, store.handle("publisher"), tsa, now=10)
+    # the largest values still build
+    manifest = build_manifest(b"fw", "fw-1", 2**64 - 1, 2**64 - 1, store.handle("publisher"), tsa, now=10)
+    assert decode_manifest(manifest.encode()) == manifest
 
 
 def test_build_manifest_is_deterministic_under_same_seed():
