@@ -168,24 +168,29 @@ def make_schedule(
 def mtd_rotate(schedule: MtdSchedule, now: int, rng: random.Random) -> MtdSchedule:
     """Fresh injective assignment; a strictly larger pool guarantees movement.
 
-    With pool size above the device count, resampling rejects any draw
-    that leaves some device on its old address. At exact capacity that is
-    impossible to promise (the only assignments may be permutations with
-    fixed points), so any injective draw is allowed.
+    One sample gives every device an address. With pool size above the
+    device count, each device the sample left on its old address takes a
+    seeded pick among the addresses no device holds, and its old address
+    joins those free ones; since no device holds a free address, the pick
+    always moves it. At exact capacity that is impossible to promise (the
+    only assignments may be permutations with fixed points), so any
+    injective draw is allowed.
     """
     if now % schedule.rotation_interval != 0:
         raise ValueError(
             f"rotation at {now} not on the {schedule.rotation_interval}-tick grid"
         )
-    devices = sorted(schedule.assignment)
-    while True:
-        picks = rng.sample(schedule.address_pool, len(devices))
-        fresh = dict(zip(devices, picks))
-        if len(schedule.address_pool) == len(devices):
-            break
-        if all(fresh[d] != schedule.assignment[d] for d in devices):
-            break
-    return MtdSchedule(schedule.rotation_interval, schedule.address_pool, fresh)
+    old = schedule.assignment
+    devices = sorted(old)
+    picks = rng.sample(schedule.address_pool, len(devices))
+    stayed = [i for i, d in enumerate(devices) if picks[i] == old[d]]
+    if stayed and len(schedule.address_pool) > len(devices):
+        held = set(picks)
+        free = [a for a in schedule.address_pool if a not in held]
+        for i in stayed:
+            j = rng.randrange(len(free))
+            picks[i], free[j] = free[j], picks[i]
+    return MtdSchedule(schedule.rotation_interval, schedule.address_pool, dict(zip(devices, picks)))
 
 
 def attach_feint_patch(

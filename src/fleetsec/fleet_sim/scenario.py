@@ -521,6 +521,9 @@ class FleetSimulation:
         self.observations: list[tuple[str, str, int]] = []
         self.campaigns: list[_Campaign] = []
         self.last_accepted: dict[str, tuple[FirmwareManifest, bytes]] = {}
+        # frames still missing after a lossy delivery, by (device, campaign); the
+        # next attempt sends only these, and any other outcome drops the entry
+        self.missing_fragments: dict[tuple[str, int], list[bytes]] = {}
         self.mtd_schedule = None
 
     # - plumbing -
@@ -704,6 +707,7 @@ class FleetSimulation:
         t = self.now
         campaign = self.campaigns[campaign_index]
         spec = campaign.spec
+        missing = self.missing_fragments.pop((dev.id, campaign_index), None)
         if self.registry.record(dev.id).status is Status.BLACKLISTED:
             self.event(
                 "fleet",
@@ -712,9 +716,11 @@ class FleetSimulation:
             )
             return
 
-        frames = campaign.frames
+        frames = campaign.frames if missing is None else missing
         arrived = self.link.deliver(frames)
         if len(arrived) < len(frames):
+            got = set(arrived)  # each frame's header names its fragment, so no two are equal
+            self.missing_fragments[dev.id, campaign_index] = [f for f in frames if f not in got]
             self.event(
                 "link",
                 "frames_dropped",
@@ -723,7 +729,7 @@ class FleetSimulation:
             self._schedule_retry(dev, campaign_index, attempt, spec.retry_interval)
             return
 
-        if not self._on_grid[self._row[dev.id], t]:
+        if not self._on_grid[self._row[dev.id], t]:  # the install is lost; the retry sends every frame
             state = interrupt_update(
                 self.update_states[dev.id],
                 campaign.manifest,
@@ -748,6 +754,7 @@ class FleetSimulation:
         if when < self.cfg.duration:
             self.schedule(when, self._deliver_update, dev, campaign_index, attempt + 1)
         else:
+            self.missing_fragments.pop((dev.id, campaign_index), None)
             self.event(
                 "fleet",
                 "update_abandoned",

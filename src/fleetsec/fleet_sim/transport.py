@@ -8,8 +8,9 @@ are capped at 256 fragments.
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ..errors import FleetsecError
 
@@ -100,9 +101,25 @@ class SimLink:
         self.drop_rate = drop_rate
         self._rng = rng
 
-    def deliver(self, frames: Iterable[bytes]) -> list[bytes]:
-        """Frames surviving this hop; each is dropped independently."""
+    def deliver(self, frames: Sequence[bytes]) -> list[bytes]:
+        """Frames surviving this hop, in order; each is dropped independently.
+
+        Rather than one draw per frame, each draw gives the number of
+        frames kept before the next drop, ⌊ln(1 − u) / ln(1 − p)⌋, which
+        is geometric with the same law: one draw per delivery plus one
+        per drop.
+        """
         if self.drop_rate == 0:
             return list(frames)
-        draw, drop_rate = self._rng.random, self.drop_rate
-        return [f for f in frames if draw() >= drop_rate]
+        draw, log_keep = self._rng.random, math.log1p(-self.drop_rate)
+        kept: list[bytes] = []
+        start, n = 0, len(frames)
+        while True:
+            # compared as a float: at a subnormal drop rate the gap is inf
+            gap = math.log(1.0 - draw()) / log_keep
+            if gap >= n - start:
+                kept += frames[start:]
+                return kept
+            end = start + int(gap)
+            kept += frames[start:end]
+            start = end + 1  # frames[end] is dropped

@@ -232,33 +232,73 @@ def test_campaign_frames_that_decode_to_another_update_are_an_internal_error(mon
     assert info.traceback[-1].name == "_run_campaign"
 
 
-def test_lossy_link_carries_every_frame_once_per_delivery_attempt(monkeypatch):
-    calls = []  # per delivery: [campaign index, frames sent] ([index] when skipped)
+def test_lossy_link_resends_only_the_frames_each_attempt_lost(monkeypatch):
+    calls = []  # per delivery: device, campaign, attempt, frames sent and kept, event kinds
     real_deliver_update, real_deliver = FleetSimulation._deliver_update, SimLink.deliver
 
     def deliver_update(self, dev, campaign_index, attempt):
-        calls.append([campaign_index])
+        calls.append({"key": (dev.id, campaign_index), "attempt": attempt})
+        start = len(self.report.events)
         real_deliver_update(self, dev, campaign_index, attempt)
+        calls[-1]["kinds"] = [e.kind for e in self.report.events[start:]]
 
     def deliver(self, frames):
-        calls[-1].append(len(frames))
-        return real_deliver(self, frames)
+        kept = real_deliver(self, frames)
+        calls[-1].update(sent=list(frames), kept=kept)
+        return kept
 
     monkeypatch.setattr(FleetSimulation, "_deliver_update", deliver_update)
     monkeypatch.setattr(SimLink, "deliver", deliver)
     sim = FleetSimulation(scenario("mixed_fleet"))
     report = sim.run()
-    outcomes = [
-        e for e in report.events
-        if e.kind in ("frames_dropped", "update_interrupted")
-        or (e.actor == "fleet" and e.kind in ("update_applied", "update_rejected"))
-    ]
-    assert all(len(call) <= 2 for call in calls)
-    attempts = [call for call in calls if len(call) == 2]
     assert events_of(report, "frames_dropped")  # the link is lossy
-    assert len(calls) - len(attempts) == len(events_of(report, "update_skipped"))
-    assert len(attempts) == len(outcomes)
-    assert all(n == len(sim.campaigns[index].frames) for index, n in attempts)
+    assert events_of(report, "update_interrupted")
+
+    due = {}  # the frames each (device, campaign)'s next attempt must carry
+    partial = 0
+    for call in calls:
+        if "sent" not in call:
+            assert call["kinds"] == ["update_skipped"]
+            continue
+        every = sim.campaigns[call["key"][1]].frames
+        if call["attempt"] == 1:
+            assert call["key"] not in due
+        assert call["sent"] == due.pop(call["key"], every)
+        partial += len(call["sent"]) < len(every)
+        if call["kinds"] == ["frames_dropped"]:
+            due[call["key"]] = [f for f in call["sent"] if f not in call["kept"]]
+        else:  # every frame is in: applied, rejected, or interrupted and sent whole again
+            assert call["kept"] == call["sent"]
+            assert call["kinds"][0] in ("update_applied", "update_rejected", "update_interrupted")
+    assert partial  # some retry carried only what was lost
+    assert not due and not sim.missing_fragments
+
+
+def test_missing_fragment_buffer_is_empty_after_every_bundled_scenario():
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        sim = FleetSimulation(load_scenario(path))
+        sim.run()
+        assert sim.missing_fragments == {}, path.name
+
+
+@pytest.mark.parametrize(
+    "edit, end",
+    [
+        (lambda obj: obj["admin"].append({"at": 40, "action": "blacklist", "device": "edge-2"}),
+         (47, "update_skipped")),
+        (lambda obj: obj.update(duration=40), (32, "update_abandoned")),
+    ],
+    ids=["blacklisted", "abandoned"],
+)
+def test_a_delivery_that_ends_after_a_loss_leaves_no_missing_fragments(edit, end):
+    obj = json.loads((SCENARIO_DIR / "mixed_fleet.json").read_text())
+    edit(obj)
+    sim = FleetSimulation(parse_scenario(obj))
+    report = sim.run()
+    edge_2 = [(e.time, e.kind) for e in report.events if e.detail.get("device") == "edge-2"]
+    assert (32, "frames_dropped") in edge_2  # a partial delivery, then the end
+    assert edge_2[-1] == end
+    assert sim.missing_fragments == {}
 
 
 def test_off_grid_devices_finish_late_but_never_brick():

@@ -1,4 +1,6 @@
+import math
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,60 @@ def test_link_drops_are_seed_deterministic():
         SimLink(12, 0, 0.4, random.Random(77)).deliver(frames) for _ in range(2)
     ]
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("drop_rate", [5e-324, 2.225073858507e-311, math.nextafter(1, 0)])
+def test_extreme_drop_rates_draw_without_raising(drop_rate):
+    frames = fragment(bytes(MAX_FRAGMENTS * 8), mtu=12)
+    assert len(frames) == MAX_FRAGMENTS
+    link = SimLink(12, 0, drop_rate, random.Random(5))
+    for _ in range(200):
+        kept = link.deliver(frames)
+        if drop_rate < 1e-300:  # the gap overflows to inf: nothing drops
+            assert kept == frames
+        else:  # every frame drops unless its draw is the largest float below 1
+            assert len(kept) <= 1
+
+
+def _gaps_and_kept(masks):
+    """Kept frames before each drop, over all deliveries, and the total kept."""
+    gaps, kept = [], 0
+    for mask in masks:
+        run = 0
+        for survived in mask:
+            if survived:
+                run += 1
+            else:
+                gaps.append(run)
+                run = 0
+        kept += sum(mask)
+    return gaps, kept
+
+
+def _ks_distance(a, b):
+    a, b = sorted(a), sorted(b)
+    return max(
+        abs(bisect_right(a, x) / len(a) - bisect_right(b, x) / len(b)) for x in set(a) | set(b)
+    )
+
+
+@pytest.mark.parametrize("drop_rate, deliveries", [(0.002, 4000), (0.1, 400), (0.5, 100)])
+def test_gap_draws_match_the_per_frame_draw(drop_rate, deliveries):
+    frames = fragment(bytes(MAX_FRAGMENTS * 8), mtu=12)
+    link = SimLink(12, 0, drop_rate, random.Random(11))
+    got = [set(f[2] for f in link.deliver(frames)) for _ in range(deliveries)]
+    masks = [[i in kept for i in range(len(frames))] for kept in got]
+    oracle = random.Random(12)  # one independent draw per frame
+    oracle_masks = [[oracle.random() >= drop_rate for _ in frames] for _ in range(deliveries)]
+
+    gaps, kept = _gaps_and_kept(masks)
+    oracle_gaps, _ = _gaps_and_kept(oracle_masks)
+    n = deliveries * len(frames)
+    assert abs(kept / n - (1 - drop_rate)) < 4 * math.sqrt(drop_rate * (1 - drop_rate) / n)
+    # the kept runs before each drop: same law as the per-frame draw's (two-sample KS, alpha 0.001)
+    assert len(gaps) > 400 and len(oracle_gaps) > 400
+    bound = 1.95 * math.sqrt((len(gaps) + len(oracle_gaps)) / (len(gaps) * len(oracle_gaps)))
+    assert _ks_distance(gaps, oracle_gaps) < bound
 
 
 def test_link_validation():
