@@ -104,10 +104,9 @@ class SimLink:
     def deliver(self, frames: Sequence[bytes]) -> list[bytes]:
         """Frames surviving this hop, in order; each is dropped independently.
 
-        Rather than one draw per frame, each draw gives the number of
-        frames kept before the next drop, ⌊ln(1 − u) / ln(1 − p)⌋, which
-        is geometric with the same law: one draw per delivery plus one
-        per drop.
+        Each draw gives the number of frames kept before the next drop,
+        ⌊ln(1 − u) / ln(1 − p)⌋, a geometric count with the law of one
+        draw per frame: one draw per delivery plus one per drop.
         """
         if self.drop_rate == 0:
             return list(frames)
