@@ -9,15 +9,12 @@ calibrated anomaly report.
 Run:  python3 demos/01_profile_anomalies.py
 """
 
-import math
-
 import numpy as np
 
 from fleetsec import (
     DetectorConfig,
     ProfileConfig,
     TelemetryCounts,
-    compute_brute_force,
     compute_fast,
     detect_counts,
     top_discords,
@@ -39,11 +36,6 @@ profile = compute_fast(counts, config)
 print(f"{len(profile)} windows of length {config.window_m}")
 print(f"median distance {np.median(profile.distances):.3f}, "
       f"max {profile.distances.max():.3f} at window {profile.distances.argmax()}")
-
-# The brute force route checks every window pair directly. Same answer,
-# two very different ways of getting it.
-brute = compute_brute_force(counts, config)
-print(f"fast vs brute max gap: {np.max(np.abs(profile.distances - brute.distances)):.2e}")
 
 # The three most separated discords all sit on the flood boundary.
 discords = top_discords(profile, k=3, exclusion=config.exclusion)

@@ -21,11 +21,9 @@ from .keystore import Keystore, PublicKeyInfo
 from .matrix_profile import (
     MatrixProfile,
     ProfileConfig,
-    compute_brute_force,
     compute_fast,
     compute_many,
     top_discords,
-    znorm_distance,
 )
 from .telemetry import Metric, TelemetryCounts, TelemetrySeries, bucketize, ingest_csv
 from .tsa import TimestampAuthority, TimestampToken, decode_token, verify_token
@@ -68,7 +66,6 @@ __all__ = [
     "boot",
     "bucketize",
     "build_manifest",
-    "compute_brute_force",
     "compute_fast",
     "compute_many",
     "decode_token",
@@ -80,5 +77,4 @@ __all__ = [
     "threshold_from_distances",
     "top_discords",
     "verify_token",
-    "znorm_distance",
 ]

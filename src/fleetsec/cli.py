@@ -28,7 +28,7 @@ from .identity import (
     SecretMismatchError,
 )
 from .keystore import Keystore
-from .matrix_profile import ProfileConfig, compute_brute_force, compute_fast, top_discords
+from .matrix_profile import ProfileConfig, compute_fast, top_discords
 from .telemetry import Metric, TelemetryCounts, bucketize, ingest_csv
 from .tsa import (
     MismatchedImprintError,
@@ -97,14 +97,18 @@ def _profile_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--exclusion", type=int, default=None)
 
 
-def _cmd_mp_compute(args) -> int:
+def _profile(args):
+    """The profile of the series that the `mp` flags select, and its config."""
     telemetry = _load_telemetry(args.input)
     series = _series_for(
         args.input, telemetry, args.device, Metric(args.metric), args.interval, args.start, args.end
     )
     config = ProfileConfig(window_m=args.window, exclusion=args.exclusion)
-    compute = compute_brute_force if args.brute else compute_fast
-    profile = compute(series.values, config)
+    return compute_fast(series.values, config), config
+
+
+def _cmd_mp_compute(args) -> int:
+    profile, _ = _profile(args)
     lines = ["index,distance,neighbor"]
     for i in range(len(profile)):
         lines.append(f"{i},{float(profile.distances[i])!r},{int(profile.neighbor_index[i])}")
@@ -117,12 +121,7 @@ def _cmd_mp_compute(args) -> int:
 
 
 def _cmd_mp_discords(args) -> int:
-    telemetry = _load_telemetry(args.input)
-    series = _series_for(
-        args.input, telemetry, args.device, Metric(args.metric), args.interval, args.start, args.end
-    )
-    config = ProfileConfig(window_m=args.window, exclusion=args.exclusion)
-    profile = compute_fast(series.values, config)
+    profile, config = _profile(args)
     print(json.dumps(top_discords(profile, args.k, config.exclusion)))
     return 0
 
@@ -265,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     mp_sub = mp.add_subparsers(dest="mp_command", required=True)
     compute = mp_sub.add_parser("compute", help="profile as CSV (index, distance, neighbor)")
     _profile_args(compute)
-    compute.add_argument("--brute", action="store_true")
     compute.add_argument("--output", default=None, help="write CSV here instead of stdout")
     compute.set_defaults(func=_cmd_mp_compute)
     discords = mp_sub.add_parser("discords", help="top discord indices as JSON")

@@ -55,11 +55,9 @@ from ..update_protocol import (
     initial_state,
     interrupt_update,
 )
-from ..wire import U64_MAX, ConfigError, Reader, build, load_json, lp, read_spec
+from ..wire import U64_MAX, ConfigError, Reader, build, check_u64, load_json, lp, read_spec
 from .report import EventRow, ScenarioReport, write_report
 from .transport import MAX_FRAGMENTS, SimLink, fragment, reassemble
-
-_MASK64 = 2**64 - 1
 
 HEARTBEAT_PERIOD = 20
 
@@ -83,7 +81,7 @@ class UnknownAttackKindError(ConfigError):
 def rng_stream(seed: int, name: str) -> random.Random:
     """Independent RNG derived from (seed, name); order of creation is moot."""
     digest = hashlib.sha256(
-        (seed & _MASK64).to_bytes(8, "big") + name.encode("utf-8")
+        seed.to_bytes(8, "big") + name.encode("utf-8")
     ).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
@@ -335,6 +333,7 @@ class ScenarioConfig:
     def __post_init__(self):
         # the rules that span sections; each spec has checked its own fields
         duration, detector = self.duration, self.detector
+        check_u64("seed", self.seed)
         if duration < 1:
             raise ConfigError("duration", "must be positive")
         if detector is not None and detector.baseline_ticks is None:

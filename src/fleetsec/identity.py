@@ -297,7 +297,7 @@ class DeviceRegistry:
         if isinstance(obj, dict) and obj.get("format") != _FILE_FORMAT:
             raise ConfigError(f"{source}.format", "missing or unsupported registry format tag")
         file = build(_RegistryFile, source, **read_spec(_RegistryFile, obj, source))
-        registry = cls(file.seed)
+        registry = build(cls, source, file.seed)
         registry._next_session = file.next_session
         for i, rec in enumerate(file.devices):
             path = f"{source}.devices[{i}]"

@@ -22,7 +22,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 
 from .errors import FleetsecError
-from .wire import ConfigError, build, load_json, read_spec, save_json, write_spec
+from .wire import ConfigError, build, check_u64, load_json, read_spec, save_json, write_spec
 
 ALGORITHM_ED25519 = "Ed25519"
 SUPPORTED_ALGORITHMS = frozenset({ALGORITHM_ED25519})
@@ -30,7 +30,6 @@ PUBLIC_KEY_LEN = 32
 
 _DERIVE_DOMAIN = b"fleetsec.keystore.v1"
 _FILE_FORMAT = "fleetsec-keystore-v1"
-_MASK64 = 2**64 - 1
 
 # Verify outcomes remembered, keyed on every byte that was verified. A
 # fleet checks the same few manifests and tokens thousands of times.
@@ -134,6 +133,7 @@ class Keystore:
 
     def __init__(self, seed: int):
         self._seed: int | None = int(seed)
+        check_u64("seed", self._seed)
         self._private: dict[str, Ed25519PrivateKey] = {}
         self._public: dict[str, PublicKeyInfo] = {}
 
@@ -146,7 +146,7 @@ class Keystore:
             raise KeystoreFileError("keystore was loaded without private material")
         raw = hashlib.sha256(
             _DERIVE_DOMAIN
-            + (self._seed & _MASK64).to_bytes(8, "big")
+            + self._seed.to_bytes(8, "big")
             + key_id.encode("utf-8")
         ).digest()
         private = Ed25519PrivateKey.from_private_bytes(raw)
@@ -192,7 +192,7 @@ class Keystore:
                 private_enc = fernet.encrypt(private.private_bytes_raw()).decode("ascii")
             keys.append(_KeyEntry(**vars(self._public[key_id]), private_enc=private_enc))
         if fernet is not None and self._seed is not None:
-            seed_enc = fernet.encrypt((self._seed & _MASK64).to_bytes(8, "big")).decode("ascii")
+            seed_enc = fernet.encrypt(self._seed.to_bytes(8, "big")).decode("ascii")
         save_json(path, write_spec(_KeystoreFile(_FILE_FORMAT, tuple(keys), seed_enc)))
 
     @classmethod

@@ -18,19 +18,18 @@ recording is joined by placing it after the prefix and a gap of
 exclusion after every prefix window, so no pair is a trivial match.
 Without `n_ref` the whole series is its own prefix: the self-join.
 
-Two independent implementations satisfy the same contract: an all-pairs
-`compute_brute_force` that evaluates every window pair directly, and
-`compute_many`, a tiled matrix multiply over a stack of equal-length
-series (STOMP written as a GEMM; Zhu et al., ICDM 2016). The kernel
-z-normalizes every window and scales it by 1/sqrt(m), so the dot product
-of two windows is their Pearson correlation r, and the distance follows
-from d = sqrt(2m(1 - r)). Every window's mean and scale are taken once
-per call, window by window (`_window_stats`), and the normalized windows
-are built from them tile by tile. Each tile of correlations covers
-several whole series when they are short, or a block of rows of one
-series when it is long. `compute_fast` is the kernel on a single series.
-The routes agree elementwise to float precision; tests hold distances to
-1e-9 and require the same neighbor indices.
+`compute_many` computes the profile as a tiled matrix multiply over a
+stack of equal-length series (STOMP written as a GEMM; Zhu et al., ICDM
+2016). The kernel z-normalizes every window and scales it by 1/sqrt(m),
+so the dot product of two windows is their Pearson correlation r, and
+the distance follows from d = sqrt(2m(1 - r)). Every window's mean and
+scale are taken once per call, window by window (`_window_stats`), and
+the normalized windows are built from them tile by tile. Each tile of
+correlations covers several whole series when they are short, or a block
+of rows of one series when it is long. `compute_fast` is the kernel on a
+single series. The tests hold it to an all-pairs oracle that evaluates
+every window pair directly: distances to 1e-9, and the same neighbor
+indices.
 
 Degenerate (near-constant) windows cannot be z-normalized, so the
 distance rule is fixed here: two constant windows are identical (distance
@@ -39,14 +38,14 @@ distance rule is fixed here: two constant windows are identical (distance
 transitions stand out.
 
 The nearest neighbor is the smallest admissible index whose distance is
-within `NEIGHBOR_TIE_TOL` of the row minimum, in every route, so float
-residue between equally near candidates cannot pick different twins.
+within `NEIGHBOR_TIE_TOL` of the row minimum, so float residue between
+equally near candidates cannot pick different twins.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +62,6 @@ CONSTANT_STD = 1e-12
 # Residues stay below ~1e-12 even when a large burst sits between the
 # recurrences, while genuinely different integer-quantized windows sit at
 # 1e-5 or more, so this splits the two regimes with orders of margin.
-# Applied identically by every route so they still agree elementwise.
 EXACT_MATCH_EPS = 1e-10
 
 # Candidates whose distances differ by less than this tie for nearest
@@ -79,18 +77,9 @@ NEIGHBOR_TIE_TOL = 1e-9
 _TILE_BYTES = 2 << 20
 
 
-class LengthMismatchError(FleetsecError):
-    """Subsequences of different lengths cannot be compared."""
-
-
 class InsufficientLengthError(FleetsecError):
     """A series, or its reference prefix, shorter than `ProfileConfig.min_length`,
     or telemetry shorter than one window."""
-
-
-def default_exclusion(window_m: int) -> int:
-    """Standard trivial-match radius: half the window, at least 1."""
-    return max(1, window_m // 2)
 
 
 @dataclass(frozen=True)
@@ -110,7 +99,7 @@ class ProfileConfig:
         if self.window_m < 2:
             raise ConfigError("window", "must be at least 2")
         if self.exclusion is None:
-            object.__setattr__(self, "exclusion", default_exclusion(self.window_m))
+            object.__setattr__(self, "exclusion", max(1, self.window_m // 2))
         elif self.exclusion < 1:
             raise ConfigError("exclusion", "must be a positive integer or null")
 
@@ -131,42 +120,9 @@ class MatrixProfile:
 
     distances: np.ndarray
     neighbor_index: np.ndarray
-    config: ProfileConfig
 
     def __len__(self) -> int:
         return len(self.distances)
-
-
-def znorm_distance(a, b) -> float:
-    """Euclidean distance between z-normalized copies of a and b.
-
-    Both inputs are shifted to zero mean and scaled by their population
-    standard deviation before comparison, so a shift and positive scale are
-    ignored. If both are (near-)constant the distance is 0; if exactly one
-    is, it is sqrt(2m), the maximum possible value.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise LengthMismatchError(f"lengths differ: {a.shape} vs {b.shape}")
-    m = a.size
-    if m < 2:
-        raise ValueError(f"subsequence length must be >= 2, got {m}")
-
-    sa = float(np.std(a))
-    sb = float(np.std(b))
-    a_const = sa < CONSTANT_STD
-    b_const = sb < CONSTANT_STD
-    if a_const and b_const:
-        return 0.0
-    if a_const or b_const:
-        return math.sqrt(2.0 * m)
-    za = (a - a.mean()) / sa
-    zb = (b - b.mean()) / sb
-    d = float(np.linalg.norm(za - zb))
-    if d * d <= 2.0 * m * EXACT_MATCH_EPS:
-        return 0.0
-    return d
 
 
 def _window_counts(n: int, n_ref: int | None, config: ProfileConfig) -> tuple[int, int]:
@@ -182,40 +138,6 @@ def _window_counts(n: int, n_ref: int | None, config: ProfileConfig) -> tuple[in
             f"for window {m} and exclusion {config.exclusion}, got {n_ref}"
         )
     return n - m + 1, n_ref - m + 1
-
-
-def compute_brute_force(values, config: ProfileConfig, n_ref: int | None = None) -> MatrixProfile:
-    """All-pairs profile: for each window, scan every admissible reference window.
-
-    Serves as the independent reference implementation; `compute_many`
-    must reproduce it elementwise.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    w, w_ref = _window_counts(values.size, n_ref, config)
-    m = config.window_m
-    windows = np.lib.stride_tricks.sliding_window_view(values, m)
-    mu = windows.mean(axis=1)
-    sigma = windows.std(axis=1)
-    const = sigma < CONSTANT_STD
-    safe_sigma = np.where(const, 1.0, sigma)
-    z = (windows - mu[:, None]) / safe_sigma[:, None]
-    z[const] = 0.0
-    z_ref, const_ref = z[:w_ref], const[:w_ref]
-    sqrt2m = math.sqrt(2.0 * m)
-    distances = np.empty(w)
-    neighbors = np.empty(w, dtype=np.int64)
-    snap = 2.0 * m * EXACT_MATCH_EPS
-    for i in range(w):
-        d = np.sqrt(np.sum((z_ref - z[i]) ** 2, axis=1))
-        if const[i]:
-            d = np.where(const_ref, 0.0, sqrt2m)
-        else:
-            d[const_ref] = sqrt2m
-        d[d * d <= snap] = 0.0
-        d[np.abs(i - np.arange(w_ref)) <= config.exclusion] = np.inf
-        distances[i] = d.min()
-        neighbors[i] = int(np.argmax(d <= distances[i] + NEIGHBOR_TIE_TOL))
-    return MatrixProfile(distances, neighbors, config)
 
 
 def _window_stats(values: np.ndarray, m: int):
@@ -294,8 +216,7 @@ def compute_many(values_2d, config: ProfileConfig, n_ref: int | None = None) -> 
     with every reference window; the exclusion band, scattered from
     indices kept per block start, is masked, and the row maximum is the
     nearest neighbor. Tiles hold whole series when the reference is
-    short and blocks of rows of one series when it is long. Same contract
-    as `compute_brute_force`, series by series.
+    short and blocks of rows of one series when it is long.
     """
     values = np.asarray(values_2d, dtype=np.float64)
     if values.ndim != 2:
@@ -313,7 +234,8 @@ def compute_many(values_2d, config: ProfileConfig, n_ref: int | None = None) -> 
     for a in range(0, n_series, per_tile):
         tile = slice(a, a + per_tile)
         windows = np.lib.stride_tricks.sliding_window_view(values[tile], m, axis=-1)
-        z = (windows - mu[tile, :, None]) / scale[tile, :, None]
+        z = windows - mu[tile, :, None]
+        z /= scale[tile, :, None]
         z[const[tile]] = 0.0  # a constant window correlates 0 with everything
         zt = np.ascontiguousarray(z[:, :w_ref].transpose(0, 2, 1))  # a strided view misses BLAS
         for r0 in range(0, w, rows):
@@ -323,7 +245,7 @@ def compute_many(values_2d, config: ProfileConfig, n_ref: int | None = None) -> 
             d, j = _nearest(corr, const[tile, r0 : r0 + rows], const[tile, :w_ref], bands[r0], config)
             distances[tile, r0 : r0 + rows] = d
             neighbors[tile, r0 : r0 + rows] = j
-    return [MatrixProfile(distances[k], neighbors[k], config) for k in range(n_series)]
+    return [MatrixProfile(distances[k], neighbors[k]) for k in range(n_series)]
 
 
 def compute_fast(values, config: ProfileConfig, n_ref: int | None = None) -> MatrixProfile:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import FleetsecError
 from .keystore import Keystore, PublicKeyInfo, verify
-from .wire import ConfigError, Reader, build, lp, u64
+from .wire import ConfigError, Reader, build, check_u64, lp, u64
 
 IMPRINT_LEN = 32
 
@@ -97,6 +97,8 @@ class TimestampAuthority:
             raise BadImprintLengthError(
                 f"imprint must be {IMPRINT_LEN} bytes, got {len(imprint)}"
             )
+        check_u64("now", now)
+        check_u64("serial", self._serial + 1)
         self._serial += 1
         body = token_signed_body(imprint, now, self._serial)
         signature = self._keystore.sign(self._key_id, body)

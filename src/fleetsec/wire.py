@@ -89,6 +89,12 @@ class ConfigError(FleetsecError, ValueError):
         self.message = message
 
 
+def check_u64(name: str, value: int) -> None:
+    """A ConfigError at name unless value fits an unsigned 64-bit field."""
+    if not 0 <= value <= U64_MAX:
+        raise ConfigError(name, f"must be in [0, 2**64), got {value}")
+
+
 def build(spec: type, path: str, *args, **values):
     """spec(*args, **values); a field its checks refuse is named under path, in the same error class."""
     try:

@@ -5,8 +5,10 @@ re-derivation of the device verification order, a randomized
 adversarial trace runner for the update state machine, and a per-event
 telemetry reference: one `ConnectionEvent` per CSV row, bucketed one
 event at a time, against which the library's columnar counts are
-checked; a per-series detector (`calibrate`, `detect`), against which
-the library's batched `detect_counts` is checked; a per-tick traffic
+checked; an all-pairs profile (`compute_brute_force`, `znorm_distance`),
+against which the library's profile kernel is checked; a per-series
+detector (`calibrate`, `detect`), against which the library's batched
+`detect_counts` is checked; a per-tick traffic
 fill, against which the simulator's per-device fill is checked; and a
 flooded-fleet scenario with a runner that feeds a simulate run's
 telemetry to `fleetsec detect`; a scenario that sets every field; and
@@ -35,7 +37,16 @@ from fleetsec.cli import main
 from fleetsec.detector import AnomalyReport, DetectorConfig, threshold_from_distances
 from fleetsec.fleet_sim.scenario import HEARTBEAT_PERIOD, FleetSimulation, rng_stream
 from fleetsec.keystore import Keystore, PublicKeyInfo
-from fleetsec.matrix_profile import compute_brute_force, compute_fast, znorm_distance
+from fleetsec.errors import FleetsecError
+from fleetsec.matrix_profile import (
+    CONSTANT_STD,
+    EXACT_MATCH_EPS,
+    NEIGHBOR_TIE_TOL,
+    MatrixProfile,
+    ProfileConfig,
+    _window_counts,
+    compute_fast,
+)
 from fleetsec.telemetry import (
     CSV_HEADER,
     Direction,
@@ -522,6 +533,87 @@ def events_to_csv(events: Iterable[ConnectionEvent], stream: TextIO) -> None:
     writer.writerow(CSV_HEADER)
     for e in events:
         writer.writerow([e.time, e.device_id, e.direction.value, e.kind.value, e.size])
+
+
+# --- all-pairs profile reference -------------------------------------------------
+#
+# The library's kernel is a tiled matrix multiply of z-normalized windows.
+# This oracle evaluates every window pair directly, under the same contract:
+# the same window counts, constant-window rule, exact-match snap and
+# neighbor tie rule.
+
+
+class LengthMismatchError(FleetsecError):
+    """Subsequences of different lengths cannot be compared."""
+
+
+def znorm_distance(a, b) -> float:
+    """Euclidean distance between z-normalized copies of a and b.
+
+    Both inputs are shifted to zero mean and scaled by their population
+    standard deviation before comparison, so a shift and positive scale are
+    ignored. If both are (near-)constant the distance is 0; if exactly one
+    is, it is sqrt(2m), the maximum possible value.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise LengthMismatchError(f"lengths differ: {a.shape} vs {b.shape}")
+    m = a.size
+    if m < 2:
+        raise ValueError(f"subsequence length must be >= 2, got {m}")
+
+    sa = float(np.std(a))
+    sb = float(np.std(b))
+    a_const = sa < CONSTANT_STD
+    b_const = sb < CONSTANT_STD
+    if a_const and b_const:
+        return 0.0
+    if a_const or b_const:
+        return math.sqrt(2.0 * m)
+    za = (a - a.mean()) / sa
+    zb = (b - b.mean()) / sb
+    d = float(np.linalg.norm(za - zb))
+    if d * d <= 2.0 * m * EXACT_MATCH_EPS:
+        return 0.0
+    return d
+
+
+def compute_brute_force(values, config: ProfileConfig, n_ref: int | None = None) -> MatrixProfile:
+    """All-pairs profile: for each window, scan every admissible reference window.
+
+    Serves as the independent reference implementation; the library's
+    `compute_many` must reproduce it elementwise.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    w, w_ref = _window_counts(values.size, n_ref, config)
+    m = config.window_m
+    windows = np.lib.stride_tricks.sliding_window_view(values, m)
+    mu = windows.mean(axis=1)
+    sigma = windows.std(axis=1)
+    const = sigma < CONSTANT_STD
+    safe_sigma = np.where(const, 1.0, sigma)
+    z = (windows - mu[:, None]) / safe_sigma[:, None]
+    z[const] = 0.0
+    z_ref, const_ref = z[:w_ref], const[:w_ref]
+    sqrt2m = math.sqrt(2.0 * m)
+    distances = np.empty(w)
+    neighbors = np.empty(w, dtype=np.int64)
+    snap = 2.0 * m * EXACT_MATCH_EPS
+    for i in range(w):
+        d = np.sqrt(np.sum((z_ref - z[i]) ** 2, axis=1))
+        if const[i]:
+            d = np.where(const_ref, 0.0, sqrt2m)
+        else:
+            d[const_ref] = sqrt2m
+        d[d * d <= snap] = 0.0
+        d[np.abs(i - np.arange(w_ref)) <= config.exclusion] = np.inf
+        distances[i] = d.min()
+        neighbors[i] = int(np.argmax(d <= distances[i] + NEIGHBOR_TIE_TOL))
+    return MatrixProfile(distances, neighbors)
+
+
+# --- per-series detector reference ----------------------------------------------
 
 
 def calibrate(baseline: TelemetrySeries, config: DetectorConfig) -> float:

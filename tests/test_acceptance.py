@@ -32,12 +32,7 @@ from fleetsec.fleet_sim.transport import (
     reassemble,
 )
 from fleetsec.keystore import Keystore
-from fleetsec.matrix_profile import (
-    ProfileConfig,
-    compute_brute_force,
-    compute_fast,
-    znorm_distance,
-)
+from fleetsec.matrix_profile import ProfileConfig, compute_fast
 from fleetsec.tsa import TimestampAuthority
 from fleetsec.update_protocol import (
     RejectReason,
@@ -46,7 +41,13 @@ from fleetsec.update_protocol import (
     device_verify,
     initial_state,
 )
-from helpers import firmware_image, run_adversarial_traces, run_lifecycle_ops
+from helpers import (
+    compute_brute_force,
+    firmware_image,
+    run_adversarial_traces,
+    run_lifecycle_ops,
+    znorm_distance,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from fleetsec.cli import main
 from fleetsec.fleet_sim import scenario as scenario_module
 from fleetsec.keystore import Keystore
-from fleetsec.telemetry import Direction, EventKind
+from fleetsec.matrix_profile import ProfileConfig
+from fleetsec.telemetry import Direction, EventKind, Metric
 from fleetsec.tsa import TimestampAuthority
 from fleetsec.update_protocol import build_manifest, initial_state
 
@@ -23,11 +24,14 @@ from helpers import (
     FULL_SCENARIO,
     ConnectionEvent,
     apply_edits,
+    bucketize_events,
+    compute_brute_force,
     detect_on_run,
     edited,
     events_to_csv,
     firmware_image,
     flooded_fleet,
+    ingest_events,
     json_edits,
     key_paths,
     seq_edits,
@@ -193,6 +197,26 @@ def test_tsa_issue_rejects_malformed_imprint(workdir, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, error",
+    [
+        (["tsa", "issue", "--file", "fw1.bin", "--now", "-1"], "now: must be in [0, 2**64), got -1"),
+        (["tsa", "issue", "--file", "fw1.bin", "--now", "1", "--serial", str(2**64 - 1)],
+         "serial: must be in [0, 2**64), got 18446744073709551616"),
+        (["manifest", "build", "--firmware", "fw2.bin", "--version", "3", "--expiry", "100",
+          "--now", "-10"], "now: must be in [0, 2**64), got -10"),
+    ],
+    ids=["tsa-now", "tsa-serial", "manifest-now"],
+)
+def test_u64_flag_out_of_range_names_its_field(workdir, capsys, command, error):
+    out = workdir / "out-of-range.bin"
+    argv = [str(workdir / a) if a.endswith(".bin") else a for a in command]
+    assert main(argv + ["--keys", str(workdir / "keys.json"), "--passphrase", PASSPHRASE,
+                        "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
 # --- keys ------------------------------------------------------------------------
 
 
@@ -206,6 +230,14 @@ def test_public_only_keystore_cannot_build_manifests(tmp_path, capsys):
     assert code == 2
     assert "error:" in capsys.readouterr().err
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_keys_init_seed_outside_u64_is_a_config_error(tmp_path, capsys, seed):
+    keys = tmp_path / "keys.json"
+    assert main(["keys", "init", "--keys", str(keys), "--seed", seed]) == 2
+    assert capsys.readouterr().err == f"error: seed: must be in [0, 2**64), got {seed}\n"
+    assert not keys.exists()
 
 
 def test_an_empty_key_id_is_a_config_error(tmp_path, capsys):
@@ -237,6 +269,25 @@ def test_identity_lifecycle_round_trip(tmp_path, capsys):
     assert main(["identity", "claim", "--registry", reg, "--device", "dev-1",
                  "--user", "bob", "--secret", "box-100"]) == 0
     capsys.readouterr()
+
+
+def test_identity_seed_outside_u64_is_a_config_error(tmp_path, capsys):
+    reg = tmp_path / "registry.json"
+    assert main(["identity", "register", "--registry", str(reg), "--device", "dev-1",
+                 "--secret", "box-99", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed: must be in [0, 2**64), got -1\n"
+    assert not reg.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_identity_registry_seed_outside_u64_names_the_file(tmp_path, capsys, seed):
+    reg = tmp_path / "registry.json"
+    assert main(["identity", "register", "--registry", str(reg), "--device", "dev-1",
+                 "--secret", "box-99"]) == 0
+    reg.write_text(json.dumps({**json.loads(reg.read_text()), "seed": seed}))
+    capsys.readouterr()
+    assert main(["identity", "blacklist", "--registry", str(reg), "--device", "dev-1"]) == 2
+    assert capsys.readouterr().err == f"error: {reg}.seed: must be in [0, 2**64), got {seed}\n"
 
 
 def test_identity_wrong_secret_refused(tmp_path, capsys):
@@ -556,14 +607,25 @@ def test_ticks_too_far_apart_to_bucket_are_an_error(tmp_path, capsys, command):
     assert captured.out == ""
 
 
+def brute_force_csv(path: Path, device_id: str, window: int) -> str:
+    """What `mp compute` prints for a device's packets_in, by the all-pairs oracle
+    on the per-event reference series."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        events = ingest_events(fh)
+    times = [e.time for e in events]
+    series = bucketize_events(events, device_id, Metric.PACKETS_IN, 1, min(times), max(times) + 1)
+    profile = compute_brute_force(series.values, ProfileConfig(window))
+    rows = [f"{i},{float(d)!r},{int(j)}"
+            for i, (d, j) in enumerate(zip(profile.distances, profile.neighbor_index))]
+    return "\n".join(["index,distance,neighbor", *rows]) + "\n"
+
+
 def test_mp_compute_fast_and_brute_agree_exactly(telemetry_files, tmp_path, capsys):
-    args = ["mp", "compute", "--input", str(telemetry_files / "baseline.csv"),
-            "--device", "dev-1", "--window", "16"]
+    path = telemetry_files / "baseline.csv"
     fast_out = tmp_path / "fast.csv"
-    brute_out = tmp_path / "brute.csv"
-    assert main(args + ["--output", str(fast_out)]) == 0
-    assert main(args + ["--brute", "--output", str(brute_out)]) == 0
-    assert fast_out.read_bytes() == brute_out.read_bytes()
+    assert main(["mp", "compute", "--input", str(path), "--device", "dev-1", "--window", "16",
+                 "--output", str(fast_out)]) == 0
+    assert fast_out.read_bytes() == brute_force_csv(path, "dev-1", 16).encode()
     header, first = fast_out.read_text().splitlines()[:2]
     assert header == "index,distance,neighbor"
     index, distance, neighbor = first.split(",")
@@ -577,16 +639,24 @@ def test_mp_compute_fast_and_brute_pick_the_same_neighbors(tmp_path, capsys):
     # low packet counts repeat windows exactly, so nearest neighbors tie
     rng = random.Random(3)
     write_telemetry(tmp_path / "low.csv", "dev-1", [rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(240)])
-    args = ["mp", "compute", "--input", str(tmp_path / "low.csv"), "--device", "dev-1", "--window", "8"]
-    rows = {}
-    for route, flag in (("fast", []), ("brute", ["--brute"])):
-        out = tmp_path / f"{route}.csv"
-        assert main(args + flag + ["--output", str(out)]) == 0
-        rows[route] = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    out = tmp_path / "fast.csv"
+    assert main(["mp", "compute", "--input", str(tmp_path / "low.csv"), "--device", "dev-1",
+                 "--window", "8", "--output", str(out)]) == 0
+    rows = {
+        route: [line.split(",") for line in text.splitlines()[1:]]
+        for route, text in (("fast", out.read_text()),
+                            ("brute", brute_force_csv(tmp_path / "low.csv", "dev-1", 8)))
+    }
     assert [r[2] for r in rows["fast"]] == [r[2] for r in rows["brute"]]
     for fast, brute in zip(rows["fast"], rows["brute"]):
         assert abs(float(fast[1]) - float(brute[1])) <= 1e-9
     capsys.readouterr()
+
+
+def test_mp_compute_has_no_brute_flag(telemetry_files, capsys):
+    assert main(["mp", "compute", "--input", str(telemetry_files / "baseline.csv"),
+                 "--device", "dev-1", "--window", "16", "--brute"]) == 2
+    assert "unrecognized arguments: --brute" in capsys.readouterr().err
 
 
 def test_mp_discords_prints_json_indices(telemetry_files, capsys):

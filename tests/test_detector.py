@@ -15,10 +15,10 @@ from fleetsec.detector import (
     threshold_from_distances,
 )
 from fleetsec.fleet_sim.report import write_jsonl
-from fleetsec.matrix_profile import InsufficientLengthError, compute_brute_force
+from fleetsec.matrix_profile import InsufficientLengthError
 from fleetsec.telemetry import Direction, EventKind, Metric, TelemetryCounts, TelemetrySeries
 
-from helpers import calibrate, detect
+from helpers import calibrate, compute_brute_force, detect
 
 PACKETS = {Metric.PACKETS_IN: (EventKind.PACKET, Direction.INBOUND),
            Metric.PACKETS_OUT: (EventKind.PACKET, Direction.OUTBOUND)}

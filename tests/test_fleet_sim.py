@@ -667,6 +667,8 @@ SCENARIO_ERRORS = [
     ("seed", DROP, "seed: missing required field"),
     ("seed", "1", "seed: expected int"),
     ("seed", True, "seed: expected int"),
+    ("seed", -1, "seed: must be in [0, 2**64), got -1"),
+    ("seed", 2**64, "seed: must be in [0, 2**64), got 18446744073709551616"),
     ("duration", DROP, "duration: missing required field"),
     ("duration", 1.5, "duration: expected int"),
     ("duration", 0, "duration: must be positive"),

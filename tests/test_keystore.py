@@ -50,6 +50,14 @@ def test_same_seed_same_keys():
     assert a.public_bytes == b.public_bytes
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_u64_names_the_field(seed):
+    # a wider seed would alias one inside the range: 2**64 derives the keys of 0
+    with pytest.raises(ConfigError) as exc:
+        Keystore(seed)
+    assert str(exc.value) == f"seed: must be in [0, 2**64), got {seed}"
+
+
 def test_different_seed_different_keys():
     a = Keystore(1).generate_key("publisher")
     b = Keystore(2).generate_key("publisher")

@@ -7,16 +7,14 @@ import pytest
 from fleetsec import matrix_profile
 from fleetsec.matrix_profile import (
     InsufficientLengthError,
-    LengthMismatchError,
     MatrixProfile,
     ProfileConfig,
-    compute_brute_force,
     compute_fast,
     compute_many,
-    default_exclusion,
     top_discords,
-    znorm_distance,
 )
+
+from helpers import LengthMismatchError, compute_brute_force, znorm_distance
 
 
 def naive_profile(values, m, exclusion):
@@ -322,11 +320,11 @@ class TestTopDiscords:
         assert idx == int(np.argmax(p.distances))
 
     def test_all_zero_profile_tie_breaks_to_smallest_indices(self):
-        p = MatrixProfile(np.zeros(6), np.zeros(6, dtype=int), ProfileConfig(2, 1))
+        p = MatrixProfile(np.zeros(6), np.zeros(6, dtype=int))
         assert top_discords(p, 2, 1) == [0, 2]
 
     def test_k_beyond_supply_returns_fewer(self):
-        p = MatrixProfile(np.zeros(4), np.zeros(4, dtype=int), ProfileConfig(2, 1))
+        p = MatrixProfile(np.zeros(4), np.zeros(4, dtype=int))
         got = top_discords(p, 10, 2)
         assert got == [0, 3]
 
@@ -338,14 +336,14 @@ class TestTopDiscords:
             assert sum(1 for b in picks if abs(a - b) <= 4) == 1
 
     def test_k_must_be_positive(self):
-        p = MatrixProfile(np.zeros(4), np.zeros(4, dtype=int), ProfileConfig(2, 1))
+        p = MatrixProfile(np.zeros(4), np.zeros(4, dtype=int))
         with pytest.raises(ValueError):
             top_discords(p, 0, 1)
 
 
 def test_default_exclusion_rule():
-    assert default_exclusion(2) == 1
-    assert default_exclusion(16) == 8
+    assert ProfileConfig(2).exclusion == 1
+    assert ProfileConfig(16).exclusion == 8
     assert ProfileConfig(10).exclusion == 5
 
 

@@ -14,7 +14,7 @@ from fleetsec.tsa import (
     decode_token,
     verify_token,
 )
-from fleetsec.wire import DecodeError
+from fleetsec.wire import ConfigError, DecodeError
 
 DIGEST = hashlib.sha256(b"firmware image").digest()
 OTHER = hashlib.sha256(b"something else").digest()
@@ -30,6 +30,25 @@ def tsa(pki):
 def anchor(pki):
     store, _ = pki
     return store.public_key("tsa-root")
+
+
+@pytest.mark.parametrize("now", [-1, 2**64])
+def test_now_outside_u64_names_the_field(pki, now):
+    store, _ = pki
+    authority = TimestampAuthority(store, "tsa-root")
+    with pytest.raises(ConfigError) as exc:
+        authority.issue_token(DIGEST, now=now)
+    assert str(exc.value) == f"now: must be in [0, 2**64), got {now}"
+    assert authority.issue_token(DIGEST, now=1).serial == 1  # the refused token took no serial
+
+
+def test_serial_past_u64_names_the_field(pki):
+    store, _ = pki
+    authority = TimestampAuthority(store, "tsa-root", start_serial=2**64 - 2)
+    assert authority.issue_token(DIGEST, now=1).serial == 2**64 - 1
+    with pytest.raises(ConfigError) as exc:
+        authority.issue_token(DIGEST, now=2)
+    assert str(exc.value) == "serial: must be in [0, 2**64), got 18446744073709551616"
 
 
 def test_serials_increase_without_gaps(pki):
