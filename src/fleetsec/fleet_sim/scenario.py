@@ -55,7 +55,7 @@ from ..update_protocol import (
     initial_state,
     interrupt_update,
 )
-from ..wire import U64_MAX, ConfigError, Reader, build, check_u64, load_json, lp, read_spec
+from ..wire import ConfigError, Reader, build, check_u64, load_json, lp, read_spec
 from .report import EventRow, ScenarioReport, write_report
 from .transport import MAX_FRAGMENTS, SimLink, fragment, reassemble
 
@@ -231,8 +231,7 @@ class UpdateSpec:
         if self.expiry <= self.at:
             raise ConfigError("expiry", "must be after the publish tick")
         for name in ("version", "expiry"):  # both travel as u64 in the manifest
-            if getattr(self, name) > U64_MAX:
-                raise ConfigError(name, "must be at most 2**64 - 1")
+            check_u64(name, getattr(self, name))
         if self.size < 16:
             raise ConfigError("size", "must be at least 16 bytes")
         if self.retry_interval < 1:

@@ -3,11 +3,11 @@
 Telemetry is held as `TelemetryCounts`, event counts per device and tick
 for each (kind, direction), kept only for the (device, tick) cells that
 hold events; the simulator fills one with a cell for every device and
-tick, and `ingest_csv` reads one from CSV in memory that grows with the
-file's rows. `bucketize` reduces a device's counts to the
-uniformly sampled series the anomaly detector expects. Time is integer
-ticks throughout, never wall clock, so simulator runs and tests stay
-deterministic.
+tick, and `ingest_csv` reads one from CSV in memory that grows with its
+cells, not with the file's rows. `bucketize` reduces a device's counts
+to the uniformly sampled series the anomaly detector expects. Time is
+integer ticks throughout, never wall clock, so simulator runs and tests
+stay deterministic.
 
 Sampling semantics, fixed by the series format:
 
@@ -57,6 +57,7 @@ CSV_HEADER = ["time", "device_id", "direction", "kind", "size"]
 PACKET_SIZE = 64  # the size column of every packet row written
 _CSV_CELLS = 1024  # cells to_csv formats at a time
 _CSV_WINDOWS = 16  # tick windows to_csv sorts one at a time
+_INGEST_LINES = 4096  # lines ingest_csv holds counts for before folding them into cells
 
 # The most telemetry rows a scenario may write (a 0.5 GB telemetry.csv) and a
 # `bucket` call may fill; it keeps every count and running total far inside int64.
@@ -280,16 +281,26 @@ def bucketize(
 def ingest_csv(stream: TextIO) -> TelemetryCounts:
     """Parse a `time,device_id,direction,kind,size` CSV into counts.
 
-    A row is parsed only when it differs from the row before it; a repeat
-    adds one more event to that row's cell, so a run of identical rows (to_csv
-    writes a cell's n events as n of them) is parsed once. Memory grows
-    with the distinct (column, device, time) cells, not with the rows.
+    Each distinct one-line record is parsed once, wherever it repeats: a
+    repeat of its raw line adds one more event to that line's cell. A
+    record whose quoted field spans lines is parsed on every occurrence.
+    The counts held by line are folded into the cells every _INGEST_LINES
+    lines, so memory grows with the distinct (column, device, time)
+    cells, not with the rows or the distinct lines.
     Data rows are numbered from 1, and an error names the first bad row in
     file order. `size` may be empty or absent on session rows; it is
     checked, then dropped, as no metric reads it. Devices keep the order
     of their first row; `ticks` holds the file's distinct times.
     """
-    reader = csv.reader(stream)
+    lines = iter(stream)
+    missed: list[str] = []  # a line the loop hands the reader
+
+    def feed() -> Iterator[str]:
+        # a missed line, or the next line while a quoted field runs on
+        while (line := missed.pop() if missed else next(lines, None)) is not None:
+            yield line
+
+    reader = csv.reader(feed())
     try:
         header = next(reader)
     except StopIteration:
@@ -299,23 +310,43 @@ def ingest_csv(stream: TextIO) -> TelemetryCounts:
     if [h.strip() for h in header] != CSV_HEADER:
         raise ParseError(0, f"bad header {header!r}, expected {CSV_HEADER!r}")
 
-    cell_counts: Counter[tuple[int, str, int]] = Counter()
-    previous, parsed, row_no = None, None, 0
+    # [cell, events] by raw line, or by row number for a record that spans
+    # lines, so that it is parsed at each occurrence; a blank row's cell is
+    # None. Folded in the order the entries were made, cells keep the order
+    # of their first row.
+    held: dict[str | int, list] = {}
+    cell_counts: Counter[tuple[int, str, int] | None] = Counter()
+
+    def fold() -> None:
+        for cell, n in held.values():
+            cell_counts[cell] += n
+        held.clear()
+
+    row_no = 0
     try:
-        for row_no, row in enumerate(reader, start=1):
-            if row != previous:
-                previous = row
-                parsed = _parse_row(row, row_no) if any(c.strip() for c in row) else None
-            if parsed is not None:  # blank rows are skipped
-                cell_counts[parsed] += 1
+        # the loop sees each record's first line; the reader takes the rest
+        for row_no, line in enumerate(lines, start=1):
+            entry = held.get(line)
+            if entry is not None:
+                entry[1] += 1
+                continue
+            missed.append(line)
+            line_num = reader.line_num
+            row = next(reader)
+            cell = _parse_row(row, row_no) if "".join(row).strip() else None
+            if len(held) == _INGEST_LINES:
+                fold()
+            held[line if reader.line_num == line_num + 1 else row_no] = [cell, 1]
     except csv.Error as exc:  # e.g. a field past csv's size limit
-        raise ParseError(row_no + 1, str(exc)) from None
-    events = [(*cell, n) for cell, n in cell_counts.items()]
-    device_row = {device_id: i for i, device_id in enumerate(dict.fromkeys(e[1] for e in events))}
-    device = np.array([device_row[e[1]] for e in events], np.int64)
-    kind = np.array([e[0] for e in events], np.int64)
-    n = np.array([e[3] for e in events], np.int64)
-    ticks, tick = np.unique(np.array([e[2] for e in events], np.int64), return_inverse=True)
+        raise ParseError(row_no, str(exc)) from None
+    fold()
+    cell_counts.pop(None, None)
+    codes, device_ids, times = zip(*cell_counts) if cell_counts else ((), (), ())
+    n = np.fromiter(cell_counts.values(), np.int64, len(cell_counts))
+    device_row = {device_id: i for i, device_id in enumerate(dict.fromkeys(device_ids))}
+    device = np.fromiter(map(device_row.__getitem__, device_ids), np.int64, len(device_ids))
+    kind = np.array(codes, np.int64)
+    ticks, tick = np.unique(np.array(times, np.int64), return_inverse=True)
     # one cell per distinct (device, tick), ordered by device, then tick
     _, first, cell = np.unique(device * len(ticks) + tick, return_index=True, return_inverse=True)
     columns: dict[Column, np.ndarray] = {}
@@ -336,7 +367,7 @@ def _parse_row(row: list[str], row_no: int) -> tuple[int, str, int]:
     """One non-blank CSV row as (index of its column in CSV_ORDER, device_id, time)."""
     if len(row) not in (4, 5):
         raise ParseError(row_no, f"expected 4 or 5 columns, got {len(row)}")
-    time_s, device_id, direction_s, kind_s = (c.strip() for c in row[:4])
+    time_s, device_id, direction_s, kind_s = map(str.strip, row[:4])
     size_s = row[4].strip() if len(row) == 5 else ""
 
     code = _CSV_CODE.get((kind_s, direction_s))

@@ -81,8 +81,7 @@ class TimestampAuthority:
 
     def __init__(self, keystore: Keystore, key_id: str, start_serial: int = 0):
         keystore.public_key(key_id)  # fail fast on unknown ids
-        if start_serial < 0:
-            raise ValueError("start_serial must be non-negative")
+        check_u64("serial", start_serial)
         self._keystore = keystore
         self._key_id = key_id
         self._serial = start_serial

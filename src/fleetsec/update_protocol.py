@@ -33,7 +33,7 @@ from .tsa import (
     decode_token,
     verify_token,
 )
-from .wire import U64_MAX, ConfigError, Reader, b64e, build, load_json, lp, read_spec, save_json, u64, write_spec
+from .wire import ConfigError, Reader, b64e, build, check_u64, load_json, lp, read_spec, save_json, u64, write_spec
 
 DIGEST_LEN = 32
 
@@ -110,11 +110,8 @@ class FirmwareManifest:
     publisher_sig: bytes
 
     def __post_init__(self):
-        if self.version < 0:
-            raise ConfigError("version", "must be non-negative")
         for name in ("version", "expiry"):
-            if getattr(self, name) > U64_MAX:
-                raise ConfigError(name, "must be at most 2**64 - 1")
+            check_u64(name, getattr(self, name))
         if len(self.digest) != DIGEST_LEN:
             raise ConfigError("digest", f"must be {DIGEST_LEN} bytes")
 

@@ -205,8 +205,15 @@ def test_tsa_issue_rejects_malformed_imprint(workdir, capsys):
          "serial: must be in [0, 2**64), got 18446744073709551616"),
         (["manifest", "build", "--firmware", "fw2.bin", "--version", "3", "--expiry", "100",
           "--now", "-10"], "now: must be in [0, 2**64), got -10"),
+        (["tsa", "issue", "--file", "fw1.bin", "--now", "1", "--serial", "-5"],
+         "serial: must be in [0, 2**64), got -5"),
+        (["tsa", "issue", "--file", "fw1.bin", "--now", "1", "--serial", str(2**64)],
+         "serial: must be in [0, 2**64), got 18446744073709551616"),
+        (["manifest", "build", "--firmware", "fw2.bin", "--version", "3", "--expiry", "100",
+          "--now", "10", "--serial", "-1"], "serial: must be in [0, 2**64), got -1"),
     ],
-    ids=["tsa-now", "tsa-serial", "manifest-now"],
+    ids=["tsa-now", "tsa-serial", "manifest-now", "tsa-start-serial-negative",
+         "tsa-start-serial-past-u64", "manifest-start-serial-negative"],
 )
 def test_u64_flag_out_of_range_names_its_field(workdir, capsys, command, error):
     out = workdir / "out-of-range.bin"

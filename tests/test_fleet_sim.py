@@ -767,11 +767,11 @@ SCENARIO_ERRORS = [
     ("updates.0.version", DROP, f"{_U}.version: missing required field"),
     ("updates.0.version", 2.0, f"{_U}.version: expected int"),
     ("updates.0.version", 0, f"{_U}.version: must be at least 1"),
-    ("updates.0.version", 2**64, f"{_U}.version: must be at most 2**64 - 1"),
+    ("updates.0.version", 2**64, f"{_U}.version: must be in [0, 2**64), got {2**64}"),
     ("updates.0.expiry", DROP, f"{_U}.expiry: missing required field"),
     ("updates.0.expiry", None, f"{_U}.expiry: expected int"),
     ("updates.0.expiry", 10, f"{_U}.expiry: must be after the publish tick"),
-    ("updates.0.expiry", 2**64, f"{_U}.expiry: must be at most 2**64 - 1"),
+    ("updates.0.expiry", 2**64, f"{_U}.expiry: must be in [0, 2**64), got {2**64}"),
     ("updates.0.firmware_id", 2, f"{_U}.firmware_id: expected str"),
     ("updates.0.size", "512", f"{_U}.size: expected int"),
     ("updates.0.size", 15, f"{_U}.size: must be at least 16 bytes"),

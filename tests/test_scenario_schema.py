@@ -241,13 +241,13 @@ def update_at_tick_0(obj):
 def update_version_past_u64(obj):
     i = _add_update(obj)
     obj["updates"][i]["version"] = 2**64
-    return f".updates[{i}].version: must be at most 2**64 - 1"
+    return f".updates[{i}].version: must be in [0, 2**64), got {2**64}"
 
 
 def update_expiry_past_u64(obj):
     i = _add_update(obj)
     obj["updates"][i]["expiry"] = 2**64
-    return f".updates[{i}].expiry: must be at most 2**64 - 1"
+    return f".updates[{i}].expiry: must be in [0, 2**64), got {2**64}"
 
 
 def duplicate_device_id(obj):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fleetsec import telemetry as telemetry_module
 from fleetsec.telemetry import (
     CSV_HEADER,
     CSV_ORDER,
@@ -402,8 +403,13 @@ _session = st.tuples(
     repeat=st.integers(min_value=1, max_value=3),
     start=st.integers(min_value=-10, max_value=50),
     length=st.integers(min_value=1, max_value=90),
+    shuffle=st.booleans(),
+    rng=st.randoms(use_true_random=False),
+    lines_held=st.sampled_from([telemetry_module._INGEST_LINES, 2]),
 )
-def test_columnar_bucketize_matches_the_per_event_reference(events, sessions, repeat, start, length):
+def test_columnar_bucketize_matches_the_per_event_reference(
+    events, sessions, repeat, start, length, shuffle, rng, lines_held
+):
     rows = [
         ev(t, kind, direction, device, PACKET_SIZE if kind is EventKind.PACKET else 0)
         for device, t, kind, direction in events
@@ -411,8 +417,13 @@ def test_columnar_bucketize_matches_the_per_event_reference(events, sessions, re
     for device, t, lasts, direction in sessions:
         rows.append(ev(t, EventKind.SESSION_OPEN, direction, device))
         rows.append(ev(t + lasts, EventKind.SESSION_CLOSE, direction, device))
-    text = csv_text(rows * repeat)
-    counts = ingest_csv(io.StringIO(text))
+    rows *= repeat
+    if shuffle:  # equal rows then repeat apart as well as side by side
+        rng.shuffle(rows)
+    text = csv_text(rows)
+    with pytest.MonkeyPatch.context() as patch:  # 2 folds the line counts every few rows
+        patch.setattr(telemetry_module, "_INGEST_LINES", lines_held)
+        counts = ingest_csv(io.StringIO(text))
     reference = ingest_events(io.StringIO(text))
     assert len(counts) == len(reference)
     for interval in (1, 2, 7, 25):
@@ -451,15 +462,26 @@ _BAD_ROWS = (
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(runs=st.lists(
-    st.tuples(st.sampled_from(_GOOD_ROWS * 4 + _BAD_ROWS), st.integers(min_value=1, max_value=3)),
-    max_size=12,
-))
-def test_ingest_matches_the_per_event_reference(runs):
-    # each row in an adjacent run of copies; a row drawn twice also repeats apart
-    text = ",".join(CSV_HEADER) + "\n" + "".join(f"{row}\n" * copies for row, copies in runs)
+@given(
+    runs=st.lists(
+        st.tuples(st.sampled_from(_GOOD_ROWS * 4 + _BAD_ROWS), st.integers(min_value=1, max_value=3)),
+        max_size=12,
+    ),
+    shuffle=st.booleans(),
+    rng=st.randoms(use_true_random=False),
+    lines_held=st.sampled_from([telemetry_module._INGEST_LINES, 2]),
+)
+def test_ingest_matches_the_per_event_reference(runs, shuffle, rng, lines_held):
+    # each row in an adjacent run of copies; a row drawn twice also repeats apart,
+    # and shuffled rows repeat apart more often than side by side
+    rows = [row for row, copies in runs for _ in range(copies)]
+    if shuffle:
+        rng.shuffle(rows)
+    text = ",".join(CSV_HEADER) + "\n" + "".join(f"{row}\n" for row in rows)
     try:
-        got = ingest_csv(io.StringIO(text))
+        with pytest.MonkeyPatch.context() as patch:  # 2 folds the line counts every few rows
+            patch.setattr(telemetry_module, "_INGEST_LINES", lines_held)
+            got = ingest_csv(io.StringIO(text))
     except ParseError as exc:
         got = exc
     try:
@@ -476,3 +498,86 @@ def test_ingest_matches_the_per_event_reference(runs):
         assert not isinstance(got, ParseError), got
         assert cells(got) == event_cells(want)
         assert len(got) == len(want)
+        assert got.device_ids == tuple(dict.fromkeys(e.device_id for e in want))
+
+
+def _ingest_both(text: str):
+    """ingest_csv's and the per-event reference's result for text, or the ParseError each raises."""
+    out = []
+    for ingest in (ingest_csv, ingest_events):
+        try:
+            out.append(ingest(io.StringIO(text)))
+        except ParseError as exc:
+            out.append(exc)
+    return out
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ('5,"d\n', "row 1: expected 4 or 5 columns, got 2"),
+        ('5,"d', "row 1: expected 4 or 5 columns, got 2"),
+        ('1,d0,inbound,packet,64\n5,"d\n', "row 2: expected 4 or 5 columns, got 2"),
+        ('1,d0,inbound,packet,64\n1,d0,inbound,packet,64\n5,"d\ne,f\n', "row 3: expected 4 or 5 columns, got 2"),
+    ],
+)
+def test_ingest_names_a_row_cut_off_inside_a_quoted_field(body, message):
+    # the reader runs out of lines inside the quotes and keeps what it read
+    got, want = _ingest_both(",".join(CSV_HEADER) + "\n" + body)
+    assert isinstance(got, ParseError) and str(got) == message
+    assert type(want) is type(got) and str(want) == message
+
+
+@pytest.mark.parametrize("body", ['"', '"\n', '1,d0,inbound,packet,64\n"\n', '1,d0,inbound,packet,64\n"'])
+def test_ingest_reads_a_file_that_ends_on_a_lone_quote(body):
+    # a lone quote opens a field that the end of the file closes blank
+    got, want = _ingest_both(",".join(CSV_HEADER) + "\n" + body)
+    assert not isinstance(got, Exception) and not isinstance(want, Exception)
+    assert cells(got) == event_cells(want)
+    assert got.device_ids == tuple(dict.fromkeys(e.device_id for e in want))
+
+
+_SPLIT = '7,"new\nline",inbound,packet,64\n'  # one record over two lines
+_PLAIN = "7,d0,inbound,packet,64\n"
+
+
+@pytest.mark.parametrize("lines_held", [telemetry_module._INGEST_LINES, 2])
+@pytest.mark.parametrize(
+    "body",
+    [
+        _SPLIT * 3,  # side by side
+        _SPLIT + _PLAIN + "8,d1,outbound,packet,64\n" + _SPLIT + _PLAIN + _SPLIT,  # apart
+        _PLAIN + _SPLIT * 2 + _PLAIN * 2 + _SPLIT,  # both
+        '7,"new\n' + _SPLIT,  # a line that opens a quote, then the same line in a record of its own
+        _SPLIT + "line,inbound,packet,64\n",  # a record's continuation line, then as a record
+    ],
+    ids=["side-by-side", "apart", "both", "opening-line-alone", "continuation-line-alone"],
+)
+def test_ingest_counts_a_record_that_spans_lines_at_each_repeat(body, lines_held, monkeypatch):
+    monkeypatch.setattr(telemetry_module, "_INGEST_LINES", lines_held)
+    got, want = _ingest_both(",".join(CSV_HEADER) + "\n" + body)
+    if isinstance(want, ParseError):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert not isinstance(got, ParseError), got
+    assert cells(got) == event_cells(want)
+    assert len(got) == len(want)
+    assert got.device_ids == tuple(dict.fromkeys(e.device_id for e in want))
+
+
+@pytest.mark.parametrize("lines_held", [telemetry_module._INGEST_LINES, 2])
+def test_a_device_first_seen_in_a_record_that_spans_lines_keeps_its_place(lines_held, monkeypatch):
+    monkeypatch.setattr(telemetry_module, "_INGEST_LINES", lines_held)
+    body = (
+        "1,d0,inbound,packet,64\n" * 3
+        + '2,"new\nline",inbound,packet,64\n'  # the second device, first met over two lines
+        + "2,d0,inbound,packet,64\n"
+        + "3,d2,inbound,packet,64\n"
+        + "3,new\n"  # not the split device: a bad row after it
+    )
+    got, want = _ingest_both(",".join(CSV_HEADER) + "\n" + body)
+    assert str(got) == str(want) == "row 7: expected 4 or 5 columns, got 2"
+    got, want = _ingest_both(",".join(CSV_HEADER) + "\n" + body.removesuffix("3,new\n"))
+    assert got.device_ids == ("d0", "new\nline", "d2")
+    assert got.device_ids == tuple(dict.fromkeys(e.device_id for e in want))
+    assert cells(got) == event_cells(want)

@@ -51,6 +51,16 @@ def test_serial_past_u64_names_the_field(pki):
     assert str(exc.value) == "serial: must be in [0, 2**64), got 18446744073709551616"
 
 
+@pytest.mark.parametrize("start", [-1, 2**64])
+def test_start_serial_outside_u64_names_the_field(pki, start):
+    store, _ = pki
+    with pytest.raises(ConfigError) as exc:
+        TimestampAuthority(store, "tsa-root", start_serial=start)
+    assert str(exc.value) == f"serial: must be in [0, 2**64), got {start}"
+    # the last serial a token can carry is still a valid start
+    TimestampAuthority(store, "tsa-root", start_serial=2**64 - 1)
+
+
 def test_serials_increase_without_gaps(pki):
     store, _ = pki
     authority = TimestampAuthority(store, "tsa-root")

@@ -404,8 +404,9 @@ def test_build_manifest_rejects_past_expiry(pki):
 
 
 @pytest.mark.parametrize("version, expiry, message", [
-    (2**64, 100, r"^version: must be at most 2\*\*64 - 1$"),
-    (1, 2**64, r"^expiry: must be at most 2\*\*64 - 1$"),
+    (2**64, 100, r"^version: must be in \[0, 2\*\*64\), got 18446744073709551616$"),
+    (1, 2**64, r"^expiry: must be in \[0, 2\*\*64\), got 18446744073709551616$"),
+    (-1, 100, r"^version: must be in \[0, 2\*\*64\), got -1$"),  # below u64 as well
 ])
 def test_build_manifest_names_a_field_past_u64(pki, version, expiry, message):
     # the manifest's own checks refuse it, before the signed body is encoded
