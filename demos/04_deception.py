@@ -12,6 +12,7 @@ Run:  python3 demos/04_deception.py
 import random
 
 from fleetsec.deception import (
+    MtdSpec,
     PortCanaries,
     attach_feint_patch,
     check_access,
@@ -42,9 +43,9 @@ print(f"alert: {hit.kind} port 8022 by {hit.actor}")
 
 # MTD: every rotation is a fresh injective assignment from the pool, and
 # with a strictly larger pool every device is guaranteed to move.
-pool = [f"10.9.0.{i}" for i in range(10)]
-schedule = make_schedule(rotation_interval=60, address_pool=pool,
-                         device_ids=["cam-7", "cam-8", "cam-9"], rng=rng)
+# The interval and pool are one MtdSpec, as in a scenario's deception.mtd.
+spec = MtdSpec(rotation_interval=60, address_pool=tuple(f"10.9.0.{i}" for i in range(10)))
+schedule = make_schedule(spec, device_ids=["cam-7", "cam-8", "cam-9"], rng=rng)
 print(f"initial addresses: {dict(schedule.assignment)}")
 for k in range(1, 4):
     moved = mtd_rotate(schedule, now=k * 60, rng=rng)

@@ -7,7 +7,8 @@ Both checks return their alert (or None) and keep no log of their own:
 the caller decides where alerts go.
 Feint patches decorate a manifest's unsigned debug metadata with decoy
 change-regions. Moving-target defense rotates device addresses over a
-pool on a fixed interval, keeping the assignment injective.
+pool on a fixed interval, keeping the assignment injective; its
+interval and pool are one MtdSpec, a scenario's `deception.mtd` section.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import FleetsecError
+from .wire import ConfigError
 
 TOKEN_LEN = 16
 
@@ -134,35 +136,37 @@ class PortCanaries:
 
 
 @dataclass(frozen=True)
-class MtdSchedule:
+class MtdSpec:
+    """Rotate every rotation_interval ticks over a pool of distinct addresses."""
+
     rotation_interval: int
     address_pool: tuple[str, ...]
+
+    def __post_init__(self):
+        if self.rotation_interval < 1:
+            raise ConfigError("rotation_interval", "must be positive")
+        if not self.address_pool or len(set(self.address_pool)) != len(self.address_pool):
+            raise ConfigError("address_pool", "must be non-empty and unique")
+
+
+@dataclass(frozen=True)
+class MtdSchedule:
+    spec: MtdSpec
     assignment: Mapping[str, str]
 
     def __post_init__(self):
-        if self.rotation_interval <= 0:
-            raise ValueError("rotation_interval must be positive")
-        if not self.address_pool:
-            raise ValueError("address_pool must be non-empty")
-        addresses = list(self.assignment.values())
-        if len(set(addresses)) != len(addresses):
+        addresses = set(self.assignment.values())
+        if len(addresses) != len(self.assignment):
             raise ValueError("assignment must be injective")
-        if not set(addresses) <= set(self.address_pool):
+        if not addresses <= set(self.spec.address_pool):
             raise ValueError("assigned addresses must come from the pool")
 
 
-def make_schedule(
-    rotation_interval: int,
-    address_pool: Iterable[str],
-    device_ids: Iterable[str],
-    rng: random.Random,
-) -> MtdSchedule:
-    pool = tuple(address_pool)
-    devices = sorted(device_ids)
+def make_schedule(spec: MtdSpec, device_ids: Iterable[str], rng: random.Random) -> MtdSchedule:
+    pool, devices = spec.address_pool, sorted(device_ids)
     if len(pool) < len(devices):
         raise PoolTooSmallError(f"{len(devices)} devices but only {len(pool)} addresses")
-    picks = rng.sample(pool, len(devices))
-    return MtdSchedule(rotation_interval, pool, dict(zip(devices, picks)))
+    return MtdSchedule(spec, dict(zip(devices, rng.sample(pool, len(devices)))))
 
 
 def mtd_rotate(schedule: MtdSchedule, now: int, rng: random.Random) -> MtdSchedule:
@@ -176,21 +180,20 @@ def mtd_rotate(schedule: MtdSchedule, now: int, rng: random.Random) -> MtdSchedu
     only assignments may be permutations with fixed points), so any
     injective draw is allowed.
     """
-    if now % schedule.rotation_interval != 0:
-        raise ValueError(
-            f"rotation at {now} not on the {schedule.rotation_interval}-tick grid"
-        )
+    interval, pool = schedule.spec.rotation_interval, schedule.spec.address_pool
+    if now % interval != 0:
+        raise ValueError(f"rotation at {now} not on the {interval}-tick grid")
     old = schedule.assignment
     devices = sorted(old)
-    picks = rng.sample(schedule.address_pool, len(devices))
+    picks = rng.sample(pool, len(devices))
     stayed = [i for i, d in enumerate(devices) if picks[i] == old[d]]
-    if stayed and len(schedule.address_pool) > len(devices):
+    if stayed and len(pool) > len(devices):
         held = set(picks)
-        free = [a for a in schedule.address_pool if a not in held]
+        free = [a for a in pool if a not in held]
         for i in stayed:
             j = rng.randrange(len(free))
             picks[i], free[j] = free[j], picks[i]
-    return MtdSchedule(schedule.rotation_interval, schedule.address_pool, dict(zip(devices, picks)))
+    return MtdSchedule(schedule.spec, dict(zip(devices, picks)))
 
 
 def attach_feint_patch(

@@ -32,6 +32,7 @@ import numpy as np
 
 from ..deception import (
     CanaryToken,
+    MtdSpec,
     PortCanaries,
     check_access,
     make_schedule,
@@ -57,7 +58,7 @@ from ..update_protocol import (
 )
 from ..wire import ConfigError, Reader, build, check_u64, load_json, lp, read_spec
 from .report import EventRow, ScenarioReport, write_report
-from .transport import MAX_FRAGMENTS, SimLink, fragment, reassemble
+from .transport import HEADER_LEN, MAX_FRAGMENTS, LinkSpec, SimLink, fragment, reassemble
 
 HEARTBEAT_PERIOD = 20
 
@@ -137,7 +138,9 @@ def make_firmware(version: int, size: int) -> bytes:
 # written only when set, and null or absent takes it: an owner, firmware_id,
 # attack device or param, and the detector's baseline_ticks, which
 # ScenarioConfig sets to half the run. The detector's own default is
-# DetectorSpec(), in a file and in Python; null (None) runs none.
+# DetectorSpec(), in a file and in Python; null (None) runs none. The
+# link's and the MTD schedule's specs live beside the code they set up:
+# LinkSpec in transport, MtdSpec in fleetsec.deception.
 
 
 def _check_ports(ports: tuple[int, ...], name: str) -> None:
@@ -182,21 +185,6 @@ class DeviceSpec:
         _check_ports(self.legitimate_ports, "legitimate_ports")
         if self.owner is None:
             object.__setattr__(self, "owner", f"user-{self.id}")
-
-
-@dataclass(frozen=True)
-class LinkSpec:
-    mtu: int = 1024
-    latency: int = 0
-    drop_rate: float = 0.0
-
-    def __post_init__(self):
-        if self.mtu <= 4:
-            raise ConfigError("mtu", "must exceed the 4-byte fragment header")
-        if self.latency < 0:
-            raise ConfigError("latency", "must be non-negative")
-        if not 0 <= self.drop_rate < 1:
-            raise ConfigError("drop_rate", "must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -283,27 +271,17 @@ class AttackSpec:
 
 
 @dataclass(frozen=True)
-class MtdSpec:
-    rotation_interval: int
-    address_pool: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.rotation_interval < 1:
-            raise ConfigError("rotation_interval", "must be positive")
-        if not self.address_pool or len(set(self.address_pool)) != len(self.address_pool):
-            raise ConfigError("address_pool", "must be non-empty and unique")
-
-
-@dataclass(frozen=True)
 class DeceptionSpec:
     canary_ports: tuple[int, ...] = ()
     mtd: MtdSpec | None = None
 
     def __post_init__(self):
         _check_ports(self.canary_ports, "canary_ports")
+        seen: set[int] = set()
         for i, port in enumerate(self.canary_ports):
-            if port in self.canary_ports[:i]:
+            if port in seen:
                 raise ConfigError(f"canary_ports[{i}]", f"port {port} is listed twice")
+            seen.add(port)
 
 
 @dataclass(frozen=True)
@@ -397,7 +375,7 @@ class ScenarioConfig:
         for i, update in enumerate(self.updates):
             # manifest bytes plus framing never exceed this slack over the image and id
             payload_bound = update.size + len(update.firmware_id.encode("utf-8")) + 16 + 512
-            frames_needed = -(-payload_bound // (mtu - 4))
+            frames_needed = -(-payload_bound // (mtu - HEADER_LEN))
             if frames_needed > MAX_FRAGMENTS:
                 raise ConfigError(
                     f"updates[{i}].size",
@@ -497,9 +475,7 @@ class FleetSimulation:
         self.publisher = self.keystore.handle("publisher")
         self.tsa = TimestampAuthority(self.keystore, "tsa-root")
         self.registry = DeviceRegistry(seed)
-        self.link = SimLink(
-            config.links.mtu, config.links.latency, config.links.drop_rate, rng_stream(seed, "link")
-        )
+        self.link = SimLink(config.links, rng_stream(seed, "link"))
         self._interrupt_rng = rng_stream(seed, "interrupts")
         self._canary_rng = rng_stream(seed, "deception:canary")
         self._mtd_rng = rng_stream(seed, "deception:mtd")
@@ -614,12 +590,7 @@ class FleetSimulation:
 
     def _init_mtd(self) -> None:
         mtd = self.cfg.deception.mtd
-        self.mtd_schedule = make_schedule(
-            mtd.rotation_interval,
-            mtd.address_pool,
-            [d.id for d in self.cfg.devices],
-            self._mtd_rng,
-        )
+        self.mtd_schedule = make_schedule(mtd, [d.id for d in self.cfg.devices], self._mtd_rng)
         self.event(
             "deception", "mtd_assigned", {"assignment": dict(sorted(self.mtd_schedule.assignment.items()))}
         )
@@ -677,7 +648,7 @@ class FleetSimulation:
                 {"firmware_id": spec.firmware_id, "count": len(spec.feint_regions)},
             )
         campaign_index = len(self.campaigns)
-        frames = fragment(lp(manifest.encode()) + lp(firmware), self.link.mtu, campaign_index % 65536)
+        frames = fragment(lp(manifest.encode()) + lp(firmware), self.link.spec.mtu, campaign_index % 65536)
         # the link only drops frames, so every complete delivery decodes to these
         reader = Reader(reassemble(frames))
         decoded = (decode_manifest(reader.lp()), reader.lp())
@@ -698,7 +669,7 @@ class FleetSimulation:
         )
         for dev in self.cfg.devices:
             self.schedule(
-                self.now + self.link.latency, self._deliver_update, dev, campaign_index, 1
+                self.now + self.link.spec.latency, self._deliver_update, dev, campaign_index, 1
             )
 
     def _deliver_update(self, dev: DeviceSpec, campaign_index: int, attempt: int) -> None:

@@ -3,20 +3,24 @@
 Frames carry a 4-byte header: message id (2 bytes), fragment index
 (1 byte), and total-minus-one (1 byte), so every frame names the full
 fragment count and a 12-byte MTU still moves 8 payload bytes. Payloads
-are capped at 256 fragments.
+are capped at 256 fragments. A link's mtu is at most 65,535 bytes, so a
+payload that fits a link is under 256 × 65,531 bytes (about 16.8 MB).
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..errors import FleetsecError
+from ..wire import ConfigError
 
 HEADER_LEN = 4
 MAX_FRAGMENTS = 256
 MAX_MESSAGE_ID = 2**16 - 1
+MAX_MTU = 65535
 
 _OCTETS = [bytes((i,)) for i in range(MAX_FRAGMENTS)]  # header index and total bytes
 
@@ -86,19 +90,30 @@ def reassemble(frames: Iterable[bytes]) -> bytes:
     return b"".join([got[i] for i in range(total)])
 
 
-class SimLink:
-    """Lossy constrained link: fixed mtu/latency, seeded independent drops."""
+@dataclass(frozen=True)
+class LinkSpec:
+    """A link's frame size in bytes, its latency in ticks and its drop rate."""
 
-    def __init__(self, mtu: int, latency: int, drop_rate: float, rng: random.Random):
-        if mtu < 1:
-            raise ValueError("mtu must be at least 1")
-        if latency < 0:
-            raise ValueError("latency must be non-negative")
-        if not 0 <= drop_rate < 1:
-            raise ValueError(f"drop_rate must be in [0, 1), got {drop_rate}")
-        self.mtu = mtu
-        self.latency = latency
-        self.drop_rate = drop_rate
+    mtu: int = 1024
+    latency: int = 0
+    drop_rate: float = 0.0
+
+    def __post_init__(self):
+        if self.mtu <= HEADER_LEN:
+            raise ConfigError("mtu", f"must exceed the {HEADER_LEN}-byte fragment header")
+        if self.mtu > MAX_MTU:
+            raise ConfigError("mtu", f"must be at most {MAX_MTU}")
+        if self.latency < 0:
+            raise ConfigError("latency", "must be non-negative")
+        if not 0 <= self.drop_rate < 1:
+            raise ConfigError("drop_rate", "must be in [0, 1)")
+
+
+class SimLink:
+    """Lossy constrained link: its spec's mtu and latency, seeded independent drops."""
+
+    def __init__(self, spec: LinkSpec, rng: random.Random):
+        self.spec = spec
         self._rng = rng
 
     def deliver(self, frames: Sequence[bytes]) -> list[bytes]:
@@ -108,9 +123,10 @@ class SimLink:
         ⌊ln(1 − u) / ln(1 − p)⌋, a geometric count with the law of one
         draw per frame: one draw per delivery plus one per drop.
         """
-        if self.drop_rate == 0:
+        drop_rate = self.spec.drop_rate
+        if drop_rate == 0:
             return list(frames)
-        draw, log_keep = self._rng.random, math.log1p(-self.drop_rate)
+        draw, log_keep = self._rng.random, math.log1p(-drop_rate)
         kept: list[bytes] = []
         start, n = 0, len(frames)
         while True:

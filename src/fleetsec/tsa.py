@@ -8,17 +8,13 @@ surface. gen_time is always a caller-supplied tick clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import FleetsecError
 from .keystore import Keystore, PublicKeyInfo, verify
 from .wire import ConfigError, Reader, build, check_u64, lp, u64
 
 IMPRINT_LEN = 32
-
-
-class BadImprintLengthError(FleetsecError):
-    pass
 
 
 class UntrustedSignerError(FleetsecError):
@@ -43,13 +39,11 @@ class TimestampToken:
 
     def __post_init__(self):
         if len(self.imprint) != IMPRINT_LEN:
-            raise BadImprintLengthError(
-                f"imprint must be {IMPRINT_LEN} bytes, got {len(self.imprint)}"
-            )
+            raise ConfigError("imprint", f"must be {IMPRINT_LEN} bytes")
+        check_u64("gen_time", self.gen_time)
         if self.serial < 1:
             raise ConfigError("serial", "must be positive")
-        if self.gen_time < 0:
-            raise ConfigError("gen_time", "must be non-negative")
+        check_u64("serial", self.serial)
 
     def signed_body(self) -> bytes:
         return token_signed_body(self.imprint, self.gen_time, self.serial)
@@ -92,16 +86,11 @@ class TimestampAuthority:
         return self._keystore.public_key(self._key_id)
 
     def issue_token(self, imprint: bytes, now: int) -> TimestampToken:
-        if len(imprint) != IMPRINT_LEN:
-            raise BadImprintLengthError(
-                f"imprint must be {IMPRINT_LEN} bytes, got {len(imprint)}"
-            )
         check_u64("now", now)
-        check_u64("serial", self._serial + 1)
-        self._serial += 1
-        body = token_signed_body(imprint, now, self._serial)
-        signature = self._keystore.sign(self._key_id, body)
-        return TimestampToken(imprint, now, self._serial, self._key_id, signature)
+        unsigned = TimestampToken(imprint, now, self._serial + 1, self._key_id, b"")
+        token = replace(unsigned, signature=self._keystore.sign(self._key_id, unsigned.signed_body()))
+        self._serial = token.serial
+        return token
 
 
 def verify_token(

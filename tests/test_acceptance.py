@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import helpers
-from fleetsec.deception import make_schedule, mtd_rotate
+from fleetsec.deception import MtdSpec, make_schedule, mtd_rotate
 from fleetsec.fleet_sim.report import REPORT_FILES
 from fleetsec.fleet_sim.scenario import (
     load_scenario,
@@ -330,8 +330,7 @@ def test_criterion_10_deception_alerts_and_mtd():
 
         rng = random.Random(11)
         schedule = make_schedule(
-            5,
-            [f"10.1.0.{i}" for i in range(12)],
+            MtdSpec(5, tuple(f"10.1.0.{i}" for i in range(12))),
             [f"dev-{i}" for i in range(8)],
             rng,
         )

@@ -194,7 +194,8 @@ def test_tsa_issue_rejects_malformed_imprint(workdir, capsys):
                  "--passphrase", PASSPHRASE, "--imprint", "abcd",
                  "--now", "1", "--out", str(workdir / "t2.bin")])
     assert code == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: imprint: must be 32 bytes\n"
+    assert not (workdir / "t2.bin").exists()
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from fleetsec.deception import (
     CanaryToken,
     ImageTooSmallError,
     MtdSchedule,
+    MtdSpec,
     PoolTooSmallError,
     PortCanaries,
     PortInUseError,
@@ -25,6 +26,7 @@ from fleetsec.fleet_sim.report import write_jsonl
 from fleetsec.keystore import Keystore
 from fleetsec.tsa import TimestampAuthority
 from fleetsec.update_protocol import build_manifest, device_verify, initial_state
+from fleetsec.wire import ConfigError
 
 from helpers import firmware_image, make_pki
 
@@ -172,8 +174,7 @@ def test_canary_cannot_shadow_a_real_port():
 
 def _schedule(n_devices=4, pool_size=8, interval=10, seed=1):
     return make_schedule(
-        interval,
-        [f"10.0.0.{i}" for i in range(pool_size)],
+        MtdSpec(interval, tuple(f"10.0.0.{i}" for i in range(pool_size))),
         [f"dev-{i}" for i in range(n_devices)],
         random.Random(seed),
     )
@@ -184,7 +185,7 @@ def test_make_schedule_assigns_each_device_a_unique_address():
     assert sorted(schedule.assignment) == [f"dev-{i}" for i in range(4)]
     addresses = list(schedule.assignment.values())
     assert len(set(addresses)) == 4
-    assert set(addresses) <= set(schedule.address_pool)
+    assert set(addresses) <= set(schedule.spec.address_pool)
 
 
 def test_rotation_stays_injective():
@@ -211,7 +212,7 @@ def test_rotation_at_exact_capacity_is_allowed_but_injective():
     schedule = _schedule(n_devices=4, pool_size=4)
     rotated = mtd_rotate(schedule, now=10, rng=random.Random(3))
     addresses = list(rotated.assignment.values())
-    assert sorted(addresses) == sorted(schedule.address_pool)
+    assert sorted(addresses) == sorted(schedule.spec.address_pool)
 
 
 def test_pool_smaller_than_fleet_is_refused():
@@ -239,14 +240,15 @@ def test_same_seed_rotations_are_identical():
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        MtdSchedule(0, ("a",), {})
-    with pytest.raises(ValueError):
-        MtdSchedule(10, (), {})
-    with pytest.raises(ValueError):
-        MtdSchedule(10, ("a", "b"), {"d1": "a", "d2": "a"})
-    with pytest.raises(ValueError):
-        MtdSchedule(10, ("a",), {"d1": "z"})
+    with pytest.raises(ConfigError, match=r"^rotation_interval: must be positive$"):
+        MtdSpec(0, ("a",))
+    for pool in [(), ("a", "a", "b")]:  # a repeat could draw one address for two devices
+        with pytest.raises(ConfigError, match=r"^address_pool: must be non-empty and unique$"):
+            MtdSpec(10, pool)
+    with pytest.raises(ValueError, match="injective"):
+        MtdSchedule(MtdSpec(10, ("a", "b")), {"d1": "a", "d2": "a"})
+    with pytest.raises(ValueError, match="from the pool"):
+        MtdSchedule(MtdSpec(10, ("a",)), {"d1": "z"})
 
 
 # --- feint patches -------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Each decoder gets a valid input with one to three single-position edits
 (set, insert or delete one byte or character, or cut the rest off); only
-a FleetsecError may escape it.
+a FleetsecError may escape it. A manifest or token fails as a DecodeError,
+or as a ConfigError naming the field under `manifest` or `token`.
 """
 
 import hashlib
@@ -14,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 from fleetsec.errors import FleetsecError
 from fleetsec.fleet_sim.transport import fragment, reassemble
 from fleetsec.telemetry import ingest_csv
-from fleetsec.tsa import decode_token, token_signed_body
+from fleetsec.tsa import TimestampToken, decode_token, token_signed_body
 from fleetsec.update_protocol import build_manifest, decode_manifest, manifest_signed_body
-from fleetsec.wire import ConfigError, lp, u64
+from fleetsec.wire import ConfigError, DecodeError, lp, u64
 
 from helpers import CSV_CHARS, apply_edits, firmware_image, make_pki, seq_edits
 
@@ -45,16 +46,25 @@ def _refused_or_decoded(decode, data) -> None:
         pass
 
 
+def _record_refused_or_decoded(decode, data, root: str) -> None:
+    try:
+        decode(data)
+    except DecodeError:
+        pass
+    except ConfigError as exc:
+        assert exc.path.startswith(root), exc
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(edits=seq_edits(len(MANIFEST), _BYTES))
 def test_edited_manifest_bytes_raise_only_fleetsec_or_value_errors(edits):
-    _refused_or_decoded(decode_manifest, bytes(apply_edits(MANIFEST, edits)))
+    _record_refused_or_decoded(decode_manifest, bytes(apply_edits(MANIFEST, edits)), "manifest")
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(edits=seq_edits(len(TOKEN), _BYTES))
 def test_edited_token_bytes_raise_only_fleetsec_or_value_errors(edits):
-    _refused_or_decoded(decode_token, bytes(apply_edits(TOKEN, edits)))
+    _record_refused_or_decoded(decode_token, bytes(apply_edits(TOKEN, edits)), "token")
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -91,3 +101,21 @@ def test_a_token_with_serial_zero_names_the_field():
     body = lp(b"fw-2") + u64(2) + lp(bytes(32)) + u64(500) + lp(data)
     with pytest.raises(ConfigError, match=r"^manifest\.token\.serial: must be positive$"):
         decode_manifest(body + lp(b"sig"))
+
+
+def test_a_token_with_a_short_imprint_names_the_field():
+    data = token_signed_body(bytes(31), 7, 1) + lp(b"tsa-root") + lp(b"sig")
+    with pytest.raises(ConfigError) as exc:
+        decode_token(data)
+    assert str(exc.value) == "token.imprint: must be 32 bytes"
+    body = lp(b"fw-2") + u64(2) + lp(bytes(32)) + u64(500) + lp(data)
+    with pytest.raises(ConfigError) as exc:
+        decode_manifest(body + lp(b"sig"))
+    assert str(exc.value) == "manifest.token.imprint: must be 32 bytes"
+
+
+def test_a_token_past_u64_is_refused_when_built():
+    # the wire cannot carry it, so it is refused before it is encoded
+    with pytest.raises(ConfigError) as exc:
+        TimestampToken(bytes(32), 2**64, 1, "k", b"")
+    assert str(exc.value) == "gen_time: must be in [0, 2**64), got 18446744073709551616"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from fleetsec.deception import MtdSpec
 from fleetsec.errors import FleetsecError
 from fleetsec.fleet_sim import scenario as scenario_module
 from fleetsec.fleet_sim.report import REPORT_FILES
@@ -19,8 +20,6 @@ from fleetsec.fleet_sim.scenario import (
     DetectorSpec,
     DeviceSpec,
     FleetSimulation,
-    LinkSpec,
-    MtdSpec,
     ScenarioConfig,
     TrafficSpec,
     UnknownAttackKindError,
@@ -34,7 +33,7 @@ from fleetsec.fleet_sim.scenario import (
     simulate_to_dir,
     uniforms,
 )
-from fleetsec.fleet_sim.transport import SimLink
+from fleetsec.fleet_sim.transport import LinkSpec, SimLink
 from fleetsec.telemetry import Metric, bucketize, ingest_csv
 
 from helpers import (
@@ -573,8 +572,10 @@ def test_canary_port_cannot_shadow_legitimate_service():
          "devices x duration passes the telemetry cap of 1e+07 rows"),
         (lambda: DeviceSpec("a", "s", duty_cycle=2.0), "duty_cycle: must be in (0, 1]"),
         (lambda: LinkSpec(mtu=4), "mtu: must exceed the 4-byte fragment header"),
+        (lambda: LinkSpec(mtu=65536), "mtu: must be at most 65535"),
         (lambda: UpdateSpec(at=5, version=1, expiry=5), "expiry: must be after the publish tick"),
         (lambda: MtdSpec(0, ("x",)), "rotation_interval: must be positive"),
+        (lambda: MtdSpec(5, ("a", "a", "b")), "address_pool: must be non-empty and unique"),
         (lambda: AttackSpec("ddos", 5, "a"), "kind: unknown attack kind 'ddos'"),
         (lambda: AttackSpec("traffic_flood", 5, None), "device: missing required field"),
         (lambda: AttackSpec("rollback_replay", 5, "a", factor=3), "factor: unknown field"),
@@ -585,8 +586,8 @@ def test_canary_port_cannot_shadow_legitimate_service():
         (lambda: AttackSpec("dictionary_attack", 5, "a", rate=4),
          "rate: expected [lo, hi] with 1 <= lo <= hi"),
     ],
-    ids=["telemetry-cap", "telemetry-cap-no-devices", "duty-cycle", "mtu", "expiry",
-         "rotation-interval", "attack-kind", "attack-device", "attack-param", "attack-factor",
+    ids=["telemetry-cap", "telemetry-cap-no-devices", "duty-cycle", "mtu", "mtu-max", "expiry",
+         "rotation-interval", "address-pool", "attack-kind", "attack-device", "attack-param", "attack-factor",
          "attack-duration", "attack-rate", "attack-rate-type"],
 )
 def test_specs_built_in_python_are_checked_like_files(build, error):
@@ -723,6 +724,9 @@ SCENARIO_ERRORS = [
     ("links.bandwidth", 9, "links.bandwidth: unknown field"),
     ("links.mtu", "64", "links.mtu: expected int"),
     ("links.mtu", 4, "links.mtu: must exceed the 4-byte fragment header"),
+    ("links.mtu", 65536, "links.mtu: must be at most 65535"),
+    # an mtu past a frame's size would let an image of terabytes under the fragment cap
+    ("links.mtu", 2**40, "links.mtu: must be at most 65535"),
     ("links.latency", 0.5, "links.latency: expected int"),
     ("links.latency", -1, "links.latency: must be non-negative"),
     ("links.drop_rate", "x", "links.drop_rate: expected float"),
@@ -824,6 +828,8 @@ SCENARIO_ERRORS = [
     ("deception.canary_ports", 2323, "deception.canary_ports: expected list"),
     ("deception.canary_ports", [2323, "23"], "deception.canary_ports[1]: expected int"),
     ("deception.canary_ports", [2000, 2000], "deception.canary_ports[1]: port 2000 is listed twice"),
+    ("deception.canary_ports", [*range(2000, 22000), 2000],
+     "deception.canary_ports[20000]: port 2000 is listed twice"),
     ("deception.canary_ports", [443],
      "deception.canary_ports[0]: port 443 is a legitimate service on 'dev-a'"),
     ("deception.mtd", [], "deception.mtd: expected dict"),

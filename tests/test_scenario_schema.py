@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetsec.cli import main
+from fleetsec.deception import MtdSpec
 from fleetsec.detector import DetectorConfig
 from fleetsec.fleet_sim.report import REPORT_FILES
 from fleetsec.fleet_sim.scenario import (
@@ -27,14 +28,12 @@ from fleetsec.fleet_sim.scenario import (
     DetectorSpec,
     DeviceSpec,
     FeintRegion,
-    LinkSpec,
-    MtdSpec,
     ScenarioConfig,
     TrafficSpec,
     UpdateSpec,
     parse_scenario,
 )
-from fleetsec.fleet_sim.transport import MAX_FRAGMENTS
+from fleetsec.fleet_sim.transport import MAX_FRAGMENTS, LinkSpec
 from fleetsec.telemetry import MAX_TELEMETRY_ROWS, Metric
 from fleetsec.wire import ConfigError, write_spec
 

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from fleetsec.fleet_sim.transport import (
     HEADER_LEN,
     MAX_FRAGMENTS,
+    MAX_MTU,
+    LinkSpec,
     MissingFragmentError,
     MtuTooSmallError,
     PayloadTooLargeError,
@@ -17,6 +19,7 @@ from fleetsec.fleet_sim.transport import (
     fragment,
     reassemble,
 )
+from fleetsec.wire import ConfigError
 
 
 def test_empty_payload_is_one_frame():
@@ -144,13 +147,13 @@ def test_reassembly_rejects_empty_and_short_input():
 
 
 def test_lossless_link_passes_everything():
-    link = SimLink(mtu=12, latency=2, drop_rate=0.0, rng=random.Random(1))
+    link = SimLink(LinkSpec(mtu=12, latency=2, drop_rate=0.0), random.Random(1))
     frames = fragment(bytes(100), mtu=12)
     assert link.deliver(frames) == frames
 
 
 def test_lossy_link_drops_at_roughly_the_configured_rate():
-    link = SimLink(mtu=12, latency=2, drop_rate=0.3, rng=random.Random(1))
+    link = SimLink(LinkSpec(mtu=12, latency=2, drop_rate=0.3), random.Random(1))
     frames = [bytes([i % 256]) * 12 for i in range(10_000)]
     survivors = link.deliver(frames)
     assert 0.65 < len(survivors) / len(frames) < 0.75
@@ -162,7 +165,7 @@ def test_lossy_link_drops_at_roughly_the_configured_rate():
 def test_link_drops_are_seed_deterministic():
     frames = fragment(bytes(200), mtu=12)
     runs = [
-        SimLink(12, 0, 0.4, random.Random(77)).deliver(frames) for _ in range(2)
+        SimLink(LinkSpec(12, 0, 0.4), random.Random(77)).deliver(frames) for _ in range(2)
     ]
     assert runs[0] == runs[1]
 
@@ -171,7 +174,7 @@ def test_link_drops_are_seed_deterministic():
 def test_extreme_drop_rates_draw_without_raising(drop_rate):
     frames = fragment(bytes(MAX_FRAGMENTS * 8), mtu=12)
     assert len(frames) == MAX_FRAGMENTS
-    link = SimLink(12, 0, drop_rate, random.Random(5))
+    link = SimLink(LinkSpec(12, 0, drop_rate), random.Random(5))
     for _ in range(200):
         kept = link.deliver(frames)
         if drop_rate < 1e-300:  # the gap overflows to inf: nothing drops
@@ -205,7 +208,7 @@ def _ks_distance(a, b):
 @pytest.mark.parametrize("drop_rate, deliveries", [(0.002, 4000), (0.1, 400), (0.5, 100)])
 def test_gap_draws_match_the_per_frame_draw(drop_rate, deliveries):
     frames = fragment(bytes(MAX_FRAGMENTS * 8), mtu=12)
-    link = SimLink(12, 0, drop_rate, random.Random(11))
+    link = SimLink(LinkSpec(12, 0, drop_rate), random.Random(11))
     got = [set(f[2] for f in link.deliver(frames)) for _ in range(deliveries)]
     masks = [[i in kept for i in range(len(frames))] for kept in got]
     oracle = random.Random(12)  # one independent draw per frame
@@ -222,10 +225,23 @@ def test_gap_draws_match_the_per_frame_draw(drop_rate, deliveries):
 
 
 def test_link_validation():
-    rng = random.Random(1)
-    with pytest.raises(ValueError):
-        SimLink(0, 0, 0.0, rng)
-    with pytest.raises(ValueError):
-        SimLink(12, -1, 0.0, rng)
-    with pytest.raises(ValueError):
-        SimLink(12, 0, 1.0, rng)
+    for spec, error in [
+        ((0, 0, 0.0), "mtu: must exceed the 4-byte fragment header"),
+        # an mtu that leaves no payload byte is refused with the link, not at its first fragment
+        ((HEADER_LEN, 0, 0.0), "mtu: must exceed the 4-byte fragment header"),
+        ((MAX_MTU + 1, 0, 0.0), "mtu: must be at most 65535"),
+        ((12, -1, 0.0), "latency: must be non-negative"),
+        ((12, 0, 1.0), "drop_rate: must be in [0, 1)"),
+        ((12, 0, -0.1), "drop_rate: must be in [0, 1)"),
+    ]:
+        with pytest.raises(ConfigError) as exc:
+            LinkSpec(*spec)
+        assert str(exc.value) == error
+
+
+def test_every_mtu_a_link_takes_fragments_its_largest_payload():
+    for mtu in (HEADER_LEN + 1, MAX_MTU):
+        payload = bytes(MAX_FRAGMENTS * (mtu - HEADER_LEN))
+        frames = SimLink(LinkSpec(mtu), random.Random(1)).deliver(fragment(payload, mtu))
+        assert len(frames) == MAX_FRAGMENTS and max(map(len, frames)) == mtu
+        assert reassemble(frames) == payload

@@ -6,7 +6,6 @@ import pytest
 from fleetsec.keystore import Keystore
 from fleetsec.tsa import (
     IMPRINT_LEN,
-    BadImprintLengthError,
     MismatchedImprintError,
     TimestampAuthority,
     TimestampToken,
@@ -77,9 +76,13 @@ def test_round_trip_verifies(tsa, anchor):
     verify_token(token, DIGEST, anchor)  # must not raise
 
 
-def test_short_imprint_rejected(tsa):
-    with pytest.raises(BadImprintLengthError):
-        tsa.issue_token(DIGEST[:31], now=1)
+def test_short_imprint_rejected(pki):
+    store, _ = pki
+    authority = TimestampAuthority(store, "tsa-root")
+    with pytest.raises(ConfigError) as exc:
+        authority.issue_token(DIGEST[:31], now=1)
+    assert str(exc.value) == "imprint: must be 32 bytes"
+    assert authority.issue_token(DIGEST, now=1).serial == 1  # the refused token took no serial
 
 
 def test_mismatched_imprint(tsa, anchor):
@@ -144,7 +147,7 @@ def test_every_single_bit_mutation_fails_verification(pki):
         mutated[bit // 8] ^= 1 << (bit % 8)
         try:
             bad = decode_token(bytes(mutated))
-        except (DecodeError, ValueError, BadImprintLengthError):
+        except (DecodeError, ConfigError):
             checked += 1  # encoding-level rejection counts as failing
             continue
         with pytest.raises((UntrustedSignerError, MismatchedImprintError)):
@@ -154,12 +157,17 @@ def test_every_single_bit_mutation_fails_verification(pki):
 
 
 def test_token_field_validation():
-    with pytest.raises(BadImprintLengthError):
-        TimestampToken(b"short", 1, 1, "k", b"sig")
-    with pytest.raises(ValueError):
-        TimestampToken(DIGEST, 1, 0, "k", b"sig")  # serial must be >= 1
-    with pytest.raises(ValueError):
-        TimestampToken(DIGEST, -1, 1, "k", b"sig")
+    for fields, error in [
+        ((b"short", 1, 1), "imprint: must be 32 bytes"),
+        ((DIGEST, 1, 0), "serial: must be positive"),
+        ((DIGEST, -1, 1), "gen_time: must be in [0, 2**64), got -1"),
+        ((DIGEST, 2**64, 1), "gen_time: must be in [0, 2**64), got 18446744073709551616"),
+        ((DIGEST, 1, -1), "serial: must be positive"),
+        ((DIGEST, 1, 2**64), "serial: must be in [0, 2**64), got 18446744073709551616"),
+    ]:
+        with pytest.raises(ConfigError) as exc:
+            TimestampToken(*fields, "k", b"sig")
+        assert str(exc.value) == error
     earliest = TimestampToken(DIGEST, 0, 1, "k", b"sig")  # the least gen_time and serial
     assert decode_token(earliest.encode()) == earliest
 
